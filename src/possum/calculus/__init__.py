@@ -57,7 +57,6 @@ __all__ = [
     "consensus",
     "similarity_from_distance",
     "transitivity_bound",
-    "kernel_backend",
 ]
 
 # Interval inversions at or below this size are rounding noise (1-(1-x)
@@ -151,11 +150,6 @@ class CertaintyInterval:
 TOTAL_IGNORANCE = CertaintyInterval(0.0, 1.0)
 CERTAIN = CertaintyInterval(1.0, 1.0)
 IMPOSSIBLE = CertaintyInterval(0.0, 0.0)
-
-
-def kernel_backend() -> str:
-    """Which arithmetic backend got picked at import: compiled or python."""
-    return _kernels.BACKEND
 
 
 def _check_unit(value: float, what: str) -> float:

@@ -41,6 +41,7 @@ __all__ = [
     "match_case",
     "precedent_support",
     "case_similarity",
+    "context_passes",
 ]
 
 Path = tuple[str, ...]
@@ -141,22 +142,31 @@ class PrecedentSupport:
     matches: list[MatchResult]
 
 
-def _screened_in(
-    template: CaseTemplate,
+def context_passes(
+    context: tuple[Atom, ...],
     world: World,
     config: "QueryConfig",
     fetch: Evaluator,
+    on_unbound: Callable[[UnboundRoleError], None] | None = None,
 ) -> bool:
-    # Context screening is a shallow lookup, never a proof, and uses the
-    # most liberal conjunction so one missing context atom is what kills
-    # the template, not the interaction of several weak ones.
-    if not template.context:
+    """The screening gate that admits rules and case templates alike.
+
+    Screening is a shallow read through ``fetch``, never a proof, and
+    grades the joint context with the most liberal conjunction (min), so
+    the gate fails on the weakest atom alone, not on the interaction of
+    several weak ones.  A context the world cannot even bind means the
+    rule or case is about some other situation: inactive, and reported
+    to ``on_unbound``.
+    """
+    if not context:
         return True
     values = []
-    for atom in template.context:
+    for atom in context:
         try:
             ground = substitute(atom, world.roles)
-        except UnboundRoleError:
+        except UnboundRoleError as err:
+            if on_unbound is not None:
+                on_unbound(err)
             return False
         values.append(fetch(ground))
     joint = antecedent_eval(TNormFamily.T3, values)
@@ -170,12 +180,15 @@ def retrieve(
     config: "QueryConfig | None" = None,
     *,
     fetch: Evaluator | None = None,
+    diagnostics: list[str] | None = None,
 ) -> list[CaseTemplate]:
     """Templates under a taxonomy node that pass context screening.
 
     Retrieval at an ancestor node sees a superset of what any of its
     descendants sees.  An undeclared path is an error rather than an
-    empty answer, so typos do not read as absent knowledge.
+    empty answer, so typos do not read as absent knowledge.  A template
+    whose context has a role the world leaves unbound is screened out
+    and, given ``diagnostics``, noted there once.
     """
     if isinstance(path, str):
         path = parse_path(path)
@@ -187,7 +200,24 @@ def retrieve(
         config = QueryConfig()
     if fetch is None:
         fetch = lambda atom: lookup(world, atom)
-    return [t for t in library.templates_at(path) if _screened_in(t, world, config, fetch)]
+    return [
+        t
+        for t in library.templates_at(path)
+        if context_passes(
+            t.context,
+            world,
+            config,
+            fetch,
+            on_unbound=lambda err, t=t: _note(
+                diagnostics, f"case {t.identifier} inactive: {err}"
+            ),
+        )
+    ]
+
+
+def _note(diagnostics: list[str] | None, message: str) -> None:
+    if diagnostics is not None and message not in diagnostics:
+        diagnostics.append(message)
 
 
 def match_case(
@@ -238,7 +268,10 @@ def precedent_support(
     if link is None:
         raise DomainError(f"predicate {goal.predicate} has no precedent link")
     matches: list[MatchResult] = []
-    for template in retrieve(kb.case_library, link.path, world, config, fetch=fetch):
+    found = retrieve(
+        kb.case_library, link.path, world, config, fetch=fetch, diagnostics=diagnostics
+    )
+    for template in found:
         try:
             consequent = substitute(template.consequent, world.roles)
         except UnboundRoleError:

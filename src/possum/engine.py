@@ -30,7 +30,7 @@ from .calculus import (
     consensus,
     detach,
 )
-from .cbr import format_path, precedent_support
+from .cbr import context_passes, format_path, precedent_support
 from .errors import DepthExceededError, UnboundRoleError
 from .knowledge import (
     Atom,
@@ -135,43 +135,14 @@ class _Entry:
     node: ProofNode
 
 
-def _context_passes(
-    context: tuple[Atom, ...],
-    world: World,
-    config: QueryConfig,
-    on_read: Callable[[Atom], None] | None = None,
-    on_unbound: Callable[[UnboundRoleError], None] | None = None,
-) -> bool:
-    """Shared screening gate for rules and case templates.
-
-    The most liberal conjunction (min) grades the joint context so the
-    gate fails on the weakest atom alone.  A context the world cannot
-    even bind means the rule is about some other situation: inactive.
-    """
-    if not context:
-        return True
-    values = []
-    for atom in context:
-        try:
-            ground = substitute(atom, world.roles)
-        except UnboundRoleError as err:
-            if on_unbound is not None:
-                on_unbound(err)
-            return False
-        if on_read is not None:
-            on_read(ground)
-        values.append(lookup(world, ground))
-    joint = antecedent_eval(TNormFamily.T3, values)
-    return joint.lower >= config.context_threshold
-
-
 def screen(kb: KnowledgeBase, world: World, config: QueryConfig | None = None) -> set[str]:
     """Identifiers of the rules whose context admits this world."""
     config = config or QueryConfig()
+    fetch = lambda atom: lookup(world, atom)
     return {
         rule.identifier
         for rule in kb.rules.values()
-        if _context_passes(rule.context, world, config)
+        if context_passes(rule.context, world, config, fetch)
     }
 
 
@@ -265,6 +236,11 @@ class QuerySession:
                 fact = world.facts.get(atom)
         frame.atoms.add(atom)
 
+        def fetch(a: Atom) -> CertaintyInterval:
+            # Context reads are dependencies too: revision must see them.
+            frame.atoms.add(a)
+            return lookup(world, a)
+
         paths: list[ProofNode] = []
         families: list[TNormFamily] = []
 
@@ -277,11 +253,11 @@ class QuerySession:
                 continue
             if consequent != atom:
                 continue
-            if not _context_passes(
+            if not context_passes(
                 rule.context,
                 world,
                 config,
-                on_read=frame.atoms.add,
+                fetch,
                 on_unbound=lambda err, r=rule: self._note(
                     f"rule {r.identifier} inactive: {err}"
                 ),
@@ -321,17 +297,13 @@ class QuerySession:
                 local[a] = entry
                 return entry.interval
 
-            def case_context_fetch(a: Atom) -> CertaintyInterval:
-                frame.atoms.add(a)
-                return lookup(world, a)
-
             support = precedent_support(
                 self.kb,
                 world,
                 atom,
                 config,
                 evaluate=case_evaluate,
-                fetch=case_context_fetch,
+                fetch=fetch,
                 diagnostics=self.diagnostics,
             )
             case_nodes = []

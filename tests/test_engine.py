@@ -12,6 +12,7 @@ from possum.calculus import (
     TNormFamily,
     TOTAL_IGNORANCE,
 )
+from possum.cbr import CaseTemplate, PrecedentLink
 from possum.dsl import parse_kb, parse_world
 from possum.engine import (
     QueryConfig,
@@ -127,6 +128,21 @@ class TestScreening:
         _fact(world, "a", 0.8)
         result = prove(kb, world, Atom("q"))
         assert any("rule r inactive" in d for d in result.diagnostics)
+
+    def test_unbound_case_context_role_noted(self):
+        kb = KnowledgeBase()
+        kb.case_library.declare_path(("p",))
+        kb.case_library.add(
+            CaseTemplate(
+                "c", ("p",), (), (Atom("g", ("?x",)),), (Atom("a"),), Atom("q"), 0.9, 0.0, T2
+            )
+        )
+        kb.precedent_links["q"] = PrecedentLink("q", ("p",), T2)
+        world = World("w")
+        _fact(world, "a", 0.8)
+        result = prove(kb, world, Atom("q"))
+        assert result.interval == TOTAL_IGNORANCE
+        assert any("case c inactive" in d for d in result.diagnostics)
 
 
 class TestBackwardChaining:
