@@ -274,7 +274,8 @@ def precedent_support(
     for template in found:
         try:
             consequent = substitute(template.consequent, world.roles)
-        except UnboundRoleError:
+        except UnboundRoleError as err:
+            _note(diagnostics, f"case {template.identifier} inactive: {err}")
             continue
         if consequent != goal:
             continue

@@ -29,7 +29,6 @@ from .engine import (
     QueryResult,
     QuerySession,
     explain,
-    forward_saturate,
     prove,
     result_to_dict,
 )
@@ -285,34 +284,45 @@ def _cmd_retract_source(args: argparse.Namespace) -> int:
 def _cmd_cases(args: argparse.Namespace) -> int:
     kb = load_kb(args.kb)
     path = parse_path(args.path)
+    notes: list[str] = []
     if args.world:
         world = load_world(args.world, _policy(args))
-        config = _config(args)
-        templates = retrieve(kb.case_library, path, world, config)
+        templates = retrieve(kb.case_library, path, world, _config(args), diagnostics=notes)
     else:
         if not kb.case_library.has_path(path):
             from .errors import UnknownPathError
 
             raise UnknownPathError(f"taxonomy path {format_path(path)} is not declared")
         templates = kb.case_library.templates_at(path)
+    _print_cases(templates, notes)
+    return 0
+
+
+def _print_cases(templates, notes: list[str]) -> None:
     for template in templates:
         print(f"{template.identifier}  {format_path(template.path)}")
-    return 0
+    _print_notes(notes)
 
 
 def _cmd_saturate(args: argparse.Namespace) -> int:
     kb = load_kb(args.kb)
     world = load_world(args.world, _policy(args))
-    derived = forward_saturate(kb, world, _config(args))
+    session = QuerySession(kb, world, _config(args))
+    derived = session.saturate()
     if args.format == "json":
         payload = {
             str(atom): [iv.lower, iv.upper] for atom, iv in derived.items()
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
+    _print_saturation(derived, session.diagnostics)
+    return 0
+
+
+def _print_saturation(derived: dict[Atom, CertaintyInterval], notes: list[str]) -> None:
     for atom in sorted(derived, key=str):
         print(f"{atom} = {_interval_str(derived[atom])}")
-    return 0
+    _print_notes(notes)
 
 
 _REPL_HELP = """\
@@ -394,13 +404,14 @@ def _cmd_repl(args: argparse.Namespace) -> int:
                 print(f"with {ground} = {interval}:")
                 _repl_query(kb, twin, config, last_goal_text)
             elif verb == "cases":
-                for template in retrieve(kb.case_library, parse_path(rest), world, config):
-                    print(f"{template.identifier}  {format_path(template.path)}")
+                notes: list[str] = []
+                found = retrieve(
+                    kb.case_library, parse_path(rest), world, config, diagnostics=notes
+                )
+                _print_cases(found, notes)
             elif verb == "saturate":
-                for atom, iv in sorted(
-                    forward_saturate(kb, world, config).items(), key=lambda kv: str(kv[0])
-                ):
-                    print(f"{atom} = {_interval_str(iv)}")
+                session = QuerySession(kb, world, config)
+                _print_saturation(session.saturate(), session.diagnostics)
             else:
                 print(f"unknown command {verb!r}; 'help' lists commands")
         except ConflictError as err:

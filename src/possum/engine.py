@@ -5,8 +5,8 @@ evaluates premises as sub-goals, detaches each support path through its
 rule's strength, aggregates the parallel paths, and reconciles the
 result with any stored evidence about the goal itself.  Every step is
 kept as a proof node so answers can be explained, and every sub-goal
-records which stored atoms it read so belief revision can later
-invalidate exactly what an update touches.
+records which stored atoms and sub-goals it read: that graph is the
+one belief revision walks to invalidate exactly what an update touches.
 
 Context screening is the cheap gate in front of all of this: a rule
 with a context only participates when the world's stored values for the
@@ -104,13 +104,12 @@ class GoalDependencies:
 
     atoms: stored atoms looked up (the goal's own fact slot, context
     atoms consulted during screening); subgoals: premises recursed
-    into; identifiers: rules, cases, and precedent links that shaped
-    the answer.
+    into.  These are the only dependency edges there are: belief
+    revision inverts them to find every goal an update reaches.
     """
 
     atoms: frozenset[Atom]
     subgoals: frozenset[Atom]
-    identifiers: frozenset[str]
 
 
 @dataclass(slots=True)
@@ -126,7 +125,6 @@ class QueryResult:
 class _Frame:
     atoms: set[Atom] = field(default_factory=set)
     subgoals: set[Atom] = field(default_factory=set)
-    identifiers: set[str] = field(default_factory=set)
 
 
 @dataclass(slots=True)
@@ -198,6 +196,20 @@ class QuerySession:
         """Interval for one ground sub-goal (no result wrapper)."""
         return self._evaluate(atom).interval
 
+    def saturate(self) -> dict[Atom, CertaintyInterval]:
+        """Evaluate every derivable ground conclusion, premises first.
+
+        Processing follows the dependency order of the predicates, and
+        all goals share this session's memo, so each sub-derivation runs
+        once.  The result maps each derivable atom to the same interval a
+        backward query for it would return.
+        """
+        rank = {pred: i for i, pred in enumerate(derivation_order(self.kb))}
+        goals = sorted(
+            self._derivable_goals(), key=lambda a: (rank.get(a.predicate, -1), str(a))
+        )
+        return {goal: self.evaluate(goal) for goal in goals}
+
     # -- internals ---------------------------------------------------
 
     def _evaluate(self, atom: Atom) -> _Entry:
@@ -217,7 +229,6 @@ class QuerySession:
         self._deps[atom] = GoalDependencies(
             atoms=frozenset(frame.atoms),
             subgoals=frozenset(frame.subgoals),
-            identifiers=frozenset(frame.identifiers),
         )
         if self._use_memo:
             self._memo[atom] = entry
@@ -249,7 +260,8 @@ class QuerySession:
                 continue
             try:
                 consequent = substitute(rule.consequent, world.roles)
-            except UnboundRoleError:
+            except UnboundRoleError as err:
+                self._note(f"rule {rule.identifier} inactive: {err}")
                 continue
             if consequent != atom:
                 continue
@@ -273,7 +285,6 @@ class QuerySession:
                 premise_values.append(sub.interval)
             joint = antecedent_eval(rule.family, premise_values)
             detached = detach(rule.family, rule.sufficiency, rule.necessity, joint)
-            frame.identifiers.add(rule.identifier)
             families.append(rule.family)
             paths.append(
                 ProofNode(
@@ -308,7 +319,6 @@ class QuerySession:
             )
             case_nodes = []
             for m in support.matches:
-                frame.identifiers.add(m.template.identifier)
                 case_nodes.append(
                     ProofNode(
                         goal=atom,
@@ -320,7 +330,6 @@ class QuerySession:
                         children=tuple(local[a].node for a in m.premise_atoms),
                     )
                 )
-            frame.identifiers.add("precedent:" + format_path(link.path))
             families.append(link.family)
             paths.append(
                 ProofNode(
@@ -379,6 +388,29 @@ class QuerySession:
         )
         return _Entry(final, node)
 
+    def _derivable_goals(self) -> set[Atom]:
+        """Every ground atom some rule or linked template can conclude here.
+
+        A rule or template whose consequent has a role the world leaves
+        unbound concludes nothing here, and is noted as inactive.
+        """
+        roles = self.world.roles
+        goals: set[Atom] = set()
+        for rule in self.kb.rules.values():
+            try:
+                goals.add(substitute(rule.consequent, roles))
+            except UnboundRoleError as err:
+                self._note(f"rule {rule.identifier} inactive: {err}")
+        for link in self.kb.precedent_links.values():
+            for template in self.kb.case_library.templates_at(link.path):
+                if template.consequent.predicate != link.target_predicate:
+                    continue
+                try:
+                    goals.add(substitute(template.consequent, roles))
+                except UnboundRoleError as err:
+                    self._note(f"case {template.identifier} inactive: {err}")
+        return goals
+
     def _may_ask(self, atom: Atom) -> bool:
         return (
             self.config.interactive
@@ -417,42 +449,13 @@ def prove(
     return QuerySession(kb, world, config, asker).prove(goal)
 
 
-def _derivable_goals(kb: KnowledgeBase, world: World) -> list[Atom]:
-    """Every ground atom some rule or linked template can conclude here."""
-    goals: set[Atom] = set()
-    for rule in kb.rules.values():
-        try:
-            goals.add(substitute(rule.consequent, world.roles))
-        except UnboundRoleError:
-            continue
-    for link in kb.precedent_links.values():
-        for template in kb.case_library.templates_at(link.path):
-            if template.consequent.predicate != link.target_predicate:
-                continue
-            try:
-                goals.add(substitute(template.consequent, world.roles))
-            except UnboundRoleError:
-                continue
-    return sorted(goals, key=str)
-
-
 def forward_saturate(
     kb: KnowledgeBase,
     world: World,
     config: QueryConfig | None = None,
 ) -> dict[Atom, CertaintyInterval]:
-    """Evaluate every derivable ground conclusion, premises first.
-
-    Processing follows the dependency order of the predicates, and all
-    goals share one memoized session, so each sub-derivation runs once.
-    The result maps each derivable atom to the same interval a backward
-    query for it would return.
-    """
-    session = QuerySession(kb, world, config)
-    rank = {pred: i for i, pred in enumerate(derivation_order(kb))}
-    goals = _derivable_goals(kb, world)
-    goals.sort(key=lambda a: (rank.get(a.predicate, -1), str(a)))
-    return {goal: session.evaluate(goal) for goal in goals}
+    """One-shot forward saturation; see QuerySession.saturate."""
+    return QuerySession(kb, world, config).saturate()
 
 
 def explain(result: QueryResult) -> str:

@@ -1,10 +1,12 @@
 """Belief revision with dependency tracking.
 
-The tracker wraps the engine: queries run through it, and it remembers,
-for every derived conclusion, the set of stored atoms and rule/case
-identifiers the answer rests on.  When evidence changes it invalidates
-exactly the conclusions whose support set contains the updated atom,
-drops the affected memoized sub-results, and recomputes lazily.
+The tracker wraps the engine: queries run through it, and it keeps the
+engine's memo and dependency graph (the atoms and sub-goals each goal
+read) between them.  When evidence changes it walks that graph upward
+from the updated atom, drops every memoized result it reaches, marks the
+tracked conclusions among them stale, and recomputes lazily.  An edit
+made to the world outside the tracker shows as a moved world epoch and
+makes every conclusion stale.
 
 The defining contract: after any sequence of updates, recomputed
 intervals are identical to what discarding all state and re-proving
@@ -14,43 +16,29 @@ that equality, never a change to it.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable
 
-from .calculus import CertaintyInterval, ConflictPolicy
-from .engine import ProofNode, QueryConfig, QueryResult, QuerySession
+from .calculus import CertaintyInterval
+from .engine import QueryConfig, QueryResult, QuerySession
 from .knowledge import Atom, KnowledgeBase, World, assert_evidence
 
 __all__ = ["DependencyRecord", "DependencyTracker"]
 
-Supporter = Union[Atom, str]
-
 
 @dataclass(slots=True)
 class DependencyRecord:
-    """One tracked conclusion and what it currently rests on.
+    """One tracked conclusion and its cached interval.
 
-    supporters holds every stored atom whose value the derivation read
-    (facts, context atoms, unknown lookups) plus the identifiers of the
-    rules, cases, and precedent links that shaped it.  epoch is the
-    world epoch the cached interval was computed at.
+    epoch is the world epoch at which the cached interval last changed.
+    What the conclusion rests on is not stored here: it is the engine's
+    dependency graph, which the tracker walks on every update.
     """
 
     conclusion: Atom
-    supporters: frozenset[Supporter]
     cached: CertaintyInterval
     epoch: int
-
-
-def _record_sites(proof: ProofNode) -> Iterable[ProofNode]:
-    """The proof's root plus every nested aggregation node."""
-    yield proof
-    stack = list(proof.children)
-    while stack:
-        node = stack.pop()
-        if node.kind == "aggregation":
-            yield node
-        stack.extend(node.children)
 
 
 class DependencyTracker:
@@ -69,34 +57,50 @@ class DependencyTracker:
         self._memo: dict = {}
         self._deps: dict = {}
         self._stale: set[Atom] = set()
+        self._epoch = world.epoch
 
     def _session(self) -> QuerySession:
         return QuerySession(
             self.kb, self.world, self.config, memo=self._memo, deps=self._deps
         )
 
+    def _sync(self) -> set[Atom]:
+        """Drop every derived result if the world was edited outside us.
+
+        Returns the records this made stale: all of them, or none.
+        """
+        if self.world.epoch == self._epoch:
+            return set()
+        self._epoch = self.world.epoch
+        self._memo.clear()
+        self._deps.clear()
+        self._stale |= self.records.keys()
+        return set(self.records)
+
     def query(self, goal: Atom) -> QueryResult:
         """Prove a goal and start tracking it (and its derived sub-goals)."""
+        self._sync()
         result = self._session().prove(goal)
         self.track(result)
         self._stale.discard(result.goal)
         return result
 
     def track(self, result: QueryResult) -> list[DependencyRecord]:
-        """Create or refresh records for every derived site in a proof.
+        """Create or refresh records for the goal and its aggregated sub-goals.
 
-        A record that would come out identical (same interval, same
-        supporters) is left alone, so untouched conclusions keep their
-        epoch across other conclusions' recomputation.
+        A record whose interval did not change is left alone, so
+        untouched conclusions keep their epoch across other conclusions'
+        recomputation.
         """
         touched = []
-        for node in _record_sites(result.proof):
-            atom = node.goal
-            supporters = self._closure(atom)
-            old = self.records.get(atom)
-            if old is not None and old.cached == node.result and old.supporters == supporters:
+        for atom in result.dependencies:
+            entry = self._memo[atom]
+            if atom != result.goal and entry.node.kind != "aggregation":
                 continue
-            record = DependencyRecord(atom, supporters, node.result, self.world.epoch)
+            old = self.records.get(atom)
+            if old is not None and old.cached == entry.interval:
+                continue
+            record = DependencyRecord(atom, entry.interval, self.world.epoch)
             self.records[atom] = record
             touched.append(record)
         return touched
@@ -112,26 +116,37 @@ class DependencyTracker:
         An update that does not move the fact's effective interval is a
         complete no-op: nothing is invalidated, no epoch advances.  The
         returned atoms stay stale (their records keep the old interval)
-        until ``recompute`` or a fresh ``query`` refreshes them.
+        until ``recompute`` or a fresh ``query`` refreshes them.  A
+        conclusion already stale, and not re-proved since, has no memoized
+        result left for the update to reach, so it is not returned again.
         """
-        changed = assert_evidence(
+        invalidated = self._sync()
+        if not assert_evidence(
             self.world, atom, interval, source, self.config.conflict_policy
-        )
-        if not changed:
-            return set()
-        # Closures must all be computed before any purging mutates _deps.
-        doomed = [g for g in self._memo if atom in self._closure(g)]
-        for g in doomed:
-            self._memo.pop(g, None)
-            self._deps.pop(g, None)
-        invalidated = {
-            goal for goal, record in self.records.items() if atom in record.supporters
-        }
+        ):
+            return invalidated
+        self._epoch = self.world.epoch
+        readers: dict[Atom, list[Atom]] = defaultdict(list)
+        for goal, deps in self._deps.items():
+            for read in deps.atoms | deps.subgoals:
+                readers[read].append(goal)
+        reached: set[Atom] = set()
+        frontier = [atom]
+        while frontier:
+            for goal in readers.get(frontier.pop(), ()):
+                if goal not in reached:
+                    reached.add(goal)
+                    frontier.append(goal)
+        for goal in reached:
+            del self._memo[goal]
+            del self._deps[goal]
+        invalidated |= reached & self.records.keys()
         self._stale |= invalidated
         return invalidated
 
     def recompute(self, invalidated: Iterable[Atom] | None = None) -> dict[Atom, CertaintyInterval]:
         """Re-prove stale conclusions, reusing every surviving sub-result."""
+        self._sync()
         targets = set(invalidated) if invalidated is not None else set(self._stale)
         refreshed: dict[Atom, CertaintyInterval] = {}
         for atom in sorted(targets, key=str):
@@ -143,22 +158,5 @@ class DependencyTracker:
 
     def stale(self) -> frozenset[Atom]:
         """Tracked conclusions invalidated and not yet recomputed."""
+        self._sync()
         return frozenset(self._stale)
-
-    def _closure(self, atom: Atom) -> frozenset[Supporter]:
-        """All atoms read and identifiers used under one sub-goal."""
-        out: set[Supporter] = set()
-        seen: set[Atom] = set()
-        stack = [atom]
-        while stack:
-            current = stack.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            deps = self._deps.get(current)
-            if deps is None:
-                continue
-            out |= deps.atoms
-            out |= deps.identifiers
-            stack.extend(deps.subgoals)
-        return frozenset(out)

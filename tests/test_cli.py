@@ -215,6 +215,76 @@ class TestCasesAndSaturate:
         assert table[goal] == single["interval"]
 
 
+UNBOUND_KB = """\
+taxonomy p;
+
+rule r tnorm T2 suff 0.9 nec 0 {
+  if (a)
+  then (q ?who)
+}
+
+case c path p tnorm T2 suff 0.9 nec 0 {
+  roles ?who
+  if (a)
+  then (q2 ?who)
+}
+
+case d path p tnorm T2 suff 0.9 nec 0 {
+  roles ?who
+  context (g ?who)
+  if (a)
+  then (q2 x)
+}
+
+precedent (q2 x) from p tnorm T2;
+"""
+
+UNBOUND_NOTES = [
+    "note: rule r inactive: role ?who is unbound in (q ?who)",
+    "note: case c inactive: role ?who is unbound in (q2 ?who)",
+    "note: case d inactive: role ?who is unbound in (g ?who)",
+]
+
+
+@pytest.fixture()
+def unbound_kb(tmp_path):
+    """A KB whose rule and cases need a role ?who that the world leaves unbound."""
+    kb = tmp_path / "k.kb"
+    kb.write_text(UNBOUND_KB)
+    world = tmp_path / "w.world"
+    world.write_text("world w {\n  fact (a) [0.8, 1] @s;\n}\n")
+    return str(kb), str(world)
+
+
+class TestUnboundRoleNotes:
+    def test_saturate_notes_inactive_rules_and_cases(self, unbound_kb, capsys):
+        rc = main(["saturate", *unbound_kb])
+        out = capsys.readouterr().out.splitlines()
+        assert rc == 0
+        assert out[0] == "(q2 x) = [0.0000, 1.0000]"
+        assert sorted(out[1:]) == sorted(UNBOUND_NOTES + ["note: no precedent support for (q2 x) under p"])
+
+    def test_saturate_json_has_no_notes(self, unbound_kb, capsys):
+        main(["saturate", *unbound_kb, "--format", "json"])
+        assert json.loads(capsys.readouterr().out) == {"(q2 x)": [0.0, 1.0]}
+
+    def test_cases_notes_inactive_case(self, unbound_kb, capsys):
+        kb, world = unbound_kb
+        rc = main(["cases", kb, "p", world])
+        out = capsys.readouterr().out.splitlines()
+        assert rc == 0
+        assert out == ["c  p", UNBOUND_NOTES[2]]
+
+    def test_repl_saturate_and_cases_print_notes(self, unbound_kb, monkeypatch, capsys):
+        _feed(monkeypatch, ["saturate", "cases p", "quit"])
+        rc = main(["repl", *unbound_kb])
+        out = capsys.readouterr().out
+        assert rc == 0
+        for note in UNBOUND_NOTES:
+            assert note in out
+        assert out.count(UNBOUND_NOTES[2]) == 2
+
+
 class TestColor:
     def test_never_strips_codes(self, monkeypatch):
         monkeypatch.setenv("POSSUM_COLOR", "never")

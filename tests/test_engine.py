@@ -144,6 +144,35 @@ class TestScreening:
         assert result.interval == TOTAL_IGNORANCE
         assert any("case c inactive" in d for d in result.diagnostics)
 
+    @staticmethod
+    def _unbound_consequents():
+        # Rule r and case c conclude (q ?x); the world binds no ?x.
+        x = Atom("q", ("?x",))
+        kb = KnowledgeBase()
+        kb.rules["r"] = Rule("r", (), (Atom("a"),), x, 0.9, 0.0, T2)
+        kb.rules["s"] = Rule("s", (), (Atom("a"),), Atom("q", ("k",)), 0.9, 0.0, T2)
+        kb.case_library.declare_path(("p",))
+        kb.case_library.add(CaseTemplate("c", ("p",), ("?x",), (), (Atom("a"),), x, 0.9, 0.0, T2))
+        kb.precedent_links["q"] = PrecedentLink("q", ("p",), T2)
+        world = World("w")
+        _fact(world, "a", 0.8)
+        return kb, world
+
+    def test_unbound_consequent_role_noted_by_query(self):
+        kb, world = self._unbound_consequents()
+        notes = prove(kb, world, Atom("q", ("k",))).diagnostics
+        for ident in ("rule r", "case c"):
+            assert notes.count(f"{ident} inactive: role ?x is unbound in (q ?x)") == 1
+
+    def test_unbound_consequent_role_noted_by_saturate(self):
+        kb, world = self._unbound_consequents()
+        session = QuerySession(kb, world)
+        assert set(session.saturate()) == {Atom("q", ("k",))}
+        for ident in ("rule r", "case c"):
+            assert session.diagnostics.count(
+                f"{ident} inactive: role ?x is unbound in (q ?x)"
+            ) == 1
+
 
 class TestBackwardChaining:
     def test_two_step_chain(self):

@@ -47,15 +47,16 @@ class TestTracking:
             Atom("top"), Atom("left"), Atom("right")
         }
 
-    def test_supporters_cover_atoms_and_identifiers(self):
+    def test_premise_update_reaches_the_top(self):
         kb, world = _diamond()
         tracker = DependencyTracker(kb, world)
         tracker.query(Atom("top"))
-        supporters = tracker.records[Atom("top")].supporters
-        assert Atom("shared") in supporters
-        assert {"rl", "rr", "rt"} <= supporters
+        invalidated = tracker.on_update(
+            Atom("shared"), CertaintyInterval(0.9, 1.0), "s2"
+        )
+        assert Atom("top") in invalidated
 
-    def test_context_reads_are_supporters(self):
+    def test_context_read_update_reaches_the_conclusion(self):
         kb = KnowledgeBase()
         kb.rules["r"] = _rule("r", ["a"], "q", context=["gate"])
         world = World("w")
@@ -63,7 +64,10 @@ class TestTracking:
         assert_evidence(world, Atom("a"), CertaintyInterval(0.7, 1.0), "s")
         tracker = DependencyTracker(kb, world)
         tracker.query(Atom("q"))
-        assert Atom("gate") in tracker.records[Atom("q")].supporters
+        invalidated = tracker.on_update(
+            Atom("gate"), CertaintyInterval(0.95, 1.0), "s2"
+        )
+        assert invalidated == {Atom("q")}
 
     def test_closed_gate_still_leaves_a_trace(self):
         # A context read that screened the rule OUT must still support
@@ -117,6 +121,44 @@ class TestInvalidation:
         )
         assert invalidated == set()
         assert world.epoch == epoch
+
+    def test_edit_outside_the_tracker_is_seen(self):
+        kb, world = _diamond()
+        tracker = DependencyTracker(kb, world)
+        tracker.query(Atom("top"))
+        tracker.query(Atom("island"))
+        assert_evidence(world, Atom("shared"), CertaintyInterval(0.95, 1.0), "outside")
+        assert tracker.stale() == set(tracker.records)
+        answer = tracker.query(Atom("top")).interval
+        assert answer == prove(kb, world.copy(), Atom("top")).interval
+        tracker.recompute()
+        for atom, record in tracker.records.items():
+            assert record.cached == prove(kb, world.copy(), atom).interval
+
+    def test_update_after_outside_edit_returns_every_record(self):
+        kb, world = _diamond()
+        tracker = DependencyTracker(kb, world)
+        tracker.query(Atom("top"))
+        tracker.query(Atom("island"))
+        assert_evidence(world, Atom("shared"), CertaintyInterval(0.95, 1.0), "outside")
+        invalidated = tracker.on_update(
+            Atom("island-seed"), CertaintyInterval(0.7, 1.0), "s2"
+        )
+        assert invalidated == set(tracker.records)
+        tracker.recompute(invalidated)
+        for atom, record in tracker.records.items():
+            assert record.cached == prove(kb, world.copy(), atom).interval
+
+    def test_second_update_before_recompute(self):
+        kb, world = _diamond()
+        tracker = DependencyTracker(kb, world)
+        tracker.query(Atom("top"))
+        tracker.on_update(Atom("shared"), CertaintyInterval(0.9, 1.0), "s2")
+        # Nothing memoized reads shared any more: the stale set stands.
+        assert tracker.on_update(Atom("shared"), CertaintyInterval(0.95, 1.0), "s3") == set()
+        assert tracker.stale() == {Atom("top"), Atom("left"), Atom("right")}
+        tracker.recompute()
+        assert tracker.records[Atom("top")].cached == prove(kb, world.copy(), Atom("top")).interval
 
     def test_untouched_records_keep_their_epoch(self):
         kb, world = _diamond()
@@ -181,6 +223,24 @@ class TestEquivalence:
                     assert tracker.records[goal].cached == fresh.interval, (
                         f"seed {seed}, step {step}, goal {goal}"
                     )
+
+    def test_incremental_equals_scratch_on_deep_diamond_chain(self):
+        # n0 -> l_i, r_i -> n_{i+1}: 2^25 root-to-leaf paths, 76 goals.
+        depth = 25
+        kb = KnowledgeBase()
+        for i in range(depth):
+            kb.rules[f"l{i}"] = _rule(f"l{i}", [f"n{i}"], f"l{i}")
+            kb.rules[f"r{i}"] = _rule(f"r{i}", [f"n{i}"], f"r{i}", s=0.95)
+            kb.rules[f"n{i + 1}"] = _rule(f"n{i + 1}", [f"l{i}", f"r{i}"], f"n{i + 1}", s=0.99)
+        world = World("w")
+        assert_evidence(world, Atom("n0"), CertaintyInterval(0.9, 1.0), "s")
+        top = Atom(f"n{depth}")
+        tracker = DependencyTracker(kb, world)
+        tracker.query(top)
+        invalidated = tracker.on_update(Atom("n0"), CertaintyInterval(0.99, 1.0), "s2")
+        assert top in invalidated
+        tracker.recompute()
+        assert tracker.records[top].cached == prove(kb, world.copy(), top).interval
 
     def test_stale_answers_are_the_old_ones_until_recompute(self):
         kb, world = _diamond()
