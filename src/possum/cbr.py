@@ -282,13 +282,9 @@ def precedent_support(
         try:
             matches.append(match_case(template, world, evaluate))
         except UnboundRoleError as err:
-            if diagnostics is not None:
-                diagnostics.append(f"case {template.identifier} skipped: {err}")
+            _note(diagnostics, f"case {template.identifier} skipped: {err}")
     if not matches:
-        if diagnostics is not None:
-            diagnostics.append(
-                f"no precedent support for {goal} under {format_path(link.path)}"
-            )
+        _note(diagnostics, f"no precedent support for {goal} under {format_path(link.path)}")
         return PrecedentSupport(TOTAL_IGNORANCE, [])
     combined = aggregate(
         link.family,

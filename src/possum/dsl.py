@@ -130,6 +130,11 @@ def _is_ident_cont(c: str) -> bool:
     return c.isalnum() or c in _IDENT_CONT
 
 
+# ASCII only: str.isdigit() also admits characters such as '²', which
+# float() rejects, and '٣', which it reads as 3.
+_DIGITS = frozenset("0123456789")
+
+
 def tokenize(text: str, source_name: str = "<input>") -> list[_Token]:
     tokens: list[_Token] = []
     i, line, col = 0, 1, 1
@@ -165,21 +170,21 @@ def tokenize(text: str, source_name: str = "<input>") -> list[_Token]:
             tokens.append(_Token(_Kind.ROLEVAR, word, line, col, len(word)))
             col += len(word)
             continue
-        if c.isdigit():
+        if c in _DIGITS:
             start = i
-            while i < n and text[i].isdigit():
+            while i < n and text[i] in _DIGITS:
                 i += 1
-            if i < n and text[i] == "." and i + 1 < n and text[i + 1].isdigit():
+            if i < n and text[i] == "." and i + 1 < n and text[i + 1] in _DIGITS:
                 i += 1
-                while i < n and text[i].isdigit():
+                while i < n and text[i] in _DIGITS:
                     i += 1
             if i < n and text[i] in "eE":
                 j = i + 1
                 if j < n and text[j] in "+-":
                     j += 1
-                if j < n and text[j].isdigit():
+                if j < n and text[j] in _DIGITS:
                     i = j
-                    while i < n and text[i].isdigit():
+                    while i < n and text[i] in _DIGITS:
                         i += 1
             word = text[start:i]
             tokens.append(_Token(_Kind.NUMBER, word, line, col, len(word), float(word)))

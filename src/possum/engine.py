@@ -3,7 +3,9 @@
 A query walks rule and precedent support for a goal depth-first,
 evaluates premises as sub-goals, detaches each support path through its
 rule's strength, aggregates the parallel paths, and reconciles the
-result with any stored evidence about the goal itself.  Every step is
+result with any stored evidence about the goal itself.  The rules for
+a goal come from an index of the rules grounded in the world's roles,
+built once per session.  Every step is
 kept as a proof node so answers can be explained, and every sub-goal
 records which stored atoms and sub-goals it read: that graph is the
 one belief revision walks to invalidate exactly what an update touches.
@@ -18,7 +20,7 @@ context check.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .calculus import (
     CertaintyInterval,
@@ -35,6 +37,7 @@ from .errors import DepthExceededError, UnboundRoleError
 from .knowledge import (
     Atom,
     KnowledgeBase,
+    Rule,
     World,
     assert_evidence,
     derivation_order,
@@ -48,6 +51,8 @@ __all__ = [
     "ProofNode",
     "QueryResult",
     "GoalDependencies",
+    "RuleInstance",
+    "RuleIndex",
     "QuerySession",
     "screen",
     "prove",
@@ -133,6 +138,71 @@ class _Entry:
     node: ProofNode
 
 
+class RuleInstance(NamedTuple):
+    """One rule as one world's roles ground it.
+
+    ``premises`` are the ground antecedents, or None when the consequent
+    has a role the world leaves unbound, so the rule concludes nothing
+    here.  ``error`` is the unbound role, in the consequent or in an
+    antecedent; a rule with an error never fires.
+    """
+
+    rule: Rule
+    premises: tuple[Atom, ...] | None
+    error: UnboundRoleError | None
+
+
+class RuleIndex:
+    """The rules of one knowledge base, grounded in one world's roles.
+
+    Roles are bound per world and never unified, so a rule has at most
+    one ground instance in a world: this is Rete's alpha memory with a
+    trivial join.  ``concluding`` maps each ground consequent to the
+    rules that conclude it, in ``kb.rules`` order.  ``inactive`` lists,
+    in the same order, the rules whose consequent the world cannot bind;
+    each ``concluding`` list also holds those of its predicate at their
+    place in that order, so a derivation notes them where a scan over
+    every rule would.  Contexts are left out: facts change between
+    queries, so the gate reads them at evaluation time.
+
+    The index is valid only for the KB and role bindings it was built
+    from.
+    """
+
+    __slots__ = ("concluding", "inactive", "_unbound")
+
+    def __init__(self, kb: KnowledgeBase, roles: dict[str, str]):
+        self.concluding: dict[Atom, list[RuleInstance]] = {}
+        self.inactive: list[RuleInstance] = []
+        self._unbound: dict[str, list[RuleInstance]] = {}
+        atoms_of: dict[str, list[Atom]] = {}
+        for rule in kb.rules.values():
+            predicate = rule.consequent.predicate
+            try:
+                consequent = substitute(rule.consequent, roles)
+            except UnboundRoleError as err:
+                instance = RuleInstance(rule, None, err)
+                self.inactive.append(instance)
+                self._unbound.setdefault(predicate, []).append(instance)
+                for atom in atoms_of.get(predicate, ()):
+                    self.concluding[atom].append(instance)
+                continue
+            try:
+                premises = tuple(substitute(a, roles) for a in rule.antecedents)
+                error = None
+            except UnboundRoleError as err:
+                premises, error = (), err
+            bucket = self.concluding.get(consequent)
+            if bucket is None:
+                bucket = self.concluding[consequent] = list(self._unbound.get(predicate, ()))
+                atoms_of.setdefault(predicate, []).append(consequent)
+            bucket.append(RuleInstance(rule, premises, error))
+
+    def rules_for(self, atom: Atom) -> Sequence[RuleInstance]:
+        """The rules a derivation of ``atom`` considers, in ``kb.rules`` order."""
+        return self.concluding.get(atom) or self._unbound.get(atom.predicate, ())
+
+
 def screen(kb: KnowledgeBase, world: World, config: QueryConfig | None = None) -> set[str]:
     """Identifiers of the rules whose context admits this world."""
     config = config or QueryConfig()
@@ -148,10 +218,11 @@ class QuerySession:
     """One reasoning pass over a fixed knowledge base and world.
 
     Sub-goal results are memoized within the session, so shared
-    premises are proved once.  The memo and dependency dicts can be
-    supplied by a caller (the revision tracker does) to persist results
-    across sessions; they must then be invalidated on world updates by
-    that caller.
+    premises are proved once.  The memo and dependency dicts, and the
+    rule index, can be supplied by a caller (the revision tracker does)
+    to persist them across sessions; the caller must then invalidate the
+    memo on world updates, and the index when the KB or the world's
+    roles change.
     """
 
     def __init__(
@@ -164,6 +235,7 @@ class QuerySession:
         memo: dict[Atom, _Entry] | None = None,
         deps: dict[Atom, GoalDependencies] | None = None,
         use_memo: bool = True,
+        index: RuleIndex | None = None,
     ):
         self.kb = kb
         self.world = world
@@ -173,6 +245,7 @@ class QuerySession:
         self._memo = memo if memo is not None else {}
         self._deps = deps if deps is not None else {}
         self._use_memo = use_memo
+        self._index = index if index is not None else RuleIndex(kb, world.roles)
         self._asked: set[Atom] = set()
         self._depth = 0
 
@@ -255,30 +328,24 @@ class QuerySession:
         paths: list[ProofNode] = []
         families: list[TNormFamily] = []
 
-        for rule in self.kb.rules.values():
-            if rule.consequent.predicate != atom.predicate:
-                continue
-            try:
-                consequent = substitute(rule.consequent, world.roles)
-            except UnboundRoleError as err:
-                self._note(f"rule {rule.identifier} inactive: {err}")
-                continue
-            if consequent != atom:
+        for rule, premises, error in self._index.rules_for(atom):
+            if premises is None:
+                self._inactive(rule, error)
                 continue
             if not context_passes(
                 rule.context,
                 world,
                 config,
                 fetch,
-                on_unbound=lambda err, r=rule: self._note(
-                    f"rule {r.identifier} inactive: {err}"
-                ),
+                on_unbound=lambda err, r=rule: self._inactive(r, err),
             ):
+                continue
+            if error is not None:
+                self._inactive(rule, error)
                 continue
             child_nodes = []
             premise_values = []
-            for antecedent in rule.antecedents:
-                premise = substitute(antecedent, world.roles)
+            for premise in premises:
                 frame.subgoals.add(premise)
                 sub = self._evaluate(premise)
                 child_nodes.append(sub.node)
@@ -394,13 +461,10 @@ class QuerySession:
         A rule or template whose consequent has a role the world leaves
         unbound concludes nothing here, and is noted as inactive.
         """
+        for rule, _, error in self._index.inactive:
+            self._inactive(rule, error)
+        goals = set(self._index.concluding)
         roles = self.world.roles
-        goals: set[Atom] = set()
-        for rule in self.kb.rules.values():
-            try:
-                goals.add(substitute(rule.consequent, roles))
-            except UnboundRoleError as err:
-                self._note(f"rule {rule.identifier} inactive: {err}")
         for link in self.kb.precedent_links.values():
             for template in self.kb.case_library.templates_at(link.path):
                 if template.consequent.predicate != link.target_predicate:
@@ -422,6 +486,9 @@ class QuerySession:
     def _note(self, message: str) -> None:
         if message not in self.diagnostics:
             self.diagnostics.append(message)
+
+    def _inactive(self, rule: Rule, err: UnboundRoleError) -> None:
+        self._note(f"rule {rule.identifier} inactive: {err}")
 
     def _reachable_deps(self, goal: Atom) -> dict[Atom, GoalDependencies]:
         out: dict[Atom, GoalDependencies] = {}

@@ -243,9 +243,6 @@ class KnowledgeBase:
 
             self.case_library = CaseLibrary()
 
-    def rules_concluding(self, predicate: str) -> list[Rule]:
-        return [r for r in self.rules.values() if r.consequent.predicate == predicate]
-
 
 def predicate_dependencies(kb: KnowledgeBase) -> dict[str, set[str]]:
     """Which predicates each predicate's derivation reads as premises.

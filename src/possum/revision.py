@@ -5,8 +5,9 @@ engine's memo and dependency graph (the atoms and sub-goals each goal
 read) between them.  When evidence changes it walks that graph upward
 from the updated atom, drops every memoized result it reaches, marks the
 tracked conclusions among them stale, and recomputes lazily.  An edit
-made to the world outside the tracker shows as a moved world epoch and
-makes every conclusion stale.
+made to the world outside the tracker shows as a moved world epoch (or
+as changed role bindings) and makes every conclusion stale.  The rule
+index is built once and shared by every session the tracker opens.
 
 The defining contract: after any sequence of updates, recomputed
 intervals are identical to what discarding all state and re-proving
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .calculus import CertaintyInterval
-from .engine import QueryConfig, QueryResult, QuerySession
+from .engine import QueryConfig, QueryResult, QuerySession, RuleIndex
 from .knowledge import Atom, KnowledgeBase, World, assert_evidence
 
 __all__ = ["DependencyRecord", "DependencyTracker"]
@@ -58,19 +59,32 @@ class DependencyTracker:
         self._deps: dict = {}
         self._stale: set[Atom] = set()
         self._epoch = world.epoch
+        self._roles = dict(world.roles)
+        self._index = RuleIndex(kb, world.roles)
 
     def _session(self) -> QuerySession:
         return QuerySession(
-            self.kb, self.world, self.config, memo=self._memo, deps=self._deps
+            self.kb,
+            self.world,
+            self.config,
+            memo=self._memo,
+            deps=self._deps,
+            index=self._index,
         )
 
     def _sync(self) -> set[Atom]:
         """Drop every derived result if the world was edited outside us.
 
-        Returns the records this made stale: all of them, or none.
+        Rebinding a role moves no epoch but regrounds every rule, so it
+        counts as an edit too.  Returns the records this made stale: all
+        of them, or none.
         """
-        if self.world.epoch == self._epoch:
+        rebound = self.world.roles != self._roles
+        if self.world.epoch == self._epoch and not rebound:
             return set()
+        if rebound:
+            self._roles = dict(self.world.roles)
+            self._index = RuleIndex(self.kb, self.world.roles)
         self._epoch = self.world.epoch
         self._memo.clear()
         self._deps.clear()

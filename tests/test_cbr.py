@@ -24,9 +24,9 @@ from possum.cbr import (
     precedent_support,
     retrieve,
 )
-from possum.engine import QueryConfig
+from possum.engine import QueryConfig, QuerySession
 from possum.errors import DomainError, UnknownPathError
-from possum.knowledge import Atom, KnowledgeBase, World, assert_evidence
+from possum.knowledge import Atom, KnowledgeBase, Rule, World, assert_evidence
 
 T2 = TNormFamily.T2
 T3 = TNormFamily.T3
@@ -206,6 +206,27 @@ class TestPrecedentSupport:
         assert support.interval == TOTAL_IGNORANCE
         assert support.matches == []
         assert any("no precedent support" in n for n in notes)
+
+    def test_notes_are_not_repeated(self):
+        # left and right both read (c); without a memo, (c) is derived
+        # twice and its precedent notes come up twice.
+        kb = KnowledgeBase()
+        kb.case_library.declare_path(("p",))
+        premise = Atom("a", ("?x",))
+        kb.case_library.add(
+            CaseTemplate("k", ("p",), ("?x",), (), (premise,), Atom("c"), 0.9, 0.0, T2)
+        )
+        kb.precedent_links["c"] = PrecedentLink("c", ("p",), T2)
+        for ident, body, head in (
+            ("l", ["c"], "left"),
+            ("r", ["c"], "right"),
+            ("t", ["left", "right"], "top"),
+        ):
+            body = tuple(Atom(b) for b in body)
+            kb.rules[ident] = Rule(ident, (), body, Atom(head), 0.9, 0.0, T2)
+        notes = QuerySession(kb, World("w"), use_memo=False).prove(Atom("top")).diagnostics
+        assert notes.count("case k skipped: role ?x is unbound in (a ?x)") == 1
+        assert notes.count("no precedent support for (c) under p") == 1
 
     def test_link_family_drives_aggregation(self):
         world = World("w")

@@ -65,6 +65,19 @@ class TestTokenizer:
         with pytest.raises(ParseError):
             tokenize("?")
 
+    @pytest.mark.parametrize("text, column", [("x ² y", 3), ("0.5²", 4), ("٣", 1)])
+    def test_non_ascii_digit_is_an_unexpected_character(self, text, column):
+        with pytest.raises(ParseError) as exc:
+            tokenize(text)
+        assert exc.value.message == f"unexpected character {text[column - 1]!r}"
+        assert (exc.value.line, exc.value.column) == (1, column)
+
+    def test_non_ascii_digit_in_a_kb_reports_its_position(self):
+        text = "rule r tnorm T2 suff 0.5² nec 0 {\n  if (a)\n  then (q)\n}"
+        with pytest.raises(ParseError) as exc:
+            parse_kb(text, "k.kb")
+        assert (exc.value.line, exc.value.column) == (1, 25)
+
 
 KB_FIXTURE = """
 lexicon { likely = 0.75; }

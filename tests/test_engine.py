@@ -17,6 +17,7 @@ from possum.dsl import parse_kb, parse_world
 from possum.engine import (
     QueryConfig,
     QuerySession,
+    RuleIndex,
     explain,
     forward_saturate,
     prove,
@@ -172,6 +173,79 @@ class TestScreening:
             assert session.diagnostics.count(
                 f"{ident} inactive: role ?x is unbound in (q ?x)"
             ) == 1
+
+    @staticmethod
+    def _unbound_antecedent():
+        # r reads (p ?x), which the world cannot bind; s answers (q) alone.
+        kb = KnowledgeBase()
+        kb.rules["r"] = Rule("r", (), (Atom("p", ("?x",)),), Atom("q"), 0.9, 0.0, T2)
+        kb.rules["s"] = _rule("s", ["a"], "q")
+        world = World("w")
+        _fact(world, "a", 0.8)
+        alone = KnowledgeBase()
+        alone.rules["s"] = kb.rules["s"]
+        return kb, world, prove(alone, world.copy(), Atom("q")).interval
+
+    def test_unbound_antecedent_role_noted_by_query(self):
+        kb, world, expected = self._unbound_antecedent()
+        result = prove(kb, world, Atom("q"))
+        assert result.interval == expected
+        assert _provenances(result.proof, "rule-instance") == ["s"]
+        assert result.diagnostics.count("rule r inactive: role ?x is unbound in (p ?x)") == 1
+
+    def test_unbound_antecedent_role_noted_by_saturate(self):
+        kb, world, expected = self._unbound_antecedent()
+        session = QuerySession(kb, world)
+        assert session.saturate() == {Atom("q"): expected}
+        assert session.diagnostics == ["rule r inactive: role ?x is unbound in (p ?x)"]
+
+    @pytest.mark.parametrize("order", [("s", "t", "r"), ("r", "s", "t")])
+    def test_unbound_role_notes_follow_rule_order(self, order):
+        # Deriving (q k) notes r where it stands in the KB among the rules
+        # for q: after the premise (b) noted t, or before it.
+        rules = {
+            "r": Rule("r", (), (Atom("a"),), Atom("q", ("?x",)), 0.9, 0.0, T2),
+            "s": Rule("s", (), (Atom("b"),), Atom("q", ("k",)), 0.9, 0.0, T2),
+            "t": Rule("t", (Atom("g", ("?y",)),), (Atom("a"),), Atom("b"), 0.9, 0.0, T2),
+        }
+        kb = KnowledgeBase()
+        for ident in order:
+            kb.rules[ident] = rules[ident]
+        notes = prove(kb, World("w"), Atom("q", ("k",))).diagnostics
+        noted = [n.split()[1] for n in notes if n.startswith("rule ")]
+        assert noted == (["t", "r"] if order[0] == "s" else ["r", "t"])
+
+
+class TestRuleIndex:
+    def test_shared_predicate_grounds_to_different_atoms(self):
+        kb = KnowledgeBase()
+        kb.rules["bound"] = Rule("bound", (), (Atom("a"),), Atom("p", ("?x",)), 0.9, 0.0, T2)
+        kb.rules["fixed"] = Rule("fixed", (), (Atom("b"),), Atom("p", ("B",)), 0.5, 0.0, T2)
+        world = World("w", roles={"?x": "A"})
+        _fact(world, "a", 0.8)
+        _fact(world, "b", 0.6)
+        index = RuleIndex(kb, world.roles)
+        assert set(index.concluding) == {Atom("p", ("A",)), Atom("p", ("B",))}
+        for goal, used in ((Atom("p", ("A",)), "bound"), (Atom("p", ("B",)), "fixed")):
+            result = prove(kb, world.copy(), goal)
+            assert [c.provenance for c in result.proof.children] == [used]
+
+    def test_rules_concluding_one_atom_aggregate_in_kb_order(self):
+        kb = KnowledgeBase()
+        for ident, body, s in (("z", "a", 0.9), ("a", "b", 0.7), ("m", "c", 0.5)):
+            kb.rules[ident] = _rule(ident, [body], "q", s=s)
+        kb.rules["other"] = _rule("other", ["a"], "elsewhere")
+        world = World("w")
+        for name, lo in (("a", 0.8), ("b", 0.6), ("c", 0.4)):
+            _fact(world, name, lo)
+        index = RuleIndex(kb, world.roles)
+        assert [i.rule.identifier for i in index.rules_for(Atom("q"))] == ["z", "a", "m"]
+        result = prove(kb, world, Atom("q"))
+        assert result.proof.kind == "aggregation"
+        assert [c.provenance for c in result.proof.children] == ["z", "a", "m"]
+        assert result.interval.lower == pytest.approx(
+            1 - (1 - 0.9 * 0.8) * (1 - 0.7 * 0.6) * (1 - 0.5 * 0.4), abs=1e-12
+        )
 
 
 class TestBackwardChaining:

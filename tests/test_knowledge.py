@@ -196,13 +196,6 @@ class TestKnowledgeBase:
         with pytest.raises(DomainError):
             Rule("r", (), (), Atom("q"), 0.9, 0.0, T2)
 
-    def test_rules_concluding(self):
-        kb = KnowledgeBase()
-        kb.rules["r1"] = _rule("r1", ["a"], "q")
-        kb.rules["r2"] = _rule("r2", ["b"], "q")
-        kb.rules["r3"] = _rule("r3", ["q"], "z")
-        assert {r.identifier for r in kb.rules_concluding("q")} == {"r1", "r2"}
-
     def test_dependencies_ignore_context(self):
         kb = KnowledgeBase()
         kb.rules["r"] = _rule("r", ["a", "b"], "q", context=["gate"])

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from possum.calculus import CertaintyInterval, ConflictPolicy, TNormFamily
-from possum.engine import QueryConfig, prove
+from possum import revision
+from possum.engine import QueryConfig, forward_saturate, prove
 from possum.knowledge import Atom, KnowledgeBase, Rule, World, assert_evidence
 from possum.revision import DependencyTracker
 from generators import random_update, weighted_kb
@@ -160,6 +161,36 @@ class TestInvalidation:
         tracker.recompute()
         assert tracker.records[Atom("top")].cached == prove(kb, world.copy(), Atom("top")).interval
 
+    def test_role_rebinding_outside_the_tracker_is_seen(self):
+        kb = KnowledgeBase()
+        kb.rules["r"] = Rule("r", (), (Atom("b", ("?x",)),), Atom("q"), 0.9, 0.0, T2)
+        world = World("w", roles={"?x": "A"})
+        assert_evidence(world, Atom("b", ("A",)), CertaintyInterval(0.8, 1.0), "s")
+        assert_evidence(world, Atom("b", ("B",)), CertaintyInterval(0.3, 1.0), "s")
+        tracker = DependencyTracker(kb, world)
+        tracker.query(Atom("q"))
+        world.roles["?x"] = "B"
+        assert tracker.stale() == {Atom("q")}
+        assert tracker.query(Atom("q")).interval == prove(kb, world.copy(), Atom("q")).interval
+
+    def test_one_rule_index_per_tracker(self, monkeypatch):
+        built = []
+
+        class CountingIndex(revision.RuleIndex):
+            def __init__(self, kb, roles):
+                built.append(roles)
+                super().__init__(kb, roles)
+
+        monkeypatch.setattr(revision, "RuleIndex", CountingIndex)
+        kb, world = _diamond()
+        tracker = DependencyTracker(kb, world)
+        tracker.query(Atom("top"))
+        tracker.query(Atom("island"))
+        tracker.on_update(Atom("shared"), CertaintyInterval(0.9, 1.0), "s2")
+        tracker.on_update(Atom("island-seed"), CertaintyInterval(0.7, 1.0), "s2")
+        tracker.recompute()
+        assert len(built) == 1
+
     def test_untouched_records_keep_their_epoch(self):
         kb, world = _diamond()
         tracker = DependencyTracker(kb, world)
@@ -223,6 +254,23 @@ class TestEquivalence:
                     assert tracker.records[goal].cached == fresh.interval, (
                         f"seed {seed}, step {step}, goal {goal}"
                     )
+
+    def test_interleaved_updates_equal_scratch_saturation(self):
+        rng = random.Random(7200)
+        kb, world, contexts = weighted_kb(rng, n_rules=200)
+        config = QueryConfig(conflict_policy=ConflictPolicy.LENIENT)
+        tracker = DependencyTracker(kb, world, config)
+        goals = sorted(forward_saturate(kb, world.copy(), config), key=str)
+        for goal in goals:
+            tracker.query(goal)
+        for step in range(30):
+            tracker.on_update(*random_update(rng, world, contexts))
+            if rng.random() < 0.5:
+                continue
+            tracker.recompute()
+            scratch = forward_saturate(kb, world.copy(), config)
+            cached = {goal: tracker.records[goal].cached for goal in goals}
+            assert cached == scratch, f"step {step}"
 
     def test_incremental_equals_scratch_on_deep_diamond_chain(self):
         # n0 -> l_i, r_i -> n_{i+1}: 2^25 root-to-leaf paths, 76 goals.
