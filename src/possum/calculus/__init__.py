@@ -265,7 +265,7 @@ def aggregate(
     A single path is returned exactly as given.  Paths that jointly
     confirm and refute (combined lower above combined upper) are a
     conflict: strict policy raises EvidenceConflictError, lenient
-    substitutes total ignorance and records a diagnostic.
+    substitutes total ignorance and records a diagnostic once.
     """
     if not paths:
         raise DomainError("aggregate of an empty path list")
@@ -282,7 +282,7 @@ def aggregate(
         )
         if policy is ConflictPolicy.STRICT:
             raise EvidenceConflictError(message)
-        if diagnostics is not None:
+        if diagnostics is not None and message not in diagnostics:
             diagnostics.append(message)
         return TOTAL_IGNORANCE
     return CertaintyInterval(lo, hi)
@@ -302,7 +302,7 @@ def consensus(
     the intersection: [max of lowers, min of uppers].  An empty
     intersection means the sources genuinely disagree: strict policy
     raises SourceConflictError naming them, lenient substitutes total
-    ignorance and records a diagnostic.
+    ignorance and records a diagnostic once.
     """
     if not sources:
         raise DomainError("consensus of an empty source list")
@@ -320,7 +320,7 @@ def consensus(
         )
         if policy is ConflictPolicy.STRICT:
             raise SourceConflictError(message)
-        if diagnostics is not None:
+        if diagnostics is not None and message not in diagnostics:
             diagnostics.append(message)
         return TOTAL_IGNORANCE
     return CertaintyInterval(lo, hi)

@@ -5,24 +5,17 @@ taxonomy path, carrying the same sufficiency/necessity grading as
 ordinary rules.  A precedent differs from a rule only in how it is
 found (by searching a subtree of the taxonomy) and in how its premises
 are read (as the profile of a past decided situation to be compared
-against the present one).  Once matched, a template instantiates into
-a rule-shaped support path and flows through the same detachment and
-aggregation arithmetic as everything else.
+against the present one).  The engine indexes the templates a
+precedent link instantiates next to the rules and fires them through
+the same gate, detachment and aggregation as everything else.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Callable
 
-from .calculus import (
-    CertaintyInterval,
-    TNormFamily,
-    TOTAL_IGNORANCE,
-    aggregate,
-    antecedent_eval,
-    detach,
-)
+from .calculus import CertaintyInterval, TNormFamily, antecedent_eval, detach
 from .errors import DomainError, UnboundRoleError, UnknownPathError
 from .knowledge import Atom, World, lookup, substitute
 
@@ -34,12 +27,10 @@ __all__ = [
     "CaseLibrary",
     "PrecedentLink",
     "MatchResult",
-    "PrecedentSupport",
     "parse_path",
     "format_path",
     "retrieve",
     "match_case",
-    "precedent_support",
     "case_similarity",
     "context_passes",
 ]
@@ -83,10 +74,10 @@ class CaseTemplate:
 class PrecedentLink:
     """Marks a predicate as arguable from precedent.
 
-    When the engine proves a goal with this predicate it searches the
-    library subtree under ``path`` and combines the matching templates'
-    contributions with ``family``'s dual conorm.  At most one link per
-    predicate.
+    The link instantiates the templates filed under ``path`` that
+    conclude ``target_predicate`` (``KnowledgeBase.linked_templates``);
+    the engine combines the contributions of those that fire for a goal
+    with ``family``'s dual conorm.  At most one link per predicate.
     """
 
     target_predicate: str
@@ -134,14 +125,6 @@ class MatchResult:
     relevance: CertaintyInterval
 
 
-@dataclass(slots=True)
-class PrecedentSupport:
-    """Combined contribution of every matching precedent."""
-
-    interval: CertaintyInterval
-    matches: list[MatchResult]
-
-
 def context_passes(
     context: tuple[Atom, ...],
     world: World,
@@ -179,7 +162,6 @@ def retrieve(
     world: World,
     config: "QueryConfig | None" = None,
     *,
-    fetch: Evaluator | None = None,
     diagnostics: list[str] | None = None,
 ) -> list[CaseTemplate]:
     """Templates under a taxonomy node that pass context screening.
@@ -198,8 +180,7 @@ def retrieve(
         from .engine import QueryConfig
 
         config = QueryConfig()
-    if fetch is None:
-        fetch = lambda atom: lookup(world, atom)
+    fetch = lambda atom: lookup(world, atom)
     return [
         t
         for t in library.templates_at(path)
@@ -228,10 +209,11 @@ def match_case(
     """Line a template up against the world and grade the fit.
 
     Premises are instantiated with the world's role bindings and then
-    evaluated; the evaluator defaults to a plain fact lookup but the
-    engine passes its own sub-goal prover, so premises may themselves
-    be derived.  The match interval conjoins the premise evaluations;
-    relevance detaches it through the template's strength.
+    evaluated; the evaluator defaults to a plain fact lookup, and a
+    prover may be passed so premises may themselves be derived.  The
+    match interval conjoins the premise evaluations; relevance detaches
+    it through the template's strength, as the engine does when the
+    template fires.
     """
     if evaluate is None:
         evaluate = lambda atom: lookup(world, atom)
@@ -240,60 +222,6 @@ def match_case(
     match = antecedent_eval(template.family, values)
     relevance = detach(template.family, template.sufficiency, template.necessity, match)
     return MatchResult(template, atoms, values, match, relevance)
-
-
-def precedent_support(
-    kb,
-    world: World,
-    goal: Atom,
-    config: "QueryConfig | None" = None,
-    *,
-    evaluate: Evaluator | None = None,
-    fetch: Evaluator | None = None,
-    diagnostics: list[str] | None = None,
-) -> PrecedentSupport:
-    """Combined support for a goal from its precedent link.
-
-    Retrieves the link's subtree, keeps the templates whose instantiated
-    consequent is the goal, matches each, and aggregates the relevance
-    intervals under the link's family.  No matching template is not an
-    error: the result is total ignorance plus a diagnostic, mirroring
-    how an unknown fact reads.
-    """
-    if config is None:
-        from .engine import QueryConfig
-
-        config = QueryConfig()
-    link = kb.precedent_links.get(goal.predicate)
-    if link is None:
-        raise DomainError(f"predicate {goal.predicate} has no precedent link")
-    matches: list[MatchResult] = []
-    found = retrieve(
-        kb.case_library, link.path, world, config, fetch=fetch, diagnostics=diagnostics
-    )
-    for template in found:
-        try:
-            consequent = substitute(template.consequent, world.roles)
-        except UnboundRoleError as err:
-            _note(diagnostics, f"case {template.identifier} inactive: {err}")
-            continue
-        if consequent != goal:
-            continue
-        try:
-            matches.append(match_case(template, world, evaluate))
-        except UnboundRoleError as err:
-            _note(diagnostics, f"case {template.identifier} skipped: {err}")
-    if not matches:
-        _note(diagnostics, f"no precedent support for {goal} under {format_path(link.path)}")
-        return PrecedentSupport(TOTAL_IGNORANCE, [])
-    combined = aggregate(
-        link.family,
-        [m.relevance for m in matches],
-        config.conflict_policy,
-        subject=f"precedent support for {goal}",
-        diagnostics=diagnostics,
-    )
-    return PrecedentSupport(combined, matches)
 
 
 def case_similarity(a: MatchResult, b: MatchResult) -> float:

@@ -4,8 +4,9 @@ A query walks rule and precedent support for a goal depth-first,
 evaluates premises as sub-goals, detaches each support path through its
 rule's strength, aggregates the parallel paths, and reconciles the
 result with any stored evidence about the goal itself.  The rules for
-a goal come from an index of the rules grounded in the world's roles,
-built once per session.  Every step is
+a goal, and the case templates its precedent link instantiates, come
+from one index grounded in the world's roles, built once per session:
+a matched case fires exactly as a rule does.  Every step is
 kept as a proof node so answers can be explained, and every sub-goal
 records which stored atoms and sub-goals it read: that graph is the
 one belief revision walks to invalidate exactly what an update touches.
@@ -20,7 +21,8 @@ context check.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from itertools import chain
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .calculus import (
     CertaintyInterval,
@@ -32,7 +34,7 @@ from .calculus import (
     consensus,
     detach,
 )
-from .cbr import context_passes, format_path, precedent_support
+from .cbr import CaseTemplate, context_passes, format_path
 from .errors import DepthExceededError, UnboundRoleError
 from .knowledge import (
     Atom,
@@ -42,7 +44,6 @@ from .knowledge import (
     assert_evidence,
     derivation_order,
     lookup,
-    predicate_dependencies,
     substitute,
 )
 
@@ -54,7 +55,6 @@ __all__ = [
     "RuleInstance",
     "RuleIndex",
     "QuerySession",
-    "screen",
     "prove",
     "forward_saturate",
     "explain",
@@ -139,7 +139,7 @@ class _Entry:
 
 
 class RuleInstance(NamedTuple):
-    """One rule as one world's roles ground it.
+    """One rule or linked case template as one world's roles ground it.
 
     ``premises`` are the ground antecedents, or None when the consequent
     has a role the world leaves unbound, so the rule concludes nothing
@@ -147,7 +147,7 @@ class RuleInstance(NamedTuple):
     antecedent; a rule with an error never fires.
     """
 
-    rule: Rule
+    rule: Rule | CaseTemplate
     premises: tuple[Atom, ...] | None
     error: UnboundRoleError | None
 
@@ -155,10 +155,13 @@ class RuleInstance(NamedTuple):
 class RuleIndex:
     """The rules of one knowledge base, grounded in one world's roles.
 
-    Roles are bound per world and never unified, so a rule has at most
+    The rules are ``kb.rules`` followed by the case templates each
+    precedent link instantiates (``kb.linked_templates``); a template is
+    a rule filed in the case library, and is indexed as one.  Roles are
+    bound per world and never unified, so a rule has at most
     one ground instance in a world: this is Rete's alpha memory with a
     trivial join.  ``concluding`` maps each ground consequent to the
-    rules that conclude it, in ``kb.rules`` order.  ``inactive`` lists,
+    rules that conclude it, in that order.  ``inactive`` lists,
     in the same order, the rules whose consequent the world cannot bind;
     each ``concluding`` list also holds those of its predicate at their
     place in that order, so a derivation notes them where a scan over
@@ -176,7 +179,8 @@ class RuleIndex:
         self.inactive: list[RuleInstance] = []
         self._unbound: dict[str, list[RuleInstance]] = {}
         atoms_of: dict[str, list[Atom]] = {}
-        for rule in kb.rules.values():
+        linked = (kb.linked_templates(link) for link in kb.precedent_links.values())
+        for rule in chain(kb.rules.values(), *linked):
             predicate = rule.consequent.predicate
             try:
                 consequent = substitute(rule.consequent, roles)
@@ -199,19 +203,8 @@ class RuleIndex:
             bucket.append(RuleInstance(rule, premises, error))
 
     def rules_for(self, atom: Atom) -> Sequence[RuleInstance]:
-        """The rules a derivation of ``atom`` considers, in ``kb.rules`` order."""
+        """The rules a derivation of ``atom`` considers, in index order."""
         return self.concluding.get(atom) or self._unbound.get(atom.predicate, ())
-
-
-def screen(kb: KnowledgeBase, world: World, config: QueryConfig | None = None) -> set[str]:
-    """Identifiers of the rules whose context admits this world."""
-    config = config or QueryConfig()
-    fetch = lambda atom: lookup(world, atom)
-    return {
-        rule.identifier
-        for rule in kb.rules.values()
-        if context_passes(rule.context, world, config, fetch)
-    }
 
 
 class QuerySession:
@@ -254,9 +247,7 @@ class QuerySession:
         goal = substitute(goal, self.world.roles)
         entry = self._evaluate(goal)
         if entry.node.kind == "fact" and entry.node.provenance == "unknown":
-            note = f"no support for {goal}: answering with total ignorance"
-            if note not in self.diagnostics:
-                self.diagnostics.append(note)
+            self._note(f"no support for {goal}: answering with total ignorance")
         return QueryResult(
             goal=goal,
             interval=entry.interval,
@@ -326,6 +317,7 @@ class QuerySession:
             return lookup(world, a)
 
         paths: list[ProofNode] = []
+        cases: list[ProofNode] = []
         families: list[TNormFamily] = []
 
         for rule, premises, error in self._index.rules_for(atom):
@@ -352,59 +344,45 @@ class QuerySession:
                 premise_values.append(sub.interval)
             joint = antecedent_eval(rule.family, premise_values)
             detached = detach(rule.family, rule.sufficiency, rule.necessity, joint)
-            families.append(rule.family)
-            paths.append(
-                ProofNode(
-                    goal=atom,
-                    kind="rule-instance",
-                    result=detached,
-                    provenance=rule.identifier,
-                    premise_interval=joint,
-                    detached_interval=detached,
-                    children=tuple(child_nodes),
-                )
+            is_case = isinstance(rule, CaseTemplate)
+            node = ProofNode(
+                goal=atom,
+                kind="case-instance" if is_case else "rule-instance",
+                result=detached,
+                provenance=rule.identifier,
+                premise_interval=joint,
+                detached_interval=detached,
+                children=tuple(child_nodes),
             )
+            if is_case:
+                cases.append(node)
+            else:
+                families.append(rule.family)
+                paths.append(node)
 
         link = self.kb.precedent_links.get(atom.predicate)
         if link is not None:
-            local: dict[Atom, _Entry] = {}
-
-            def case_evaluate(a: Atom) -> CertaintyInterval:
-                frame.subgoals.add(a)
-                entry = self._evaluate(a)
-                local[a] = entry
-                return entry.interval
-
-            support = precedent_support(
-                self.kb,
-                world,
-                atom,
-                config,
-                evaluate=case_evaluate,
-                fetch=fetch,
-                diagnostics=self.diagnostics,
-            )
-            case_nodes = []
-            for m in support.matches:
-                case_nodes.append(
-                    ProofNode(
-                        goal=atom,
-                        kind="case-instance",
-                        result=m.relevance,
-                        provenance=m.template.identifier,
-                        premise_interval=m.match,
-                        detached_interval=m.relevance,
-                        children=tuple(local[a].node for a in m.premise_atoms),
-                    )
+            # The matched cases are one more support path, combined under
+            # the link's family; no match reads as total ignorance.
+            if cases:
+                support = aggregate(
+                    link.family,
+                    [c.result for c in cases],
+                    config.conflict_policy,
+                    subject=f"precedent support for {atom}",
+                    diagnostics=self.diagnostics,
                 )
+            else:
+                self._note(f"no precedent support for {atom} under {format_path(link.path)}")
+                support = TOTAL_IGNORANCE
             families.append(link.family)
             paths.append(
                 ProofNode(
                     goal=atom,
                     kind="precedent",
-                    result=support.interval,
+                    result=support,
                     provenance=format_path(link.path),
-                    children=tuple(case_nodes),
+                    children=tuple(cases),
                 )
             )
 
@@ -463,17 +441,7 @@ class QuerySession:
         """
         for rule, _, error in self._index.inactive:
             self._inactive(rule, error)
-        goals = set(self._index.concluding)
-        roles = self.world.roles
-        for link in self.kb.precedent_links.values():
-            for template in self.kb.case_library.templates_at(link.path):
-                if template.consequent.predicate != link.target_predicate:
-                    continue
-                try:
-                    goals.add(substitute(template.consequent, roles))
-                except UnboundRoleError as err:
-                    self._note(f"case {template.identifier} inactive: {err}")
-        return goals
+        return set(self._index.concluding)
 
     def _may_ask(self, atom: Atom) -> bool:
         return (
@@ -487,8 +455,9 @@ class QuerySession:
         if message not in self.diagnostics:
             self.diagnostics.append(message)
 
-    def _inactive(self, rule: Rule, err: UnboundRoleError) -> None:
-        self._note(f"rule {rule.identifier} inactive: {err}")
+    def _inactive(self, rule: Rule | CaseTemplate, err: UnboundRoleError) -> None:
+        kind = "case" if isinstance(rule, CaseTemplate) else "rule"
+        self._note(f"{kind} {rule.identifier} inactive: {err}")
 
     def _reachable_deps(self, goal: Atom) -> dict[Atom, GoalDependencies]:
         out: dict[Atom, GoalDependencies] = {}

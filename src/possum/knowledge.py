@@ -24,7 +24,7 @@ from .calculus import CertaintyInterval, ConflictPolicy, TNormFamily, TOTAL_IGNO
 from .errors import DomainError, UnboundRoleError
 
 if TYPE_CHECKING:
-    from .cbr import CaseLibrary, PrecedentLink
+    from .cbr import CaseLibrary, CaseTemplate, PrecedentLink
 
 __all__ = [
     "Atom",
@@ -243,6 +243,15 @@ class KnowledgeBase:
 
             self.case_library = CaseLibrary()
 
+    def linked_templates(self, link: "PrecedentLink") -> list["CaseTemplate"]:
+        """The case templates ``link`` instantiates, in ``templates_at`` order:
+        those filed under its path that conclude its predicate."""
+        return [
+            template
+            for template in self.case_library.templates_at(link.path)
+            if template.consequent.predicate == link.target_predicate
+        ]
+
 
 def predicate_dependencies(kb: KnowledgeBase) -> dict[str, set[str]]:
     """Which predicates each predicate's derivation reads as premises.
@@ -258,9 +267,8 @@ def predicate_dependencies(kb: KnowledgeBase) -> dict[str, set[str]]:
         bucket.update(a.predicate for a in rule.antecedents)
     for link in kb.precedent_links.values():
         bucket = deps.setdefault(link.target_predicate, set())
-        for template in kb.case_library.templates_at(link.path):
-            if template.consequent.predicate == link.target_predicate:
-                bucket.update(a.predicate for a in template.antecedents)
+        for template in kb.linked_templates(link):
+            bucket.update(a.predicate for a in template.antecedents)
     return deps
 
 

@@ -21,10 +21,9 @@ from possum.cbr import (
     format_path,
     match_case,
     parse_path,
-    precedent_support,
     retrieve,
 )
-from possum.engine import QueryConfig, QuerySession
+from possum.engine import QueryConfig, QuerySession, prove
 from possum.errors import DomainError, UnknownPathError
 from possum.knowledge import Atom, KnowledgeBase, Rule, World, assert_evidence
 
@@ -180,32 +179,36 @@ def _kb_with_link(family=T2):
     return kb
 
 
+def _precedent(result):
+    """The precedent node of a proof whose goal has no other support."""
+    (node,) = [c for c in result.proof.children if c.kind == "precedent"]
+    return node
+
+
+def _ab_world():
+    world = World("w")
+    assert_evidence(world, Atom("a"), CertaintyInterval(0.7, 1.0), "s")
+    assert_evidence(world, Atom("b"), CertaintyInterval(0.5, 1.0), "s")
+    return world
+
+
 class TestPrecedentSupport:
     def test_aggregates_only_goal_concluding_templates(self):
-        kb = _kb_with_link()
-        world = World("w")
-        assert_evidence(world, Atom("a"), CertaintyInterval(0.7, 1.0), "s")
-        assert_evidence(world, Atom("b"), CertaintyInterval(0.5, 1.0), "s")
-        support = precedent_support(kb, world, Atom("q"))
-        assert {m.template.identifier for m in support.matches} == {"m1", "m2"}
+        support = _precedent(prove(_kb_with_link(), _ab_world(), Atom("q")))
+        assert [c.provenance for c in support.children] == ["m1", "m2"]
         # Relevances 0.63 and 0.40 under the T2 conorm: 1-(1-.63)(1-.4)
-        assert support.interval.lower == pytest.approx(0.778, abs=1e-9)
-        assert support.interval.upper == 1.0
-
-    def test_no_link_is_a_domain_error(self):
-        with pytest.raises(DomainError):
-            precedent_support(KnowledgeBase(), World("w"), Atom("q"))
+        assert support.result.lower == pytest.approx(0.778, abs=1e-9)
+        assert support.result.upper == 1.0
 
     def test_zero_matches_yield_ignorance_and_diagnostic(self):
         kb = _kb_with_link()
-        world = World("w")
-        notes: list[str] = []
         # No template concludes the goal; the link itself is required.
         kb.precedent_links["z-unknown"] = PrecedentLink("z-unknown", ("deals",), T2)
-        support = precedent_support(kb, world, Atom("z-unknown"), diagnostics=notes)
-        assert support.interval == TOTAL_IGNORANCE
-        assert support.matches == []
-        assert any("no precedent support" in n for n in notes)
+        result = prove(kb, World("w"), Atom("z-unknown"))
+        support = _precedent(result)
+        assert result.interval == support.result == TOTAL_IGNORANCE
+        assert support.children == ()
+        assert "no precedent support for (z-unknown) under deals" in result.diagnostics
 
     def test_notes_are_not_repeated(self):
         # left and right both read (c); without a memo, (c) is derived
@@ -225,17 +228,14 @@ class TestPrecedentSupport:
             body = tuple(Atom(b) for b in body)
             kb.rules[ident] = Rule(ident, (), body, Atom(head), 0.9, 0.0, T2)
         notes = QuerySession(kb, World("w"), use_memo=False).prove(Atom("top")).diagnostics
-        assert notes.count("case k skipped: role ?x is unbound in (a ?x)") == 1
+        assert notes.count("case k inactive: role ?x is unbound in (a ?x)") == 1
         assert notes.count("no precedent support for (c) under p") == 1
 
     def test_link_family_drives_aggregation(self):
-        world = World("w")
-        assert_evidence(world, Atom("a"), CertaintyInterval(0.7, 1.0), "s")
-        assert_evidence(world, Atom("b"), CertaintyInterval(0.5, 1.0), "s")
-        loose = precedent_support(_kb_with_link(T3), world, Atom("q"))
-        tight = precedent_support(_kb_with_link(TNormFamily.T1), world, Atom("q"))
-        assert loose.interval.lower == pytest.approx(0.63, abs=1e-9)
-        assert tight.interval.lower == pytest.approx(min(1.0, 0.63 + 0.40), abs=1e-9)
+        loose = _precedent(prove(_kb_with_link(T3), _ab_world(), Atom("q")))
+        tight = _precedent(prove(_kb_with_link(TNormFamily.T1), _ab_world(), Atom("q")))
+        assert loose.result.lower == pytest.approx(0.63, abs=1e-9)
+        assert tight.result.lower == pytest.approx(min(1.0, 0.63 + 0.40), abs=1e-9)
 
     def test_lenient_policy_reaches_cbr_aggregation(self):
         kb = KnowledgeBase()
@@ -246,11 +246,11 @@ class TestPrecedentSupport:
         world = World("w")
         assert_evidence(world, Atom("a"), CertaintyInterval(1.0, 1.0), "s")
         assert_evidence(world, Atom("b"), CertaintyInterval(0.0, 0.0), "s")
-        notes: list[str] = []
         config = QueryConfig(conflict_policy=ConflictPolicy.LENIENT)
-        support = precedent_support(kb, world, Atom("q"), config, diagnostics=notes)
-        assert support.interval == TOTAL_IGNORANCE
-        assert any("conflict" in n for n in notes)
+        result = prove(kb, world, Atom("q"), config)
+        assert _precedent(result).result == TOTAL_IGNORANCE
+        assert any(n.startswith("support paths for precedent support for (q) conflict")
+                   for n in result.diagnostics)
 
 
 class TestSimilarity:

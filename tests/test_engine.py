@@ -22,7 +22,6 @@ from possum.engine import (
     forward_saturate,
     prove,
     result_to_dict,
-    screen,
 )
 from possum.errors import DepthExceededError, UnboundRoleError
 from possum.knowledge import Atom, KnowledgeBase, Rule, World, assert_evidence
@@ -78,15 +77,18 @@ class TestScreening:
         world = World("w")
         _fact(world, "warm", 0.8)
         _fact(world, "chill", 0.2)
-        assert screen(kb, world) == {"hot", "free"}
+        result = prove(kb, world, Atom("q"))
+        assert set(_provenances(result.proof, "rule-instance")) == {"hot", "free"}
 
     def test_threshold_is_compared_to_lower_bound(self):
         kb = KnowledgeBase()
         kb.rules["r"] = _rule("r", ["a"], "q", context=["g"])
         world = World("w")
         assert_evidence(world, Atom("g"), CertaintyInterval(0.4, 1.0), "s")
-        assert screen(kb, world) == set()
-        assert screen(kb, world, QueryConfig(context_threshold=0.4)) == {"r"}
+        assert _provenances(prove(kb, world, Atom("q")).proof, "rule-instance") == []
+        low_bar = QueryConfig(context_threshold=0.4)
+        result = prove(kb, world, Atom("q"), low_bar)
+        assert _provenances(result.proof, "rule-instance") == ["r"]
 
     def test_joint_context_graded_by_min(self):
         kb = KnowledgeBase()
@@ -95,7 +97,7 @@ class TestScreening:
         _fact(world, "u", 0.6)
         _fact(world, "v", 0.6)
         # Min of the two lower bounds is 0.6; a product would be 0.36.
-        assert screen(kb, world) == {"r"}
+        assert _provenances(prove(kb, world, Atom("q")).proof, "rule-instance") == ["r"]
 
     def test_inactive_rule_contributes_no_proof_step(self):
         kb = KnowledgeBase()
@@ -215,6 +217,22 @@ class TestScreening:
         noted = [n.split()[1] for n in notes if n.startswith("rule ")]
         assert noted == (["t", "r"] if order[0] == "s" else ["r", "t"])
 
+    def test_template_concluding_another_predicate_is_not_noted(self):
+        # k2 is filed under q's link path but concludes (r ?y): q's link
+        # does not instantiate it, so deriving (q) says nothing about it.
+        kb = KnowledgeBase()
+        kb.case_library.declare_path(("p",))
+        for ident, head in (("k1", Atom("q")), ("k2", Atom("r", ("?y",)))):
+            kb.case_library.add(
+                CaseTemplate(ident, ("p",), (), (), (Atom("a"),), head, 0.9, 0.0, T2)
+            )
+        kb.precedent_links["q"] = PrecedentLink("q", ("p",), T2)
+        world = World("w")
+        _fact(world, "a", 0.8)
+        result = prove(kb, world, Atom("q"))
+        assert _provenances(result.proof, "case-instance") == ["k1"]
+        assert result.diagnostics == []
+
 
 class TestRuleIndex:
     def test_shared_predicate_grounds_to_different_atoms(self):
@@ -246,6 +264,22 @@ class TestRuleIndex:
         assert result.interval.lower == pytest.approx(
             1 - (1 - 0.9 * 0.8) * (1 - 0.7 * 0.6) * (1 - 0.5 * 0.4), abs=1e-12
         )
+
+    def test_linked_templates_follow_the_rules(self):
+        kb = KnowledgeBase()
+        kb.rules["r"] = _rule("r", ["a"], "q")
+        library = kb.case_library
+        library.declare_path(("p", "sub"))
+        for ident, path, head in (
+            ("t1", ("p", "sub"), "q"),
+            ("t2", ("p",), "q"),
+            ("t0", ("p",), "other"),
+        ):
+            library.add(CaseTemplate(ident, path, (), (), (Atom("a"),), Atom(head), 0.9, 0.0, T2))
+        kb.precedent_links["q"] = PrecedentLink("q", ("p",), T2)
+        index = RuleIndex(kb, {})
+        assert [i.rule.identifier for i in index.rules_for(Atom("q"))] == ["r", "t2", "t1"]
+        assert set(index.concluding) == {Atom("q")}
 
 
 class TestBackwardChaining:
@@ -359,6 +393,34 @@ class TestBackwardChaining:
         result = prove(kb, world, Atom("g"), config)
         assert result.interval == TOTAL_IGNORANCE
         assert any("conflict" in d for d in result.diagnostics)
+
+    @pytest.mark.parametrize(
+        "rules, prior, note",
+        [
+            (("yes", "no"), None, "support paths for (c) conflict"),
+            (("yes",), CertaintyInterval(0.0, 0.5), "sources for (c) conflict"),
+        ],
+        ids=["aggregate", "consensus"],
+    )
+    def test_lenient_conflict_noted_once(self, rules, prior, note):
+        # left and right both read (c); without a memo (c) is derived,
+        # and its conflict found, twice.
+        kb = KnowledgeBase()
+        bodies = {"yes": "a", "no": "b"}
+        for ident in rules:
+            kb.rules[ident] = _rule(ident, [bodies[ident]], "c", s=1.0, n=1.0, family=T1)
+        kb.rules["l"] = _rule("l", ["c"], "left")
+        kb.rules["r"] = _rule("r", ["c"], "right")
+        kb.rules["t"] = _rule("t", ["left", "right"], "top")
+        world = World("w")
+        assert_evidence(world, Atom("a"), CertaintyInterval(1.0, 1.0), "s")
+        assert_evidence(world, Atom("b"), CertaintyInterval(0.0, 0.0), "s")
+        if prior is not None:
+            assert_evidence(world, Atom("c"), prior, "prior")
+        config = QueryConfig(conflict_policy=ConflictPolicy.LENIENT)
+        session = QuerySession(kb, world, config, use_memo=False)
+        notes = session.prove(Atom("top")).diagnostics
+        assert [n for n in notes if n.startswith(note)] == [notes[0]]
 
 
 class TestAskables:
@@ -475,13 +537,10 @@ class TestDemoScenario:
 
     def test_screened_rule_absent_from_proof(self, demo):
         kb, world = demo
-        active = screen(kb, world)
-        assert "foreign-competition-rebuttal" not in active
-        assert "political-lobby-defense" in active
         result = prove(kb, world, Atom("anti-trust-success", ("?raider", "?target")))
-        assert "foreign-competition-rebuttal" not in _provenances(
-            result.proof, "rule-instance"
-        )
+        used = _provenances(result.proof, "rule-instance")
+        assert "political-lobby-defense" in used
+        assert "foreign-competition-rebuttal" not in used
 
     def test_forward_agrees_with_backward(self, demo):
         kb, world = demo

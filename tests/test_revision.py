@@ -6,6 +6,7 @@ import pytest
 
 from possum.calculus import CertaintyInterval, ConflictPolicy, TNormFamily
 from possum import revision
+from possum.cbr import CaseTemplate, PrecedentLink
 from possum.engine import QueryConfig, forward_saturate, prove
 from possum.knowledge import Atom, KnowledgeBase, Rule, World, assert_evidence
 from possum.revision import DependencyTracker
@@ -69,6 +70,29 @@ class TestTracking:
             Atom("gate"), CertaintyInterval(0.95, 1.0), "s2"
         )
         assert invalidated == {Atom("q")}
+
+    def test_case_context_supports_only_its_own_conclusion(self):
+        # c1 concludes (q A) behind gate (g1), c2 concludes (q B) behind
+        # (g2): deriving (q A) never reads (g2).
+        kb = KnowledgeBase()
+        kb.case_library.declare_path(("p",))
+        for ident, head, gate in (("c1", "?x", "g1"), ("c2", "B", "g2")):
+            kb.case_library.add(
+                CaseTemplate(
+                    ident, ("p",), ("?x",), (Atom(gate),), (Atom("a"),),
+                    Atom("q", (head,)), 0.9, 0.0, T2,
+                )
+            )
+        kb.precedent_links["q"] = PrecedentLink("q", ("p",), T2)
+        world = World("w", roles={"?x": "A"})
+        for name in ("g1", "g2", "a"):
+            assert_evidence(world, Atom(name), CertaintyInterval(0.8, 1.0), "s")
+        tracker = DependencyTracker(kb, world)
+        tracker.query(Atom("q", ("A",)))
+        assert tracker.on_update(Atom("g2"), CertaintyInterval(0.9, 1.0), "s2") == set()
+        assert tracker.on_update(Atom("g1"), CertaintyInterval(0.9, 1.0), "s2") == {
+            Atom("q", ("A",))
+        }
 
     def test_closed_gate_still_leaves_a_trace(self):
         # A context read that screened the rule OUT must still support
