@@ -8,8 +8,9 @@ a goal, and the case templates its precedent link instantiates, come
 from one index grounded in the world's roles, built once per session:
 a matched case fires exactly as a rule does.  Every step is
 kept as a proof node so answers can be explained, and every sub-goal
-records which stored atoms and sub-goals it read: that graph is the
-one belief revision walks to invalidate exactly what an update touches.
+records which stored atoms and sub-goals it read: belief revision keeps
+that graph's edges reversed and walks them to invalidate exactly what
+an update touches.
 
 Context screening is the cheap gate in front of all of this: a rule
 with a context only participates when the world's stored values for the
@@ -110,7 +111,8 @@ class GoalDependencies:
     atoms: stored atoms looked up (the goal's own fact slot, context
     atoms consulted during screening); subgoals: premises recursed
     into.  These are the only dependency edges there are: belief
-    revision inverts them to find every goal an update reaches.
+    revision keeps them reversed, as reader edges, and walks those to
+    find every goal an update reaches.
     """
 
     atoms: frozenset[Atom]
@@ -119,11 +121,40 @@ class GoalDependencies:
 
 @dataclass(slots=True)
 class QueryResult:
+    """One proved goal, with its proof and the session's notes so far.
+
+    ``derived`` lists the goals this query evaluated afresh, in the
+    order their evaluations finished; goals answered from the session's
+    memo are not in it.  ``graph`` is the session's dependency graph,
+    shared, not copied.
+    """
+
     goal: Atom
     interval: CertaintyInterval
     proof: ProofNode
     diagnostics: list[str]
-    dependencies: dict[Atom, GoalDependencies]
+    derived: list[Atom]
+    graph: dict[Atom, GoalDependencies] = field(repr=False, compare=False)
+
+    @property
+    def dependencies(self) -> dict[Atom, GoalDependencies]:
+        """The goal and every sub-goal it reaches, with what each read.
+
+        Computed on access from the session's dependency graph, so a
+        graph that belief revision has purged since gives less.
+        """
+        out: dict[Atom, GoalDependencies] = {}
+        stack = [self.goal]
+        while stack:
+            atom = stack.pop()
+            if atom in out:
+                continue
+            deps = self.graph.get(atom)
+            if deps is None:
+                continue
+            out[atom] = deps
+            stack.extend(deps.subgoals)
+        return out
 
 
 @dataclass(slots=True)
@@ -215,7 +246,9 @@ class QuerySession:
     rule index, can be supplied by a caller (the revision tracker does)
     to persist them across sessions; the caller must then invalidate the
     memo on world updates, and the index when the KB or the world's
-    roles change.
+    roles change.  ``derived`` lists every goal the session evaluated
+    afresh, and so recorded in the dependency dict, in the order their
+    evaluations finished, including those of a query that raised.
     """
 
     def __init__(
@@ -235,6 +268,7 @@ class QuerySession:
         self.config = config or QueryConfig()
         self.asker = asker
         self.diagnostics: list[str] = []
+        self.derived: list[Atom] = []
         self._memo = memo if memo is not None else {}
         self._deps = deps if deps is not None else {}
         self._use_memo = use_memo
@@ -245,6 +279,7 @@ class QuerySession:
     def prove(self, goal: Atom) -> QueryResult:
         """Evaluate one goal; role variables are bound from the world."""
         goal = substitute(goal, self.world.roles)
+        start = len(self.derived)
         entry = self._evaluate(goal)
         if entry.node.kind == "fact" and entry.node.provenance == "unknown":
             self._note(f"no support for {goal}: answering with total ignorance")
@@ -253,7 +288,8 @@ class QuerySession:
             interval=entry.interval,
             proof=entry.node,
             diagnostics=list(self.diagnostics),
-            dependencies=self._reachable_deps(goal),
+            derived=self.derived[start:],
+            graph=self._deps,
         )
 
     def evaluate(self, atom: Atom) -> CertaintyInterval:
@@ -294,6 +330,7 @@ class QuerySession:
             atoms=frozenset(frame.atoms),
             subgoals=frozenset(frame.subgoals),
         )
+        self.derived.append(atom)
         if self._use_memo:
             self._memo[atom] = entry
         return entry
@@ -458,20 +495,6 @@ class QuerySession:
     def _inactive(self, rule: Rule | CaseTemplate, err: UnboundRoleError) -> None:
         kind = "case" if isinstance(rule, CaseTemplate) else "rule"
         self._note(f"{kind} {rule.identifier} inactive: {err}")
-
-    def _reachable_deps(self, goal: Atom) -> dict[Atom, GoalDependencies]:
-        out: dict[Atom, GoalDependencies] = {}
-        stack = [goal]
-        while stack:
-            atom = stack.pop()
-            if atom in out:
-                continue
-            deps = self._deps.get(atom)
-            if deps is None:
-                continue
-            out[atom] = deps
-            stack.extend(deps.subgoals)
-        return out
 
 
 def prove(

@@ -2,12 +2,17 @@
 
 The tracker wraps the engine: queries run through it, and it keeps the
 engine's memo and dependency graph (the atoms and sub-goals each goal
-read) between them.  When evidence changes it walks that graph upward
-from the updated atom, drops every memoized result it reaches, marks the
-tracked conclusions among them stale, and recomputes lazily.  An edit
-made to the world outside the tracker shows as a moved world epoch (or
-as changed role bindings) and makes every conclusion stale.  The rule
-index is built once and shared by every session the tracker opens.
+read) between them.  Beside the graph it keeps the same edges reversed:
+for each atom or sub-goal, the goals that read it.  These reader edges
+are added when a goal is derived and removed when it is purged, so an
+update costs in proportion to the goals it reaches, not to the size of
+the graph.  When evidence changes the tracker walks the reader edges
+upward from the updated atom, drops every memoized result it reaches,
+marks the tracked conclusions among them stale, and recomputes lazily.
+An edit made to the world outside the tracker shows as a moved world
+epoch (or as changed role bindings) and makes every conclusion stale.
+The rule index is built once and shared by every session the tracker
+opens.
 
 The defining contract: after any sequence of updates, recomputed
 intervals are identical to what discarding all state and re-proving
@@ -17,7 +22,6 @@ that equality, never a change to it.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -57,6 +61,7 @@ class DependencyTracker:
         self.records: dict[Atom, DependencyRecord] = {}
         self._memo: dict = {}
         self._deps: dict = {}
+        self._readers: dict[Atom, list[Atom]] = {}
         self._stale: set[Atom] = set()
         self._epoch = world.epoch
         self._roles = dict(world.roles)
@@ -88,26 +93,52 @@ class DependencyTracker:
         self._epoch = self.world.epoch
         self._memo.clear()
         self._deps.clear()
+        self._readers.clear()
         self._stale |= self.records.keys()
         return set(self.records)
 
     def query(self, goal: Atom) -> QueryResult:
         """Prove a goal and start tracking it (and its derived sub-goals)."""
         self._sync()
-        result = self._session().prove(goal)
+        result = self._prove(self._session(), goal)
         self.track(result)
         self._stale.discard(result.goal)
+        return result
+
+    def _prove(self, session: QuerySession, goal: Atom) -> QueryResult:
+        """Prove through ``session`` and add the reader edges of every goal
+        it derived.
+
+        A proof that raises memoizes nothing: the goals it derived before
+        raising would have neither reader edges nor records, so they are
+        dropped and derived again when reached.
+        """
+        done = len(session.derived)
+        try:
+            result = session.prove(goal)
+        except BaseException:
+            for atom in session.derived[done:]:
+                del self._memo[atom]
+                del self._deps[atom]
+            raise
+        readers = self._readers
+        for atom in result.derived:
+            deps = self._deps[atom]
+            for read in deps.atoms | deps.subgoals:
+                readers.setdefault(read, []).append(atom)
         return result
 
     def track(self, result: QueryResult) -> list[DependencyRecord]:
         """Create or refresh records for the goal and its aggregated sub-goals.
 
-        A record whose interval did not change is left alone, so
-        untouched conclusions keep their epoch across other conclusions'
-        recomputation.
+        Only the sub-goals the query derived afresh are visited: one
+        answered from the memo was derived, and tracked, by the query
+        that memoized it.  A record whose interval did not change is
+        left alone, so untouched conclusions keep their epoch across
+        other conclusions' recomputation.
         """
         touched = []
-        for atom in result.dependencies:
+        for atom in (result.goal, *result.derived):
             entry = self._memo[atom]
             if atom != result.goal and entry.node.kind != "aggregation":
                 continue
@@ -127,12 +158,15 @@ class DependencyTracker:
     ) -> set[Atom]:
         """Apply new evidence and report which conclusions it unsettles.
 
-        An update that does not move the fact's effective interval is a
-        complete no-op: nothing is invalidated, no epoch advances.  The
-        returned atoms stay stale (their records keep the old interval)
-        until ``recompute`` or a fresh ``query`` refreshes them.  A
-        conclusion already stale, and not re-proved since, has no memoized
-        result left for the update to reach, so it is not returned again.
+        The update walks the kept reader edges upward from ``atom`` and
+        purges every goal it reaches, with that goal's own edges, so its
+        cost follows the goals reached.  An update that does not move
+        the fact's effective interval is a complete no-op: nothing is
+        invalidated, no epoch advances.  The returned atoms stay stale
+        (their records keep the old interval) until ``recompute`` or a
+        fresh ``query`` refreshes them.  A conclusion already stale, and
+        not re-proved since, has no memoized result left for the update
+        to reach, so it is not returned again.
         """
         invalidated = self._sync()
         if not assert_evidence(
@@ -140,10 +174,7 @@ class DependencyTracker:
         ):
             return invalidated
         self._epoch = self.world.epoch
-        readers: dict[Atom, list[Atom]] = defaultdict(list)
-        for goal, deps in self._deps.items():
-            for read in deps.atoms | deps.subgoals:
-                readers[read].append(goal)
+        readers = self._readers
         reached: set[Atom] = set()
         frontier = [atom]
         while frontier:
@@ -153,7 +184,12 @@ class DependencyTracker:
                     frontier.append(goal)
         for goal in reached:
             del self._memo[goal]
-            del self._deps[goal]
+            deps = self._deps.pop(goal)
+            for read in deps.atoms | deps.subgoals:
+                edges = readers[read]
+                edges.remove(goal)
+                if not edges:
+                    del readers[read]
         invalidated |= reached & self.records.keys()
         self._stale |= invalidated
         return invalidated
@@ -163,8 +199,9 @@ class DependencyTracker:
         self._sync()
         targets = set(invalidated) if invalidated is not None else set(self._stale)
         refreshed: dict[Atom, CertaintyInterval] = {}
+        session = self._session()
         for atom in sorted(targets, key=str):
-            result = self._session().prove(atom)
+            result = self._prove(session, atom)
             self.track(result)
             refreshed[atom] = result.interval
         self._stale -= targets

@@ -122,6 +122,22 @@ class TestScreening:
         # The screen decision read (chill); revision must know that.
         assert Atom("chill") in result.dependencies[Atom("q")].atoms
 
+    def test_memo_hit_reports_the_same_dependencies(self):
+        kb = KnowledgeBase()
+        kb.rules["m"] = _rule("m", ["a"], "mid", context=["warm"])
+        kb.rules["t"] = _rule("t", ["mid", "b"], "top")
+        world = World("w")
+        for name, lower in (("warm", 0.9), ("a", 0.8), ("b", 0.7)):
+            _fact(world, name, lower)
+        session = QuerySession(kb, world)
+        first = session.prove(Atom("top"))
+        again = session.prove(Atom("top"))
+        # A context is read, never proved: (warm) is no derived goal.
+        assert first.derived == [Atom("a"), Atom("mid"), Atom("b"), Atom("top")]
+        assert again.derived == []
+        assert again.dependencies == first.dependencies
+        assert set(first.dependencies) == set(first.derived)
+
     def test_unbound_context_role_noted(self):
         kb = KnowledgeBase()
         kb.rules["r"] = Rule(

@@ -47,6 +47,18 @@ class TestAtom:
         assert Atom("p", ("a",)) == Atom("p", ("a",))
         assert len({Atom("p", ("a",)), Atom("p", ("a",))}) == 1
 
+    def test_atom_is_a_value_but_not_a_tuple(self):
+        # Atom stays a frozen dataclass: a NamedTuple would hash in C,
+        # but costs 8 bytes more per atom.  Its hash is the hash of its
+        # fields as a tuple, so sets and dicts of atoms iterate alike
+        # either way; only equality with a plain tuple would change.
+        atom = Atom("p", ("a",))
+        assert hash(atom) == hash(("p", ("a",)))
+        assert atom != ("p", ("a",))
+        assert Atom("p") == Atom("p", ())
+        with pytest.raises(AttributeError):
+            atom.predicate = "q"
+
     def test_substitute(self):
         atom = substitute(Atom("owns", ("?x", "?y")), {"?x": "A", "?y": "B"})
         assert atom == Atom("owns", ("A", "B"))

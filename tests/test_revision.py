@@ -8,6 +8,7 @@ from possum.calculus import CertaintyInterval, ConflictPolicy, TNormFamily
 from possum import revision
 from possum.cbr import CaseTemplate, PrecedentLink
 from possum.engine import QueryConfig, forward_saturate, prove
+from possum.errors import DepthExceededError
 from possum.knowledge import Atom, KnowledgeBase, Rule, World, assert_evidence
 from possum.revision import DependencyTracker
 from generators import random_update, weighted_kb
@@ -25,6 +26,24 @@ def _rule(ident, body, head, context=(), s=0.9, n=0.0):
         n,
         T2,
     )
+
+
+def _invert(deps):
+    """Reader edges as the inversion of a whole dependency graph."""
+    readers = {}
+    for goal, d in deps.items():
+        for read in d.atoms | d.subgoals:
+            readers.setdefault(read, set()).add(goal)
+    return readers
+
+
+def _reader_sets(tracker):
+    """The tracker's reader edges as sets, checking no edge is kept twice."""
+    out = {}
+    for read, goals in tracker._readers.items():
+        assert len(set(goals)) == len(goals), f"duplicate reader edge on {read}"
+        out[read] = set(goals)
+    return out
 
 
 def _diamond():
@@ -247,6 +266,107 @@ class TestInvalidation:
         tracker.query(Atom("top"))
         assert Atom("top") not in tracker.stale()
         assert Atom("left") in tracker.stale()
+
+
+class TestRecords:
+    """Which goals get records, and the reader edges kept beside them."""
+
+    def test_memo_hit_query_keeps_its_root(self):
+        kb, world = _diamond()
+        tracker = DependencyTracker(kb, world)
+        tracker.query(Atom("top"))
+        result = tracker.query(Atom("left"))
+        assert result.derived == []
+        assert set(tracker.records) == {Atom("top"), Atom("left"), Atom("right")}
+        assert tracker.records[Atom("left")].cached == prove(kb, world.copy(), Atom("left")).interval
+
+    def test_sub_goal_queried_later_as_a_root_gets_a_record(self):
+        # shared is a fact-kind sub-goal of top: no record until queried.
+        kb, world = _diamond()
+        tracker = DependencyTracker(kb, world)
+        tracker.query(Atom("top"))
+        assert Atom("shared") not in tracker.records
+        result = tracker.query(Atom("shared"))
+        assert result.derived == []
+        assert set(tracker.records) == {Atom("top"), Atom("left"), Atom("right"), Atom("shared")}
+        assert tracker.records[Atom("shared")].cached == CertaintyInterval(0.8, 1.0)
+
+    def test_sync_after_outside_edit_leaves_no_stale_reader_edges(self):
+        kb, world = _diamond()
+        tracker = DependencyTracker(kb, world)
+        tracker.query(Atom("top"))
+        tracker.query(Atom("island"))
+        assert_evidence(world, Atom("shared"), CertaintyInterval(0.95, 1.0), "outside")
+        tracker.query(Atom("top"))
+        assert Atom("island-seed") not in tracker._readers
+        assert _reader_sets(tracker) == _invert(tracker._deps)
+        assert tracker.on_update(Atom("island-seed"), CertaintyInterval(0.7, 1.0), "s2") == set()
+
+    def test_sync_after_role_rebinding_leaves_no_stale_reader_edges(self):
+        kb = KnowledgeBase()
+        kb.rules["r"] = Rule("r", (), (Atom("b", ("?x",)),), Atom("q"), 0.9, 0.0, T2)
+        world = World("w", roles={"?x": "A"})
+        assert_evidence(world, Atom("b", ("A",)), CertaintyInterval(0.8, 1.0), "s")
+        assert_evidence(world, Atom("b", ("B",)), CertaintyInterval(0.3, 1.0), "s")
+        tracker = DependencyTracker(kb, world)
+        tracker.query(Atom("q"))
+        world.roles["?x"] = "B"
+        tracker.query(Atom("q"))
+        assert Atom("b", ("A",)) not in tracker._readers
+        assert _reader_sets(tracker) == _invert(tracker._deps)
+        assert tracker.on_update(Atom("b", ("A",)), CertaintyInterval(0.9, 1.0), "s2") == set()
+        assert tracker.on_update(Atom("b", ("B",)), CertaintyInterval(0.9, 1.0), "s2") == {Atom("q")}
+
+    def test_query_that_raises_leaves_the_graph_consistent(self):
+        # q <- a2, p and p <- q: a2 is derived before the cycle raises.
+        kb = KnowledgeBase()
+        kb.rules["ra"] = _rule("ra", ["b"], "a2")
+        kb.rules["rq"] = _rule("rq", ["a2", "p"], "q")
+        kb.rules["rp"] = _rule("rp", ["q"], "p")
+        world = World("w")
+        assert_evidence(world, Atom("b"), CertaintyInterval(0.8, 1.0), "s")
+        tracker = DependencyTracker(kb, world)
+        with pytest.raises(DepthExceededError):
+            tracker.query(Atom("q"))
+        assert _reader_sets(tracker) == _invert(tracker._deps)
+        tracker.query(Atom("a2"))
+        assert set(tracker.records) == {Atom("a2")}
+        assert tracker.on_update(Atom("b"), CertaintyInterval(0.9, 1.0), "s2") == {Atom("a2")}
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_reader_edges_match_a_full_inversion(self, seed):
+        # The oracle is the full-graph algorithm: invert every goal's
+        # dependencies, then walk the inversion breadth-first.
+        rng = random.Random(7300 + seed)
+        kb, world, contexts = weighted_kb(rng, n_rules=200)
+        config = QueryConfig(conflict_policy=ConflictPolicy.LENIENT)
+        tracker = DependencyTracker(kb, world, config)
+        goals = sorted(forward_saturate(kb, world.copy(), config), key=str)
+        for goal in rng.sample(goals, 10):
+            tracker.query(goal)
+        for step in range(40):
+            draw = rng.random()
+            if draw < 0.5:
+                update = random_update(rng, world, contexts)
+                deps, records, epoch = dict(tracker._deps), set(tracker.records), world.epoch
+                invalidated = tracker.on_update(*update)
+                expected = set()
+                if world.epoch != epoch:
+                    readers = _invert(deps)
+                    reached, frontier = set(), [update[0]]
+                    while frontier:
+                        for goal in readers.get(frontier.pop(0), ()):
+                            if goal not in reached:
+                                reached.add(goal)
+                                frontier.append(goal)
+                    expected = reached & records
+                    assert set(tracker._deps) == set(deps) - reached, f"step {step}"
+                assert invalidated == expected, f"step {step}"
+            elif draw < 0.75:
+                tracker.recompute()
+            else:
+                tracker.query(rng.choice(goals))
+            assert _reader_sets(tracker) == _invert(tracker._deps), f"step {step}"
 
 
 class TestEquivalence:
