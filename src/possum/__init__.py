@@ -2,9 +2,9 @@
 
 The package is layered bottom-up: ``calculus`` (interval arithmetic),
 ``knowledge`` (atoms, rules, worlds), ``dsl`` (the textual language),
-``cbr`` (hierarchical case library and precedent matching), ``engine``
-(backward and forward inference), ``revision`` (dependency-tracked
-belief updates), ``cli`` (the ``possum`` command).
+``cbr`` (hierarchical case library, retrieval and case similarity),
+``engine`` (backward and forward inference), ``revision``
+(dependency-tracked belief updates), ``cli`` (the ``possum`` command).
 """
 
 from .calculus import (

@@ -1,4 +1,4 @@
-"""Hierarchical case library and precedent matching.
+"""Hierarchical case library, retrieval and case similarity.
 
 Cases are stored as *templates*: parameterised rules filed under a
 taxonomy path, carrying the same sufficiency/necessity grading as
@@ -7,7 +7,9 @@ found (by searching a subtree of the taxonomy) and in how its premises
 are read (as the profile of a past decided situation to be compared
 against the present one).  The engine indexes the templates a
 precedent link instantiates next to the rules and fires them through
-the same gate, detachment and aggregation as everything else.
+the same gate, detachment and aggregation as everything else; case
+similarity reads the premise profiles of the ``case-instance`` proof
+nodes that firing leaves behind.
 """
 
 from __future__ import annotations
@@ -15,22 +17,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
-from .calculus import CertaintyInterval, TNormFamily, antecedent_eval, detach
+from .calculus import CertaintyInterval, TNormFamily, antecedent_eval, similarity_from_distance
 from .errors import DomainError, UnboundRoleError, UnknownPathError
 from .knowledge import Atom, World, lookup, substitute
 
 if TYPE_CHECKING:
-    from .engine import QueryConfig
+    from .engine import ProofNode, QueryConfig
 
 __all__ = [
     "CaseTemplate",
     "CaseLibrary",
     "PrecedentLink",
-    "MatchResult",
     "parse_path",
     "format_path",
     "retrieve",
-    "match_case",
     "case_similarity",
     "context_passes",
 ]
@@ -114,17 +114,6 @@ class CaseLibrary:
         return found
 
 
-@dataclass(slots=True)
-class MatchResult:
-    """How one template lines up against the current world."""
-
-    template: CaseTemplate
-    premise_atoms: tuple[Atom, ...]
-    premise_values: tuple[CertaintyInterval, ...]
-    match: CertaintyInterval
-    relevance: CertaintyInterval
-
-
 def context_passes(
     context: tuple[Atom, ...],
     world: World,
@@ -201,42 +190,25 @@ def _note(diagnostics: list[str] | None, message: str) -> None:
         diagnostics.append(message)
 
 
-def match_case(
-    template: CaseTemplate,
-    world: World,
-    evaluate: Evaluator | None = None,
-) -> MatchResult:
-    """Line a template up against the world and grade the fit.
+def case_similarity(a: "ProofNode", b: "ProofNode") -> float:
+    """Similarity of two fired cases: the complement of their distance.
 
-    Premises are instantiated with the world's role bindings and then
-    evaluated; the evaluator defaults to a plain fact lookup, and a
-    prover may be passed so premises may themselves be derived.  The
-    match interval conjoins the premise evaluations; relevance detaches
-    it through the template's strength, as the engine does when the
-    template fires.
-    """
-    if evaluate is None:
-        evaluate = lambda atom: lookup(world, atom)
-    atoms = tuple(substitute(a, world.roles) for a in template.antecedents)
-    values = tuple(evaluate(a) for a in atoms)
-    match = antecedent_eval(template.family, values)
-    relevance = detach(template.family, template.sufficiency, template.necessity, match)
-    return MatchResult(template, atoms, values, match, relevance)
-
-
-def case_similarity(a: MatchResult, b: MatchResult) -> float:
-    """Similarity of two match profiles: 1 - mean midpoint distance.
-
+    A ``case-instance`` node's premise profile is its children's
+    results, the premise values the engine conjoined when the case
+    fired; the distance is the mean midpoint gap between two profiles.
     Profiles must align premise for premise, so this compares two
-    instantiations of templates with equally many premises (typically
-    the same template in different worlds).
+    firings of templates with equally many premises (typically the same
+    template in different worlds).
     """
-    if len(a.premise_values) != len(b.premise_values):
+    for node in (a, b):
+        if node.kind != "case-instance":
+            raise DomainError(f"{node.kind} node for {node.goal} is not a fired case")
+    if len(a.children) != len(b.children):
         raise DomainError(
-            f"profiles of unequal length: {len(a.premise_values)} vs {len(b.premise_values)}"
+            f"profiles of unequal length: {len(a.children)} vs {len(b.children)}"
         )
     gaps = [
-        abs(x.midpoint() - y.midpoint())
-        for x, y in zip(a.premise_values, b.premise_values)
+        abs(x.result.midpoint() - y.result.midpoint())
+        for x, y in zip(a.children, b.children)
     ]
-    return 1.0 - sum(gaps) / len(gaps)
+    return similarity_from_distance(sum(gaps) / len(gaps))

@@ -32,7 +32,7 @@ from .engine import (
     prove,
     result_to_dict,
 )
-from .errors import ConflictError, ParseError, PossumError
+from .errors import ConflictError, PossumError, UnknownPathError
 from .dsl import (
     load_kb,
     load_world,
@@ -47,6 +47,7 @@ from .knowledge import (
     assert_evidence,
     lookup,
     retract_evidence,
+    substitute,
     validate,
 )
 
@@ -254,8 +255,6 @@ def _cmd_assert(args: argparse.Namespace) -> int:
     if negated:
         raise PossumError("cannot assert a negated atom; assert the complement interval instead")
     interval = parse_interval_text(args.interval)
-    from .knowledge import substitute
-
     ground = substitute(atom, world.roles)
     assert_evidence(world, ground, interval, args.source, _policy(args))
     out = Path(args.out) if args.out else Path(args.world)
@@ -269,8 +268,6 @@ def _cmd_retract_source(args: argparse.Namespace) -> int:
     atom, negated = parse_goal(args.atom)
     if negated:
         raise PossumError("retract the positive atom, not its negation")
-    from .knowledge import substitute
-
     ground = substitute(atom, world.roles)
     if not retract_evidence(world, ground, args.source, _policy(args)):
         print(f"no evidence from {args.source} for {ground}; nothing to do")
@@ -290,8 +287,6 @@ def _cmd_cases(args: argparse.Namespace) -> int:
         templates = retrieve(kb.case_library, path, world, _config(args), diagnostics=notes)
     else:
         if not kb.case_library.has_path(path):
-            from .errors import UnknownPathError
-
             raise UnknownPathError(f"taxonomy path {format_path(path)} is not declared")
         templates = kb.case_library.templates_at(path)
     _print_cases(templates, notes)
@@ -353,11 +348,7 @@ def _repl_query(kb, world, config, goal_text: str) -> QueryResult | None:
 def _cmd_repl(args: argparse.Namespace) -> int:
     kb = load_kb(args.kb)
     world = load_world(args.world, _policy(args))
-    config = QueryConfig(
-        context_threshold=args.alpha,
-        conflict_policy=_policy(args),
-        interactive=True,
-    )
+    config = _config(args, interactive=True)
     last: QueryResult | None = None
     last_goal_text: str | None = None
     print(f"possum {__version__}; world {world.identifier}; 'help' lists commands")
@@ -386,8 +377,6 @@ def _cmd_repl(args: argparse.Namespace) -> int:
                     print(explain(last))
             elif verb == "assert":
                 atom, interval, source = parse_evidence_text(rest)
-                from .knowledge import substitute
-
                 ground = substitute(atom, world.roles)
                 assert_evidence(world, ground, interval, source or "user", config.conflict_policy)
                 print(f"{ground} = {_interval_str(lookup(world, ground))}")
@@ -397,8 +386,6 @@ def _cmd_repl(args: argparse.Namespace) -> int:
                     continue
                 atom, interval, source = parse_evidence_text(rest)
                 twin = world.copy()
-                from .knowledge import substitute
-
                 ground = substitute(atom, twin.roles)
                 assert_evidence(twin, ground, interval, source or "what-if", config.conflict_policy)
                 print(f"with {ground} = {interval}:")

@@ -1,4 +1,5 @@
-"""Case library, retrieval, matching, and precedent combination."""
+"""Case library, retrieval, precedent combination, and the similarity of
+cases as ``prove`` fires them."""
 
 import random
 
@@ -19,7 +20,6 @@ from possum.cbr import (
     PrecedentLink,
     case_similarity,
     format_path,
-    match_case,
     parse_path,
     retrieve,
 )
@@ -136,39 +136,6 @@ class TestRetrieve:
         assert retrieve(lib, ("p",), World("w")) == []
 
 
-class TestMatchCase:
-    def test_match_equals_rule_arithmetic(self):
-        # A template and a rule with the same strengths must grade a
-        # world identically; only provenance differs.
-        world = World("w")
-        assert_evidence(world, Atom("a"), CertaintyInterval(0.7, 0.9), "s")
-        assert_evidence(world, Atom("b"), CertaintyInterval(0.8, 1.0), "s")
-        template = _template("t", ("p",), ["a", "b"], "q", s=0.85, n=0.2)
-        result = match_case(template, world)
-        premise = antecedent_eval(
-            T2, [CertaintyInterval(0.7, 0.9), CertaintyInterval(0.8, 1.0)]
-        )
-        assert result.match == premise
-        assert result.relevance == detach(T2, 0.85, 0.2, premise)
-
-    def test_roles_instantiated_from_world(self):
-        world = World("w", roles={"?x": "Mobil"})
-        assert_evidence(world, Atom("a", ("Mobil",)), CertaintyInterval(0.6, 1.0), "s")
-        template = CaseTemplate(
-            "t", ("p",), ("?x",), (), (Atom("a", ("?x",)),), Atom("q", ("?x",)),
-            0.9, 0.0, T2,
-        )
-        result = match_case(template, world)
-        assert result.premise_atoms == (Atom("a", ("Mobil",)),)
-        assert result.match == CertaintyInterval(0.6, 1.0)
-
-    def test_custom_evaluator_used(self):
-        world = World("w")
-        template = _template("t", ("p",), ["a"], "q", s=1.0)
-        result = match_case(template, world, lambda atom: CertaintyInterval(0.5, 0.5))
-        assert result.match == CertaintyInterval(0.5, 0.5)
-
-
 def _kb_with_link(family=T2):
     kb = KnowledgeBase()
     kb.case_library.declare_path(("deals", "merger"))
@@ -253,44 +220,108 @@ class TestPrecedentSupport:
                    for n in result.diagnostics)
 
 
+def _case_kb(*templates):
+    """A KB whose one precedent link, on ``q``, instantiates ``templates``."""
+    kb = KnowledgeBase()
+    kb.case_library.declare_path(("p",))
+    for template in templates:
+        kb.case_library.add(template)
+    kb.precedent_links["q"] = PrecedentLink("q", ("p",), T2)
+    return kb
+
+
+def _fired(kb, world, goal=Atom("q")):
+    """The case-instance nodes ``prove`` fires for a goal only precedent supports."""
+    return _precedent(prove(kb, world, goal)).children
+
+
+class TestMatchCase:
+    """A case matches the world by firing in ``prove``, exactly as a rule does."""
+
+    def test_match_equals_rule_arithmetic(self):
+        # A template and a rule with the same strengths must grade a
+        # world identically; only provenance differs.
+        world = World("w")
+        assert_evidence(world, Atom("a"), CertaintyInterval(0.7, 0.9), "s")
+        assert_evidence(world, Atom("b"), CertaintyInterval(0.8, 1.0), "s")
+        template = _template("t", ("p",), ["a", "b"], "q", s=0.85, n=0.2)
+        kb = _case_kb(template)
+        kb.rules["r"] = Rule("r", (), template.antecedents, Atom("r"), 0.85, 0.2, T2)
+        (case,) = _fired(kb, world)
+        premise = antecedent_eval(
+            T2, [CertaintyInterval(0.7, 0.9), CertaintyInterval(0.8, 1.0)]
+        )
+        assert case.kind == "case-instance"
+        assert case.premise_interval == premise
+        assert case.detached_interval == case.result == detach(T2, 0.85, 0.2, premise)
+        (rule,) = prove(kb, world, Atom("r")).proof.children
+        assert rule.kind == "rule-instance"
+        assert (rule.premise_interval, rule.result) == (case.premise_interval, case.result)
+
+    def test_roles_instantiated_from_world(self):
+        world = World("w", roles={"?x": "Mobil"})
+        assert_evidence(world, Atom("a", ("Mobil",)), CertaintyInterval(0.6, 1.0), "s")
+        template = CaseTemplate(
+            "t", ("p",), ("?x",), (), (Atom("a", ("?x",)),), Atom("q", ("?x",)),
+            0.9, 0.0, T2,
+        )
+        (case,) = _fired(_case_kb(template), world, Atom("q", ("?x",)))
+        assert [c.goal for c in case.children] == [Atom("a", ("Mobil",))]
+        assert case.premise_interval == CertaintyInterval(0.6, 1.0)
+
+
 class TestSimilarity:
     def test_identical_profiles_score_one(self):
         world = World("w")
         assert_evidence(world, Atom("a"), CertaintyInterval(0.7, 0.9), "s")
-        template = _template("t", ("p",), ["a"], "q")
-        result = match_case(template, world)
-        assert case_similarity(result, result) == 1.0
+        (case,) = _fired(_case_kb(_template("t", ("p",), ["a"], "q")), world)
+        assert case_similarity(case, case) == 1.0
 
     def test_known_gap(self):
         w1 = World("w1")
         assert_evidence(w1, Atom("a"), CertaintyInterval(0.8, 1.0), "s")
         w2 = World("w2")
         assert_evidence(w2, Atom("a"), CertaintyInterval(0.2, 0.4), "s")
-        template = _template("t", ("p",), ["a"], "q")
-        sim = case_similarity(match_case(template, w1), match_case(template, w2))
+        kb = _case_kb(_template("t", ("p",), ["a"], "q"))
+        (x,), (y,) = _fired(kb, w1), _fired(kb, w2)
+        sim = case_similarity(x, y)
         assert sim == pytest.approx(1.0 - abs(0.9 - 0.3), abs=1e-12)
 
     def test_unequal_profiles_rejected(self):
-        world = World("w")
-        one = match_case(_template("t1", ("p",), ["a"], "q"), world)
-        two = match_case(_template("t2", ("p",), ["a", "b"], "q"), world)
+        kb = _case_kb(
+            _template("t1", ("p",), ["a"], "q"), _template("t2", ("p",), ["a", "b"], "q")
+        )
+        one, two = _fired(kb, World("w"))
         with pytest.raises(DomainError):
             case_similarity(one, two)
 
+    def test_only_fired_cases_compared(self):
+        world = World("w")
+        assert_evidence(world, Atom("a"), CertaintyInterval(0.7, 0.9), "s")
+        result = prove(_case_kb(_template("t", ("p",), ["a"], "q")), world, Atom("q"))
+        precedent = _precedent(result)
+        (case,) = precedent.children
+        for other in (precedent, result.proof, case.children[0]):
+            with pytest.raises(DomainError, match="is not a fired case"):
+                case_similarity(case, other)
+            with pytest.raises(DomainError, match="is not a fired case"):
+                case_similarity(other, case)
+
     def test_dissimilarity_obeys_triangle_inequality(self):
         rng = random.Random(7)
-        template = _template("t", ("p",), ["a", "b", "c"], "q")
-        worlds = []
+        kb = _case_kb(_template("t", ("p",), ["a", "b", "c"], "q"))
+        cases = []
         for i in range(12):
             world = World(f"w{i}")
             for name in ("a", "b", "c"):
                 lo = rng.uniform(0.0, 1.0)
                 hi = rng.uniform(lo, 1.0)
                 assert_evidence(world, Atom(name), CertaintyInterval(lo, hi), "s")
-            worlds.append(match_case(template, world))
-        for x in worlds:
-            for y in worlds:
-                for z in worlds:
+            (case,) = _fired(kb, world)
+            cases.append(case)
+        for x in cases:
+            for y in cases:
+                for z in cases:
                     dxz = 1.0 - case_similarity(x, z)
                     dxy = 1.0 - case_similarity(x, y)
                     dyz = 1.0 - case_similarity(y, z)

@@ -24,7 +24,7 @@ from possum.engine import (
     result_to_dict,
 )
 from possum.errors import DepthExceededError, UnboundRoleError
-from possum.knowledge import Atom, KnowledgeBase, Rule, World, assert_evidence
+from possum.knowledge import Atom, KnowledgeBase, Rule, World, assert_evidence, validate
 from generators import weighted_kb
 
 T1 = TNormFamily.T1
@@ -380,6 +380,24 @@ class TestBackwardChaining:
         kb.rules["r2"] = _rule("r2", ["b"], "a")
         with pytest.raises(DepthExceededError):
             prove(kb, World("w"), Atom("a"), QueryConfig(max_depth=16))
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=DepthExceededError,
+        reason="prove reads a chain deeper than max_depth (64) as a cycle",
+    )
+    def test_long_acyclic_chain_agrees_with_saturation(self):
+        # An acyclic KB that validates: a0 is a fact, each ai derives
+        # from a(i-1).  Saturation fills its memo bottom-up and answers.
+        kb = KnowledgeBase()
+        for i in range(1, 71):
+            kb.rules[f"r{i}"] = _rule(f"r{i}", [f"a{i - 1}"], f"a{i}", s=1.0)
+        world = World("w")
+        _fact(world, "a0", 0.9)
+        assert validate(kb).ok()
+        saturated = forward_saturate(kb, world)[Atom("a70")]
+        assert saturated == CertaintyInterval(0.9, 1.0)
+        assert prove(kb, world, Atom("a70")).interval == saturated
 
     def test_memo_does_not_change_answers(self):
         for seed in range(8):
