@@ -1,16 +1,17 @@
 """Backward and forward inference over certainty intervals.
 
-A query walks rule and precedent support for a goal depth-first,
-evaluates premises as sub-goals, detaches each support path through its
-rule's strength, aggregates the parallel paths, and reconciles the
-result with any stored evidence about the goal itself.  The rules for
-a goal, and the case templates its precedent link instantiates, come
-from one index grounded in the world's roles, built once per session:
-a matched case fires exactly as a rule does.  Every step is
-kept as a proof node so answers can be explained, and every sub-goal
-records which stored atoms and sub-goals it read: belief revision keeps
-that graph's edges reversed and walks them to invalidate exactly what
-an update touches.
+A query walks rule and precedent support for a goal depth-first on an
+explicit stack, so a chain may be as deep as its KB; a premise already
+on the stack is a cycle, raised as its atom path.  It evaluates
+premises as sub-goals, detaches each support path through its rule's
+strength, aggregates the parallel paths, and reconciles the result with
+any stored evidence about the goal itself.  The rules for a goal, and
+the case templates its precedent link instantiates, come from one index
+grounded in the world's roles, built once per session: a matched case
+fires exactly as a rule does.  Every step is kept as a proof node so
+answers can be explained, and every sub-goal records which stored atoms
+and sub-goals it read: belief revision keeps that graph's edges
+reversed and walks them to invalidate exactly what an update touches.
 
 Context screening is the cheap gate in front of all of this: a rule
 with a context only participates when the world's stored values for the
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Generator, NamedTuple, Optional, Sequence
 
 from .calculus import (
     CertaintyInterval,
@@ -36,14 +37,13 @@ from .calculus import (
     detach,
 )
 from .cbr import CaseTemplate, context_passes, format_path
-from .errors import DepthExceededError, UnboundRoleError
+from .errors import DerivationCycleError, UnboundRoleError
 from .knowledge import (
     Atom,
     KnowledgeBase,
     Rule,
     World,
     assert_evidence,
-    derivation_order,
     lookup,
     substitute,
 )
@@ -73,14 +73,12 @@ class QueryConfig:
     ``context_threshold`` is the activation level a rule's context must
     reach; ``conflict_policy`` decides whether inverted intervals raise
     or degrade to ignorance; ``interactive`` allows prompting for
-    askable facts; ``max_depth`` bounds recursion as a last-resort
-    guard against knowledge bases that slipped past validation.
+    askable facts.
     """
 
     context_threshold: float = 0.5
     conflict_policy: ConflictPolicy = ConflictPolicy.STRICT
     interactive: bool = False
-    max_depth: int = 64
 
 
 @dataclass(slots=True)
@@ -274,7 +272,6 @@ class QuerySession:
         self._use_memo = use_memo
         self._index = index if index is not None else RuleIndex(kb, world.roles)
         self._asked: set[Atom] = set()
-        self._depth = 0
 
     def prove(self, goal: Atom) -> QueryResult:
         """Evaluate one goal; role variables are bound from the world."""
@@ -297,45 +294,59 @@ class QuerySession:
         return self._evaluate(atom).interval
 
     def saturate(self) -> dict[Atom, CertaintyInterval]:
-        """Evaluate every derivable ground conclusion, premises first.
+        """Evaluate every ground conclusion in index order, the KB's.
 
-        Processing follows the dependency order of the predicates, and
-        all goals share this session's memo, so each sub-derivation runs
-        once.  The result maps each derivable atom to the same interval a
-        backward query for it would return.
+        Rules and templates whose consequent the world cannot bind are
+        noted as inactive first.  All goals share this session's memo, so
+        each sub-derivation runs once.  The result maps each derivable
+        atom to the same interval a backward query for it would return.
         """
-        rank = {pred: i for i, pred in enumerate(derivation_order(self.kb))}
-        goals = sorted(
-            self._derivable_goals(), key=lambda a: (rank.get(a.predicate, -1), str(a))
-        )
-        return {goal: self.evaluate(goal) for goal in goals}
+        for rule, _, error in self._index.inactive:
+            self._inactive(rule, error)
+        return {goal: self.evaluate(goal) for goal in self._index.concluding}
 
     # -- internals ---------------------------------------------------
 
     def _evaluate(self, atom: Atom) -> _Entry:
-        if self._use_memo and atom in self._memo:
-            return self._memo[atom]
-        if self._depth >= self.config.max_depth:
-            raise DepthExceededError(
-                f"derivation of {atom} exceeded depth {self.config.max_depth}; "
-                "the knowledge base is probably cyclic"
-            )
+        """Drive ``_derive`` for ``atom`` and each premise it yields
+        that the memo cannot answer; ``stack`` holds each goal under way
+        with its frame and derivation, outermost first."""
+        use_memo = self._use_memo
+        memo = self._memo
+        if use_memo and atom in memo:
+            return memo[atom]
         frame = _Frame()
-        self._depth += 1
-        try:
-            entry = self._derive(atom, frame)
-        finally:
-            self._depth -= 1
-        self._deps[atom] = GoalDependencies(
-            atoms=frozenset(frame.atoms),
-            subgoals=frozenset(frame.subgoals),
-        )
-        self.derived.append(atom)
-        if self._use_memo:
-            self._memo[atom] = entry
-        return entry
+        send = self._derive(atom, frame).send
+        stack = {atom: (frame, send)}
+        entry = None
+        while True:
+            try:
+                premise = send(entry)
+            except StopIteration as done:
+                entry = done.value
+                goal, (frame, _) = stack.popitem()
+                self._deps[goal] = GoalDependencies(
+                    atoms=frozenset(frame.atoms),
+                    subgoals=frozenset(frame.subgoals),
+                )
+                self.derived.append(goal)
+                if use_memo:
+                    memo[goal] = entry
+                if not stack:
+                    return entry
+                _, send = next(reversed(stack.values()))
+                continue
+            entry = memo.get(premise) if use_memo else None
+            if entry is not None:
+                continue
+            if premise in stack:
+                path = [*stack, premise][list(stack).index(premise):]
+                raise DerivationCycleError("derivation cycle: " + " -> ".join(map(str, path)))
+            frame = _Frame()
+            send = self._derive(premise, frame).send
+            stack[premise] = (frame, send)
 
-    def _derive(self, atom: Atom, frame: _Frame) -> _Entry:
+    def _derive(self, atom: Atom, frame: _Frame) -> Generator[Atom, _Entry, _Entry]:
         world = self.world
         config = self.config
 
@@ -376,7 +387,7 @@ class QuerySession:
             premise_values = []
             for premise in premises:
                 frame.subgoals.add(premise)
-                sub = self._evaluate(premise)
+                sub = yield premise
                 child_nodes.append(sub.node)
                 premise_values.append(sub.interval)
             joint = antecedent_eval(rule.family, premise_values)
@@ -470,16 +481,6 @@ class QuerySession:
         )
         return _Entry(final, node)
 
-    def _derivable_goals(self) -> set[Atom]:
-        """Every ground atom some rule or linked template can conclude here.
-
-        A rule or template whose consequent has a role the world leaves
-        unbound concludes nothing here, and is noted as inactive.
-        """
-        for rule, _, error in self._index.inactive:
-            self._inactive(rule, error)
-        return set(self._index.concluding)
-
     def _may_ask(self, atom: Atom) -> bool:
         return (
             self.config.interactive
@@ -520,9 +521,9 @@ def forward_saturate(
 def explain(result: QueryResult) -> str:
     """Render a proof as an indented text tree, one node per line."""
     lines: list[str] = []
-
-    def walk(node: ProofNode, depth: int) -> None:
-        pad = "  " * depth
+    stack = [(result.proof, "")]
+    while stack:
+        node, pad = stack.pop()
         iv = str(node.result)
         if node.kind == "fact":
             lines.append(f"{pad}fact {node.goal} = {iv} via {node.provenance}")
@@ -540,10 +541,8 @@ def explain(result: QueryResult) -> str:
             lines.append(f"{pad}precedent {node.provenance} = {iv}")
         else:
             lines.append(f"{pad}aggregation {node.goal} = {iv} under {node.provenance}")
-        for child in node.children:
-            walk(child, depth + 1)
-
-    walk(result.proof, 0)
+        for child in reversed(node.children):
+            stack.append((child, pad + "  "))
     for note in result.diagnostics:
         lines.append(f"note: {note}")
     return "\n".join(lines)

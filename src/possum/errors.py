@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 Every deliberate failure raised by possum derives from PossumError, so
-callers (the CLI in particular) can separate engine-reported conditions
+callers (the CLI in particular) can separate engine-reported conditions,
+such as a derivation cycle in a knowledge base that skipped validation,
 from plain bugs.  Conflict errors get their own branch: they signal
 inconsistent evidence rather than misuse of the API, and the CLI maps
 them to a distinct exit code.
@@ -43,8 +44,8 @@ class UnknownPathError(PossumError):
     """A taxonomy path was referenced but never declared."""
 
 
-class DepthExceededError(PossumError):
-    """Backward chaining exceeded the configured recursion budget."""
+class DerivationCycleError(PossumError):
+    """A goal's derivation needs that goal itself as a premise."""
 
 
 class ParseError(PossumError):

@@ -1,9 +1,12 @@
 """Command-line behaviour: verbs, exit codes, file rewriting, the repl."""
 
 import json
+import os
 import shutil
+import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -69,6 +72,23 @@ class TestLoad:
         captured = capsys.readouterr()
         assert rc == 1
         assert "validation:" in captured.err
+
+    def test_saturate_reports_a_cycle_without_a_traceback(self, tmp_path):
+        bad = tmp_path / "cycle.kb"
+        bad.write_text(
+            "rule up tnorm T2 suff 0.9 nec 0 { if (a) then (b) }\n"
+            "rule down tnorm T2 suff 0.9 nec 0 { if (b) then (a) }\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "possum.cli", "saturate", str(bad), DEMO_WORLD],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.returncode == 1
+        assert done.stderr == "possum: derivation cycle: (b) -> (a) -> (b)\n"
+        assert "Traceback" not in done.stdout + done.stderr
 
     def test_parse_error_reports_position(self, tmp_path, capsys):
         bad = tmp_path / "broken.kb"

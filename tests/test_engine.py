@@ -1,11 +1,16 @@
 """Context screening, backward chaining, forward saturation, proofs."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import possum
 from possum.calculus import (
     CertaintyInterval,
     ConflictPolicy,
@@ -23,8 +28,9 @@ from possum.engine import (
     prove,
     result_to_dict,
 )
-from possum.errors import DepthExceededError, UnboundRoleError
+from possum.errors import DerivationCycleError, UnboundRoleError
 from possum.knowledge import Atom, KnowledgeBase, Rule, World, assert_evidence, validate
+from possum.revision import DependencyTracker
 from generators import weighted_kb
 
 T1 = TNormFamily.T1
@@ -374,18 +380,32 @@ class TestBackwardChaining:
         with pytest.raises(UnboundRoleError):
             prove(KnowledgeBase(), World("w"), Atom("p", ("?ghost",)))
 
-    def test_cycle_hits_depth_guard(self):
+    def test_cycle_reported_as_atom_path(self):
         kb = KnowledgeBase()
         kb.rules["r1"] = _rule("r1", ["a"], "b")
         kb.rules["r2"] = _rule("r2", ["b"], "a")
-        with pytest.raises(DepthExceededError):
-            prove(kb, World("w"), Atom("a"), QueryConfig(max_depth=16))
+        with pytest.raises(DerivationCycleError) as caught:
+            prove(kb, World("w"), Atom("a"))
+        assert str(caught.value) == "derivation cycle: (a) -> (b) -> (a)"
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=DepthExceededError,
-        reason="prove reads a chain deeper than max_depth (64) as a cycle",
-    )
+    def test_self_loop_reported(self):
+        kb = KnowledgeBase()
+        kb.rules["r"] = _rule("r", ["a"], "a")
+        with pytest.raises(DerivationCycleError) as caught:
+            forward_saturate(kb, World("w"))
+        assert str(caught.value) == "derivation cycle: (a) -> (a)"
+
+    def test_cycle_through_precedent_link_reported_as_validate_does(self):
+        # p <- q by rule; q <- p by the case the link on q instantiates.
+        kb = KnowledgeBase()
+        kb.rules["r"] = _rule("r", ["q"], "p")
+        kb.case_library.add(CaseTemplate("c", ("k",), (), (), (Atom("p"),), Atom("q"), 0.9, 0.0, T2))
+        kb.precedent_links["q"] = PrecedentLink("q", ("k",), T2)
+        assert validate(kb).cycles == [["p", "q", "p"]]
+        with pytest.raises(DerivationCycleError) as caught:
+            prove(kb, World("w"), Atom("p"))
+        assert str(caught.value) == "derivation cycle: (p) -> (q) -> (p)"
+
     def test_long_acyclic_chain_agrees_with_saturation(self):
         # An acyclic KB that validates: a0 is a fact, each ai derives
         # from a(i-1).  Saturation fills its memo bottom-up and answers.
@@ -594,3 +614,112 @@ class TestForwardBackwardRandom:
             for goal, interval in table.items():
                 fresh = prove(kb, world.copy(), goal, config)
                 assert fresh.interval == interval, f"seed {seed}, goal {goal}"
+
+
+def _deep_chain(depth):
+    # a0 is a fact and each ai derives from a(i-1).  The rules are filed
+    # top-down, so saturation starts at the deepest goal.
+    kb = KnowledgeBase()
+    for i in range(depth, 0, -1):
+        kb.rules[f"r{i}"] = _rule(f"r{i}", [f"a{i - 1}"], f"a{i}", s=0.999)
+    world = World("w")
+    _fact(world, "a0", 0.9)
+    return kb, world, Atom(f"a{depth}")
+
+
+def _diamond_chain(depth):
+    # The shape of perfbench's diamond_chain: l(i) and r(i) derive from
+    # n(i-1), and n(i) joins them; a0 is the fact at the bottom.
+    kb = KnowledgeBase()
+    for i in range(depth, 0, -1):
+        below = f"n{i - 1}" if i > 1 else "a0"
+        kb.rules[f"l{i}"] = _rule(f"l{i}", [below], f"l{i}", s=0.99, family=T1)
+        kb.rules[f"r{i}"] = _rule(f"r{i}", [below], f"r{i}", s=0.98, family=T3)
+        kb.rules[f"j{i}"] = _rule(f"j{i}", [f"l{i}", f"r{i}"], f"n{i}", s=0.999)
+    world = World("w")
+    _fact(world, "a0", 0.9)
+    return kb, world, Atom(f"n{depth}")
+
+
+class TestDeepDerivations:
+    @pytest.mark.parametrize("build, depth", [(_deep_chain, 1000), (_diamond_chain, 30)])
+    def test_prove_saturate_and_revision_agree(self, build, depth):
+        kb, world, top = build(depth)
+        assert validate(kb).ok()
+        table = forward_saturate(kb, world.copy())
+        session = QuerySession(kb, world.copy())
+        assert session.prove(top).interval == table[top]
+        assert {goal: session.evaluate(goal) for goal in table} == table
+        tracker = DependencyTracker(kb, world)
+        tracker.query(top)
+        assert top in tracker.on_update(Atom("a0"), CertaintyInterval(0.95, 1.0), "s2")
+        tracker.recompute()
+        assert tracker.records[top].cached == prove(kb, world.copy(), top).interval
+
+    def test_explain_walks_a_deep_chain(self):
+        kb, world, top = _deep_chain(1000)
+        lines = explain(prove(kb, world, top)).splitlines()
+        assert len(lines) == 2 * 1000 + 1
+        assert lines[0].startswith("aggregation (a1000) = ")
+        assert lines[-1] == "  " * 2000 + "fact (a0) = [0.9000, 1.0000] via s"
+
+
+# One generated KB (tests/generators.dsl_kb at seed 2571, rendered) whose
+# three saturation notes came out in an order that followed the string
+# hash seed while saturation ranked goals by predicate.
+_NOTES_KB = """\
+taxonomy alpha/zone-a;
+taxonomy zone-a;
+
+rule rule-0 tnorm T3 suff 0.08338783356357271 nec 0.072 {
+  if (pred0-long-name Konst)
+     (pred3 ?x ?x)
+  then (pred1-x Other)
+}
+
+rule rule-1 path alpha/zone-a context (pred0-long-name) tnorm T2 suff 0.748 nec 0 {
+  if (pred3 ?y Other)
+  then (pred2.alt)
+}
+
+rule rule-2 path zone-a context (pred4_v2 Konst) tnorm T1 suff 0 nec 0 {
+  if (pred2.alt)
+     (pred3 ?x)
+  then (pred4_v2 ?y Konst)
+}
+
+precedent (pred1-x) from zone-a tnorm T1;
+precedent (pred2.alt) from alpha/zone-a tnorm T3;
+"""
+
+_NOTES_SCRIPT = """\
+import json, sys
+from possum.dsl import parse_kb
+from possum.engine import QuerySession
+from possum.knowledge import World
+session = QuerySession(parse_kb(sys.stdin.read()), World("w", roles={"?y": "B"}))
+session.saturate()
+print(json.dumps(session.diagnostics))
+"""
+
+
+class TestSaturationOrder:
+    def test_notes_follow_the_kb_under_any_hash_seed(self):
+        src = str(Path(possum.__file__).resolve().parents[1])
+        runs = []
+        for seed in ("0", "1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+            done = subprocess.run(
+                [sys.executable, "-c", _NOTES_SCRIPT],
+                input=_NOTES_KB,
+                capture_output=True,
+                text=True,
+                env=env,
+                check=True,
+            )
+            runs.append(json.loads(done.stdout))
+        assert runs == [[
+            "rule rule-0 inactive: role ?x is unbound in (pred3 ?x ?x)",
+            "no precedent support for (pred1-x Other) under zone-a",
+            "no precedent support for (pred2.alt) under alpha/zone-a",
+        ]] * 3

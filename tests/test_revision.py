@@ -8,7 +8,7 @@ from possum.calculus import CertaintyInterval, ConflictPolicy, TNormFamily
 from possum import revision
 from possum.cbr import CaseTemplate, PrecedentLink
 from possum.engine import QueryConfig, forward_saturate, prove
-from possum.errors import DepthExceededError
+from possum.errors import DerivationCycleError
 from possum.knowledge import Atom, KnowledgeBase, Rule, World, assert_evidence
 from possum.revision import DependencyTracker
 from generators import random_update, weighted_kb
@@ -326,7 +326,7 @@ class TestRecords:
         world = World("w")
         assert_evidence(world, Atom("b"), CertaintyInterval(0.8, 1.0), "s")
         tracker = DependencyTracker(kb, world)
-        with pytest.raises(DepthExceededError):
+        with pytest.raises(DerivationCycleError):
             tracker.query(Atom("q"))
         assert _reader_sets(tracker) == _invert(tracker._deps)
         tracker.query(Atom("a2"))
