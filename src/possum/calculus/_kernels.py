@@ -81,11 +81,6 @@ def tnorm_many(code: int, values) -> float:
     raise ValueError(f"unknown family code {code}")
 
 
-def tconorm_pair(code: int, a: float, b: float) -> float:
-    """Disjunction, defined as the De Morgan dual of the conjunction."""
-    return 1.0 - tnorm_pair(code, 1.0 - a, 1.0 - b)
-
-
 def tconorm_many(code: int, values) -> float:
     """Disjunction of one or more values, dual to ``tnorm_many``."""
     return 1.0 - tnorm_many(code, [1.0 - v for v in values])

@@ -179,19 +179,36 @@ def _print_notes(diagnostics: list[str]) -> None:
         print(_paint(f"note: {note}", "33"))
 
 
-def _stdin_asker(atom: Atom) -> CertaintyInterval | None:
-    while True:
-        try:
-            raw = input(f"belief in {atom}? enter [l, u] or leave blank to skip: ")
-        except EOFError:
-            return None
-        raw = raw.strip()
-        if not raw:
-            return None
-        try:
-            return parse_interval_text(raw)
-        except PossumError as err:
-            print(f"could not read that interval ({err}); try again or leave blank")
+class _StdinAsker:
+    """Asks stdin about the askable facts a query meets.
+
+    At a terminal, a line that is not an interval is reported and asked
+    again.  Piped input holds no reply to that report, only the lines
+    meant for what follows, so there such a line declines the prompt
+    and is kept in ``pending``; later prompts decline without reading
+    until the repl takes the line to run as its next command.
+    """
+
+    def __init__(self) -> None:
+        self.pending: str | None = None
+
+    def __call__(self, atom: Atom) -> CertaintyInterval | None:
+        while self.pending is None:
+            try:
+                raw = input(f"belief in {atom}? enter [l, u] or leave blank to skip: ")
+            except EOFError:
+                return None
+            raw = raw.strip()
+            if not raw:
+                return None
+            try:
+                return parse_interval_text(raw)
+            except PossumError as err:
+                if sys.stdin.isatty():
+                    print(f"could not read that interval ({err}); try again or leave blank")
+                else:
+                    self.pending = raw
+        return None
 
 
 def _run_query(args: argparse.Namespace, want_trace: bool) -> int:
@@ -200,7 +217,7 @@ def _run_query(args: argparse.Namespace, want_trace: bool) -> int:
     goal, negated = parse_goal(args.goal)
     interactive = getattr(args, "interactive", False)
     config = _config(args, interactive=interactive)
-    asker = _stdin_asker if interactive else None
+    asker = _StdinAsker() if interactive else None
     result = prove(kb, world, goal, config, asker)
     interval = result.interval.complement() if negated else result.interval
     shown_goal = f"(not {result.goal})" if negated else str(result.goal)
@@ -335,9 +352,9 @@ commands:
 """
 
 
-def _repl_query(kb, world, config, goal_text: str) -> QueryResult | None:
+def _repl_query(kb, world, config, asker, goal_text: str) -> QueryResult | None:
     goal, negated = parse_goal(goal_text)
-    result = QuerySession(kb, world, config, _stdin_asker).prove(goal)
+    result = QuerySession(kb, world, config, asker).prove(goal)
     interval = result.interval.complement() if negated else result.interval
     shown = f"(not {result.goal})" if negated else str(result.goal)
     print(f"{shown} = {_interval_str(interval)}")
@@ -349,15 +366,19 @@ def _cmd_repl(args: argparse.Namespace) -> int:
     kb = load_kb(args.kb)
     world = load_world(args.world, _policy(args))
     config = _config(args, interactive=True)
+    asker = _StdinAsker()
     last: QueryResult | None = None
     last_goal_text: str | None = None
     print(f"possum {__version__}; world {world.identifier}; 'help' lists commands")
     while True:
-        try:
-            line = input("possum> ").strip()
-        except EOFError:
-            print()
-            return 0
+        if asker.pending is not None:
+            line, asker.pending = asker.pending, None
+        else:
+            try:
+                line = input("possum> ").strip()
+            except EOFError:
+                print()
+                return 0
         if not line:
             continue
         verb, _, rest = line.partition(" ")
@@ -368,7 +389,7 @@ def _cmd_repl(args: argparse.Namespace) -> int:
             elif verb == "help":
                 print(_REPL_HELP)
             elif verb == "query":
-                last = _repl_query(kb, world, config, rest)
+                last = _repl_query(kb, world, config, asker, rest)
                 last_goal_text = rest
             elif verb == "why":
                 if last is None:
@@ -389,7 +410,7 @@ def _cmd_repl(args: argparse.Namespace) -> int:
                 ground = substitute(atom, twin.roles)
                 assert_evidence(twin, ground, interval, source or "what-if", config.conflict_policy)
                 print(f"with {ground} = {interval}:")
-                _repl_query(kb, twin, config, last_goal_text)
+                _repl_query(kb, twin, config, asker, last_goal_text)
             elif verb == "cases":
                 notes: list[str] = []
                 found = retrieve(

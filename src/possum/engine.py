@@ -519,52 +519,92 @@ def forward_saturate(
 
 
 def explain(result: QueryResult) -> str:
-    """Render a proof as an indented text tree, one node per line."""
+    """Render a proof as an indented text tree, then the session's notes.
+
+    The tree has one line per node of the proof walked as a tree, so a
+    sub-proof the memo shares appears in full under every step that
+    used it.  Each ``(node, depth)`` is formatted once: the walk keeps
+    the span of lines a pair produced and copies that span when the
+    pair recurs, so the cost beyond the output's own size follows the
+    distinct nodes, not the tree.
+    """
     lines: list[str] = []
-    stack = [(result.proof, "")]
+    spans: dict[tuple[int, int], tuple[int, int]] = {}
+    # (node, depth, None) renders a pair; (node, depth, start) closes the
+    # span that rendering opened at line ``start``.
+    stack: list[tuple[ProofNode, int, int | None]] = [(result.proof, 0, None)]
     while stack:
-        node, pad = stack.pop()
-        iv = str(node.result)
-        if node.kind == "fact":
-            lines.append(f"{pad}fact {node.goal} = {iv} via {node.provenance}")
-        elif node.kind == "rule-instance":
-            lines.append(
-                f"{pad}rule-instance {node.provenance}: "
-                f"premise {node.premise_interval} -> {iv}"
-            )
-        elif node.kind == "case-instance":
-            lines.append(
-                f"{pad}case-instance {node.provenance}: "
-                f"match {node.premise_interval} -> {iv}"
-            )
-        elif node.kind == "precedent":
-            lines.append(f"{pad}precedent {node.provenance} = {iv}")
-        else:
-            lines.append(f"{pad}aggregation {node.goal} = {iv} under {node.provenance}")
+        node, depth, start = stack.pop()
+        key = (id(node), depth)
+        if start is not None:
+            spans[key] = (start, len(lines))
+            continue
+        span = spans.get(key)
+        if span is not None:
+            lines += lines[span[0]:span[1]]
+            continue
+        stack.append((node, depth, len(lines)))
+        lines.append(_proof_line(node, "  " * depth))
         for child in reversed(node.children):
-            stack.append((child, pad + "  "))
+            stack.append((child, depth + 1, None))
     for note in result.diagnostics:
         lines.append(f"note: {note}")
     return "\n".join(lines)
 
 
-def proof_to_dict(node: ProofNode) -> dict:
-    out: dict = {
-        "kind": node.kind,
-        "goal": str(node.goal),
-        "result": [node.result.lower, node.result.upper],
-        "provenance": node.provenance,
-    }
-    if node.premise_interval is not None:
-        out["premise"] = [node.premise_interval.lower, node.premise_interval.upper]
-    if node.detached_interval is not None:
-        out["detached"] = [node.detached_interval.lower, node.detached_interval.upper]
-    if node.children:
-        out["children"] = [proof_to_dict(c) for c in node.children]
-    return out
+def _proof_line(node: ProofNode, pad: str) -> str:
+    iv = str(node.result)
+    if node.kind == "fact":
+        return f"{pad}fact {node.goal} = {iv} via {node.provenance}"
+    if node.kind == "rule-instance":
+        return f"{pad}rule-instance {node.provenance}: premise {node.premise_interval} -> {iv}"
+    if node.kind == "case-instance":
+        return f"{pad}case-instance {node.provenance}: match {node.premise_interval} -> {iv}"
+    if node.kind == "precedent":
+        return f"{pad}precedent {node.provenance} = {iv}"
+    return f"{pad}aggregation {node.goal} = {iv} under {node.provenance}"
+
+
+def proof_to_dict(root: ProofNode) -> list[dict]:
+    """The proof as a node table: one dict per distinct node.
+
+    Nodes are numbered in preorder of their first visit, so entry 0 is
+    ``root``, and ``"children"`` holds the children's entry numbers.  A
+    sub-proof the memo shares is one entry that several parents list,
+    so the table's size follows the distinct nodes, not the tree.
+    """
+    nodes: list[ProofNode] = []
+    number: dict[int, int] = {}
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in number:
+            number[id(node)] = len(nodes)
+            nodes.append(node)
+            stack.extend(reversed(node.children))
+    table = []
+    for node in nodes:
+        out: dict = {
+            "kind": node.kind,
+            "goal": str(node.goal),
+            "result": [node.result.lower, node.result.upper],
+            "provenance": node.provenance,
+        }
+        if node.premise_interval is not None:
+            out["premise"] = [node.premise_interval.lower, node.premise_interval.upper]
+        if node.detached_interval is not None:
+            out["detached"] = [node.detached_interval.lower, node.detached_interval.upper]
+        if node.children:
+            out["children"] = [number[id(c)] for c in node.children]
+        table.append(out)
+    return table
 
 
 def result_to_dict(result: QueryResult) -> dict:
+    """A query's answer, notes and proof as JSON-ready data.
+
+    ``proof`` is ``proof_to_dict``'s node table, root first.
+    """
     return {
         "goal": str(result.goal),
         "interval": [result.interval.lower, result.interval.upper],

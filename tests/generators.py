@@ -1,10 +1,10 @@
 """Random knowledge-base builders shared across the suite.
 
-Three flavours: crisp AND-circuits whose engine answers must equal a
+Four flavours: crisp AND-circuits whose engine answers must equal a
 boolean oracle, weighted layered KBs (optionally with contexts, facts
 on derived atoms, and a small case library) for revision and
-forward/backward comparisons, and fully random KBs aimed at the
-renderer round trip.
+forward/backward comparisons, fully random KBs aimed at the renderer
+round trip, and chains of diamonds whose proofs share sub-proofs.
 
 The crisp builder keeps exactly one premise body per derived predicate
 (duplicate bodies allowed): with full-strength rules, a goal holding
@@ -260,3 +260,37 @@ def dsl_kb(rng: random.Random) -> KnowledgeBase:
             pred, rng.choice(path_list), rng.choice(FAMILIES)
         )
     return kb
+
+
+def diamond_kb(rng: random.Random, depth: int) -> tuple[KnowledgeBase, World, Atom]:
+    """A chain of diamonds: l(i) and r(i) derive from n(i-1), n(i) joins them.
+
+    The memo proves each atom once, but the proof walked as a tree
+    visits n(i) 2**(depth-i) times.  On the top four levels each l/r
+    atom may get a stored fact and a second rule straight from n0, so
+    n0's sub-proof also recurs at several depths.  Necessity is 0 and
+    upper bounds stay at 1, so no evidence conflicts.  Returns (kb,
+    world, top goal).
+    """
+    kb = KnowledgeBase()
+    world = World("D")
+    assert_evidence(world, Atom("n0"), CertaintyInterval(rng.uniform(0.5, 1.0), 1.0), "seed")
+
+    def rule(ident: str, body: tuple[str, ...], head: str, lo: float, hi: float) -> None:
+        kb.rules[ident] = Rule(
+            ident, (), tuple(map(Atom, body)), Atom(head), rng.uniform(lo, hi), 0.0,
+            rng.choice(FAMILIES),
+        )
+
+    for i in range(1, depth + 1):
+        rule(f"l{i}", (f"n{i - 1}",), f"l{i}", 0.8, 1.0)
+        rule(f"r{i}", (f"n{i - 1}",), f"r{i}", 0.8, 1.0)
+        rule(f"j{i}", (f"l{i}", f"r{i}"), f"n{i}", 0.8, 1.0)
+    for i in range(max(1, depth - 3), depth + 1):
+        for side in ("l", "r"):
+            if rng.random() < 0.5:
+                interval = CertaintyInterval(rng.uniform(0.0, 0.5), 1.0)
+                assert_evidence(world, Atom(f"{side}{i}"), interval, "note")
+            if rng.random() < 0.5:
+                rule(f"{side}{i}-direct", ("n0",), f"{side}{i}", 0.3, 0.8)
+    return kb, world, Atom(f"n{depth}")

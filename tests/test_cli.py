@@ -25,6 +25,18 @@ def plain_output(monkeypatch):
     monkeypatch.setenv("POSSUM_COLOR", "never")
 
 
+def _possum(*args, stdin=None):
+    """Run ``python -m possum.cli`` in a fresh process, stdin piped."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "possum.cli", *args],
+        input=stdin,
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+
+
 @pytest.fixture()
 def world_copy(tmp_path):
     target = tmp_path / "m1.world"
@@ -79,13 +91,7 @@ class TestLoad:
             "rule up tnorm T2 suff 0.9 nec 0 { if (a) then (b) }\n"
             "rule down tnorm T2 suff 0.9 nec 0 { if (b) then (a) }\n"
         )
-        src = str(Path(cli.__file__).resolve().parents[1])
-        done = subprocess.run(
-            [sys.executable, "-m", "possum.cli", "saturate", str(bad), DEMO_WORLD],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": src},
-        )
+        done = _possum("saturate", str(bad), DEMO_WORLD)
         assert done.returncode == 1
         assert done.stderr == "possum: derivation cycle: (b) -> (a) -> (b)\n"
         assert "Traceback" not in done.stdout + done.stderr
@@ -120,7 +126,25 @@ class TestQuery:
         assert payload["goal"] == "(anti-trust-success Mobil Marathon)"
         assert payload["interval"][0] == pytest.approx(0.93818516, abs=1e-6)
         assert payload["interval"][1] == pytest.approx(0.98, abs=1e-12)
-        assert payload["proof"]["kind"] == "aggregation"
+        proof = payload["proof"]
+        assert proof[0]["kind"] == "aggregation"
+        assert proof[proof[0]["children"][0]]["kind"] == "rule-instance"
+
+    def test_json_answers_a_deep_chain(self, tmp_path):
+        # a0 is a fact and each ai derives from a(i-1): a proof 601 nodes deep.
+        kb = tmp_path / "chain.kb"
+        kb.write_text("".join(
+            f"rule r{i} tnorm T2 suff 0.999 nec 0 {{ if (a{i - 1}) then (a{i}) }}\n"
+            for i in range(1, 301)
+        ))
+        world = tmp_path / "w.world"
+        world.write_text("world w {\n  fact (a0) [0.9, 1] @s;\n}\n")
+        done = _possum("query", str(kb), str(world), "(a300)", "--format", "json")
+        assert done.returncode == 0, done.stderr
+        payload = json.loads(done.stdout)
+        assert payload["goal"] == "(a300)"
+        assert len(payload["proof"]) == 2 * 300 + 1
+        assert payload["proof"][-1]["goal"] == "(a0)"
 
     def test_trace_appends_proof(self, capsys):
         rc = main(["query", DEMO_KB, DEMO_WORLD, GOAL, "--trace"])
@@ -397,6 +421,23 @@ class TestRepl:
         out = capsys.readouterr().out
         assert rc == 0
         assert "conflict:" in out
+
+    def test_piped_commands_after_an_askable_prompt_run(self):
+        # The query asks about one askable fact; from a pipe, the next
+        # line is a command, so it declines the prompt and runs.
+        commands = [f"query {GOAL}", "why", "cases defense", "saturate", "quit"]
+        done = _possum("repl", DEMO_KB, DEMO_WORLD, stdin="\n".join(commands) + "\n")
+        assert done.returncode == 0
+        assert "could not read that interval" not in done.stdout
+        assert done.stdout.count("belief in (weak-foreign-competition Mobil Marathon)?") == 1
+        assert "precedent defense/anti-trust" in done.stdout
+        assert "brown-shoe  defense/anti-trust/market-dominance" in done.stdout
+        saturated = (
+            "possum> (anti-trust-success Mobil Marathon) = [0.9382, 0.9800]\n"
+            "(highly-concentrated-market Mobil Marathon) = [0.7200, 1.0000]\n"
+        )
+        assert saturated in done.stdout
+        assert done.stdout.endswith("possum> ")
 
     def test_eof_ends_cleanly(self, monkeypatch, capsys):
         _feed(monkeypatch, [])

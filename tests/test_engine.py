@@ -25,13 +25,14 @@ from possum.engine import (
     RuleIndex,
     explain,
     forward_saturate,
+    proof_to_dict,
     prove,
     result_to_dict,
 )
 from possum.errors import DerivationCycleError, UnboundRoleError
 from possum.knowledge import Atom, KnowledgeBase, Rule, World, assert_evidence, validate
 from possum.revision import DependencyTracker
-from generators import weighted_kb
+from generators import diamond_kb, weighted_kb
 
 T1 = TNormFamily.T1
 T2 = TNormFamily.T2
@@ -569,8 +570,9 @@ class TestExplain:
         round_tripped = json.loads(json.dumps(payload))
         assert round_tripped["goal"] == "(g)"
         assert round_tripped["interval"] == [0.595, 1.0]
-        assert round_tripped["proof"]["kind"] == "aggregation"
-        assert round_tripped["proof"]["children"][0]["kind"] == "rule-instance"
+        proof = round_tripped["proof"]
+        assert proof[0]["kind"] == "aggregation"
+        assert proof[proof[0]["children"][0]]["kind"] == "rule-instance"
 
 
 class TestDemoScenario:
@@ -662,6 +664,108 @@ class TestDeepDerivations:
         assert len(lines) == 2 * 1000 + 1
         assert lines[0].startswith("aggregation (a1000) = ")
         assert lines[-1] == "  " * 2000 + "fact (a0) = [0.9000, 1.0000] via s"
+
+    def test_result_dict_serialises_a_deep_chain(self):
+        kb, world, top = _deep_chain(1000)
+        payload = json.loads(json.dumps(result_to_dict(prove(kb, world, top))))
+        proof = payload["proof"]
+        assert len(proof) == 2 * 1000 + 1
+        assert proof[0]["goal"] == "(a1000)"
+        assert proof[-1] == {
+            "kind": "fact", "goal": "(a0)", "result": [0.9, 1.0], "provenance": "s"
+        }
+
+
+def _explain_tree_walk(result):
+    """Reference: format every node of the proof walked as a tree."""
+    lines = []
+    stack = [(result.proof, "")]
+    while stack:
+        node, pad = stack.pop()
+        iv = str(node.result)
+        if node.kind == "fact":
+            lines.append(f"{pad}fact {node.goal} = {iv} via {node.provenance}")
+        elif node.kind == "rule-instance":
+            lines.append(
+                f"{pad}rule-instance {node.provenance}: "
+                f"premise {node.premise_interval} -> {iv}"
+            )
+        elif node.kind == "case-instance":
+            lines.append(
+                f"{pad}case-instance {node.provenance}: "
+                f"match {node.premise_interval} -> {iv}"
+            )
+        elif node.kind == "precedent":
+            lines.append(f"{pad}precedent {node.provenance} = {iv}")
+        else:
+            lines.append(f"{pad}aggregation {node.goal} = {iv} under {node.provenance}")
+        for child in reversed(node.children):
+            stack.append((child, pad + "  "))
+    for note in result.diagnostics:
+        lines.append(f"note: {note}")
+    return "\n".join(lines)
+
+
+def _nested_proof_dict(node):
+    """Reference: the proof as nested dicts, one per node of the tree walk."""
+    out = {
+        "kind": node.kind,
+        "goal": str(node.goal),
+        "result": [node.result.lower, node.result.upper],
+        "provenance": node.provenance,
+    }
+    if node.premise_interval is not None:
+        out["premise"] = [node.premise_interval.lower, node.premise_interval.upper]
+    if node.detached_interval is not None:
+        out["detached"] = [node.detached_interval.lower, node.detached_interval.upper]
+    if node.children:
+        out["children"] = [_nested_proof_dict(c) for c in node.children]
+    return out
+
+
+def _expand(table, k=0):
+    entry = dict(table[k])
+    if "children" in entry:
+        entry["children"] = [_expand(table, c) for c in entry["children"]]
+    return entry
+
+
+def _distinct_nodes(root):
+    seen = set()
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node.children)
+    return len(seen)
+
+
+SHARED_PROOFS = ["demo"] + [(depth, seed) for depth in (8, 12) for seed in range(1, 6)]
+
+
+@pytest.fixture(params=SHARED_PROOFS, ids=str)
+def shared_proof(request):
+    if request.param == "demo":
+        kb = parse_kb(DATA.joinpath("demo.kb").read_text(), "demo.kb")
+        world = parse_world(DATA.joinpath("m1.world").read_text(), "m1.world")
+        goal = Atom("anti-trust-success", ("?raider", "?target"))
+    else:
+        depth, seed = request.param
+        kb, world, goal = diamond_kb(random.Random(seed), depth)
+    return prove(kb, world, goal)
+
+
+class TestSharedProofs:
+    def test_explain_matches_a_tree_walk(self, shared_proof):
+        assert explain(shared_proof) == _explain_tree_walk(shared_proof)
+
+    def test_table_has_one_entry_per_distinct_node_root_first(self, shared_proof):
+        table = proof_to_dict(shared_proof.proof)
+        assert len(table) == _distinct_nodes(shared_proof.proof)
+        root = _nested_proof_dict(shared_proof.proof)
+        assert table[0] == {**root, "children": table[0]["children"]}
+        assert _expand(table) == root
 
 
 # One generated KB (tests/generators.dsl_kb at seed 2571, rendered) whose
