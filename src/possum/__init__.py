@@ -1,10 +1,12 @@
 """possum: possibilistic rule- and case-based reasoning.
 
-The package is layered bottom-up: ``calculus`` (interval arithmetic),
-``knowledge`` (atoms, rules, worlds), ``dsl`` (the textual language),
-``cbr`` (hierarchical case library, retrieval and case similarity),
-``engine`` (backward and forward inference), ``revision``
-(dependency-tracked belief updates), ``cli`` (the ``possum`` command).
+The package is layered bottom-up, and no module imports one above it:
+``errors`` (the exception types) and ``calculus`` (interval
+arithmetic); ``knowledge`` (atoms, rules, case templates and their
+library, worlds); ``dsl`` (the textual language) and ``engine``
+(screening, backward and forward inference); ``cbr`` (case retrieval
+and case similarity) and ``revision`` (dependency-tracked belief
+updates); ``cli`` (the ``possum`` command).
 """
 
 from .calculus import (

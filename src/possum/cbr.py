@@ -1,28 +1,31 @@
-"""Hierarchical case library, retrieval and case similarity.
+"""Case retrieval and case similarity.
 
-Cases are stored as *templates*: parameterised rules filed under a
-taxonomy path, carrying the same sufficiency/necessity grading as
-ordinary rules.  A precedent differs from a rule only in how it is
-found (by searching a subtree of the taxonomy) and in how its premises
-are read (as the profile of a past decided situation to be compared
-against the present one).  The engine indexes the templates a
-precedent link instantiates next to the rules and fires them through
-the same gate, detachment and aggregation as everything else; case
-similarity reads the premise profiles of the ``case-instance`` proof
-nodes that firing leaves behind.
+The case model lives in ``knowledge`` beside ``Rule``: a case template
+is a rule filed under a taxonomy path, with the same sufficiency and
+necessity grading, and the engine fires the templates a precedent link
+instantiates exactly as it fires rules.  This module holds what only
+cases have.  ``retrieve`` finds the templates under a taxonomy node
+that pass the engine's screening gate, and ``case_similarity`` compares
+two fired cases by the premise profiles their ``case-instance`` proof
+nodes keep.  ``CaseTemplate``, ``CaseLibrary``, ``PrecedentLink``,
+``parse_path`` and ``format_path`` are re-exported from ``knowledge``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
-
-from .calculus import CertaintyInterval, TNormFamily, antecedent_eval, similarity_from_distance
-from .errors import DomainError, UnboundRoleError, UnknownPathError
-from .knowledge import Atom, World, lookup, substitute
-
-if TYPE_CHECKING:
-    from .engine import ProofNode, QueryConfig
+from .calculus import similarity_from_distance
+from .engine import ProofNode, QueryConfig, context_passes
+from .errors import DomainError, UnknownPathError
+from .knowledge import (
+    CaseLibrary,
+    CaseTemplate,
+    Path,
+    PrecedentLink,
+    World,
+    format_path,
+    lookup,
+    parse_path,
+)
 
 __all__ = [
     "CaseTemplate",
@@ -32,124 +35,14 @@ __all__ = [
     "format_path",
     "retrieve",
     "case_similarity",
-    "context_passes",
 ]
-
-Path = tuple[str, ...]
-Evaluator = Callable[[Atom], CertaintyInterval]
-
-
-def parse_path(text: str) -> Path:
-    """Split ``defense/anti-trust`` into its segments."""
-    parts = tuple(p for p in text.strip().split("/") if p)
-    if not parts:
-        raise DomainError(f"empty taxonomy path {text!r}")
-    return parts
-
-
-def format_path(path: Path) -> str:
-    return "/".join(path) if path else "/"
-
-
-@dataclass(frozen=True, slots=True)
-class CaseTemplate:
-    """A decided case, generalised over its role variables."""
-
-    identifier: str
-    path: Path
-    roles: tuple[str, ...]
-    context: tuple[Atom, ...]
-    antecedents: tuple[Atom, ...]
-    consequent: Atom
-    sufficiency: float
-    necessity: float
-    family: TNormFamily
-
-    def __post_init__(self) -> None:
-        if not self.antecedents:
-            raise DomainError(f"case {self.identifier} has no premises")
-
-
-@dataclass(frozen=True, slots=True)
-class PrecedentLink:
-    """Marks a predicate as arguable from precedent.
-
-    The link instantiates the templates filed under ``path`` that
-    conclude ``target_predicate`` (``KnowledgeBase.linked_templates``);
-    the engine combines the contributions of those that fire for a goal
-    with ``family``'s dual conorm.  At most one link per predicate.
-    """
-
-    target_predicate: str
-    path: Path
-    family: TNormFamily
-
-
-@dataclass(slots=True)
-class CaseLibrary:
-    """Case templates filed under declared taxonomy paths."""
-
-    paths: set[Path] = field(default_factory=set)
-    templates: dict[str, CaseTemplate] = field(default_factory=dict)
-
-    def declare_path(self, path: Path) -> None:
-        self.paths.add(tuple(path))
-
-    def add(self, template: CaseTemplate) -> None:
-        if template.identifier in self.templates:
-            raise DomainError(f"duplicate case identifier {template.identifier}")
-        self.templates[template.identifier] = template
-
-    def has_path(self, path: Path) -> bool:
-        """True for the root, any declared path, and any ancestor of one."""
-        if not path:
-            return True
-        return any(declared[: len(path)] == tuple(path) for declared in self.paths)
-
-    def templates_at(self, path: Path) -> list[CaseTemplate]:
-        """Templates filed at or below a node, ordered by (path, identifier)."""
-        node = tuple(path)
-        found = [t for t in self.templates.values() if t.path[: len(node)] == node]
-        found.sort(key=lambda t: (t.path, t.identifier))
-        return found
-
-
-def context_passes(
-    context: tuple[Atom, ...],
-    world: World,
-    config: "QueryConfig",
-    fetch: Evaluator,
-    on_unbound: Callable[[UnboundRoleError], None] | None = None,
-) -> bool:
-    """The screening gate that admits rules and case templates alike.
-
-    Screening is a shallow read through ``fetch``, never a proof, and
-    grades the joint context with the most liberal conjunction (min), so
-    the gate fails on the weakest atom alone, not on the interaction of
-    several weak ones.  A context the world cannot even bind means the
-    rule or case is about some other situation: inactive, and reported
-    to ``on_unbound``.
-    """
-    if not context:
-        return True
-    values = []
-    for atom in context:
-        try:
-            ground = substitute(atom, world.roles)
-        except UnboundRoleError as err:
-            if on_unbound is not None:
-                on_unbound(err)
-            return False
-        values.append(fetch(ground))
-    joint = antecedent_eval(TNormFamily.T3, values)
-    return joint.lower >= config.context_threshold
 
 
 def retrieve(
     library: CaseLibrary,
     path: Path | str,
     world: World,
-    config: "QueryConfig | None" = None,
+    config: QueryConfig | None = None,
     *,
     diagnostics: list[str] | None = None,
 ) -> list[CaseTemplate]:
@@ -166,8 +59,6 @@ def retrieve(
     if not library.has_path(path):
         raise UnknownPathError(f"taxonomy path {format_path(path)} is not declared")
     if config is None:
-        from .engine import QueryConfig
-
         config = QueryConfig()
     fetch = lambda atom: lookup(world, atom)
     return [
@@ -190,7 +81,7 @@ def _note(diagnostics: list[str] | None, message: str) -> None:
         diagnostics.append(message)
 
 
-def case_similarity(a: "ProofNode", b: "ProofNode") -> float:
+def case_similarity(a: ProofNode, b: ProofNode) -> float:
     """Similarity of two fired cases: the complement of their distance.
 
     A ``case-instance`` node's premise profile is its children's

@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import __version__
 from .calculus import CertaintyInterval, ConflictPolicy
-from .cbr import format_path, parse_path, retrieve
+from .cbr import retrieve
 from .engine import (
     QueryConfig,
     QueryResult,
@@ -45,7 +45,9 @@ from .knowledge import (
     Atom,
     World,
     assert_evidence,
+    format_path,
     lookup,
+    parse_path,
     retract_evidence,
     substitute,
     validate,

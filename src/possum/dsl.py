@@ -40,20 +40,23 @@ replaced by their numbers) that re-parses to an equal knowledge base.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path as FsPath
 
 from .calculus import CertaintyInterval, ConflictPolicy, TNormFamily
-from .cbr import CaseLibrary, CaseTemplate, PrecedentLink, format_path
-from .errors import (
-    DomainError,
-    ParseError,
-    ParseFailure,
-    PossumError,
-    UnboundRoleError,
+from .errors import DomainError, ParseError, ParseFailure, UnboundRoleError
+from .knowledge import (
+    Atom,
+    CaseTemplate,
+    KnowledgeBase,
+    PrecedentLink,
+    Rule,
+    World,
+    assert_evidence,
+    format_path,
+    substitute,
 )
-from .knowledge import Atom, KnowledgeBase, Rule, World, assert_evidence, substitute
 
 __all__ = [
     "parse_kb",
@@ -213,25 +216,18 @@ class _Label:
 
 
 @dataclass(slots=True)
-class _RuleDecl:
-    token: _Token
-    identifier: str
-    rule_class: tuple[str, ...]
-    context: tuple[Atom, ...]
-    antecedents: tuple[Atom, ...]
-    consequent: Atom
-    family: TNormFamily
-    sufficiency: float | _Label
-    necessity: float | _Label
+class _Decl:
+    """A parsed rule or case; ``token`` is its keyword, which names the kind.
 
+    ``path`` is a rule's class or a case's taxonomy path, and ``roles``
+    is None for a rule.
+    """
 
-@dataclass(slots=True)
-class _CaseDecl:
     token: _Token
     identifier: str
     path: tuple[str, ...]
     path_token: _Token
-    roles: tuple[str, ...]
+    roles: tuple[str, ...] | None
     context: tuple[Atom, ...]
     antecedents: tuple[Atom, ...]
     consequent: Atom
@@ -363,8 +359,8 @@ class _KbParser(_Parser):
         super().__init__(tokens, source_name)
         self.lexicon: dict[str, float] = {}
         self.taxonomy: set[tuple[str, ...]] = set()
-        self.rules: list[_RuleDecl] = []
-        self.cases: list[_CaseDecl] = []
+        self.rules: list[_Decl] = []
+        self.cases: list[_Decl] = []
         self.links: list[_LinkDecl] = []
         self.errors: list[ParseError] = []
 
@@ -381,10 +377,8 @@ class _KbParser(_Parser):
             self.parse_lexicon()
         elif self.at_keyword("taxonomy"):
             self.parse_taxonomy()
-        elif self.at_keyword("rule"):
-            self.parse_rule()
-        elif self.at_keyword("case"):
-            self.parse_case()
+        elif self.at_keyword("rule") or self.at_keyword("case"):
+            self.parse_rule_or_case()
         elif self.at_keyword("precedent"):
             self.parse_precedent()
         else:
@@ -412,67 +406,50 @@ class _KbParser(_Parser):
         self.expect(_Kind.SEMI, "after the taxonomy path")
         self.taxonomy.add(path)
 
-    def parse_rule(self) -> None:
+    def parse_rule_or_case(self) -> None:
+        """``rule ID [path P] [context A..] GRADING { if A.. then A }`` or
+        ``case ID path P GRADING { roles ?v.. [context A..] if A.. then A }``."""
         keyword = self.advance()
-        ident = self.expect(_Kind.IDENT, "naming the rule")
-        rule_class: tuple[str, ...] = ()
-        if self.at_keyword("path"):
-            self.advance()
-            rule_class, _ = self.parse_path()
-        context: tuple[Atom, ...] = ()
-        if self.at_keyword("context"):
-            self.advance()
-            context = self.parse_atoms("after 'context'")
-        self.expect_keyword("tnorm", "in the rule header")
+        kind = keyword.text
+        ident = self.expect(_Kind.IDENT, f"naming the {kind}")
+        path: tuple[str, ...] = ()
+        path_token = keyword
+        if kind == "case" or self.at_keyword("path"):
+            self.expect_keyword("path", f"in the {kind} header")
+            path, path_token = self.parse_path()
+        roles = None
+        context = self.parse_context() if kind == "rule" else ()
+        self.expect_keyword("tnorm", f"in the {kind} header")
         family = self.parse_family()
-        self.expect_keyword("suff", "in the rule header")
+        self.expect_keyword("suff", f"in the {kind} header")
         sufficiency = self.parse_strength("sufficiency")
-        self.expect_keyword("nec", "in the rule header")
+        self.expect_keyword("nec", f"in the {kind} header")
         necessity = self.parse_strength("necessity")
-        self.expect(_Kind.LBRACE, "to open the rule body")
-        self.expect_keyword("if", "to start the rule premises")
+        self.expect(_Kind.LBRACE, f"to open the {kind} body")
+        if kind == "case":
+            self.expect_keyword("roles", "to start the case body")
+            names = []
+            while self.at(_Kind.ROLEVAR):
+                names.append(self.advance().text)
+            roles = tuple(names)
+            context = self.parse_context()
+        self.expect_keyword("if", f"to start the {kind} premises")
         antecedents = self.parse_atoms("after 'if'")
-        self.expect_keyword("then", "before the rule conclusion")
+        self.expect_keyword("then", f"before the {kind} conclusion")
         consequent = self.parse_atom()
-        self.expect(_Kind.RBRACE, "to close the rule body")
-        self.rules.append(
-            _RuleDecl(
-                keyword, ident.text, rule_class, context, antecedents, consequent,
-                family, sufficiency, necessity,
+        self.expect(_Kind.RBRACE, f"to close the {kind} body")
+        (self.rules if roles is None else self.cases).append(
+            _Decl(
+                keyword, ident.text, path, path_token, roles, context, antecedents,
+                consequent, family, sufficiency, necessity,
             )
         )
 
-    def parse_case(self) -> None:
-        keyword = self.advance()
-        ident = self.expect(_Kind.IDENT, "naming the case")
-        self.expect_keyword("path", "in the case header")
-        path, path_token = self.parse_path()
-        self.expect_keyword("tnorm", "in the case header")
-        family = self.parse_family()
-        self.expect_keyword("suff", "in the case header")
-        sufficiency = self.parse_strength("sufficiency")
-        self.expect_keyword("nec", "in the case header")
-        necessity = self.parse_strength("necessity")
-        self.expect(_Kind.LBRACE, "to open the case body")
-        self.expect_keyword("roles", "to start the case body")
-        roles = []
-        while self.at(_Kind.ROLEVAR):
-            roles.append(self.advance().text)
-        context: tuple[Atom, ...] = ()
-        if self.at_keyword("context"):
-            self.advance()
-            context = self.parse_atoms("after 'context'")
-        self.expect_keyword("if", "to start the case premises")
-        antecedents = self.parse_atoms("after 'if'")
-        self.expect_keyword("then", "before the case conclusion")
-        consequent = self.parse_atom()
-        self.expect(_Kind.RBRACE, "to close the case body")
-        self.cases.append(
-            _CaseDecl(
-                keyword, ident.text, path, path_token, tuple(roles), context,
-                antecedents, consequent, family, sufficiency, necessity,
-            )
-        )
+    def parse_context(self) -> tuple[Atom, ...]:
+        if not self.at_keyword("context"):
+            return ()
+        self.advance()
+        return self.parse_atoms("after 'context'")
 
     def parse_precedent(self) -> None:
         keyword = self.advance()
@@ -495,61 +472,36 @@ class _KbParser(_Parser):
 
     def build(self) -> KnowledgeBase:
         kb = KnowledgeBase()
-        kb.case_library.paths = set(self.taxonomy)
-        for decl in self.rules:
-            try:
-                rule = Rule(
-                    identifier=decl.identifier,
-                    context=decl.context,
-                    antecedents=decl.antecedents,
-                    consequent=decl.consequent,
-                    sufficiency=self.resolve_strength(decl.sufficiency, f"rule {decl.identifier}"),
-                    necessity=self.resolve_strength(decl.necessity, f"rule {decl.identifier}"),
-                    family=decl.family,
-                    rule_class=decl.rule_class,
-                )
-            except ParseError as err:
-                self.errors.append(err)
-                continue
-            if rule.identifier in kb.rules:
-                self.errors.append(
-                    self.error(f"rule {rule.identifier!r} declared twice", decl.token)
-                )
-                continue
-            kb.rules[rule.identifier] = rule
-        for decl in self.cases:
-            try:
-                sufficiency = self.resolve_strength(decl.sufficiency, f"case {decl.identifier}")
-                necessity = self.resolve_strength(decl.necessity, f"case {decl.identifier}")
-            except ParseError as err:
-                self.errors.append(err)
-                continue
-            if not kb.case_library.has_path(decl.path):
-                self.errors.append(
-                    self.error(
-                        f"case {decl.identifier!r} filed under undeclared path "
-                        f"{format_path(decl.path)}",
-                        decl.path_token,
+        library = kb.case_library
+        library.paths = set(self.taxonomy)
+        for decls, table in ((self.rules, kb.rules), (self.cases, library.templates)):
+            for decl in decls:
+                kind = decl.token.text
+                owner = f"{kind} {decl.identifier}"
+                try:
+                    sufficiency = self.resolve_strength(decl.sufficiency, owner)
+                    necessity = self.resolve_strength(decl.necessity, owner)
+                    if decl.roles is not None and not library.has_path(decl.path):
+                        raise self.error(
+                            f"case {decl.identifier!r} filed under undeclared path "
+                            f"{format_path(decl.path)}",
+                            decl.path_token,
+                        )
+                    if decl.identifier in table:
+                        raise self.error(f"{kind} {decl.identifier!r} declared twice", decl.token)
+                except ParseError as err:
+                    self.errors.append(err)
+                    continue
+                if decl.roles is None:
+                    table[decl.identifier] = Rule(
+                        decl.identifier, decl.context, decl.antecedents, decl.consequent,
+                        sufficiency, necessity, decl.family, rule_class=decl.path,
                     )
-                )
-                continue
-            template = CaseTemplate(
-                identifier=decl.identifier,
-                path=decl.path,
-                roles=decl.roles,
-                context=decl.context,
-                antecedents=decl.antecedents,
-                consequent=decl.consequent,
-                sufficiency=sufficiency,
-                necessity=necessity,
-                family=decl.family,
-            )
-            if template.identifier in kb.case_library.templates:
-                self.errors.append(
-                    self.error(f"case {template.identifier!r} declared twice", decl.token)
-                )
-                continue
-            kb.case_library.templates[template.identifier] = template
+                else:
+                    table[decl.identifier] = CaseTemplate(
+                        decl.identifier, decl.path, decl.roles, decl.context, decl.antecedents,
+                        decl.consequent, sufficiency, necessity, decl.family,
+                    )
         for decl in self.links:
             if decl.predicate in kb.precedent_links:
                 self.errors.append(
@@ -709,41 +661,26 @@ def format_number(value: float) -> str:
     return repr(float(value))
 
 
-def _render_rule(rule: Rule) -> str:
-    head = [f"rule {rule.identifier}"]
-    if rule.rule_class:
-        head.append(f"path {format_path(rule.rule_class)}")
-    if rule.context:
-        head.append("context " + " ".join(str(a) for a in rule.context))
-    head.append(f"tnorm {rule.family.label}")
-    head.append(f"suff {format_number(rule.sufficiency)}")
-    head.append(f"nec {format_number(rule.necessity)}")
-    lines = [" ".join(head) + " {"]
-    lines.append(f"  if {rule.antecedents[0]}")
-    for atom in rule.antecedents[1:]:
-        lines.append(f"     {atom}")
-    lines.append(f"  then {rule.consequent}")
-    lines.append("}")
-    return "\n".join(lines)
-
-
-def _render_case(case: CaseTemplate) -> str:
-    head = [
-        f"case {case.identifier}",
-        f"path {format_path(case.path)}",
-        f"tnorm {case.family.label}",
-        f"suff {format_number(case.sufficiency)}",
-        f"nec {format_number(case.necessity)}",
-    ]
-    lines = [" ".join(head) + " {"]
-    lines.append(("  roles " + " ".join(case.roles)).rstrip())
-    if case.context:
-        lines.append("  context " + " ".join(str(a) for a in case.context))
-    lines.append(f"  if {case.antecedents[0]}")
-    for atom in case.antecedents[1:]:
-        lines.append(f"     {atom}")
-    lines.append(f"  then {case.consequent}")
-    lines.append("}")
+def _render_rule_or_case(
+    item: Rule | CaseTemplate, path: tuple[str, ...], roles: tuple[str, ...] | None
+) -> str:
+    """A rule's context goes in its header; a case's roles and context open its body."""
+    head = ["case" if roles is not None else "rule", item.identifier]
+    if roles is not None or path:
+        head.append(f"path {format_path(path)}")
+    body = []
+    context = ["context " + " ".join(str(a) for a in item.context)] if item.context else []
+    if roles is None:
+        head += context
+    else:
+        body.append(("  roles " + " ".join(roles)).rstrip())
+        body += ["  " + line for line in context]
+    head.append(f"tnorm {item.family.label}")
+    head.append(f"suff {format_number(item.sufficiency)}")
+    head.append(f"nec {format_number(item.necessity)}")
+    lines = [" ".join(head) + " {", *body, f"  if {item.antecedents[0]}"]
+    lines += [f"     {atom}" for atom in item.antecedents[1:]]
+    lines += [f"  then {item.consequent}", "}"]
     return "\n".join(lines)
 
 
@@ -758,9 +695,11 @@ def render_kb(kb: KnowledgeBase) -> str:
     if taxonomy:
         blocks.append("\n".join(f"taxonomy {format_path(p)};" for p in taxonomy))
     for identifier in sorted(kb.rules):
-        blocks.append(_render_rule(kb.rules[identifier]))
+        rule = kb.rules[identifier]
+        blocks.append(_render_rule_or_case(rule, rule.rule_class, None))
     for identifier in sorted(kb.case_library.templates):
-        blocks.append(_render_case(kb.case_library.templates[identifier]))
+        case = kb.case_library.templates[identifier]
+        blocks.append(_render_rule_or_case(case, case.path, case.roles))
     links = sorted(kb.precedent_links.values(), key=lambda l: l.target_predicate)
     if links:
         blocks.append(

@@ -13,11 +13,12 @@ answers can be explained, and every sub-goal records which stored atoms
 and sub-goals it read: belief revision keeps that graph's edges
 reversed and walks them to invalidate exactly what an update touches.
 
-Context screening is the cheap gate in front of all of this: a rule
-with a context only participates when the world's stored values for the
-context atoms clear the activation threshold.  Screening reads, it
-never proves; an expensive derivation chain cannot hide inside a
-context check.
+Context screening (``context_passes``) is the cheap gate in front of
+all of this: a rule or case with a context only participates when the
+world's stored values for the context atoms clear the activation
+threshold.  Screening reads, it never proves; an expensive derivation
+chain cannot hide inside a context check.  Case retrieval in ``cbr``
+screens through the same gate.
 """
 
 from __future__ import annotations
@@ -36,14 +37,15 @@ from .calculus import (
     consensus,
     detach,
 )
-from .cbr import CaseTemplate, context_passes, format_path
 from .errors import DerivationCycleError, UnboundRoleError
 from .knowledge import (
     Atom,
+    CaseTemplate,
     KnowledgeBase,
     Rule,
     World,
     assert_evidence,
+    format_path,
     lookup,
     substitute,
 )
@@ -55,6 +57,7 @@ __all__ = [
     "GoalDependencies",
     "RuleInstance",
     "RuleIndex",
+    "context_passes",
     "QuerySession",
     "prove",
     "forward_saturate",
@@ -165,6 +168,37 @@ class _Frame:
 class _Entry:
     interval: CertaintyInterval
     node: ProofNode
+
+
+def context_passes(
+    context: tuple[Atom, ...],
+    world: World,
+    config: QueryConfig,
+    fetch: Callable[[Atom], CertaintyInterval],
+    on_unbound: Callable[[UnboundRoleError], None] | None = None,
+) -> bool:
+    """The screening gate that admits rules and case templates alike.
+
+    Screening is a shallow read through ``fetch``, never a proof, and
+    grades the joint context with the most liberal conjunction (min), so
+    the gate fails on the weakest atom alone, not on the interaction of
+    several weak ones.  A context the world cannot even bind means the
+    rule or case is about some other situation: inactive, and reported
+    to ``on_unbound``.
+    """
+    if not context:
+        return True
+    values = []
+    for atom in context:
+        try:
+            ground = substitute(atom, world.roles)
+        except UnboundRoleError as err:
+            if on_unbound is not None:
+                on_unbound(err)
+            return False
+        values.append(fetch(ground))
+    joint = antecedent_eval(TNormFamily.T3, values)
+    return joint.lower >= config.context_threshold
 
 
 class RuleInstance(NamedTuple):

@@ -1,10 +1,16 @@
-"""Knowledge model: atoms, rules, worlds, and the knowledge base.
+"""Knowledge model: atoms, rules, cases, worlds, and the knowledge base.
 
 A knowledge base is generic: rules and case templates mention role
 variables (``?raider``).  A world instantiates it: roles get bound to
 constants, facts carry per-source evidence intervals, and askable
 predicates mark what the user may be prompted for.  The same knowledge
 base can be run against many worlds.
+
+The case model sits beside the rules.  A case template is a rule filed
+under a taxonomy path in the case library, with the same sufficiency
+and necessity grading and a list of the roles it generalises over; a
+precedent link marks a predicate as arguable from the templates under
+one path.
 
 Facts keep every source's interval separately and reconcile them into
 one effective interval by consensus at assertion time; inference later
@@ -18,18 +24,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from graphlib import CycleError, TopologicalSorter
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .calculus import CertaintyInterval, ConflictPolicy, TNormFamily, TOTAL_IGNORANCE, consensus
 from .errors import DomainError, UnboundRoleError
-
-if TYPE_CHECKING:
-    from .cbr import CaseLibrary, CaseTemplate, PrecedentLink
 
 __all__ = [
     "Atom",
     "Fact",
     "Rule",
+    "CaseTemplate",
+    "PrecedentLink",
+    "CaseLibrary",
+    "parse_path",
+    "format_path",
     "World",
     "KnowledgeBase",
     "ValidationReport",
@@ -125,6 +133,84 @@ class Rule:
     def __post_init__(self) -> None:
         if not self.antecedents:
             raise DomainError(f"rule {self.identifier} has no antecedents")
+
+
+Path = tuple[str, ...]
+
+
+def parse_path(text: str) -> Path:
+    """Split ``defense/anti-trust`` into its segments."""
+    parts = tuple(p for p in text.strip().split("/") if p)
+    if not parts:
+        raise DomainError(f"empty taxonomy path {text!r}")
+    return parts
+
+
+def format_path(path: Path) -> str:
+    return "/".join(path) if path else "/"
+
+
+@dataclass(frozen=True, slots=True)
+class CaseTemplate:
+    """A decided case, generalised over its role variables."""
+
+    identifier: str
+    path: Path
+    roles: tuple[str, ...]
+    context: tuple[Atom, ...]
+    antecedents: tuple[Atom, ...]
+    consequent: Atom
+    sufficiency: float
+    necessity: float
+    family: TNormFamily
+
+    def __post_init__(self) -> None:
+        if not self.antecedents:
+            raise DomainError(f"case {self.identifier} has no premises")
+
+
+@dataclass(frozen=True, slots=True)
+class PrecedentLink:
+    """Marks a predicate as arguable from precedent.
+
+    The link instantiates the templates filed under ``path`` that
+    conclude ``target_predicate`` (``KnowledgeBase.linked_templates``);
+    the engine combines the contributions of those that fire for a goal
+    with ``family``'s dual conorm.  At most one link per predicate.
+    """
+
+    target_predicate: str
+    path: Path
+    family: TNormFamily
+
+
+@dataclass(slots=True)
+class CaseLibrary:
+    """Case templates filed under declared taxonomy paths."""
+
+    paths: set[Path] = field(default_factory=set)
+    templates: dict[str, CaseTemplate] = field(default_factory=dict)
+
+    def declare_path(self, path: Path) -> None:
+        self.paths.add(tuple(path))
+
+    def add(self, template: CaseTemplate) -> None:
+        if template.identifier in self.templates:
+            raise DomainError(f"duplicate case identifier {template.identifier}")
+        self.templates[template.identifier] = template
+
+    def has_path(self, path: Path) -> bool:
+        """True for the root, any declared path, and any ancestor of one."""
+        if not path:
+            return True
+        return any(declared[: len(path)] == tuple(path) for declared in self.paths)
+
+    def templates_at(self, path: Path) -> list[CaseTemplate]:
+        """Templates filed at or below a node, ordered by (path, identifier)."""
+        node = tuple(path)
+        found = [t for t in self.templates.values() if t.path[: len(node)] == node]
+        found.sort(key=lambda t: (t.path, t.identifier))
+        return found
 
 
 @dataclass(slots=True)
@@ -234,16 +320,10 @@ class KnowledgeBase:
     """Rules plus the case library and its precedent links."""
 
     rules: dict[str, Rule] = field(default_factory=dict)
-    case_library: "CaseLibrary | None" = None
-    precedent_links: dict[str, "PrecedentLink"] = field(default_factory=dict)
+    case_library: CaseLibrary = field(default_factory=CaseLibrary)
+    precedent_links: dict[str, PrecedentLink] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        if self.case_library is None:
-            from .cbr import CaseLibrary
-
-            self.case_library = CaseLibrary()
-
-    def linked_templates(self, link: "PrecedentLink") -> list["CaseTemplate"]:
+    def linked_templates(self, link: PrecedentLink) -> list[CaseTemplate]:
         """The case templates ``link`` instantiates, in ``templates_at`` order:
         those filed under its path that conclude its predicate."""
         return [
@@ -308,11 +388,6 @@ class ValidationReport:
         return out
 
 
-def _check_strength(owner: str, name: str, value: float, sink: list[str]) -> None:
-    if not isinstance(value, (int, float)) or not 0.0 <= float(value) <= 1.0:
-        sink.append(f"{owner}: {name} {value!r} outside [0, 1]")
-
-
 def validate(kb: KnowledgeBase) -> ValidationReport:
     """Static safety check for a knowledge base.
 
@@ -322,17 +397,18 @@ def validate(kb: KnowledgeBase) -> ValidationReport:
     taxonomy paths that were never declared.
     """
     report = ValidationReport()
-
-    for rule in kb.rules.values():
-        owner = f"rule {rule.identifier}"
-        _check_strength(owner, "sufficiency", rule.sufficiency, report.range_errors)
-        _check_strength(owner, "necessity", rule.necessity, report.range_errors)
-
     library = kb.case_library
+
+    for kind, items in (("rule", kb.rules.values()), ("case", library.templates.values())):
+        for item in items:
+            for name, value in (("sufficiency", item.sufficiency), ("necessity", item.necessity)):
+                if not isinstance(value, (int, float)) or not 0.0 <= float(value) <= 1.0:
+                    report.range_errors.append(
+                        f"{kind} {item.identifier}: {name} {value!r} outside [0, 1]"
+                    )
+
     for template in library.templates.values():
         owner = f"case {template.identifier}"
-        _check_strength(owner, "sufficiency", template.sufficiency, report.range_errors)
-        _check_strength(owner, "necessity", template.necessity, report.range_errors)
         declared = set(template.roles)
         used: set[str] = set()
         for atom in template.context + template.antecedents + (template.consequent,):
@@ -341,14 +417,14 @@ def validate(kb: KnowledgeBase) -> ValidationReport:
             report.role_errors.append(f"{owner}: role {var} is not declared")
         if not library.has_path(template.path):
             report.path_errors.append(
-                f"{owner}: path {'/'.join(template.path)} is not in the taxonomy"
+                f"{owner}: path {format_path(template.path)} is not in the taxonomy"
             )
 
     for link in kb.precedent_links.values():
         if not library.has_path(link.path):
             report.path_errors.append(
                 f"precedent for {link.target_predicate}: "
-                f"path {'/'.join(link.path)} is not in the taxonomy"
+                f"path {format_path(link.path)} is not in the taxonomy"
             )
 
     try:

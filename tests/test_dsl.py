@@ -6,7 +6,7 @@ from importlib import resources
 import pytest
 
 from possum.calculus import CertaintyInterval, ConflictPolicy, SourceConflictError, TNormFamily
-from possum.errors import ParseError, ParseFailure
+from possum.errors import ConflictError, ParseError, ParseFailure
 from possum.knowledge import Atom, lookup
 from possum.dsl import (
     format_number,
@@ -286,6 +286,26 @@ class TestRenderer:
         assert format_number(0.85) == "0.85"
         assert float(format_number(0.1 + 0.2)) == 0.1 + 0.2
 
+    def test_fixture_renders_exactly(self):
+        assert render_kb(parse_kb(KB_FIXTURE, "fixture.kb")) == (
+            "taxonomy deals/big;\n"
+            "\n"
+            "rule first path deals/big context (gate ?x) tnorm T2 suff 0.75 nec 0.1 {\n"
+            "  if (a ?x)\n"
+            "     (b)\n"
+            "  then (c ?x)\n"
+            "}\n"
+            "\n"
+            "case old-one path deals/big tnorm T3 suff 0.9 nec 0 {\n"
+            "  roles ?x\n"
+            "  context (climate)\n"
+            "  if (a ?x)\n"
+            "  then (c ?x)\n"
+            "}\n"
+            "\n"
+            "precedent (c) from deals tnorm T1;\n"
+        )
+
     def test_fixture_round_trip(self):
         kb = parse_kb(KB_FIXTURE, "fixture.kb")
         assert parse_kb(render_kb(kb)) == kb
@@ -317,3 +337,71 @@ class TestRenderer:
             kb = dsl_kb(random.Random(seed))
             text = render_kb(kb)
             assert parse_kb(text, f"gen{seed}.kb") == kb, f"seed {seed}"
+
+
+# Pieces a mutation inserts: punctuation, keywords, numbers out of range,
+# a bare '?', a comment start, non-ASCII digits and a character no token starts with.
+_INSERTS = [
+    *"(){}[];,=/@?#\n \t", "²", "٣", "%",
+    "rule", "case", "if", "then", "tnorm", "suff", "nec", "path", "context",
+    "roles", "fact", "world", "askable", "T2", "T9", "0.5", "1.5", "2e1", "?x",
+]
+FUZZ_SEEDS = 1000
+
+
+def _mutate(text: str, rng: random.Random) -> str:
+    """One to four seeded deletions, insertions and truncations."""
+    for _ in range(rng.randint(1, 4)):
+        at = rng.randrange(len(text) + 1)
+        edit = rng.choice("dit")
+        if edit == "d":
+            text = text[:at] + text[at + rng.randint(1, 20):]
+        elif edit == "i":
+            text = text[:at] + rng.choice(_INSERTS) + text[at:]
+        else:
+            text = text[:at]
+    return text
+
+
+def _assert_positions(err: ParseError | ParseFailure, text: str) -> None:
+    errors = err.errors if isinstance(err, ParseFailure) else [err]
+    assert errors
+    for one in errors:
+        assert 1 <= one.line <= text.count("\n") + 1, str(one)
+        assert one.column >= 1, str(one)
+
+
+def _outcome(parse, text: str, conflict_ok: bool = False) -> str:
+    try:
+        parse()
+    except (ParseError, ParseFailure) as err:
+        _assert_positions(err, text)
+        return type(err).__name__
+    except ConflictError:
+        if not conflict_ok:
+            raise
+        return "conflict"
+    return "ok"
+
+
+class TestMutatedFiles:
+    """A mutated file parses, or fails with positioned parse errors only."""
+
+    def test_mutated_kb(self):
+        base = DATA.joinpath("demo.kb").read_text()
+        outcomes = set()
+        for seed in range(FUZZ_SEEDS):
+            text = _mutate(base, random.Random(f"demo.kb-{seed}"))
+            outcomes.add(_outcome(lambda: parse_kb(text, "demo.kb"), text))
+        assert outcomes == {"ok", "ParseError", "ParseFailure"}
+
+    def test_mutated_world(self):
+        """Only a strict parse may also stop on conflicting sources."""
+        base = DATA.joinpath("m1.world").read_text()
+        outcomes = set()
+        for seed in range(FUZZ_SEEDS):
+            text = _mutate(base, random.Random(f"m1.world-{seed}"))
+            outcomes.add(_outcome(lambda: parse_world(text, "m1.world"), text, conflict_ok=True))
+            lenient = lambda: parse_world(text, "m1.world", ConflictPolicy.LENIENT)
+            outcomes.add(_outcome(lenient, text))
+        assert {"ok", "ParseError"} <= outcomes
