@@ -49,8 +49,6 @@ __all__ = [
     "IMPOSSIBLE",
     "tnorm",
     "tconorm",
-    "complement",
-    "ignorance",
     "antecedent_eval",
     "detach",
     "aggregate",
@@ -139,10 +137,6 @@ class CertaintyInterval:
     def midpoint(self) -> float:
         return 0.5 * (self.lower + self.upper)
 
-    def is_crisp(self) -> bool:
-        """True when the interval is boolean-valued: [0, 0] or [1, 1]."""
-        return (self.lower, self.upper) in ((0.0, 0.0), (1.0, 1.0))
-
     def __str__(self) -> str:
         return f"[{self.lower:.4f}, {self.upper:.4f}]"
 
@@ -188,14 +182,6 @@ def tconorm(family: TNormFamily, values: Sequence[float]) -> float:
     if len(vals) == 1:
         return vals[0]
     return _kernels.tconorm_many(family.code, vals)
-
-
-def complement(interval: CertaintyInterval) -> CertaintyInterval:
-    return interval.complement()
-
-
-def ignorance(interval: CertaintyInterval) -> float:
-    return interval.ignorance()
 
 
 def _snap(lower: float, upper: float) -> tuple[float, float]:

@@ -9,9 +9,11 @@ any stored evidence about the goal itself.  The rules for a goal, and
 the case templates its precedent link instantiates, come from one index
 grounded in the world's roles, built once per session: a matched case
 fires exactly as a rule does.  Every step is kept as a proof node so
-answers can be explained, and every sub-goal records which stored atoms
-and sub-goals it read: belief revision keeps that graph's edges
-reversed and walks them to invalidate exactly what an update touches.
+answers can be explained.  One goal table maps each derived goal to its
+proof and to the stored atoms and sub-goals it read: the session
+answers a goal it already holds from the table, and belief revision
+keeps the table's edges reversed and walks them to invalidate exactly
+what an update touches.
 
 Context screening (``context_passes``) is the cheap gate in front of
 all of this: a rule or case with a context only participates when the
@@ -91,9 +93,9 @@ class ProofNode:
     kind is one of ``fact``, ``rule-instance``, ``case-instance``,
     ``precedent``, ``aggregation``.  provenance names the step's origin:
     a rule or case identifier, a taxonomy path, a fact's sources, or the
-    aggregation family.  premise_interval and detached_interval are set
-    on the instance kinds, where a premise conjunction was pushed
-    through a strength.
+    aggregation family.  premise_interval is set on the instance kinds,
+    where a premise conjunction was pushed through a strength to give
+    ``result``.
     """
 
     goal: Atom
@@ -101,21 +103,22 @@ class ProofNode:
     result: CertaintyInterval
     provenance: str
     premise_interval: CertaintyInterval | None = None
-    detached_interval: CertaintyInterval | None = None
     children: tuple["ProofNode", ...] = ()
 
 
 @dataclass(slots=True)
 class GoalDependencies:
-    """What one sub-goal's evaluation read.
+    """One entry of the goal table: a derived goal's proof and what it read.
 
-    atoms: stored atoms looked up (the goal's own fact slot, context
-    atoms consulted during screening); subgoals: premises recursed
-    into.  These are the only dependency edges there are: belief
-    revision keeps them reversed, as reader edges, and walks those to
-    find every goal an update reaches.
+    node: the goal's proof, whose ``result`` is its interval; atoms:
+    stored atoms looked up (the goal's own fact slot, context atoms
+    consulted during screening); subgoals: premises recursed into.
+    These are the only dependency edges there are: belief revision
+    keeps them reversed, as reader edges, and walks those to find every
+    goal an update reaches.
     """
 
+    node: ProofNode
     atoms: frozenset[Atom]
     subgoals: frozenset[Atom]
 
@@ -126,8 +129,8 @@ class QueryResult:
 
     ``derived`` lists the goals this query evaluated afresh, in the
     order their evaluations finished; goals answered from the session's
-    memo are not in it.  ``graph`` is the session's dependency graph,
-    shared, not copied.
+    goal table are not in it.  ``graph`` is that goal table, shared,
+    not copied.
     """
 
     goal: Atom
@@ -141,8 +144,8 @@ class QueryResult:
     def dependencies(self) -> dict[Atom, GoalDependencies]:
         """The goal and every sub-goal it reaches, with what each read.
 
-        Computed on access from the session's dependency graph, so a
-        graph that belief revision has purged since gives less.
+        Computed on access from the session's goal table, so a table
+        that belief revision has purged since gives less.
         """
         out: dict[Atom, GoalDependencies] = {}
         stack = [self.goal]
@@ -162,12 +165,6 @@ class QueryResult:
 class _Frame:
     atoms: set[Atom] = field(default_factory=set)
     subgoals: set[Atom] = field(default_factory=set)
-
-
-@dataclass(slots=True)
-class _Entry:
-    interval: CertaintyInterval
-    node: ProofNode
 
 
 def context_passes(
@@ -273,13 +270,14 @@ class RuleIndex:
 class QuerySession:
     """One reasoning pass over a fixed knowledge base and world.
 
-    Sub-goal results are memoized within the session, so shared
-    premises are proved once.  The memo and dependency dicts, and the
-    rule index, can be supplied by a caller (the revision tracker does)
-    to persist them across sessions; the caller must then invalidate the
-    memo on world updates, and the index when the KB or the world's
-    roles change.  ``derived`` lists every goal the session evaluated
-    afresh, and so recorded in the dependency dict, in the order their
+    Every goal the session derives goes into its goal table with its
+    proof and what it read, and a goal the table holds is answered from
+    it, so shared premises are proved once.  The goal table (``goals``)
+    and the rule index can be supplied by a caller (the revision tracker
+    does) to persist them across sessions; the caller must then purge
+    the table on world updates, and rebuild the index when the KB or the
+    world's roles change.  ``derived`` lists every goal the session
+    evaluated afresh, and so recorded in the table, in the order their
     evaluations finished, including those of a query that raised.
     """
 
@@ -290,9 +288,7 @@ class QuerySession:
         config: QueryConfig | None = None,
         asker: Asker | None = None,
         *,
-        memo: dict[Atom, _Entry] | None = None,
-        deps: dict[Atom, GoalDependencies] | None = None,
-        use_memo: bool = True,
+        goals: dict[Atom, GoalDependencies] | None = None,
         index: RuleIndex | None = None,
     ):
         self.kb = kb
@@ -301,9 +297,7 @@ class QuerySession:
         self.asker = asker
         self.diagnostics: list[str] = []
         self.derived: list[Atom] = []
-        self._memo = memo if memo is not None else {}
-        self._deps = deps if deps is not None else {}
-        self._use_memo = use_memo
+        self._goals = goals if goals is not None else {}
         self._index = index if index is not None else RuleIndex(kb, world.roles)
         self._asked: set[Atom] = set()
 
@@ -311,29 +305,30 @@ class QuerySession:
         """Evaluate one goal; role variables are bound from the world."""
         goal = substitute(goal, self.world.roles)
         start = len(self.derived)
-        entry = self._evaluate(goal)
-        if entry.node.kind == "fact" and entry.node.provenance == "unknown":
+        node = self._evaluate(goal)
+        if node.kind == "fact" and goal not in self.world.facts:
             self._note(f"no support for {goal}: answering with total ignorance")
         return QueryResult(
             goal=goal,
-            interval=entry.interval,
-            proof=entry.node,
+            interval=node.result,
+            proof=node,
             diagnostics=list(self.diagnostics),
             derived=self.derived[start:],
-            graph=self._deps,
+            graph=self._goals,
         )
 
     def evaluate(self, atom: Atom) -> CertaintyInterval:
         """Interval for one ground sub-goal (no result wrapper)."""
-        return self._evaluate(atom).interval
+        return self._evaluate(atom).result
 
     def saturate(self) -> dict[Atom, CertaintyInterval]:
         """Evaluate every ground conclusion in index order, the KB's.
 
         Rules and templates whose consequent the world cannot bind are
-        noted as inactive first.  All goals share this session's memo, so
-        each sub-derivation runs once.  The result maps each derivable
-        atom to the same interval a backward query for it would return.
+        noted as inactive first.  All goals share this session's goal
+        table, so each sub-derivation runs once.  The result maps each
+        derivable atom to the same interval a backward query for it would
+        return.
         """
         for rule, _, error in self._index.inactive:
             self._inactive(rule, error)
@@ -341,37 +336,35 @@ class QuerySession:
 
     # -- internals ---------------------------------------------------
 
-    def _evaluate(self, atom: Atom) -> _Entry:
+    def _evaluate(self, atom: Atom) -> ProofNode:
         """Drive ``_derive`` for ``atom`` and each premise it yields
-        that the memo cannot answer; ``stack`` holds each goal under way
-        with its frame and derivation, outermost first."""
-        use_memo = self._use_memo
-        memo = self._memo
-        if use_memo and atom in memo:
-            return memo[atom]
+        that the goal table cannot answer; ``stack`` holds each goal
+        under way with its frame and derivation, outermost first."""
+        goals = self._goals
+        known = goals.get(atom)
+        if known is not None:
+            return known.node
         frame = _Frame()
         send = self._derive(atom, frame).send
         stack = {atom: (frame, send)}
-        entry = None
+        node = None
         while True:
             try:
-                premise = send(entry)
+                premise = send(node)
             except StopIteration as done:
-                entry = done.value
+                node = done.value
                 goal, (frame, _) = stack.popitem()
-                self._deps[goal] = GoalDependencies(
-                    atoms=frozenset(frame.atoms),
-                    subgoals=frozenset(frame.subgoals),
+                goals[goal] = GoalDependencies(
+                    node, frozenset(frame.atoms), frozenset(frame.subgoals)
                 )
                 self.derived.append(goal)
-                if use_memo:
-                    memo[goal] = entry
                 if not stack:
-                    return entry
+                    return node
                 _, send = next(reversed(stack.values()))
                 continue
-            entry = memo.get(premise) if use_memo else None
-            if entry is not None:
+            known = goals.get(premise)
+            if known is not None:
+                node = known.node
                 continue
             if premise in stack:
                 path = [*stack, premise][list(stack).index(premise):]
@@ -379,8 +372,10 @@ class QuerySession:
             frame = _Frame()
             send = self._derive(premise, frame).send
             stack[premise] = (frame, send)
+            # A generator just started takes None.
+            node = None
 
-    def _derive(self, atom: Atom, frame: _Frame) -> Generator[Atom, _Entry, _Entry]:
+    def _derive(self, atom: Atom, frame: _Frame) -> Generator[Atom, ProofNode, ProofNode]:
         world = self.world
         config = self.config
 
@@ -422,8 +417,8 @@ class QuerySession:
             for premise in premises:
                 frame.subgoals.add(premise)
                 sub = yield premise
-                child_nodes.append(sub.node)
-                premise_values.append(sub.interval)
+                child_nodes.append(sub)
+                premise_values.append(sub.result)
             joint = antecedent_eval(rule.family, premise_values)
             detached = detach(rule.family, rule.sufficiency, rule.necessity, joint)
             is_case = isinstance(rule, CaseTemplate)
@@ -433,7 +428,6 @@ class QuerySession:
                 result=detached,
                 provenance=rule.identifier,
                 premise_interval=joint,
-                detached_interval=detached,
                 children=tuple(child_nodes),
             )
             if is_case:
@@ -479,11 +473,10 @@ class QuerySession:
 
         if not paths:
             if fact_node is None:
-                node = ProofNode(
+                return ProofNode(
                     goal=atom, kind="fact", result=TOTAL_IGNORANCE, provenance="unknown"
                 )
-                return _Entry(TOTAL_IGNORANCE, node)
-            return _Entry(fact.effective, fact_node)
+            return fact_node
 
         family = TNormFamily.most_conservative(families)
         derived = aggregate(
@@ -506,14 +499,13 @@ class QuerySession:
             children.append(fact_node)
         else:
             final = derived
-        node = ProofNode(
+        return ProofNode(
             goal=atom,
             kind="aggregation",
             result=final,
             provenance=family.label,
             children=tuple(children),
         )
-        return _Entry(final, node)
 
     def _may_ask(self, atom: Atom) -> bool:
         return (
@@ -556,8 +548,8 @@ def explain(result: QueryResult) -> str:
     """Render a proof as an indented text tree, then the session's notes.
 
     The tree has one line per node of the proof walked as a tree, so a
-    sub-proof the memo shares appears in full under every step that
-    used it.  Each ``(node, depth)`` is formatted once: the walk keeps
+    sub-proof the goal table shares appears in full under every step
+    that used it.  Each ``(node, depth)`` is formatted once: the walk keeps
     the span of lines a pair produced and copies that span when the
     pair recurs, so the cost beyond the output's own size follows the
     distinct nodes, not the tree.
@@ -604,8 +596,8 @@ def proof_to_dict(root: ProofNode) -> list[dict]:
 
     Nodes are numbered in preorder of their first visit, so entry 0 is
     ``root``, and ``"children"`` holds the children's entry numbers.  A
-    sub-proof the memo shares is one entry that several parents list,
-    so the table's size follows the distinct nodes, not the tree.
+    sub-proof the goal table shares is one entry that several parents
+    list, so the table's size follows the distinct nodes, not the tree.
     """
     nodes: list[ProofNode] = []
     number: dict[int, int] = {}
@@ -626,8 +618,7 @@ def proof_to_dict(root: ProofNode) -> list[dict]:
         }
         if node.premise_interval is not None:
             out["premise"] = [node.premise_interval.lower, node.premise_interval.upper]
-        if node.detached_interval is not None:
-            out["detached"] = [node.detached_interval.lower, node.detached_interval.upper]
+            out["detached"] = [node.result.lower, node.result.upper]
         if node.children:
             out["children"] = [number[id(c)] for c in node.children]
         table.append(out)

@@ -1,14 +1,15 @@
 """Belief revision with dependency tracking.
 
 The tracker wraps the engine: queries run through it, and it keeps the
-engine's memo and dependency graph (the atoms and sub-goals each goal
-read) between them.  Beside the graph it keeps the same edges reversed:
-for each atom or sub-goal, the goals that read it.  These reader edges
-are added when a goal is derived and removed when it is purged, so an
-update costs in proportion to the goals it reaches, not to the size of
-the graph.  When evidence changes the tracker walks the reader edges
-upward from the updated atom, drops every memoized result it reaches,
-marks the tracked conclusions among them stale, and recomputes lazily.
+engine's goal table (each derived goal's proof, and the atoms and
+sub-goals it read) between them.  Beside the table it keeps the same
+edges reversed: for each atom or sub-goal, the goals that read it.
+These reader edges are added when a goal is derived and removed when it
+is purged, so an update costs in proportion to the goals it reaches,
+not to the size of the table.  When evidence changes the tracker walks
+the reader edges upward from the updated atom, drops every goal it
+reaches from the table, marks the tracked conclusions among them
+stale, and recomputes lazily.
 An edit made to the world outside the tracker shows as a moved world
 epoch (or as changed role bindings) and makes every conclusion stale.
 The rule index is built once and shared by every session the tracker
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .calculus import CertaintyInterval
-from .engine import QueryConfig, QueryResult, QuerySession, RuleIndex
+from .engine import GoalDependencies, QueryConfig, QueryResult, QuerySession, RuleIndex
 from .knowledge import Atom, KnowledgeBase, World, assert_evidence
 
 __all__ = ["DependencyRecord", "DependencyTracker"]
@@ -38,7 +39,7 @@ class DependencyRecord:
 
     epoch is the world epoch at which the cached interval last changed.
     What the conclusion rests on is not stored here: it is the engine's
-    dependency graph, which the tracker walks on every update.
+    goal table, whose edges the tracker walks on every update.
     """
 
     conclusion: Atom
@@ -59,8 +60,7 @@ class DependencyTracker:
         self.world = world
         self.config = config or QueryConfig()
         self.records: dict[Atom, DependencyRecord] = {}
-        self._memo: dict = {}
-        self._deps: dict = {}
+        self._goals: dict[Atom, GoalDependencies] = {}
         self._readers: dict[Atom, list[Atom]] = {}
         self._stale: set[Atom] = set()
         self._epoch = world.epoch
@@ -72,8 +72,7 @@ class DependencyTracker:
             self.kb,
             self.world,
             self.config,
-            memo=self._memo,
-            deps=self._deps,
+            goals=self._goals,
             index=self._index,
         )
 
@@ -91,8 +90,7 @@ class DependencyTracker:
             self._roles = dict(self.world.roles)
             self._index = RuleIndex(self.kb, self.world.roles)
         self._epoch = self.world.epoch
-        self._memo.clear()
-        self._deps.clear()
+        self._goals.clear()
         self._readers.clear()
         self._stale |= self.records.keys()
         return set(self.records)
@@ -109,21 +107,20 @@ class DependencyTracker:
         """Prove through ``session`` and add the reader edges of every goal
         it derived.
 
-        A proof that raises memoizes nothing: the goals it derived before
+        A proof that raises keeps nothing: the goals it derived before
         raising would have neither reader edges nor records, so they are
-        dropped and derived again when reached.
+        dropped from the goal table and derived again when reached.
         """
         done = len(session.derived)
         try:
             result = session.prove(goal)
         except BaseException:
             for atom in session.derived[done:]:
-                del self._memo[atom]
-                del self._deps[atom]
+                del self._goals[atom]
             raise
         readers = self._readers
         for atom in result.derived:
-            deps = self._deps[atom]
+            deps = self._goals[atom]
             for read in deps.atoms | deps.subgoals:
                 readers.setdefault(read, []).append(atom)
         return result
@@ -132,20 +129,20 @@ class DependencyTracker:
         """Create or refresh records for the goal and its aggregated sub-goals.
 
         Only the sub-goals the query derived afresh are visited: one
-        answered from the memo was derived, and tracked, by the query
-        that memoized it.  A record whose interval did not change is
+        answered from the goal table was derived, and tracked, by the
+        query that put it there.  A record whose interval did not change is
         left alone, so untouched conclusions keep their epoch across
         other conclusions' recomputation.
         """
         touched = []
         for atom in (result.goal, *result.derived):
-            entry = self._memo[atom]
-            if atom != result.goal and entry.node.kind != "aggregation":
+            node = self._goals[atom].node
+            if atom != result.goal and node.kind != "aggregation":
                 continue
             old = self.records.get(atom)
-            if old is not None and old.cached == entry.interval:
+            if old is not None and old.cached == node.result:
                 continue
-            record = DependencyRecord(atom, entry.interval, self.world.epoch)
+            record = DependencyRecord(atom, node.result, self.world.epoch)
             self.records[atom] = record
             touched.append(record)
         return touched
@@ -165,7 +162,7 @@ class DependencyTracker:
         invalidated, no epoch advances.  The returned atoms stay stale
         (their records keep the old interval) until ``recompute`` or a
         fresh ``query`` refreshes them.  A conclusion already stale, and
-        not re-proved since, has no memoized result left for the update
+        not re-proved since, has no goal-table entry left for the update
         to reach, so it is not returned again.
         """
         invalidated = self._sync()
@@ -183,8 +180,7 @@ class DependencyTracker:
                     reached.add(goal)
                     frontier.append(goal)
         for goal in reached:
-            del self._memo[goal]
-            deps = self._deps.pop(goal)
+            deps = self._goals.pop(goal)
             for read in deps.atoms | deps.subgoals:
                 edges = readers[read]
                 edges.remove(goal)

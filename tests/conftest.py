@@ -30,3 +30,15 @@ def intervals(draw) -> CertaintyInterval:
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20817)
+
+
+class ForgetfulGoals(dict):
+    """A goal table that never answers a lookup.
+
+    Passed as ``QuerySession(goals=...)``, it makes the session derive
+    every goal again each time a premise reaches it, as an engine with
+    no table at all would; its entries are still written.
+    """
+
+    def get(self, key, default=None):
+        return default

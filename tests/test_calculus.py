@@ -15,10 +15,8 @@ from possum.calculus import (
     TNormFamily,
     aggregate,
     antecedent_eval,
-    complement,
     consensus,
     detach,
-    ignorance,
     similarity_from_distance,
     tconorm,
     tnorm,
@@ -56,8 +54,8 @@ class TestIntervalType:
 
     def test_named_constants(self):
         assert TOTAL_IGNORANCE.ignorance() == 1.0
-        assert CERTAIN.is_crisp() and IMPOSSIBLE.is_crisp()
-        assert not CertaintyInterval(0.5, 0.5).is_crisp()
+        assert CERTAIN == CertaintyInterval(1.0, 1.0)
+        assert IMPOSSIBLE == CertaintyInterval(0.0, 0.0)
 
     def test_complement_swaps_and_reflects(self):
         c = CertaintyInterval(0.3, 0.9).complement()
@@ -66,13 +64,13 @@ class TestIntervalType:
 
     @given(intervals())
     def test_complement_involution(self, iv):
-        back = complement(complement(iv))
+        back = iv.complement().complement()
         assert abs(back.lower - iv.lower) <= 1e-12
         assert abs(back.upper - iv.upper) <= 1e-12
 
     @given(intervals())
     def test_ignorance_is_width(self, iv):
-        assert ignorance(iv) == pytest.approx(iv.upper - iv.lower, abs=TOL)
+        assert iv.ignorance() == pytest.approx(iv.upper - iv.lower, abs=TOL)
 
     def test_four_decimal_rendering(self):
         assert str(CertaintyInterval(0.93818, 0.98)) == "[0.9382, 0.9800]"

@@ -26,6 +26,7 @@ from possum.cbr import (
 from possum.engine import QueryConfig, QuerySession, prove
 from possum.errors import DomainError, UnknownPathError
 from possum.knowledge import Atom, KnowledgeBase, Rule, World, assert_evidence
+from conftest import ForgetfulGoals
 
 T2 = TNormFamily.T2
 T3 = TNormFamily.T3
@@ -178,8 +179,9 @@ class TestPrecedentSupport:
         assert "no precedent support for (z-unknown) under deals" in result.diagnostics
 
     def test_notes_are_not_repeated(self):
-        # left and right both read (c); without a memo, (c) is derived
-        # twice and its precedent notes come up twice.
+        # left and right both read (c); with a goal table that never
+        # answers, (c) is derived twice and its precedent notes come up
+        # twice.
         kb = KnowledgeBase()
         kb.case_library.declare_path(("p",))
         premise = Atom("a", ("?x",))
@@ -194,7 +196,8 @@ class TestPrecedentSupport:
         ):
             body = tuple(Atom(b) for b in body)
             kb.rules[ident] = Rule(ident, (), body, Atom(head), 0.9, 0.0, T2)
-        notes = QuerySession(kb, World("w"), use_memo=False).prove(Atom("top")).diagnostics
+        session = QuerySession(kb, World("w"), goals=ForgetfulGoals())
+        notes = session.prove(Atom("top")).diagnostics
         assert notes.count("case k inactive: role ?x is unbound in (a ?x)") == 1
         assert notes.count("no precedent support for (c) under p") == 1
 
@@ -253,7 +256,7 @@ class TestMatchCase:
         )
         assert case.kind == "case-instance"
         assert case.premise_interval == premise
-        assert case.detached_interval == case.result == detach(T2, 0.85, 0.2, premise)
+        assert case.result == detach(T2, 0.85, 0.2, premise)
         (rule,) = prove(kb, world, Atom("r")).proof.children
         assert rule.kind == "rule-instance"
         assert (rule.premise_interval, rule.result) == (case.premise_interval, case.result)

@@ -119,6 +119,15 @@ class TestQuery:
         assert "(not (anti-trust-success Mobil Marathon)) = [0.0200, 0.0618]" in out
         assert "complement" in out
 
+    def test_source_named_unknown_is_not_missing_support(self, tmp_path, capsys):
+        kb = tmp_path / "k.kb"
+        kb.write_text("")
+        world = tmp_path / "w.world"
+        world.write_text("world w {\n  fact (a) [0.9, 1] @unknown;\n}\n")
+        rc = main(["query", str(kb), str(world), "(a)"])
+        assert rc == 0
+        assert capsys.readouterr().out == "(a) = [0.9000, 1.0000]\n"
+
     def test_json_format(self, capsys):
         rc = main(["query", DEMO_KB, DEMO_WORLD, GOAL, "--format", "json"])
         assert rc == 0
@@ -183,21 +192,21 @@ class TestAssertRetract:
         assert Atom("watched", ("Marathon",)) in world.facts
 
     def test_out_flag_leaves_original_alone(self, world_copy, tmp_path):
-        before = open(world_copy).read()
+        before = Path(world_copy).read_text()
         out_file = tmp_path / "next.world"
         main(["assert", world_copy, "(fresh-rumor)", "[0.4, 1]", "--out", str(out_file)])
-        assert open(world_copy).read() == before
+        assert Path(world_copy).read_text() == before
         assert "fresh-rumor" in out_file.read_text()
 
     def test_conflicting_assert_exits_two_and_keeps_file(self, world_copy, capsys):
-        before = open(world_copy).read()
+        before = Path(world_copy).read_text()
         rc = main(
             ["assert", world_copy, "(hostile-takeover ?raider ?target)", "[0, 0]"]
         )
         captured = capsys.readouterr()
         assert rc == 2
         assert "conflict" in captured.err
-        assert open(world_copy).read() == before
+        assert Path(world_copy).read_text() == before
 
     def test_lenient_assert_goes_through(self, world_copy):
         rc = main(

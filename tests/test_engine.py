@@ -32,6 +32,7 @@ from possum.engine import (
 from possum.errors import DerivationCycleError, UnboundRoleError
 from possum.knowledge import Atom, KnowledgeBase, Rule, World, assert_evidence, validate
 from possum.revision import DependencyTracker
+from conftest import ForgetfulGoals
 from generators import diamond_kb, weighted_kb
 
 T1 = TNormFamily.T1
@@ -369,6 +370,14 @@ class TestBackwardChaining:
         assert result.proof.provenance == "unknown"
         assert any("no support" in d for d in result.diagnostics)
 
+    def test_fact_from_a_source_named_unknown_is_support(self):
+        world = World("w")
+        assert_evidence(world, Atom("a"), CertaintyInterval(0.9, 1.0), "unknown")
+        result = prove(KnowledgeBase(), world, Atom("a"))
+        assert result.interval == CertaintyInterval(0.9, 1.0)
+        assert result.proof.provenance == "unknown"
+        assert result.diagnostics == []
+
     def test_goal_roles_bound_from_world(self):
         kb = KnowledgeBase()
         world = World("w", roles={"?x": "Mobil"})
@@ -429,7 +438,7 @@ class TestBackwardChaining:
                 {r.consequent for r in kb.rules.values()}, key=str
             )
             with_memo = QuerySession(kb, world, config)
-            without = QuerySession(kb, world, config, use_memo=False)
+            without = QuerySession(kb, world, config, goals=ForgetfulGoals())
             for goal in goals:
                 assert with_memo.evaluate(goal) == without.evaluate(goal)
 
@@ -458,8 +467,8 @@ class TestBackwardChaining:
         ids=["aggregate", "consensus"],
     )
     def test_lenient_conflict_noted_once(self, rules, prior, note):
-        # left and right both read (c); without a memo (c) is derived,
-        # and its conflict found, twice.
+        # left and right both read (c); with a goal table that never
+        # answers, (c) is derived, and its conflict found, twice.
         kb = KnowledgeBase()
         bodies = {"yes": "a", "no": "b"}
         for ident in rules:
@@ -473,7 +482,7 @@ class TestBackwardChaining:
         if prior is not None:
             assert_evidence(world, Atom("c"), prior, "prior")
         config = QueryConfig(conflict_policy=ConflictPolicy.LENIENT)
-        session = QuerySession(kb, world, config, use_memo=False)
+        session = QuerySession(kb, world, config, goals=ForgetfulGoals())
         notes = session.prove(Atom("top")).diagnostics
         assert [n for n in notes if n.startswith(note)] == [notes[0]]
 
@@ -716,8 +725,7 @@ def _nested_proof_dict(node):
     }
     if node.premise_interval is not None:
         out["premise"] = [node.premise_interval.lower, node.premise_interval.upper]
-    if node.detached_interval is not None:
-        out["detached"] = [node.detached_interval.lower, node.detached_interval.upper]
+        out["detached"] = [node.result.lower, node.result.upper]
     if node.children:
         out["children"] = [_nested_proof_dict(c) for c in node.children]
     return out

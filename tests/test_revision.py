@@ -29,7 +29,7 @@ def _rule(ident, body, head, context=(), s=0.9, n=0.0):
 
 
 def _invert(deps):
-    """Reader edges as the inversion of a whole dependency graph."""
+    """Reader edges as the inversion of a whole goal table."""
     readers = {}
     for goal, d in deps.items():
         for read in d.atoms | d.subgoals:
@@ -299,7 +299,7 @@ class TestRecords:
         assert_evidence(world, Atom("shared"), CertaintyInterval(0.95, 1.0), "outside")
         tracker.query(Atom("top"))
         assert Atom("island-seed") not in tracker._readers
-        assert _reader_sets(tracker) == _invert(tracker._deps)
+        assert _reader_sets(tracker) == _invert(tracker._goals)
         assert tracker.on_update(Atom("island-seed"), CertaintyInterval(0.7, 1.0), "s2") == set()
 
     def test_sync_after_role_rebinding_leaves_no_stale_reader_edges(self):
@@ -313,7 +313,7 @@ class TestRecords:
         world.roles["?x"] = "B"
         tracker.query(Atom("q"))
         assert Atom("b", ("A",)) not in tracker._readers
-        assert _reader_sets(tracker) == _invert(tracker._deps)
+        assert _reader_sets(tracker) == _invert(tracker._goals)
         assert tracker.on_update(Atom("b", ("A",)), CertaintyInterval(0.9, 1.0), "s2") == set()
         assert tracker.on_update(Atom("b", ("B",)), CertaintyInterval(0.9, 1.0), "s2") == {Atom("q")}
 
@@ -328,7 +328,7 @@ class TestRecords:
         tracker = DependencyTracker(kb, world)
         with pytest.raises(DerivationCycleError):
             tracker.query(Atom("q"))
-        assert _reader_sets(tracker) == _invert(tracker._deps)
+        assert _reader_sets(tracker) == _invert(tracker._goals)
         tracker.query(Atom("a2"))
         assert set(tracker.records) == {Atom("a2")}
         assert tracker.on_update(Atom("b"), CertaintyInterval(0.9, 1.0), "s2") == {Atom("a2")}
@@ -348,7 +348,7 @@ class TestRecords:
             draw = rng.random()
             if draw < 0.5:
                 update = random_update(rng, world, contexts)
-                deps, records, epoch = dict(tracker._deps), set(tracker.records), world.epoch
+                deps, records, epoch = dict(tracker._goals), set(tracker.records), world.epoch
                 invalidated = tracker.on_update(*update)
                 expected = set()
                 if world.epoch != epoch:
@@ -360,13 +360,13 @@ class TestRecords:
                                 reached.add(goal)
                                 frontier.append(goal)
                     expected = reached & records
-                    assert set(tracker._deps) == set(deps) - reached, f"step {step}"
+                    assert set(tracker._goals) == set(deps) - reached, f"step {step}"
                 assert invalidated == expected, f"step {step}"
             elif draw < 0.75:
                 tracker.recompute()
             else:
                 tracker.query(rng.choice(goals))
-            assert _reader_sets(tracker) == _invert(tracker._deps), f"step {step}"
+            assert _reader_sets(tracker) == _invert(tracker._goals), f"step {step}"
 
 
 class TestEquivalence:
