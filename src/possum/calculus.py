@@ -25,20 +25,34 @@ exclusive alternatives; the half-step families sit between.  Every
 family lies within the Frechet bounds T1 <= T <= T3 pointwise, so the
 choice moves results monotonically along the table.
 
+Each family's conjunction is written once, for one or more values.
+T1.5 and T2.5 take n arguments through their closed forms (sum of
+square roots, sum of reciprocals); T1 folds.  Those sums run left to
+right in a plain loop, because ``sum`` compensates its rounding from
+CPython 3.12 on and would make results depend on the interpreter.
+Outputs are clamped so accumulated rounding can never leave [0, 1].
+
 On top of the raw norms this module provides the four combination
 steps the inference engine is built from: antecedent evaluation,
 detachment through a qualified implication, aggregation of parallel
 support paths, and consensus across independent sources.
+
+Values are checked once, where they enter.  ``CertaintyInterval``
+checks its bounds when it is built, so the steps that read intervals
+do not check them again: ``antecedent_eval`` and ``aggregate`` check
+only the family.  Bare numbers are checked by the functions that take
+them: ``tnorm``, ``tconorm``, the strengths of ``detach``,
+``similarity_from_distance`` and ``transitivity_bound``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from math import prod, sqrt
+from typing import Callable, Iterable, Sequence
 
-from ..errors import DomainError, EvidenceConflictError, SourceConflictError
-from . import _kernels
+from .errors import DomainError, EvidenceConflictError, SourceConflictError
 
 __all__ = [
     "CertaintyInterval",
@@ -62,6 +76,9 @@ __all__ = [
 # conflict.  Test tolerances sit three orders of magnitude above.
 _SNAP = 1e-12
 
+# What counts as a number, for interval bounds and bare values alike.
+_NUMBER = (int, float)
+
 
 class TNormFamily(Enum):
     """The five conjunction families, tagged by liberality rank."""
@@ -71,10 +88,6 @@ class TNormFamily(Enum):
     T2 = 2
     T2_5 = 3
     T3 = 4
-
-    @property
-    def code(self) -> int:
-        return self.value
 
     @property
     def label(self) -> str:
@@ -93,7 +106,7 @@ class TNormFamily(Enum):
         fams = list(families)
         if not fams:
             raise DomainError("most_conservative of no families")
-        return min(fams, key=lambda f: f.code)
+        return min(fams, key=lambda f: f.value)
 
 
 class ConflictPolicy(Enum):
@@ -116,11 +129,10 @@ class CertaintyInterval:
     upper: float
 
     def __post_init__(self) -> None:
-        try:
-            lo = float(self.lower)
-            hi = float(self.upper)
-        except (TypeError, ValueError):
-            raise DomainError(f"interval bounds must be numbers, got {self.lower!r}, {self.upper!r}")
+        lo, hi = self.lower, self.upper
+        if not (isinstance(lo, _NUMBER) and isinstance(hi, _NUMBER)):
+            raise DomainError(f"interval bounds must be numbers, got {lo!r}, {hi!r}")
+        lo, hi = float(lo), float(hi)
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
         if not (0.0 <= lo <= hi <= 1.0):
@@ -147,7 +159,7 @@ IMPOSSIBLE = CertaintyInterval(0.0, 0.0)
 
 
 def _check_unit(value: float, what: str) -> float:
-    if not isinstance(value, (int, float)):
+    if not isinstance(value, _NUMBER):
         raise DomainError(f"{what} must be a number, got {value!r}")
     v = float(value)
     if not 0.0 <= v <= 1.0:
@@ -155,10 +167,71 @@ def _check_unit(value: float, what: str) -> float:
     return v
 
 
-def _checked(family: TNormFamily, values: Sequence[float], op: str) -> tuple[float, ...]:
+def _clamp(x: float) -> float:
+    if x < 0.0:
+        return 0.0
+    if x > 1.0:
+        return 1.0
+    return x
+
+
+def _bounded_difference(values: Sequence[float]) -> float:
+    acc = values[0]
+    for v in values[1:]:
+        acc = acc + v - 1.0
+        if acc < 0.0:
+            acc = 0.0
+    return _clamp(acc)
+
+
+def _sqrt_form(values: Sequence[float]) -> float:
+    s = 0.0
+    for v in values:
+        s += sqrt(v)
+    r = s - (len(values) - 1)
+    return _clamp(r * r) if r > 0.0 else 0.0
+
+
+def _product(values: Sequence[float]) -> float:
+    return _clamp(prod(values))
+
+
+def _reciprocal_form(values: Sequence[float]) -> float:
+    s = 0.0
+    for v in values:
+        if v == 0.0:
+            # Limit of the reciprocal form as any argument -> 0+.
+            return 0.0
+        s += 1.0 / v
+    return _clamp(1.0 / (s - (len(values) - 1)))
+
+
+_Conjunction = Callable[[Sequence[float]], float]
+
+_CONJUNCTIONS: dict[TNormFamily, _Conjunction] = {
+    TNormFamily.T1: _bounded_difference,
+    TNormFamily.T1_5: _sqrt_form,
+    TNormFamily.T2: _product,
+    TNormFamily.T2_5: _reciprocal_form,
+    TNormFamily.T3: min,
+}
+
+
+def _conjunction(family: TNormFamily, op: str) -> _Conjunction:
+    """The family's n-ary conjunction; ``op`` names the caller in errors."""
     if not isinstance(family, TNormFamily):
         raise DomainError(f"{op} needs a TNormFamily, got {family!r}")
-    vals = tuple(_check_unit(v, f"{op} argument") for v in values)
+    return _CONJUNCTIONS[family]
+
+
+def _disjunction(conj: _Conjunction, values: Sequence[float]) -> float:
+    """The dual conorm: 1 - T(1 - v_1, ..., 1 - v_n)."""
+    return 1.0 - conj([1.0 - v for v in values])
+
+
+def _unit_values(values: Sequence[float], op: str) -> list[float]:
+    what = f"{op} argument"
+    vals = [_check_unit(v, what) for v in values]
     if not vals:
         raise DomainError(f"{op} of an empty sequence")
     return vals
@@ -170,18 +243,16 @@ def tnorm(family: TNormFamily, values: Sequence[float]) -> float:
     A single value passes through untouched; longer sequences combine by
     the family's fold (closed n-ary form for T1.5 and T2.5).
     """
-    vals = _checked(family, values, "tnorm")
-    if len(vals) == 1:
-        return vals[0]
-    return _kernels.tnorm_many(family.code, vals)
+    conj = _conjunction(family, "tnorm")
+    vals = _unit_values(values, "tnorm")
+    return vals[0] if len(vals) == 1 else conj(vals)
 
 
 def tconorm(family: TNormFamily, values: Sequence[float]) -> float:
     """Disjunction of one or more certainty values, dual to ``tnorm``."""
-    vals = _checked(family, values, "tconorm")
-    if len(vals) == 1:
-        return vals[0]
-    return _kernels.tconorm_many(family.code, vals)
+    conj = _conjunction(family, "tconorm")
+    vals = _unit_values(values, "tconorm")
+    return vals[0] if len(vals) == 1 else _disjunction(conj, vals)
 
 
 def _snap(lower: float, upper: float) -> tuple[float, float]:
@@ -196,12 +267,16 @@ def antecedent_eval(family: TNormFamily, clauses: Sequence[CertaintyInterval]) -
     """Joint belief in a conjunction of clauses: [T(lowers), T(uppers)].
 
     Any clause at total ignorance drags the conjunction's lower bound to
-    0 while the uppers keep what is still possible.
+    0 while the uppers keep what is still possible.  A single clause is
+    returned exactly as given.
     """
+    conj = _conjunction(family, "antecedent_eval")
     if not clauses:
         raise DomainError("antecedent_eval of an empty clause list")
-    lo = tnorm(family, [c.lower for c in clauses])
-    hi = tnorm(family, [c.upper for c in clauses])
+    if len(clauses) == 1:
+        return clauses[0]
+    lo = conj([c.lower for c in clauses])
+    hi = conj([c.upper for c in clauses])
     return CertaintyInterval(*_snap(lo, hi))
 
 
@@ -225,10 +300,9 @@ def detach(
     """
     s = _check_unit(sufficiency, "sufficiency")
     n = _check_unit(necessity, "necessity")
-    if not isinstance(family, TNormFamily):
-        raise DomainError(f"detach needs a TNormFamily, got {family!r}")
-    lo = _kernels.tnorm_pair(family.code, s, premise.lower)
-    hi = 1.0 - _kernels.tnorm_pair(family.code, n, 1.0 - premise.upper)
+    conj = _conjunction(family, "detach")
+    lo = conj((s, premise.lower))
+    hi = 1.0 - conj((n, 1.0 - premise.upper))
     return CertaintyInterval(*_snap(lo, hi))
 
 
@@ -253,12 +327,13 @@ def aggregate(
     conflict: strict policy raises EvidenceConflictError, lenient
     substitutes total ignorance and records a diagnostic once.
     """
+    conj = _conjunction(family, "aggregate")
     if not paths:
         raise DomainError("aggregate of an empty path list")
     if len(paths) == 1:
         return paths[0]
-    lo = tconorm(family, [p.lower for p in paths])
-    hi = 1.0 - tconorm(family, [1.0 - p.upper for p in paths])
+    lo = _disjunction(conj, [p.lower for p in paths])
+    hi = 1.0 - _disjunction(conj, [1.0 - p.upper for p in paths])
     lo, hi = _snap(lo, hi)
     if lo > hi:
         what = subject or "conclusion"
@@ -326,6 +401,4 @@ def transitivity_bound(family: TNormFamily, s_ac: float, s_cb: float) -> float:
     """
     a = _check_unit(s_ac, "similarity")
     b = _check_unit(s_cb, "similarity")
-    if not isinstance(family, TNormFamily):
-        raise DomainError(f"transitivity_bound needs a TNormFamily, got {family!r}")
-    return _kernels.tnorm_pair(family.code, a, b)
+    return _conjunction(family, "transitivity_bound")((a, b))

@@ -32,14 +32,16 @@ from .engine import (
     prove,
     result_to_dict,
 )
-from .errors import ConflictError, PossumError, UnknownPathError
+from .errors import ConflictError, ParseError, PossumError, UnknownPathError
 from .dsl import (
+    _Kind,
     load_kb,
     load_world,
     parse_evidence_text,
     parse_goal,
     parse_interval_text,
     render_world,
+    tokenize,
 )
 from .knowledge import (
     Atom,
@@ -78,6 +80,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _threshold(text: str) -> float:
+    """An ``--alpha`` value: a number in [0, 1]; nan fails the range test."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number in [0, 1]")
+    return value
+
+
 def _add_query_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--tnorm-policy",
@@ -87,7 +100,7 @@ def _add_query_flags(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument(
         "--alpha",
-        type=float,
+        type=_threshold,
         default=0.5,
         metavar="A",
         help="context activation threshold (default 0.5)",
@@ -147,7 +160,7 @@ def build_parser() -> _Parser:
     p.add_argument("kb")
     p.add_argument("path", help="taxonomy node, e.g. defense/anti-trust")
     p.add_argument("world", nargs="?", help="screen templates against this world")
-    p.add_argument("--alpha", type=float, default=0.5)
+    p.add_argument("--alpha", type=_threshold, default=0.5)
     p.add_argument("--tnorm-policy", choices=["strict", "lenient"], default="strict")
 
     p = verbs.add_parser("saturate", help="derive every derivable conclusion")
@@ -159,7 +172,7 @@ def build_parser() -> _Parser:
     p.add_argument("kb")
     p.add_argument("world")
     p.add_argument("--tnorm-policy", choices=["strict", "lenient"], default="strict")
-    p.add_argument("--alpha", type=float, default=0.5)
+    p.add_argument("--alpha", type=_threshold, default=0.5)
 
     return parser
 
@@ -268,7 +281,18 @@ def _cmd_load(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_source(source: str) -> None:
+    """Refuse a source name the world file would not read back as one identifier."""
+    try:
+        first = tokenize(source, "<source>")[0]
+    except ParseError:
+        first = None
+    if first is None or first.kind is not _Kind.IDENT or first.text != source:
+        raise PossumError(f"evidence source {source!r} must be a single identifier")
+
+
 def _cmd_assert(args: argparse.Namespace) -> int:
+    _check_source(args.source)
     world = load_world(args.world, _policy(args))
     atom, negated = parse_goal(args.atom)
     if negated:

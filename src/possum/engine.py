@@ -185,7 +185,7 @@ def context_passes(
     """
     if not context:
         return True
-    values = []
+    lowers = []
     for atom in context:
         try:
             ground = substitute(atom, world.roles)
@@ -193,9 +193,8 @@ def context_passes(
             if on_unbound is not None:
                 on_unbound(err)
             return False
-        values.append(fetch(ground))
-    joint = antecedent_eval(TNormFamily.T3, values)
-    return joint.lower >= config.context_threshold
+        lowers.append(fetch(ground).lower)
+    return min(lowers) >= config.context_threshold
 
 
 class RuleInstance(NamedTuple):
@@ -550,32 +549,45 @@ def explain(result: QueryResult) -> str:
     The tree has one line per node of the proof walked as a tree, so a
     sub-proof the goal table shares appears in full under every step
     that used it.  Each ``(node, depth)`` is formatted once: the walk keeps
-    the span of lines a pair produced and copies that span when the
-    pair recurs, so the cost beyond the output's own size follows the
+    the line a pair's span starts at and copies that span when the pair
+    recurs, so the cost beyond the output's own size follows the
     distinct nodes, not the tree.
+
+    The line list is sized first and allocated once: grown by appends, its
+    freed blocks make the time per call on a large proof vary by process.
     """
-    lines: list[str] = []
-    spans: dict[tuple[int, int], tuple[int, int]] = {}
-    # (node, depth, None) renders a pair; (node, depth, start) closes the
-    # span that rendering opened at line ``start``.
-    stack: list[tuple[ProofNode, int, int | None]] = [(result.proof, 0, None)]
+    sizes = _tree_sizes(result.proof)
+    lines = [""] * (sizes[id(result.proof)] + len(result.diagnostics))
+    starts: dict[tuple[int, int], int] = {}
+    pos = 0
+    stack = [(result.proof, 0)]
     while stack:
-        node, depth, start = stack.pop()
-        key = (id(node), depth)
-        if start is not None:
-            spans[key] = (start, len(lines))
-            continue
-        span = spans.get(key)
-        if span is not None:
-            lines += lines[span[0]:span[1]]
-            continue
-        stack.append((node, depth, len(lines)))
-        lines.append(_proof_line(node, "  " * depth))
-        for child in reversed(node.children):
-            stack.append((child, depth + 1, None))
-    for note in result.diagnostics:
-        lines.append(f"note: {note}")
+        node, depth = stack.pop()
+        start = starts.setdefault((id(node), depth), pos)
+        if start < pos:  # the pair recurs: copy the span it rendered
+            n = sizes[id(node)]
+            lines[pos:pos + n] = lines[start:start + n]
+            pos += n
+        else:
+            lines[pos] = _proof_line(node, "  " * depth)
+            pos += 1
+            stack.extend((child, depth + 1) for child in reversed(node.children))
+    lines[pos:] = [f"note: {note}" for note in result.diagnostics]
     return "\n".join(lines)
+
+
+def _tree_sizes(root: ProofNode) -> dict[int, int]:
+    """Lines each node of ``root`` takes when walked as a tree, by ``id``."""
+    sizes: dict[int, int] = {}
+    stack = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            sizes[id(node)] = 1 + sum(sizes[id(child)] for child in node.children)
+        elif id(node) not in sizes:
+            stack.append((node, True))
+            stack.extend((child, False) for child in node.children)
+    return sizes
 
 
 def _proof_line(node: ProofNode, pad: str) -> str:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -46,6 +47,11 @@ class TestIntervalType:
     def test_rejects_non_numbers(self):
         with pytest.raises(DomainError):
             CertaintyInterval("a", 1.0)
+
+    @pytest.mark.parametrize("lo,hi", [("0.5", 1.0), (0.5, "1"), ("0.5", "1")])
+    def test_rejects_numeric_strings(self, lo, hi):
+        with pytest.raises(DomainError):
+            CertaintyInterval(lo, hi)
 
     def test_coerces_ints(self):
         iv = CertaintyInterval(0, 1)
@@ -401,6 +407,58 @@ class TestSimilarity:
     @given(families, unit_floats, unit_floats)
     def test_bound_never_exceeds_either_similarity(self, family, a, b):
         assert transitivity_bound(family, a, b) <= min(a, b) + TOL
+
+
+def _clamp(x: float) -> float:
+    if x < 0.0:
+        return 0.0
+    if x > 1.0:
+        return 1.0
+    return x
+
+
+def _pair_reference(family, a: float, b: float) -> float:
+    """Each family's conjunction of two values, written out pairwise."""
+    if family is T1:
+        return _clamp(a + b - 1.0)
+    if family is T1_5:
+        r = math.sqrt(a) + math.sqrt(b) - 1.0
+        return _clamp(r * r) if r > 0.0 else 0.0
+    if family is T2:
+        return a * b
+    if family is T2_5:
+        if a == 0.0 or b == 0.0:
+            return 0.0
+        return _clamp(1.0 / (1.0 / a + 1.0 / b - 1.0))
+    return a if a < b else b
+
+
+# Edge values (0, 1, tiny, next to 1) and a seeded sample of the interior.
+_pair_rng = random.Random(4242)
+PAIR_VALUES = [0.0, 1.0, 5e-324, 1e-300, 1e-16, 0.5, 1.0 - 1e-16, 0.25, 0.75] + [
+    _pair_rng.random() for _ in range(30)
+]
+
+
+class TestPairsExactly:
+    """Detachment and the transitivity bound equal the pairwise formulas exactly."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_detach_and_transitivity_bound(self, family):
+        wrong = []
+        for a in PAIR_VALUES:
+            for b in PAIR_VALUES:
+                expect = _pair_reference(family, a, b)
+                lower = detach(family, a, 0.0, CertaintyInterval(b, 1.0)).lower
+                upper = detach(family, 0.0, a, CertaintyInterval(0.0, b)).upper
+                bound = transitivity_bound(family, a, b)
+                if lower != expect:
+                    wrong.append(("detach lower", a, b, lower, expect))
+                if upper != 1.0 - _pair_reference(family, a, 1.0 - b):
+                    wrong.append(("detach upper", a, b, upper))
+                if bound != expect:
+                    wrong.append(("transitivity_bound", a, b, bound, expect))
+        assert wrong == []
 
 
 class TestFamilyTags:

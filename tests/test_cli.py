@@ -174,6 +174,30 @@ class TestQuery:
         assert "possum:" in capsys.readouterr().err
 
 
+class TestAlpha:
+    @pytest.mark.parametrize("alpha", ["2", "-1", "nan", "inf", "1.0000001", "half"])
+    @pytest.mark.parametrize(
+        "verb",
+        [
+            ["query", DEMO_KB, DEMO_WORLD, GOAL],
+            ["explain", DEMO_KB, DEMO_WORLD, GOAL],
+            ["saturate", DEMO_KB, DEMO_WORLD],
+            ["cases", DEMO_KB, "defense", DEMO_WORLD],
+            ["repl", DEMO_KB, DEMO_WORLD],
+        ],
+        ids=["query", "explain", "saturate", "cases", "repl"],
+    )
+    def test_threshold_outside_the_unit_interval_is_a_usage_error(self, verb, alpha, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*verb, "--alpha", alpha])
+        assert exc.value.code == 1
+        assert "--alpha" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alpha", ["0", "1", "0.95"])
+    def test_threshold_bounds_are_accepted(self, alpha, capsys):
+        assert main(["query", DEMO_KB, DEMO_WORLD, GOAL, "--alpha", alpha]) == 0
+
+
 class TestAssertRetract:
     def test_assert_rewrites_world_file(self, world_copy, capsys):
         rc = main(
@@ -219,6 +243,25 @@ class TestAssertRetract:
         world = load_world(world_copy, cli.ConflictPolicy.LENIENT)
         atom = Atom("hostile-takeover", ("Mobil", "Marathon"))
         assert len(world.facts[atom].evidence) == 2
+
+    @pytest.mark.parametrize("source", ["two words", "9lives", "", "?x", "a;b", " press"])
+    def test_source_that_would_not_parse_back_is_rejected(self, world_copy, source, capsys):
+        before = Path(world_copy).read_text()
+        rc = main(["assert", world_copy, "(fresh-rumor)", "[0.4, 1]", "--source", source])
+        assert rc == 1
+        assert repr(source) in capsys.readouterr().err
+        assert Path(world_copy).read_text() == before
+
+    @pytest.mark.parametrize("source", ["press", "T1.5", "wire-feed_2", "fact"])
+    def test_written_source_parses_back(self, world_copy, tmp_path, source):
+        out_file = tmp_path / "next.world"
+        rc = main(
+            ["assert", world_copy, "(fresh-rumor)", "[0.4, 1]", "--source", source,
+             "--out", str(out_file)]
+        )
+        assert rc == 0
+        assert main(["load", DEMO_KB, str(out_file)]) == 0
+        assert load_world(str(out_file)).facts[Atom("fresh-rumor")].sources() == [source]
 
     def test_retract_source_round_trip(self, world_copy, capsys):
         main(["assert", world_copy, "(fresh-rumor)", "[0.4, 1]", "--source", "press"])
