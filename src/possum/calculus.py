@@ -96,10 +96,10 @@ class TNormFamily(Enum):
 
     @classmethod
     def from_label(cls, label: str) -> "TNormFamily":
-        for fam in cls:
-            if fam.label == label:
-                return fam
-        raise DomainError(f"unknown t-norm family {label!r}")
+        try:
+            return _FAMILY_BY_LABEL[label]
+        except KeyError:
+            raise DomainError(f"unknown t-norm family {label!r}") from None
 
     @classmethod
     def most_conservative(cls, families: Iterable["TNormFamily"]) -> "TNormFamily":
@@ -107,6 +107,9 @@ class TNormFamily(Enum):
         if not fams:
             raise DomainError("most_conservative of no families")
         return min(fams, key=lambda f: f.value)
+
+
+_FAMILY_BY_LABEL = {family.label: family for family in TNormFamily}
 
 
 class ConflictPolicy(Enum):

@@ -34,7 +34,7 @@ from .engine import (
 )
 from .errors import ConflictError, ParseError, PossumError, UnknownPathError
 from .dsl import (
-    _Kind,
+    _IDENT,
     load_kb,
     load_world,
     parse_evidence_text,
@@ -284,10 +284,10 @@ def _cmd_load(args: argparse.Namespace) -> int:
 def _check_source(source: str) -> None:
     """Refuse a source name the world file would not read back as one identifier."""
     try:
-        first = tokenize(source, "<source>")[0]
+        tokens = tokenize(source, "<source>")
     except ParseError:
-        first = None
-    if first is None or first.kind is not _Kind.IDENT or first.text != source:
+        tokens = None
+    if tokens is None or tokens.kinds[0] != _IDENT or tokens.texts[0] != source:
         raise PossumError(f"evidence source {source!r} must be a single identifier")
 
 

@@ -30,18 +30,22 @@ A world file binds roles and lists evidence:
       askable weak-foreign-competition;
     }
 
-Parsing is recursive descent with one token of lookahead.  Errors carry
-line:column spans; inside a knowledge-base file the parser recovers at
-the next top-level keyword so one bad declaration does not hide the
-rest.  Lexicon labels resolve in a second pass, so a block may follow
-its uses.  ``render_kb`` emits a canonical form (sorted, labels
-replaced by their numbers) that re-parses to an equal knowledge base.
+The lexer is one regular expression, and a file's tokens are parallel
+lists of kinds and texts.  Their start offsets, and from an offset a
+token's line:column, are computed only when an error names a token.
+Parsing is recursive descent over the lists by index, with one token of
+lookahead.  Inside a knowledge-base file the parser recovers at the
+next top-level keyword so one bad declaration does not hide the rest.
+Each distinct atom is built once per parse and shared.  Lexicon labels
+resolve in a second pass, so a block may follow its uses.  ``render_kb``
+emits a canonical form (sorted, labels replaced by their numbers) that
+re-parses to an equal knowledge base.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path as FsPath
 
 from .calculus import CertaintyInterval, ConflictPolicy, TNormFamily
@@ -72,138 +76,81 @@ __all__ = [
 
 _TOP_KEYWORDS = frozenset({"lexicon", "taxonomy", "rule", "case", "precedent", "world"})
 
+# Each match is one token (the group) followed by the blanks and comments
+# after it; only "\n" ends a line.  Identifiers continue with '.' and '-'
+# so family tags (T1.5) and hyphenated predicates (hhi-post-above-1800)
+# are one token; \w is str.isalnum() plus '_'.  Numbers take ASCII
+# digits only: str.isdigit() also admits '²', which float() rejects, and
+# '٣', which it reads as 3.  A word that starts outside ASCII is an
+# identifier only if it starts with a letter ('²x' is not), and the last
+# branch takes any other character, which is an error.
+_BLANKS = r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*"
+_TOKEN = re.compile(
+    r"([A-Za-z_][\w.-]*|\?[\w.-]+|[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?"
+    r"|[{}()\[\];,=/@]|\Z|[^\W\d][\w.-]*|.)" + _BLANKS,
+    re.S,
+)
+_LEADING_BLANKS = re.compile(_BLANKS)
 
-class _Kind(Enum):
-    IDENT = "identifier"
-    ROLEVAR = "role variable"
-    NUMBER = "number"
-    LBRACE = "'{'"
-    RBRACE = "'}'"
-    LPAREN = "'('"
-    RPAREN = "')'"
-    LBRACKET = "'['"
-    RBRACKET = "']'"
-    SEMI = "';'"
-    COMMA = "','"
-    EQUALS = "'='"
-    SLASH = "'/'"
-    AT = "'@'"
-    EOF = "end of input"
-
-
-_PUNCT = {
-    "{": _Kind.LBRACE,
-    "}": _Kind.RBRACE,
-    "(": _Kind.LPAREN,
-    ")": _Kind.RPAREN,
-    "[": _Kind.LBRACKET,
-    "]": _Kind.RBRACKET,
-    ";": _Kind.SEMI,
-    ",": _Kind.COMMA,
-    "=": _Kind.EQUALS,
-    "/": _Kind.SLASH,
-    "@": _Kind.AT,
+_IDENT, _ROLEVAR, _NUMBER, _PUNCT, _EOF = range(5)
+_KIND_NAMES = {
+    _IDENT: "identifier", _ROLEVAR: "role variable", _NUMBER: "number", _EOF: "end of input"
 }
-
-# Identifiers may continue with '.' and '-' so family tags (T1.5) and
-# hyphenated predicates (hhi-post-above-1800) are single tokens.
-_IDENT_CONT = "_.-"
-
-
-@dataclass(slots=True)
-class _Token:
-    kind: _Kind
-    text: str
-    line: int
-    column: int
-    length: int
-    number: float = 0.0
-
-    def describe(self) -> str:
-        if self.kind in (_Kind.IDENT, _Kind.ROLEVAR, _Kind.NUMBER):
-            return f"{self.kind.value} {self.text!r}"
-        return self.kind.value
+_ARGUMENT_KINDS = (_IDENT, _ROLEVAR)
+# A token's kind follows from its first character; None marks a
+# non-ASCII start, checked apart.
+_KIND_OF = {"": _EOF, "?": _ROLEVAR, "_": _IDENT}
+_KIND_OF.update(dict.fromkeys("{}()[];,=/@", _PUNCT))
+_KIND_OF.update(dict.fromkeys("0123456789", _NUMBER))
+_KIND_OF.update(dict.fromkeys("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ", _IDENT))
 
 
-def _is_ident_start(c: str) -> bool:
-    return c.isalpha() or c == "_"
+class _Tokens:
+    """A file's tokens as parallel lists; the last one is the end of input.
+
+    ``starts`` holds each token's offset in ``text``.  Only an error needs
+    one, so the first error scans the text again to fill it in.
+    """
+
+    __slots__ = ("kinds", "texts", "starts", "text", "source_name")
+
+    def __init__(self, kinds: list[int], texts: list[str], text: str, source_name: str):
+        self.kinds, self.texts, self.text, self.source_name = kinds, texts, text, source_name
+        self.starts: list[int] | None = None
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def error(self, message: str, i: int) -> ParseError:
+        """An error at token ``i``, with its line and column."""
+        text = self.text
+        if self.starts is None:
+            start = _LEADING_BLANKS.match(text).end()
+            self.starts = [match.start() for match in _TOKEN.finditer(text, start)]
+            # A comment does not move the column, so the end of input sits
+            # where a comment on the last line starts.
+            comment = text.find("#", text.rfind("\n") + 1)
+            if comment >= 0:
+                self.starts[-1] = comment
+        offset = self.starts[i]
+        line_start = text.rfind("\n", 0, offset) + 1
+        line = text.count("\n", 0, offset) + 1
+        return ParseError(message, line, offset - line_start + 1, self.source_name)
 
 
-def _is_ident_cont(c: str) -> bool:
-    return c.isalnum() or c in _IDENT_CONT
-
-
-# ASCII only: str.isdigit() also admits characters such as '²', which
-# float() rejects, and '٣', which it reads as 3.
-_DIGITS = frozenset("0123456789")
-
-
-def tokenize(text: str, source_name: str = "<input>") -> list[_Token]:
-    tokens: list[_Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c in _PUNCT:
-            tokens.append(_Token(_PUNCT[c], c, line, col, 1))
-            i += 1
-            col += 1
-            continue
-        if c == "?":
-            start = i
-            i += 1
-            while i < n and _is_ident_cont(text[i]):
-                i += 1
-            word = text[start:i]
-            if len(word) == 1:
-                raise ParseError("'?' must introduce a role name", line, col, source_name)
-            tokens.append(_Token(_Kind.ROLEVAR, word, line, col, len(word)))
-            col += len(word)
-            continue
-        if c in _DIGITS:
-            start = i
-            while i < n and text[i] in _DIGITS:
-                i += 1
-            if i < n and text[i] == "." and i + 1 < n and text[i + 1] in _DIGITS:
-                i += 1
-                while i < n and text[i] in _DIGITS:
-                    i += 1
-            if i < n and text[i] in "eE":
-                j = i + 1
-                if j < n and text[j] in "+-":
-                    j += 1
-                if j < n and text[j] in _DIGITS:
-                    i = j
-                    while i < n and text[i] in _DIGITS:
-                        i += 1
-            word = text[start:i]
-            tokens.append(_Token(_Kind.NUMBER, word, line, col, len(word), float(word)))
-            col += len(word)
-            continue
-        if _is_ident_start(c):
-            start = i
-            i += 1
-            while i < n and _is_ident_cont(text[i]):
-                i += 1
-            word = text[start:i]
-            tokens.append(_Token(_Kind.IDENT, word, line, col, len(word)))
-            col += len(word)
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, col, source_name)
-    tokens.append(_Token(_Kind.EOF, "", line, col, 0))
+def tokenize(text: str, source_name: str = "<input>") -> _Tokens:
+    """Split ``text`` into tokens; a character no token takes raises ParseError."""
+    texts = _TOKEN.findall(text, _LEADING_BLANKS.match(text).end())
+    kinds = [_KIND_OF.get(word[:1]) for word in texts]
+    tokens = _Tokens(kinds, texts, text, source_name)
+    if None in kinds or "?" in texts:
+        for i, word in enumerate(texts):
+            if word == "?":
+                raise tokens.error("'?' must introduce a role name", i)
+            if kinds[i] is None:
+                if not word[0].isalpha():
+                    raise tokens.error(f"unexpected character {word[0]!r}", i)
+                kinds[i] = _IDENT
     return tokens
 
 
@@ -212,7 +159,7 @@ class _Label:
     """A strength given as a lexicon label, resolved in pass two."""
 
     name: str
-    token: _Token
+    token: int
 
 
 @dataclass(slots=True)
@@ -220,13 +167,13 @@ class _Decl:
     """A parsed rule or case; ``token`` is its keyword, which names the kind.
 
     ``path`` is a rule's class or a case's taxonomy path, and ``roles``
-    is None for a rule.
+    is None for a rule.  Tokens are indices into the parser's lists.
     """
 
-    token: _Token
+    token: int
     identifier: str
     path: tuple[str, ...]
-    path_token: _Token
+    path_token: int
     roles: tuple[str, ...] | None
     context: tuple[Atom, ...]
     antecedents: tuple[Atom, ...]
@@ -238,125 +185,149 @@ class _Decl:
 
 @dataclass(slots=True)
 class _LinkDecl:
-    token: _Token
+    token: int
     predicate: str
     path: tuple[str, ...]
     family: TNormFamily
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], source_name: str):
+    """Recursive descent over token indices: each ``parse_*`` method takes
+    the index of its first token and returns its value with the index
+    after its last; ``expect`` returns the index after the expected token."""
+
+    def __init__(self, tokens: _Tokens):
         self.tokens = tokens
-        self.pos = 0
-        self.source_name = source_name
+        self.kinds = tokens.kinds
+        self.texts = tokens.texts
+        self.resume = 0  # where a recovering parse goes on after an error
+        self.atoms: dict[tuple[str, ...], Atom] = {}
 
     # -- token plumbing ----------------------------------------------
 
-    @property
-    def cur(self) -> _Token:
-        return self.tokens[self.pos]
+    def error(self, message: str, i: int, at: int | None = None) -> ParseError:
+        """An error at token ``at`` (default ``i``), raised with the parser at ``i``."""
+        self.resume = i
+        return self.tokens.error(message, i if at is None else at)
 
-    def advance(self) -> _Token:
-        tok = self.cur
-        if tok.kind is not _Kind.EOF:
-            self.pos += 1
-        return tok
+    def describe(self, i: int) -> str:
+        kind = self.kinds[i]
+        if kind == _PUNCT:
+            return f"'{self.texts[i]}'"
+        if kind == _EOF:
+            return "end of input"
+        return f"{_KIND_NAMES[kind]} {self.texts[i]!r}"
 
-    def at(self, kind: _Kind) -> bool:
-        return self.cur.kind is kind
+    def expected(self, i: int, what: str, context: str) -> ParseError:
+        return self.error(f"expected {what} {context}, found {self.describe(i)}", i)
 
-    def at_keyword(self, word: str) -> bool:
-        return self.cur.kind is _Kind.IDENT and self.cur.text == word
+    def expect(self, i: int, text: str, context: str) -> int:
+        """Past the punctuation or keyword ``text``."""
+        if self.texts[i] != text:
+            raise self.expected(i, f"'{text}'", context)
+        return i + 1
 
-    def error(self, message: str, token: _Token | None = None) -> ParseError:
-        tok = token or self.cur
-        return ParseError(message, tok.line, tok.column, self.source_name)
+    def expect_kind(self, i: int, kind: int, context: str) -> int:
+        if self.kinds[i] != kind:
+            raise self.expected(i, _KIND_NAMES[kind], context)
+        return i + 1
 
-    def expect(self, kind: _Kind, context: str) -> _Token:
-        if self.cur.kind is not kind:
-            raise self.error(f"expected {kind.value} {context}, found {self.cur.describe()}")
-        return self.advance()
-
-    def expect_keyword(self, word: str, context: str) -> _Token:
-        if not self.at_keyword(word):
-            raise self.error(f"expected '{word}' {context}, found {self.cur.describe()}")
-        return self.advance()
-
-    def synchronize(self) -> None:
+    def synchronize(self, i: int) -> int:
         """Panic recovery: skip ahead to the next top-level keyword."""
-        self.advance()
-        while not self.at(_Kind.EOF):
-            if self.cur.kind is _Kind.IDENT and self.cur.text in _TOP_KEYWORDS:
-                return
-            self.advance()
+        last, texts = len(self.kinds) - 1, self.texts
+        i = min(i + 1, last)
+        while i < last and texts[i] not in _TOP_KEYWORDS:
+            i += 1
+        return i
 
     # -- shared pieces -----------------------------------------------
 
-    def parse_atom(self) -> Atom:
-        self.expect(_Kind.LPAREN, "to open an atom")
-        pred = self.expect(_Kind.IDENT, "as the atom's predicate")
-        args: list[str] = []
-        while self.at(_Kind.IDENT) or self.at(_Kind.ROLEVAR):
-            args.append(self.advance().text)
-        self.expect(_Kind.RPAREN, "to close the atom")
-        return Atom(pred.text, tuple(args))
+    def parse_atom(self, i: int) -> tuple[Atom, int]:
+        if self.texts[i] != "(":
+            raise self.expected(i, "'('", "to open an atom")
+        return self.parse_atom_body(i + 1, "atom")
 
-    def parse_atoms(self, context: str) -> tuple[Atom, ...]:
-        if not self.at(_Kind.LPAREN):
-            raise self.error(f"expected at least one atom {context}, found {self.cur.describe()}")
+    def parse_atom_body(self, i: int, name: str) -> tuple[Atom, int]:
+        """``predicate arguments )``, after the '(' of the atom or goal ``name``."""
+        kinds, texts = self.kinds, self.texts
+        if kinds[i] != _IDENT:
+            raise self.expected(i, "identifier", f"as the {name}'s predicate")
+        j = i + 1
+        while kinds[j] in _ARGUMENT_KINDS:
+            j += 1
+        if texts[j] != ")":
+            raise self.expected(j, "')'", f"to close the {name}")
+        key = tuple(texts[i:j])
+        atom = self.atoms.get(key)
+        if atom is None:
+            atom = self.atoms[key] = Atom(key[0], key[1:])
+        return atom, j + 1
+
+    def parse_atoms(self, i: int, context: str) -> tuple[tuple[Atom, ...], int]:
+        if self.texts[i] != "(":
+            raise self.expected(i, "at least one atom", context)
         atoms = []
-        while self.at(_Kind.LPAREN):
-            atoms.append(self.parse_atom())
-        return tuple(atoms)
+        while self.texts[i] == "(":
+            atom, i = self.parse_atom(i)
+            atoms.append(atom)
+        return tuple(atoms), i
 
-    def parse_path(self) -> tuple[tuple[str, ...], _Token]:
-        first = self.expect(_Kind.IDENT, "to start a taxonomy path")
-        parts = [first.text]
-        while self.at(_Kind.SLASH):
-            self.advance()
-            parts.append(self.expect(_Kind.IDENT, "after '/' in a taxonomy path").text)
-        return tuple(parts), first
+    def parse_path(self, i: int) -> tuple[tuple[str, ...], int]:
+        texts = self.texts
+        i = self.expect_kind(i, _IDENT, "to start a taxonomy path")
+        parts = [texts[i - 1]]
+        while texts[i] == "/":
+            i = self.expect_kind(i + 1, _IDENT, "after '/' in a taxonomy path")
+            parts.append(texts[i - 1])
+        return tuple(parts), i
 
-    def parse_family(self) -> TNormFamily:
-        tok = self.expect(_Kind.IDENT, "naming a t-norm family after 'tnorm'")
+    def parse_family(self, i: int) -> tuple[TNormFamily, int]:
+        self.expect_kind(i, _IDENT, "naming a t-norm family after 'tnorm'")
+        label = self.texts[i]
         try:
-            return TNormFamily.from_label(tok.text)
+            return TNormFamily.from_label(label), i + 1
         except DomainError:
             raise self.error(
-                f"unknown t-norm family {tok.text!r} (one of T1, T1.5, T2, T2.5, T3)", tok
+                f"unknown t-norm family {label!r} (one of T1, T1.5, T2, T2.5, T3)", i + 1, i
             ) from None
 
-    def parse_strength(self, what: str) -> float | _Label:
-        if self.at(_Kind.NUMBER):
-            tok = self.advance()
-            if not 0.0 <= tok.number <= 1.0:
-                raise self.error(f"{what} {tok.text} outside [0, 1]", tok)
-            return tok.number
-        if self.at(_Kind.IDENT):
-            tok = self.advance()
-            return _Label(tok.text, tok)
-        raise self.error(f"expected a number or lexicon label for {what}, found {self.cur.describe()}")
+    def parse_strength(self, i: int, what: str) -> tuple[float | _Label, int]:
+        kind = self.kinds[i]
+        if kind == _NUMBER:
+            return self.parse_unit_number(i, what)
+        if kind == _IDENT:
+            return _Label(self.texts[i], i), i + 1
+        raise self.expected(i, "a number or lexicon label", f"for {what}")
 
-    def parse_unit_number(self, what: str) -> float:
-        tok = self.expect(_Kind.NUMBER, f"for {what}")
-        if not 0.0 <= tok.number <= 1.0:
-            raise self.error(f"{what} {tok.text} outside [0, 1]", tok)
-        return tok.number
+    def parse_unit_number(self, i: int, what: str) -> tuple[float, int]:
+        if self.kinds[i] != _NUMBER:
+            raise self.expected(i, "number", f"for {what}")
+        value = float(self.texts[i])
+        if not 0.0 <= value <= 1.0:
+            raise self.error(f"{what} {self.texts[i]} outside [0, 1]", i + 1, i)
+        return value, i + 1
 
-    def parse_interval(self) -> CertaintyInterval:
-        open_tok = self.expect(_Kind.LBRACKET, "to open an interval")
-        lower = self.parse_unit_number("interval lower bound")
-        self.expect(_Kind.COMMA, "between interval bounds")
-        upper = self.parse_unit_number("interval upper bound")
-        self.expect(_Kind.RBRACKET, "to close the interval")
+    def parse_interval(self, i: int) -> tuple[CertaintyInterval, int]:
+        j = self.expect(i, "[", "to open an interval")
+        lower, j = self.parse_unit_number(j, "interval lower bound")
+        j = self.expect(j, ",", "between interval bounds")
+        upper, j = self.parse_unit_number(j, "interval upper bound")
+        j = self.expect(j, "]", "to close the interval")
         if lower > upper:
-            raise self.error(f"interval lower bound {lower:g} exceeds upper bound {upper:g}", open_tok)
-        return CertaintyInterval(lower, upper)
+            raise self.error(f"interval lower bound {lower:g} exceeds upper bound {upper:g}", j, i)
+        return CertaintyInterval(lower, upper), j
+
+    def parse_source(self, i: int) -> tuple[str | None, int]:
+        """An optional ``@source``."""
+        if self.texts[i] != "@":
+            return None, i
+        i = self.expect_kind(i + 1, _IDENT, "naming the evidence source")
+        return self.texts[i - 1], i
 
 
 class _KbParser(_Parser):
-    def __init__(self, tokens: list[_Token], source_name: str):
-        super().__init__(tokens, source_name)
+    def __init__(self, tokens: _Tokens):
+        super().__init__(tokens)
         self.lexicon: dict[str, float] = {}
         self.taxonomy: set[tuple[str, ...]] = set()
         self.rules: list[_Decl] = []
@@ -365,108 +336,109 @@ class _KbParser(_Parser):
         self.errors: list[ParseError] = []
 
     def parse_file(self) -> None:
-        while not self.at(_Kind.EOF):
+        i = 0
+        while self.kinds[i] != _EOF:
             try:
-                self.parse_declaration()
+                i = self.parse_declaration(i)
             except ParseError as err:
                 self.errors.append(err)
-                self.synchronize()
+                i = self.synchronize(self.resume)
 
-    def parse_declaration(self) -> None:
-        if self.at_keyword("lexicon"):
-            self.parse_lexicon()
-        elif self.at_keyword("taxonomy"):
-            self.parse_taxonomy()
-        elif self.at_keyword("rule") or self.at_keyword("case"):
-            self.parse_rule_or_case()
-        elif self.at_keyword("precedent"):
-            self.parse_precedent()
-        else:
-            raise self.error(
-                "expected a declaration (lexicon, taxonomy, rule, case, or precedent), "
-                f"found {self.cur.describe()}"
-            )
+    def parse_declaration(self, i: int) -> int:
+        word = self.texts[i]
+        if word == "rule" or word == "case":
+            return self.parse_rule_or_case(i)
+        if word == "lexicon":
+            return self.parse_lexicon(i + 1)
+        if word == "taxonomy":
+            path, i = self.parse_path(i + 1)
+            self.taxonomy.add(path)
+            return self.expect(i, ";", "after the taxonomy path")
+        if word == "precedent":
+            return self.parse_precedent(i)
+        raise self.error(
+            "expected a declaration (lexicon, taxonomy, rule, case, or precedent), "
+            f"found {self.describe(i)}",
+            i,
+        )
 
-    def parse_lexicon(self) -> None:
-        self.advance()
-        self.expect(_Kind.LBRACE, "after 'lexicon'")
-        while not self.at(_Kind.RBRACE):
-            name = self.expect(_Kind.IDENT, "as a lexicon label")
-            self.expect(_Kind.EQUALS, "after the lexicon label")
-            value = self.parse_unit_number(f"lexicon label {name.text!r}")
-            self.expect(_Kind.SEMI, "after the lexicon entry")
-            if name.text in self.lexicon:
-                raise self.error(f"lexicon label {name.text!r} defined twice", name)
-            self.lexicon[name.text] = value
-        self.advance()
+    def parse_lexicon(self, i: int) -> int:
+        texts = self.texts
+        i = self.expect(i, "{", "after 'lexicon'")
+        while texts[i] != "}":
+            name_at, name = i, texts[i]
+            i = self.expect_kind(i, _IDENT, "as a lexicon label")
+            i = self.expect(i, "=", "after the lexicon label")
+            value, i = self.parse_unit_number(i, f"lexicon label {name!r}")
+            i = self.expect(i, ";", "after the lexicon entry")
+            if name in self.lexicon:
+                raise self.error(f"lexicon label {name!r} defined twice", i, name_at)
+            self.lexicon[name] = value
+        return i + 1
 
-    def parse_taxonomy(self) -> None:
-        self.advance()
-        path, _ = self.parse_path()
-        self.expect(_Kind.SEMI, "after the taxonomy path")
-        self.taxonomy.add(path)
-
-    def parse_rule_or_case(self) -> None:
+    def parse_rule_or_case(self, i: int) -> int:
         """``rule ID [path P] [context A..] GRADING { if A.. then A }`` or
         ``case ID path P GRADING { roles ?v.. [context A..] if A.. then A }``."""
-        keyword = self.advance()
-        kind = keyword.text
-        ident = self.expect(_Kind.IDENT, f"naming the {kind}")
+        kinds, texts = self.kinds, self.texts
+        keyword, kind = i, texts[i]
+        i = self.expect_kind(i + 1, _IDENT, f"naming the {kind}")
         path: tuple[str, ...] = ()
         path_token = keyword
-        if kind == "case" or self.at_keyword("path"):
-            self.expect_keyword("path", f"in the {kind} header")
-            path, path_token = self.parse_path()
+        if kind == "case" or texts[i] == "path":
+            path_token = i = self.expect(i, "path", f"in the {kind} header")
+            path, i = self.parse_path(i)
         roles = None
-        context = self.parse_context() if kind == "rule" else ()
-        self.expect_keyword("tnorm", f"in the {kind} header")
-        family = self.parse_family()
-        self.expect_keyword("suff", f"in the {kind} header")
-        sufficiency = self.parse_strength("sufficiency")
-        self.expect_keyword("nec", f"in the {kind} header")
-        necessity = self.parse_strength("necessity")
-        self.expect(_Kind.LBRACE, f"to open the {kind} body")
+        context, i = self.parse_context(i) if kind == "rule" else ((), i)
+        i = self.expect(i, "tnorm", f"in the {kind} header")
+        family, i = self.parse_family(i)
+        i = self.expect(i, "suff", f"in the {kind} header")
+        sufficiency, i = self.parse_strength(i, "sufficiency")
+        i = self.expect(i, "nec", f"in the {kind} header")
+        necessity, i = self.parse_strength(i, "necessity")
+        i = self.expect(i, "{", f"to open the {kind} body")
         if kind == "case":
-            self.expect_keyword("roles", "to start the case body")
-            names = []
-            while self.at(_Kind.ROLEVAR):
-                names.append(self.advance().text)
-            roles = tuple(names)
-            context = self.parse_context()
-        self.expect_keyword("if", f"to start the {kind} premises")
-        antecedents = self.parse_atoms("after 'if'")
-        self.expect_keyword("then", f"before the {kind} conclusion")
-        consequent = self.parse_atom()
-        self.expect(_Kind.RBRACE, f"to close the {kind} body")
+            start = i = self.expect(i, "roles", "to start the case body")
+            while kinds[i] == _ROLEVAR:
+                i += 1
+            roles = tuple(texts[start:i])
+            context, i = self.parse_context(i)
+        i = self.expect(i, "if", f"to start the {kind} premises")
+        antecedents, i = self.parse_atoms(i, "after 'if'")
+        i = self.expect(i, "then", f"before the {kind} conclusion")
+        consequent, i = self.parse_atom(i)
+        i = self.expect(i, "}", f"to close the {kind} body")
         (self.rules if roles is None else self.cases).append(
             _Decl(
-                keyword, ident.text, path, path_token, roles, context, antecedents,
+                keyword, texts[keyword + 1], path, path_token, roles, context, antecedents,
                 consequent, family, sufficiency, necessity,
             )
         )
+        return i
 
-    def parse_context(self) -> tuple[Atom, ...]:
-        if not self.at_keyword("context"):
-            return ()
-        self.advance()
-        return self.parse_atoms("after 'context'")
+    def parse_context(self, i: int) -> tuple[tuple[Atom, ...], int]:
+        if self.texts[i] != "context":
+            return (), i
+        return self.parse_atoms(i + 1, "after 'context'")
 
-    def parse_precedent(self) -> None:
-        keyword = self.advance()
-        atom = self.parse_atom()
-        self.expect_keyword("from", "after the precedent's conclusion atom")
-        path, _ = self.parse_path()
-        self.expect_keyword("tnorm", "in the precedent declaration")
-        family = self.parse_family()
-        self.expect(_Kind.SEMI, "after the precedent declaration")
+    def parse_precedent(self, i: int) -> int:
+        keyword = i
+        atom, i = self.parse_atom(i + 1)
+        i = self.expect(i, "from", "after the precedent's conclusion atom")
+        path, i = self.parse_path(i)
+        i = self.expect(i, "tnorm", "in the precedent declaration")
+        family, i = self.parse_family(i)
+        i = self.expect(i, ";", "after the precedent declaration")
         self.links.append(_LinkDecl(keyword, atom.predicate, path, family))
+        return i
 
     # -- pass two ----------------------------------------------------
 
     def resolve_strength(self, value: float | _Label, what: str) -> float:
         if isinstance(value, _Label):
             if value.name not in self.lexicon:
-                raise self.error(f"unknown lexicon label {value.name!r} for {what}", value.token)
+                raise self.tokens.error(
+                    f"unknown lexicon label {value.name!r} for {what}", value.token
+                )
             return self.lexicon[value.name]
         return value
 
@@ -474,21 +446,22 @@ class _KbParser(_Parser):
         kb = KnowledgeBase()
         library = kb.case_library
         library.paths = set(self.taxonomy)
+        error = self.tokens.error
         for decls, table in ((self.rules, kb.rules), (self.cases, library.templates)):
             for decl in decls:
-                kind = decl.token.text
+                kind = self.texts[decl.token]
                 owner = f"{kind} {decl.identifier}"
                 try:
                     sufficiency = self.resolve_strength(decl.sufficiency, owner)
                     necessity = self.resolve_strength(decl.necessity, owner)
                     if decl.roles is not None and not library.has_path(decl.path):
-                        raise self.error(
+                        raise error(
                             f"case {decl.identifier!r} filed under undeclared path "
                             f"{format_path(decl.path)}",
                             decl.path_token,
                         )
                     if decl.identifier in table:
-                        raise self.error(f"{kind} {decl.identifier!r} declared twice", decl.token)
+                        raise error(f"{kind} {decl.identifier!r} declared twice", decl.token)
                 except ParseError as err:
                     self.errors.append(err)
                     continue
@@ -505,9 +478,7 @@ class _KbParser(_Parser):
         for decl in self.links:
             if decl.predicate in kb.precedent_links:
                 self.errors.append(
-                    self.error(
-                        f"predicate {decl.predicate!r} already has a precedent link", decl.token
-                    )
+                    error(f"predicate {decl.predicate!r} already has a precedent link", decl.token)
                 )
                 continue
             kb.precedent_links[decl.predicate] = PrecedentLink(
@@ -522,7 +493,7 @@ def parse_kb(text: str, source_name: str = "<input>") -> KnowledgeBase:
     Raises ParseError for a single problem, ParseFailure listing all of
     them when recovery found several.
     """
-    parser = _KbParser(tokenize(text, source_name), source_name)
+    parser = _KbParser(tokenize(text, source_name))
     parser.parse_file()
     kb = parser.build()
     if parser.errors:
@@ -534,53 +505,52 @@ def parse_kb(text: str, source_name: str = "<input>") -> KnowledgeBase:
 
 class _WorldParser(_Parser):
     def parse_file(self, policy: ConflictPolicy) -> World:
-        self.expect_keyword("world", "to start a world file")
-        ident = self.expect(_Kind.IDENT, "naming the world")
-        world = World(identifier=ident.text)
-        self.expect(_Kind.LBRACE, "to open the world body")
-        while not self.at(_Kind.RBRACE):
-            if self.at_keyword("roles"):
-                self.parse_roles(world)
-            elif self.at_keyword("fact"):
-                self.parse_fact(world, policy)
-            elif self.at_keyword("askable"):
-                self.advance()
-                pred = self.expect(_Kind.IDENT, "naming the askable predicate")
-                self.expect(_Kind.SEMI, "after the askable declaration")
-                world.askables.add(pred.text)
+        texts = self.texts
+        i = self.expect(0, "world", "to start a world file")
+        i = self.expect_kind(i, _IDENT, "naming the world")
+        world = World(identifier=texts[i - 1])
+        i = self.expect(i, "{", "to open the world body")
+        while texts[i] != "}":
+            word = texts[i]
+            if word == "roles":
+                i = self.parse_roles(i + 1, world)
+            elif word == "fact":
+                i = self.parse_fact(i, world, policy)
+            elif word == "askable":
+                i = self.expect_kind(i + 1, _IDENT, "naming the askable predicate")
+                world.askables.add(texts[i - 1])
+                i = self.expect(i, ";", "after the askable declaration")
             else:
                 raise self.error(
-                    f"expected 'roles', 'fact', or 'askable', found {self.cur.describe()}"
+                    f"expected 'roles', 'fact', or 'askable', found {self.describe(i)}", i
                 )
-        self.advance()
-        self.expect(_Kind.EOF, "after the world body")
+        self.expect_kind(i + 1, _EOF, "after the world body")
         return world
 
-    def parse_roles(self, world: World) -> None:
-        self.advance()
-        while self.at(_Kind.ROLEVAR):
-            var = self.advance()
-            self.expect(_Kind.EQUALS, f"after role {var.text}")
-            value = self.expect(_Kind.IDENT, f"as the binding of {var.text}")
-            if var.text in world.roles:
-                raise self.error(f"role {var.text} bound twice", var)
-            world.roles[var.text] = value.text
-        self.expect(_Kind.SEMI, "after the role bindings")
+    def parse_roles(self, i: int, world: World) -> int:
+        texts = self.texts
+        while self.kinds[i] == _ROLEVAR:
+            var = texts[i]
+            j = self.expect(i + 1, "=", f"after role {var}")
+            j = self.expect_kind(j, _IDENT, f"as the binding of {var}")
+            if var in world.roles:
+                raise self.error(f"role {var} bound twice", j, i)
+            world.roles[var] = texts[j - 1]
+            i = j
+        return self.expect(i, ";", "after the role bindings")
 
-    def parse_fact(self, world: World, policy: ConflictPolicy) -> None:
-        keyword = self.advance()
-        atom = self.parse_atom()
-        interval = self.parse_interval()
-        source = "asserted"
-        if self.at(_Kind.AT):
-            self.advance()
-            source = self.expect(_Kind.IDENT, "naming the evidence source").text
-        self.expect(_Kind.SEMI, "after the fact")
+    def parse_fact(self, i: int, world: World, policy: ConflictPolicy) -> int:
+        keyword = i
+        atom, i = self.parse_atom(i + 1)
+        interval, i = self.parse_interval(i)
+        source, i = self.parse_source(i)
+        i = self.expect(i, ";", "after the fact")
         try:
             ground = substitute(atom, world.roles)
         except UnboundRoleError as err:
-            raise self.error(f"fact mentions unbound role: {err}", keyword) from None
-        assert_evidence(world, ground, interval, source, policy)
+            raise self.error(f"fact mentions unbound role: {err}", i, keyword) from None
+        assert_evidence(world, ground, interval, source or "asserted", policy)
+        return i
 
 
 def parse_world(
@@ -589,8 +559,7 @@ def parse_world(
     policy: ConflictPolicy = ConflictPolicy.STRICT,
 ) -> World:
     """Parse a world file.  Conflicting sources surface per ``policy``."""
-    parser = _WorldParser(tokenize(text, source_name), source_name)
-    return parser.parse_file(policy)
+    return _WorldParser(tokenize(text, source_name)).parse_file(policy)
 
 
 def parse_goal(text: str, source_name: str = "<goal>") -> tuple[Atom, bool]:
@@ -598,29 +567,22 @@ def parse_goal(text: str, source_name: str = "<goal>") -> tuple[Atom, bool]:
 
     Returns the atom and whether the query is negated.
     """
-    parser = _Parser(tokenize(text, source_name), source_name)
-    parser.expect(_Kind.LPAREN, "to open the goal")
-    negated = False
-    if parser.at_keyword("not"):
-        parser.advance()
-        atom = parser.parse_atom()
-        negated = True
-        parser.expect(_Kind.RPAREN, "to close the negation")
+    parser = _Parser(tokenize(text, source_name))
+    i = parser.expect(0, "(", "to open the goal")
+    negated = parser.texts[i] == "not"
+    if negated:
+        atom, i = parser.parse_atom(i + 1)
+        i = parser.expect(i, ")", "to close the negation")
     else:
-        pred = parser.expect(_Kind.IDENT, "as the goal's predicate")
-        args = []
-        while parser.at(_Kind.IDENT) or parser.at(_Kind.ROLEVAR):
-            args.append(parser.advance().text)
-        parser.expect(_Kind.RPAREN, "to close the goal")
-        atom = Atom(pred.text, tuple(args))
-    parser.expect(_Kind.EOF, "after the goal")
+        atom, i = parser.parse_atom_body(i, "goal")
+    parser.expect_kind(i, _EOF, "after the goal")
     return atom, negated
 
 
 def parse_interval_text(text: str, source_name: str = "<interval>") -> CertaintyInterval:
-    parser = _Parser(tokenize(text, source_name), source_name)
-    interval = parser.parse_interval()
-    parser.expect(_Kind.EOF, "after the interval")
+    parser = _Parser(tokenize(text, source_name))
+    interval, i = parser.parse_interval(0)
+    parser.expect_kind(i, _EOF, "after the interval")
     return interval
 
 
@@ -628,15 +590,14 @@ def parse_evidence_text(
     text: str, source_name: str = "<input>"
 ) -> tuple[Atom, CertaintyInterval, str | None]:
     """Parse ``(atom) [l, u] @source`` with the source part optional."""
-    parser = _Parser(tokenize(text, source_name), source_name)
-    atom = parser.parse_atom()
-    interval = parser.parse_interval()
-    source = None
-    if parser.at(_Kind.AT):
-        parser.advance()
-        source = parser.expect(_Kind.IDENT, "naming the evidence source").text
-    parser.expect(_Kind.EOF, "after the evidence")
+    parser = _Parser(tokenize(text, source_name))
+    atom, i = parser.parse_atom(0)
+    interval, i = parser.parse_interval(i)
+    source, i = parser.parse_source(i)
+    parser.expect_kind(i, _EOF, "after the evidence")
     return atom, interval, source
+
+
 
 
 def load_kb(path: str | FsPath) -> KnowledgeBase:

@@ -39,7 +39,7 @@ from .calculus import (
     consensus,
     detach,
 )
-from .errors import DerivationCycleError, UnboundRoleError
+from .errors import DerivationCycleError, DomainError, UnboundRoleError
 from .knowledge import (
     Atom,
     CaseTemplate,
@@ -84,6 +84,10 @@ class QueryConfig:
     context_threshold: float = 0.5
     conflict_policy: ConflictPolicy = ConflictPolicy.STRICT
     interactive: bool = False
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.context_threshold <= 1.0:  # nan fails too
+            raise DomainError(f"context threshold {self.context_threshold!r} outside [0, 1]")
 
 
 @dataclass(slots=True)

@@ -1,7 +1,9 @@
 """Lexer, parser, error reporting, and the canonical renderer."""
 
+import json
 import random
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -19,13 +21,19 @@ from possum.dsl import (
     render_world,
     tokenize,
 )
-from generators import dsl_kb
+from generators import dsl_kb, weighted_kb
 
 DATA = resources.files("possum").joinpath("data")
 
 
 def _texts(tokens):
-    return [t.text for t in tokens[:-1]]
+    return tokens.texts[:-1]
+
+
+def _position(tokens, i):
+    """Token ``i``'s line and column, which the lexer computes for errors."""
+    err = tokens.error("", i)
+    return err.line, err.column
 
 
 class TestTokenizer:
@@ -41,19 +49,20 @@ class TestTokenizer:
     def test_comments_run_to_end_of_line(self):
         toks = tokenize("alpha # beta gamma\ndelta")
         assert _texts(toks) == ["alpha", "delta"]
-        assert toks[1].line == 2
+        assert _position(toks, 1) == (2, 1)
+        assert _position(toks, 2) == (2, 6)
 
     def test_positions_are_line_and_column(self):
         toks = tokenize("rule r {\n  if (a)\n}")
-        by_text = {t.text: (t.line, t.column) for t in toks[:-1]}
+        by_text = {text: _position(toks, i) for i, text in enumerate(_texts(toks))}
         assert by_text["rule"] == (1, 1)
         assert by_text["r"] == (1, 6)
         assert by_text["if"] == (2, 3)
         assert by_text["a"] == (2, 7)
 
     def test_number_with_exponent(self):
-        toks = tokenize("0.5e-3")
-        assert toks[0].number == 0.5e-3
+        assert _texts(tokenize("0.5e-3 2e 3E5")) == ["0.5e-3", "2", "e", "3E5"]
+        assert parse_interval_text("[0.5e-3, 1]").lower == 0.5e-3
 
     def test_unexpected_character_reports_position(self):
         with pytest.raises(ParseError) as exc:
@@ -67,6 +76,23 @@ class TestTokenizer:
 
     @pytest.mark.parametrize("text, column", [("x ² y", 3), ("0.5²", 4), ("٣", 1)])
     def test_non_ascii_digit_is_an_unexpected_character(self, text, column):
+        with pytest.raises(ParseError) as exc:
+            tokenize(text)
+        assert exc.value.message == f"unexpected character {text[column - 1]!r}"
+        assert (exc.value.line, exc.value.column) == (1, column)
+
+    @pytest.mark.parametrize("text", ["x²", "é1", "a٣b", "ǅx"])
+    def test_unicode_identifier_is_one_token(self, text):
+        assert _texts(tokenize(text)) == [text]
+        assert parse_goal(f"({text})")[0] == Atom(text)
+
+    @pytest.mark.parametrize(
+        "text, column",
+        [("²x", 1), ("٣", 1), ("x\xa0y", 2), ("x\u2028y", 2), ("a\u0301", 2)],
+    )
+    def test_unicode_outside_the_classes_is_an_unexpected_character(self, text, column):
+        """'²' is alphanumeric but not a letter, so it cannot start an
+        identifier; no-break space and U+2028 are neither blanks nor newlines."""
         with pytest.raises(ParseError) as exc:
             tokenize(text)
         assert exc.value.message == f"unexpected character {text[column - 1]!r}"
@@ -332,11 +358,23 @@ class TestRenderer:
             assert again.facts[atom].evidence == fact.evidence
             assert again.facts[atom].effective == fact.effective
 
+    def test_atoms_are_shared_within_a_parse(self):
+        kb, _, _ = weighted_kb(random.Random(1), 500)
+        parsed = parse_kb(render_kb(kb))
+        by_value = {}
+        for item in [*parsed.rules.values(), *parsed.case_library.templates.values()]:
+            for atom in (*item.context, *item.antecedents, item.consequent):
+                by_value.setdefault(atom, set()).add(id(atom))
+        assert len(by_value) > 100
+        assert all(len(ids) == 1 for ids in by_value.values())
+
     def test_generated_kbs_round_trip(self):
-        for seed in range(40):
+        for seed in range(3000):
             kb = dsl_kb(random.Random(seed))
             text = render_kb(kb)
-            assert parse_kb(text, f"gen{seed}.kb") == kb, f"seed {seed}"
+            parsed = parse_kb(text, f"gen{seed}.kb")
+            assert parsed == kb, f"seed {seed}"
+            assert render_kb(parsed) == text, f"seed {seed}"
 
 
 # Pieces a mutation inserts: punctuation, keywords, numbers out of range,
@@ -384,6 +422,37 @@ def _outcome(parse, text: str, conflict_ok: bool = False) -> str:
     return "ok"
 
 
+def _error_record(parse) -> list:
+    """A parse's outcome, with ``[line, column, str]`` for each parse error."""
+    try:
+        parse()
+    except (ParseError, ParseFailure) as err:
+        errors = err.errors if isinstance(err, ParseFailure) else [err]
+        assert str(err) == "\n".join(str(one) for one in errors)
+        return [type(err).__name__, [[one.line, one.column, str(one)] for one in errors]]
+    except ConflictError as err:
+        return [type(err).__name__, []]
+    return ["ok", []]
+
+
+def _mutated_corpus_errors():
+    """One line per mutated file of ``TestMutatedFiles``: demo.kb, then
+    m1.world under the strict and the lenient policy."""
+    kb_base = DATA.joinpath("demo.kb").read_text()
+    for seed in range(FUZZ_SEEDS):
+        text = _mutate(kb_base, random.Random(f"demo.kb-{seed}"))
+        yield ["demo.kb", seed, "strict", *_error_record(lambda: parse_kb(text, "demo.kb"))]
+    world_base = DATA.joinpath("m1.world").read_text()
+    for seed in range(FUZZ_SEEDS):
+        text = _mutate(world_base, random.Random(f"m1.world-{seed}"))
+        for policy in (ConflictPolicy.STRICT, ConflictPolicy.LENIENT):
+            record = _error_record(lambda: parse_world(text, "m1.world", policy))
+            yield ["m1.world", seed, policy.value, *record]
+
+
+PARSE_ERRORS = Path(__file__).parent / "golden" / "parse_errors.jsonl"
+
+
 class TestMutatedFiles:
     """A mutated file parses, or fails with positioned parse errors only."""
 
@@ -405,3 +474,18 @@ class TestMutatedFiles:
             lenient = lambda: parse_world(text, "m1.world", ConflictPolicy.LENIENT)
             outcomes.add(_outcome(lenient, text))
         assert {"ok", "ParseError"} <= outcomes
+
+    def test_error_text_is_pinned(self):
+        """Every error's text and position on the corpora above, byte for byte."""
+        expected = PARSE_ERRORS.read_text(encoding="utf-8").splitlines()
+        actual = [json.dumps(record, ensure_ascii=False) for record in _mutated_corpus_errors()]
+        assert len(actual) == len(expected)
+        for got, want in zip(actual, expected):
+            assert got == want
+
+
+if __name__ == "__main__":
+    # Regenerate the pinned error texts after a deliberate change to them:
+    #   PYTHONPATH=src python tests/test_dsl.py
+    lines = (json.dumps(record, ensure_ascii=False) for record in _mutated_corpus_errors())
+    PARSE_ERRORS.write_text("".join(line + "\n" for line in lines), encoding="utf-8")

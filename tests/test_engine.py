@@ -29,7 +29,7 @@ from possum.engine import (
     prove,
     result_to_dict,
 )
-from possum.errors import DerivationCycleError, UnboundRoleError
+from possum.errors import DerivationCycleError, DomainError, UnboundRoleError
 from possum.knowledge import Atom, KnowledgeBase, Rule, World, assert_evidence, validate
 from possum.revision import DependencyTracker
 from conftest import ForgetfulGoals
@@ -97,6 +97,15 @@ class TestScreening:
         low_bar = QueryConfig(context_threshold=0.4)
         result = prove(kb, world, Atom("q"), low_bar)
         assert _provenances(result.proof, "rule-instance") == ["r"]
+
+    @pytest.mark.parametrize("threshold", [float("nan"), 2.0, -1.0, 1.0 + 1e-9])
+    def test_threshold_outside_unit_interval_rejected(self, threshold):
+        with pytest.raises(DomainError):
+            QueryConfig(context_threshold=threshold)
+
+    @pytest.mark.parametrize("threshold", [0.0, 1.0])
+    def test_threshold_bounds_accepted(self, threshold):
+        assert QueryConfig(context_threshold=threshold).context_threshold == threshold
 
     def test_joint_context_graded_by_min(self):
         kb = KnowledgeBase()
