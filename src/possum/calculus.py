@@ -314,7 +314,7 @@ def aggregate(
     paths: Sequence[CertaintyInterval],
     policy: ConflictPolicy = ConflictPolicy.STRICT,
     *,
-    subject: str = "",
+    subject: object = "",
     diagnostics: list[str] | None = None,
 ) -> CertaintyInterval:
     """Combine parallel support paths for one conclusion.
@@ -329,6 +329,8 @@ def aggregate(
     confirm and refute (combined lower above combined upper) are a
     conflict: strict policy raises EvidenceConflictError, lenient
     substitutes total ignorance and records a diagnostic once.
+    ``subject`` names the conclusion in that message, and is formatted
+    only when a conflict is reported.
     """
     conj = _conjunction(family, "aggregate")
     if not paths:
@@ -357,7 +359,7 @@ def consensus(
     policy: ConflictPolicy = ConflictPolicy.STRICT,
     *,
     labels: Sequence[str] | None = None,
-    subject: str = "",
+    subject: object = "",
     diagnostics: list[str] | None = None,
 ) -> CertaintyInterval:
     """Reconcile independent reports about the same proposition.
@@ -366,7 +368,9 @@ def consensus(
     the intersection: [max of lowers, min of uppers].  An empty
     intersection means the sources genuinely disagree: strict policy
     raises SourceConflictError naming them, lenient substitutes total
-    ignorance and records a diagnostic once.
+    ignorance and records a diagnostic once.  ``subject`` names the
+    proposition in that message, and is formatted only when a conflict
+    is reported.
     """
     if not sources:
         raise DomainError("consensus of an empty source list")

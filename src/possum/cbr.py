@@ -14,7 +14,7 @@ nodes keep.  ``CaseTemplate``, ``CaseLibrary``, ``PrecedentLink``,
 from __future__ import annotations
 
 from .calculus import similarity_from_distance
-from .engine import ProofNode, QueryConfig, context_passes
+from .engine import ProofNode, QueryConfig, context_passes, ground_context
 from .errors import DomainError, UnknownPathError
 from .knowledge import (
     CaseLibrary,
@@ -23,7 +23,6 @@ from .knowledge import (
     PrecedentLink,
     World,
     format_path,
-    lookup,
     parse_path,
 )
 
@@ -60,20 +59,14 @@ def retrieve(
         raise UnknownPathError(f"taxonomy path {format_path(path)} is not declared")
     if config is None:
         config = QueryConfig()
-    fetch = lambda atom: lookup(world, atom)
-    return [
-        t
-        for t in library.templates_at(path)
-        if context_passes(
-            t.context,
-            world,
-            config,
-            fetch,
-            on_unbound=lambda err, t=t: _note(
-                diagnostics, f"case {t.identifier} inactive: {err}"
-            ),
-        )
-    ]
+    kept = []
+    for t in library.templates_at(path):
+        context, err = ground_context(t.context, world.roles)
+        if err is not None:
+            _note(diagnostics, f"case {t.identifier} inactive: {err}")
+        elif context_passes(context, world, config):
+            kept.append(t)
+    return kept
 
 
 def _note(diagnostics: list[str] | None, message: str) -> None:

@@ -7,17 +7,18 @@ premises as sub-goals, detaches each support path through its rule's
 strength, aggregates the parallel paths, and reconciles the result with
 any stored evidence about the goal itself.  The rules for a goal, and
 the case templates its precedent link instantiates, come from one index
-grounded in the world's roles, built once per session: a matched case
-fires exactly as a rule does.  Every step is kept as a proof node so
-answers can be explained.  One goal table maps each derived goal to its
-proof and to the stored atoms and sub-goals it read: the session
-answers a goal it already holds from the table, and belief revision
-keeps the table's edges reversed and walks them to invalidate exactly
-what an update touches.
+grounded in the world's roles, built once per session: each rule's
+consequent, context and premises are bound there once, not per
+derivation, and a matched case fires exactly as a rule does.  Every
+step is kept as a proof node so answers can be explained.  One goal
+table maps each derived goal to its proof and to the stored atoms and
+sub-goals it read: the session answers a goal it already holds from
+the table, and belief revision keeps the table's edges reversed and
+walks them to invalidate exactly what an update touches.
 
 Context screening (``context_passes``) is the cheap gate in front of
 all of this: a rule or case with a context only participates when the
-world's stored values for the context atoms clear the activation
+world's stored values for its ground context atoms clear the activation
 threshold.  Screening reads, it never proves; an expensive derivation
 chain cannot hide inside a context check.  Case retrieval in ``cbr``
 screens through the same gate.
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Callable, Generator, NamedTuple, Optional, Sequence
+from typing import Callable, Generator, Mapping, NamedTuple, Optional, Sequence
 
 from .calculus import (
     CertaintyInterval,
@@ -59,6 +60,7 @@ __all__ = [
     "GoalDependencies",
     "RuleInstance",
     "RuleIndex",
+    "ground_context",
     "context_passes",
     "QuerySession",
     "prove",
@@ -119,7 +121,8 @@ class GoalDependencies:
     consulted during screening); subgoals: premises recursed into.
     These are the only dependency edges there are: belief revision
     keeps them reversed, as reader edges, and walks those to find every
-    goal an update reaches.
+    goal an update reaches.  Every goal that reads no sub-goal shares one
+    empty ``subgoals`` set.
     """
 
     node: ProofNode
@@ -165,52 +168,68 @@ class QueryResult:
         return out
 
 
-@dataclass(slots=True)
-class _Frame:
-    atoms: set[Atom] = field(default_factory=set)
-    subgoals: set[Atom] = field(default_factory=set)
+_NO_SUBGOALS: frozenset[Atom] = frozenset()
+
+
+def ground_context(
+    context: tuple[Atom, ...], roles: Mapping[str, str]
+) -> tuple[tuple[Atom, ...], UnboundRoleError | None]:
+    """A context with its roles bound, for ``context_passes``.
+
+    Binding stops at the first atom with a role ``roles`` leaves unbound:
+    the atoms before it are returned with that role's error.  Such a
+    context is about some other situation, so its rule or case is
+    inactive; the gate still reads the atoms that were bound.
+    """
+    ground = []
+    for atom in context:
+        try:
+            ground.append(substitute(atom, roles))
+        except UnboundRoleError as err:
+            return tuple(ground), err
+    return tuple(ground), None
 
 
 def context_passes(
     context: tuple[Atom, ...],
     world: World,
     config: QueryConfig,
-    fetch: Callable[[Atom], CertaintyInterval],
-    on_unbound: Callable[[UnboundRoleError], None] | None = None,
+    reads: set[Atom] | None = None,
 ) -> bool:
     """The screening gate that admits rules and case templates alike.
 
-    Screening is a shallow read through ``fetch``, never a proof, and
-    grades the joint context with the most liberal conjunction (min), so
-    the gate fails on the weakest atom alone, not on the interaction of
-    several weak ones.  A context the world cannot even bind means the
-    rule or case is about some other situation: inactive, and reported
-    to ``on_unbound``.
+    ``context`` is ground (``ground_context`` binds it).  Screening is a
+    shallow read of the world's stored values, never a proof, and grades
+    the joint context with the most liberal conjunction (min), so the
+    gate fails on the weakest atom alone, not on the interaction of
+    several weak ones.  Every context atom is added to ``reads``: context
+    reads are dependencies too, and revision must see them.
     """
     if not context:
         return True
-    lowers = []
+    if reads is not None:
+        reads.update(context)
+    threshold = config.context_threshold
     for atom in context:
-        try:
-            ground = substitute(atom, world.roles)
-        except UnboundRoleError as err:
-            if on_unbound is not None:
-                on_unbound(err)
+        if lookup(world, atom).lower < threshold:
             return False
-        lowers.append(fetch(ground).lower)
-    return min(lowers) >= config.context_threshold
+    return True
 
 
 class RuleInstance(NamedTuple):
     """One rule or linked case template as one world's roles ground it.
 
-    ``premises`` are the ground antecedents, or None when the consequent
-    has a role the world leaves unbound, so the rule concludes nothing
-    here.  ``error`` is the unbound role, in the consequent or in an
-    antecedent; a rule with an error never fires.
+    ``context`` is the ground context, as ``ground_context`` gives it, and
+    ``premises`` are the ground antecedents.  ``error`` is the first role
+    the world leaves unbound, in the consequent, then the context, then
+    the antecedents; a rule with an error never fires.  ``premises`` is
+    None when the error is in the consequent, so the rule concludes
+    nothing here (its ``context`` is then empty), or in the context, so
+    the rule is inactive whatever the facts.
     """
 
     rule: Rule | CaseTemplate
+    context: tuple[Atom, ...]
     premises: tuple[Atom, ...] | None
     error: UnboundRoleError | None
 
@@ -228,8 +247,12 @@ class RuleIndex:
     in the same order, the rules whose consequent the world cannot bind;
     each ``concluding`` list also holds those of its predicate at their
     place in that order, so a derivation notes them where a scan over
-    every rule would.  Contexts are left out: facts change between
-    queries, so the gate reads them at evaluation time.
+    every rule would.  Each instance's context is grounded here too,
+    beside its premises, so a derivation binds no role; only the gate's
+    reads of the context's facts wait for evaluation time, since facts
+    change between queries.  The index holds one object per distinct
+    ground atom, so the goal table, keyed by the premises it derives,
+    mostly finds a key by identity rather than by comparing atoms.
 
     The index is valid only for the KB and role bindings it was built
     from.
@@ -242,28 +265,37 @@ class RuleIndex:
         self.inactive: list[RuleInstance] = []
         self._unbound: dict[str, list[RuleInstance]] = {}
         atoms_of: dict[str, list[Atom]] = {}
+        one: dict[Atom, Atom] = {}
+
+        def intern(atom: Atom) -> Atom:
+            return one.setdefault(atom, atom)
+
         linked = (kb.linked_templates(link) for link in kb.precedent_links.values())
         for rule in chain(kb.rules.values(), *linked):
             predicate = rule.consequent.predicate
             try:
-                consequent = substitute(rule.consequent, roles)
+                consequent = intern(substitute(rule.consequent, roles))
             except UnboundRoleError as err:
-                instance = RuleInstance(rule, None, err)
+                instance = RuleInstance(rule, (), None, err)
                 self.inactive.append(instance)
                 self._unbound.setdefault(predicate, []).append(instance)
                 for atom in atoms_of.get(predicate, ()):
                     self.concluding[atom].append(instance)
                 continue
-            try:
-                premises = tuple(substitute(a, roles) for a in rule.antecedents)
-                error = None
-            except UnboundRoleError as err:
-                premises, error = (), err
+            context, error = ground_context(rule.context, roles)
+            context = tuple(map(intern, context))
+            if error is not None:
+                premises = None
+            else:
+                try:
+                    premises = tuple(intern(substitute(a, roles)) for a in rule.antecedents)
+                except UnboundRoleError as err:
+                    premises, error = (), err
             bucket = self.concluding.get(consequent)
             if bucket is None:
                 bucket = self.concluding[consequent] = list(self._unbound.get(predicate, ()))
                 atoms_of.setdefault(predicate, []).append(consequent)
-            bucket.append(RuleInstance(rule, premises, error))
+            bucket.append(RuleInstance(rule, context, premises, error))
 
     def rules_for(self, atom: Atom) -> Sequence[RuleInstance]:
         """The rules a derivation of ``atom`` considers, in index order."""
@@ -333,54 +365,61 @@ class QuerySession:
         derivable atom to the same interval a backward query for it would
         return.
         """
-        for rule, _, error in self._index.inactive:
+        for rule, _, _, error in self._index.inactive:
             self._inactive(rule, error)
         return {goal: self.evaluate(goal) for goal in self._index.concluding}
 
     # -- internals ---------------------------------------------------
 
     def _evaluate(self, atom: Atom) -> ProofNode:
-        """Drive ``_derive`` for ``atom`` and each premise it yields
-        that the goal table cannot answer; ``stack`` holds each goal
-        under way with its frame and derivation, outermost first."""
+        """Drive ``_derive`` for ``atom`` and each premise it yields;
+        ``stack`` holds each goal under way with the atoms and sub-goals
+        it has read and its derivation, outermost first."""
         goals = self._goals
         known = goals.get(atom)
         if known is not None:
             return known.node
-        frame = _Frame()
-        send = self._derive(atom, frame).send
-        stack = {atom: (frame, send)}
+        atoms: set[Atom] = set()
+        subgoals: set[Atom] = set()
+        send = self._derive(atom, atoms, subgoals).send
+        stack = {atom: (atoms, subgoals, send)}
         node = None
         while True:
             try:
                 premise = send(node)
             except StopIteration as done:
                 node = done.value
-                goal, (frame, _) = stack.popitem()
+                goal, (atoms, subgoals, _) = stack.popitem()
                 goals[goal] = GoalDependencies(
-                    node, frozenset(frame.atoms), frozenset(frame.subgoals)
+                    node,
+                    frozenset(atoms),
+                    frozenset(subgoals) if subgoals else _NO_SUBGOALS,
                 )
                 self.derived.append(goal)
                 if not stack:
                     return node
-                _, send = next(reversed(stack.values()))
-                continue
-            known = goals.get(premise)
-            if known is not None:
-                node = known.node
+                send = next(reversed(stack.values()))[2]
                 continue
             if premise in stack:
                 path = [*stack, premise][list(stack).index(premise):]
                 raise DerivationCycleError("derivation cycle: " + " -> ".join(map(str, path)))
-            frame = _Frame()
-            send = self._derive(premise, frame).send
-            stack[premise] = (frame, send)
+            atoms = set()
+            subgoals = set()
+            send = self._derive(premise, atoms, subgoals).send
+            stack[premise] = (atoms, subgoals, send)
             # A generator just started takes None.
             node = None
 
-    def _derive(self, atom: Atom, frame: _Frame) -> Generator[Atom, ProofNode, ProofNode]:
+    def _derive(
+        self, atom: Atom, atoms: set[Atom], subgoals: set[Atom]
+    ) -> Generator[Atom, ProofNode, ProofNode]:
+        """Derive ``atom`` and add the stored atoms and the sub-goals it
+        reads to ``atoms`` and ``subgoals``.  A premise the goal table
+        holds is answered from it; each other premise is yielded to
+        ``_evaluate``, which sends back its proof."""
         world = self.world
         config = self.config
+        goals = self._goals
 
         fact = world.facts.get(atom)
         if fact is None and self._may_ask(atom):
@@ -389,37 +428,29 @@ class QuerySession:
             if answer is not None:
                 assert_evidence(world, atom, answer, "user", config.conflict_policy)
                 fact = world.facts.get(atom)
-        frame.atoms.add(atom)
-
-        def fetch(a: Atom) -> CertaintyInterval:
-            # Context reads are dependencies too: revision must see them.
-            frame.atoms.add(a)
-            return lookup(world, a)
+        atoms.add(atom)
 
         paths: list[ProofNode] = []
         cases: list[ProofNode] = []
         families: list[TNormFamily] = []
 
-        for rule, premises, error in self._index.rules_for(atom):
-            if premises is None:
+        for rule, context, premises, error in self._index.rules_for(atom):
+            # Screen first, even a rule that cannot fire: what the gate
+            # reads is a dependency whatever the verdict.  An unbound role
+            # in the consequent or the context is noted always, one in an
+            # antecedent only past the gate.
+            passes = context_passes(context, world, config, atoms)
+            if premises is None or (passes and error is not None):
                 self._inactive(rule, error)
                 continue
-            if not context_passes(
-                rule.context,
-                world,
-                config,
-                fetch,
-                on_unbound=lambda err, r=rule: self._inactive(r, err),
-            ):
-                continue
-            if error is not None:
-                self._inactive(rule, error)
+            if not passes:
                 continue
             child_nodes = []
             premise_values = []
             for premise in premises:
-                frame.subgoals.add(premise)
-                sub = yield premise
+                subgoals.add(premise)
+                known = goals.get(premise)
+                sub = known.node if known is not None else (yield premise)
                 child_nodes.append(sub)
                 premise_values.append(sub.result)
             joint = antecedent_eval(rule.family, premise_values)
@@ -486,7 +517,7 @@ class QuerySession:
             family,
             [p.result for p in paths],
             config.conflict_policy,
-            subject=str(atom),
+            subject=atom,
             diagnostics=self.diagnostics,
         )
         children = list(paths)
@@ -496,7 +527,7 @@ class QuerySession:
                 [derived, fact.effective],
                 config.conflict_policy,
                 labels=["derived support", f"stored fact ({fact_node.provenance})"],
-                subject=str(atom),
+                subject=atom,
                 diagnostics=self.diagnostics,
             )
             children.append(fact_node)

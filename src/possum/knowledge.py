@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from graphlib import CycleError, TopologicalSorter
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .calculus import CertaintyInterval, ConflictPolicy, TNormFamily, TOTAL_IGNORANCE, consensus
 from .errors import DomainError, UnboundRoleError
@@ -54,13 +54,15 @@ def is_role_variable(token: str) -> bool:
     return token.startswith("?")
 
 
-@dataclass(frozen=True, slots=True)
-class Atom:
+class Atom(NamedTuple):
     """A predicate applied to zero or more arguments.
 
     Arguments are plain symbols; those starting with ``?`` are role
     variables awaiting a world binding.  Atoms are immutable and usable
-    as dict keys.
+    as dict keys.  An atom is stored as the tuple of its two fields and
+    hashes as that tuple, in C, since the engine and belief revision key
+    every table by atom.  It equals only another atom, never a plain
+    tuple.
     """
 
     predicate: str
@@ -71,6 +73,14 @@ class Atom:
 
     def is_ground(self) -> bool:
         return not any(is_role_variable(a) for a in self.arguments)
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is Atom and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return type(other) is not Atom or tuple.__ne__(self, other)
+
+    __hash__ = tuple.__hash__
 
     def __str__(self) -> str:
         return "(" + " ".join((self.predicate,) + self.arguments) + ")"

@@ -3,13 +3,13 @@
 The tracker wraps the engine: queries run through it, and it keeps the
 engine's goal table (each derived goal's proof, and the atoms and
 sub-goals it read) between them.  Beside the table it keeps the same
-edges reversed: for each atom or sub-goal, the goals that read it.
-These reader edges are added when a goal is derived and removed when it
-is purged, so an update costs in proportion to the goals it reaches,
-not to the size of the table.  When evidence changes the tracker walks
-the reader edges upward from the updated atom, drops every goal it
-reaches from the table, marks the tracked conclusions among them
-stale, and recomputes lazily.
+edges reversed: for each atom or sub-goal, the set of goals that read
+it.  These reader edges are added when a goal is derived and removed
+when it is purged, each in constant time, so an update costs in
+proportion to the goals it reaches, not to the size of the table.
+When evidence changes the tracker walks the reader edges upward from
+the updated atom, drops every goal it reaches from the table, marks the
+tracked conclusions among them stale, and recomputes lazily.
 An edit made to the world outside the tracker shows as a moved world
 epoch (or as changed role bindings) and makes every conclusion stale.
 The rule index is built once and shared by every session the tracker
@@ -24,6 +24,7 @@ that equality, never a change to it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable
 
 from .calculus import CertaintyInterval
@@ -61,7 +62,7 @@ class DependencyTracker:
         self.config = config or QueryConfig()
         self.records: dict[Atom, DependencyRecord] = {}
         self._goals: dict[Atom, GoalDependencies] = {}
-        self._readers: dict[Atom, list[Atom]] = {}
+        self._readers: dict[Atom, set[Atom]] = {}
         self._stale: set[Atom] = set()
         self._epoch = world.epoch
         self._roles = dict(world.roles)
@@ -121,8 +122,12 @@ class DependencyTracker:
         readers = self._readers
         for atom in result.derived:
             deps = self._goals[atom]
-            for read in deps.atoms | deps.subgoals:
-                readers.setdefault(read, []).append(atom)
+            for read in chain(deps.atoms, deps.subgoals):
+                edges = readers.get(read)
+                if edges is None:
+                    readers[read] = {atom}
+                else:
+                    edges.add(atom)
         return result
 
     def track(self, result: QueryResult) -> list[DependencyRecord]:
@@ -181,11 +186,14 @@ class DependencyTracker:
                     frontier.append(goal)
         for goal in reached:
             deps = self._goals.pop(goal)
-            for read in deps.atoms | deps.subgoals:
-                edges = readers[read]
-                edges.remove(goal)
-                if not edges:
-                    del readers[read]
+            for read in chain(deps.atoms, deps.subgoals):
+                # An atom both in atoms and in subgoals (read as a context
+                # and as a premise) comes twice: its edge set may be gone.
+                edges = readers.get(read)
+                if edges is not None:
+                    edges.discard(goal)
+                    if not edges:
+                        del readers[read]
         invalidated |= reached & self.records.keys()
         self._stale |= invalidated
         return invalidated

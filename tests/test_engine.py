@@ -155,6 +155,30 @@ class TestScreening:
         assert again.dependencies == first.dependencies
         assert set(first.dependencies) == set(first.derived)
 
+    def test_leaf_goals_share_one_empty_subgoal_set(self):
+        kb = KnowledgeBase()
+        kb.rules["t"] = _rule("t", ["a", "b"], "top")
+        world = World("w")
+        _fact(world, "a", 0.8)
+        _fact(world, "b", 0.7)
+        deps = prove(kb, world, Atom("top")).dependencies
+        assert deps[Atom("a")].subgoals == frozenset()
+        assert deps[Atom("a")].subgoals is deps[Atom("b")].subgoals
+        assert deps[Atom("top")].subgoals == {Atom("a"), Atom("b")}
+
+    def test_context_read_up_to_an_unbound_role(self):
+        # The context atoms bound before the unbound one are still read.
+        kb = KnowledgeBase()
+        context = (Atom("warm"), Atom("g", ("?x",)), Atom("late"))
+        kb.rules["r"] = Rule("r", context, (Atom("a"),), Atom("q"), 0.9, 0.0, T2)
+        world = World("w")
+        _fact(world, "warm", 0.9)
+        _fact(world, "a", 0.8)
+        result = prove(kb, world, Atom("q"))
+        assert result.dependencies[Atom("q")].atoms == {Atom("q"), Atom("warm")}
+        assert result.dependencies[Atom("q")].subgoals == frozenset()
+        assert result.diagnostics[0] == "rule r inactive: role ?x is unbound in (g ?x)"
+
     def test_unbound_context_role_noted(self):
         kb = KnowledgeBase()
         kb.rules["r"] = Rule(

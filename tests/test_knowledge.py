@@ -48,10 +48,9 @@ class TestAtom:
         assert len({Atom("p", ("a",)), Atom("p", ("a",))}) == 1
 
     def test_atom_is_a_value_but_not_a_tuple(self):
-        # Atom stays a frozen dataclass: a NamedTuple would hash in C,
-        # but costs 8 bytes more per atom.  Its hash is the hash of its
-        # fields as a tuple, so sets and dicts of atoms iterate alike
-        # either way; only equality with a plain tuple would change.
+        # Atom is a NamedTuple, so it hashes in C as the tuple of its
+        # fields, but its own __eq__ and __ne__ keep it from equalling
+        # a plain tuple with the same fields.
         atom = Atom("p", ("a",))
         assert hash(atom) == hash(("p", ("a",)))
         assert atom != ("p", ("a",))

@@ -1,9 +1,15 @@
 """Dependency tracking and incremental recomputation."""
 
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import possum
 from possum.calculus import CertaintyInterval, ConflictPolicy, TNormFamily
 from possum import revision
 from possum.cbr import CaseTemplate, PrecedentLink
@@ -333,6 +339,33 @@ class TestRecords:
         assert set(tracker.records) == {Atom("a2")}
         assert tracker.on_update(Atom("b"), CertaintyInterval(0.9, 1.0), "s2") == {Atom("a2")}
 
+    def test_atom_read_as_context_and_as_premise_is_one_reader_edge(self):
+        # Each g<i> reads c twice: as r<i>'s context and as s<i>'s premise.
+        # The update purges c's own goal and every g<i>; the set order
+        # decides which of them drops the last edge on c, so several goals
+        # make an edge dropped twice show under almost any hash seed.
+        kb = KnowledgeBase()
+        goals = [Atom(f"g{i}") for i in range(7)]
+        for i in range(7):
+            kb.rules[f"r{i}"] = _rule(f"r{i}", ["a"], f"g{i}", context=["c"])
+            kb.rules[f"s{i}"] = _rule(f"s{i}", ["c"], f"g{i}", s=0.5)
+        world = World("w")
+        assert_evidence(world, Atom("a"), CertaintyInterval(0.8, 1.0), "s")
+        assert_evidence(world, Atom("c"), CertaintyInterval(0.7, 1.0), "s")
+        tracker = DependencyTracker(kb, world)
+        for goal in goals:
+            tracker.query(goal)
+        deps = tracker._goals[goals[0]]
+        assert Atom("c") in deps.atoms and Atom("c") in deps.subgoals
+        assert _reader_sets(tracker) == _invert(tracker._goals)
+        invalidated = tracker.on_update(Atom("c"), CertaintyInterval(0.2, 1.0), "s")
+        assert invalidated == set(goals)
+        assert Atom("c") not in tracker._readers
+        assert _reader_sets(tracker) == _invert(tracker._goals)
+        assert set(tracker.recompute()) == set(goals)
+        assert _reader_sets(tracker) == _invert(tracker._goals)
+        assert tracker.stale() == frozenset()
+
     @pytest.mark.parametrize("seed", range(4))
     def test_reader_edges_match_a_full_inversion(self, seed):
         # The oracle is the full-graph algorithm: invert every goal's
@@ -442,3 +475,57 @@ class TestEquivalence:
         assert tracker.records[Atom("top")].cached == before
         tracker.recompute()
         assert tracker.records[Atom("top")].cached != before
+
+
+# Queries, updates and recomputes over one seeded weighted KB, printed
+# with every interval as float.hex so that any change shows.
+_TRACKER_SCRIPT = """\
+import json, random
+from possum.calculus import ConflictPolicy
+from possum.engine import QueryConfig, forward_saturate
+from possum.revision import DependencyTracker
+from generators import random_update, weighted_kb
+
+def hexed(interval):
+    return [interval.lower.hex(), interval.upper.hex()]
+
+rng = random.Random(41)
+kb, world, contexts = weighted_kb(rng, n_rules=120)
+config = QueryConfig(conflict_policy=ConflictPolicy.LENIENT)
+tracker = DependencyTracker(kb, world, config)
+goals = sorted(forward_saturate(kb, world.copy(), config), key=str)
+out = {"diagnostics": [], "recomputed": []}
+for goal in rng.sample(goals, 12):
+    out["diagnostics"].append(tracker.query(goal).diagnostics)
+for step in range(30):
+    tracker.on_update(*random_update(rng, world, contexts))
+    if step % 3 == 2:
+        refreshed = tracker.recompute()
+        out["recomputed"].append([[str(a), hexed(iv)] for a, iv in refreshed.items()])
+    if step % 5 == 4:
+        out["diagnostics"].append(tracker.query(rng.choice(goals)).diagnostics)
+out["records"] = [
+    [str(a), hexed(r.cached), r.epoch] for a, r in tracker.records.items()
+]
+print(json.dumps(out))
+"""
+
+
+class TestTrackerOrder:
+    def test_tracker_output_follows_no_hash_seed(self):
+        src = str(Path(possum.__file__).resolve().parents[1])
+        tests = str(Path(__file__).resolve().parent)
+        runs = []
+        for seed in ("0", "1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join([src, tests])}
+            done = subprocess.run(
+                [sys.executable, "-c", _TRACKER_SCRIPT],
+                capture_output=True,
+                text=True,
+                env=env,
+                check=True,
+            )
+            runs.append(json.loads(done.stdout))
+        assert runs[0]["records"] and any(runs[0]["recomputed"])
+        assert runs[1] == runs[0]
+        assert runs[2] == runs[0]
