@@ -47,11 +47,11 @@ them: ``tnorm``, ``tconorm``, the strengths of ``detach``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from math import prod, sqrt
 from typing import Callable, Iterable, Sequence
 
+from ._records import FrozenRecord
 from .errors import DomainError, EvidenceConflictError, SourceConflictError
 
 __all__ = [
@@ -81,7 +81,11 @@ _NUMBER = (int, float)
 
 
 class TNormFamily(Enum):
-    """The five conjunction families, tagged by liberality rank."""
+    """The five conjunction families, tagged by liberality rank.
+
+    Members are singletons and hash by identity, in C; ranks and labels
+    come from tables built once, not from enum's ``value`` and ``name``.
+    """
 
     T1 = 0
     T1_5 = 1
@@ -89,10 +93,12 @@ class TNormFamily(Enum):
     T2_5 = 3
     T3 = 4
 
+    __hash__ = object.__hash__
+
     @property
     def label(self) -> str:
         """Surface spelling: ``T1.5`` rather than ``T1_5``."""
-        return self.name.replace("_", ".")
+        return _LABEL[self]
 
     @classmethod
     def from_label(cls, label: str) -> "TNormFamily":
@@ -106,10 +112,12 @@ class TNormFamily(Enum):
         fams = list(families)
         if not fams:
             raise DomainError("most_conservative of no families")
-        return min(fams, key=lambda f: f.value)
+        return min(fams, key=_RANK.__getitem__)
 
 
-_FAMILY_BY_LABEL = {family.label: family for family in TNormFamily}
+_RANK = {family: family.value for family in TNormFamily}
+_LABEL = {family: family.name.replace("_", ".") for family in TNormFamily}
+_FAMILY_BY_LABEL = {label: family for family, label in _LABEL.items()}
 
 
 class ConflictPolicy(Enum):
@@ -119,8 +127,7 @@ class ConflictPolicy(Enum):
     LENIENT = "lenient"
 
 
-@dataclass(frozen=True, slots=True)
-class CertaintyInterval:
+class CertaintyInterval(FrozenRecord):
     """Closed sub-interval [lower, upper] of the unit interval.
 
     lower is the degree of confirmation, upper the degree of failure to
@@ -128,18 +135,25 @@ class CertaintyInterval:
     Instances are immutable value objects.
     """
 
-    lower: float
-    upper: float
+    __slots__ = ("lower", "upper")
 
-    def __post_init__(self) -> None:
-        lo, hi = self.lower, self.upper
-        if not (isinstance(lo, _NUMBER) and isinstance(hi, _NUMBER)):
-            raise DomainError(f"interval bounds must be numbers, got {lo!r}, {hi!r}")
-        lo, hi = float(lo), float(hi)
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
+    def __init__(self, lower: float, upper: float) -> None:
+        if not (isinstance(lower, _NUMBER) and isinstance(upper, _NUMBER)):
+            raise DomainError(f"interval bounds must be numbers, got {lower!r}, {upper!r}")
+        lo, hi = float(lower), float(upper)
         if not (0.0 <= lo <= hi <= 1.0):
             raise DomainError(f"invalid certainty interval [{lo!r}, {hi!r}]")
+        set_lower, set_upper = self._setters
+        set_lower(self, lo)
+        set_upper(self, hi)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.lower == other.lower and self.upper == other.upper
+
+    def __hash__(self) -> int:
+        return hash((self.lower, self.upper))
 
     def complement(self) -> "CertaintyInterval":
         """Belief in the negated proposition: [1 - upper, 1 - lower]."""

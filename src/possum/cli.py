@@ -16,7 +16,6 @@ little ANSI colour that is applied when stdout is a terminal.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -237,6 +236,7 @@ def _run_query(args: argparse.Namespace, want_trace: bool) -> int:
     interval = result.interval.complement() if negated else result.interval
     shown_goal = f"(not {result.goal})" if negated else str(result.goal)
     if args.format == "json":
+        import json  # here, not at the top: every other run starts without it
         payload = result_to_dict(result)
         payload["interval"] = [interval.lower, interval.upper]
         payload["goal"] = shown_goal
@@ -348,6 +348,7 @@ def _cmd_saturate(args: argparse.Namespace) -> int:
     session = QuerySession(kb, world, _config(args))
     derived = session.saturate()
     if args.format == "json":
+        import json
         payload = {
             str(atom): [iv.lower, iv.upper] for atom, iv in derived.items()
         }

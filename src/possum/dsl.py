@@ -45,9 +45,9 @@ re-parses to an equal knowledge base.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from pathlib import Path as FsPath
 
+from ._records import Record
 from .calculus import CertaintyInterval, ConflictPolicy, TNormFamily
 from .errors import DomainError, ParseError, ParseFailure, UnboundRoleError
 from .knowledge import (
@@ -154,41 +154,57 @@ def tokenize(text: str, source_name: str = "<input>") -> _Tokens:
     return tokens
 
 
-@dataclass(slots=True)
-class _Label:
+class _Label(Record):
     """A strength given as a lexicon label, resolved in pass two."""
 
-    name: str
-    token: int
+    __slots__ = ("name", "token")
+
+    def __init__(self, name: str, token: int) -> None:
+        self.name = name
+        self.token = token
 
 
-@dataclass(slots=True)
-class _Decl:
+class _Decl(Record):
     """A parsed rule or case; ``token`` is its keyword, which names the kind.
 
     ``path`` is a rule's class or a case's taxonomy path, and ``roles``
     is None for a rule.  Tokens are indices into the parser's lists.
     """
 
-    token: int
-    identifier: str
-    path: tuple[str, ...]
-    path_token: int
-    roles: tuple[str, ...] | None
-    context: tuple[Atom, ...]
-    antecedents: tuple[Atom, ...]
-    consequent: Atom
-    family: TNormFamily
-    sufficiency: float | _Label
-    necessity: float | _Label
+    __slots__ = (
+        "token", "identifier", "path", "path_token", "roles", "context",
+        "antecedents", "consequent", "family", "sufficiency", "necessity",
+    )
+
+    def __init__(
+        self, token: int, identifier: str, path: tuple[str, ...], path_token: int,
+        roles: tuple[str, ...] | None, context: tuple[Atom, ...], antecedents: tuple[Atom, ...],
+        consequent: Atom, family: TNormFamily, sufficiency: float | _Label,
+        necessity: float | _Label,
+    ) -> None:
+        self.token = token
+        self.identifier = identifier
+        self.path = path
+        self.path_token = path_token
+        self.roles = roles
+        self.context = context
+        self.antecedents = antecedents
+        self.consequent = consequent
+        self.family = family
+        self.sufficiency = sufficiency
+        self.necessity = necessity
 
 
-@dataclass(slots=True)
-class _LinkDecl:
-    token: int
-    predicate: str
-    path: tuple[str, ...]
-    family: TNormFamily
+class _LinkDecl(Record):
+    __slots__ = ("token", "predicate", "path", "family")
+
+    def __init__(
+        self, token: int, predicate: str, path: tuple[str, ...], family: TNormFamily
+    ) -> None:
+        self.token = token
+        self.predicate = predicate
+        self.path = path
+        self.family = family
 
 
 class _Parser:

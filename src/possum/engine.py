@@ -26,10 +26,10 @@ screens through the same gate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import chain
 from typing import Callable, Generator, Mapping, NamedTuple, Optional, Sequence
 
+from ._records import Record
 from .calculus import (
     CertaintyInterval,
     ConflictPolicy,
@@ -73,8 +73,7 @@ __all__ = [
 Asker = Callable[[Atom], Optional[CertaintyInterval]]
 
 
-@dataclass(slots=True)
-class QueryConfig:
+class QueryConfig(Record):
     """Knobs for one query run.
 
     ``context_threshold`` is the activation level a rule's context must
@@ -83,17 +82,20 @@ class QueryConfig:
     askable facts.
     """
 
-    context_threshold: float = 0.5
-    conflict_policy: ConflictPolicy = ConflictPolicy.STRICT
-    interactive: bool = False
+    __slots__ = ("context_threshold", "conflict_policy", "interactive")
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.context_threshold <= 1.0:  # nan fails too
-            raise DomainError(f"context threshold {self.context_threshold!r} outside [0, 1]")
+    def __init__(
+        self, context_threshold: float = 0.5,
+        conflict_policy: ConflictPolicy = ConflictPolicy.STRICT, interactive: bool = False,
+    ) -> None:
+        if not 0.0 <= context_threshold <= 1.0:  # nan fails too
+            raise DomainError(f"context threshold {context_threshold!r} outside [0, 1]")
+        self.context_threshold = context_threshold
+        self.conflict_policy = conflict_policy
+        self.interactive = interactive
 
 
-@dataclass(slots=True)
-class ProofNode:
+class ProofNode(Record):
     """One step of a derivation.
 
     kind is one of ``fact``, ``rule-instance``, ``case-instance``,
@@ -104,16 +106,21 @@ class ProofNode:
     ``result``.
     """
 
-    goal: Atom
-    kind: str
-    result: CertaintyInterval
-    provenance: str
-    premise_interval: CertaintyInterval | None = None
-    children: tuple["ProofNode", ...] = ()
+    __slots__ = ("goal", "kind", "result", "provenance", "premise_interval", "children")
+
+    def __init__(
+        self, goal: Atom, kind: str, result: CertaintyInterval, provenance: str,
+        premise_interval: CertaintyInterval | None = None, children: tuple[ProofNode, ...] = (),
+    ) -> None:
+        self.goal = goal
+        self.kind = kind
+        self.result = result
+        self.provenance = provenance
+        self.premise_interval = premise_interval
+        self.children = children
 
 
-@dataclass(slots=True)
-class GoalDependencies:
+class GoalDependencies(Record):
     """One entry of the goal table: a derived goal's proof and what it read.
 
     node: the goal's proof, whose ``result`` is its interval; atoms:
@@ -125,13 +132,15 @@ class GoalDependencies:
     empty ``subgoals`` set.
     """
 
-    node: ProofNode
-    atoms: frozenset[Atom]
-    subgoals: frozenset[Atom]
+    __slots__ = ("node", "atoms", "subgoals")
+
+    def __init__(self, node: ProofNode, atoms: frozenset[Atom], subgoals: frozenset[Atom]) -> None:
+        self.node = node
+        self.atoms = atoms
+        self.subgoals = subgoals
 
 
-@dataclass(slots=True)
-class QueryResult:
+class QueryResult(Record):
     """One proved goal, with its proof and the session's notes so far.
 
     ``derived`` lists the goals this query evaluated afresh, in the
@@ -140,12 +149,19 @@ class QueryResult:
     not copied.
     """
 
-    goal: Atom
-    interval: CertaintyInterval
-    proof: ProofNode
-    diagnostics: list[str]
-    derived: list[Atom]
-    graph: dict[Atom, GoalDependencies] = field(repr=False, compare=False)
+    __slots__ = ("goal", "interval", "proof", "diagnostics", "derived", "graph")
+    _fields = __slots__[:-1]  # the goal table stays out of == and repr
+
+    def __init__(
+        self, goal: Atom, interval: CertaintyInterval, proof: ProofNode, diagnostics: list[str],
+        derived: list[Atom], graph: dict[Atom, GoalDependencies],
+    ) -> None:
+        self.goal = goal
+        self.interval = interval
+        self.proof = proof
+        self.diagnostics = diagnostics
+        self.derived = derived
+        self.graph = graph
 
     @property
     def dependencies(self) -> dict[Atom, GoalDependencies]:

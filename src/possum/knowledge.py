@@ -22,10 +22,10 @@ reinforcement is a property of the reasoning and surfaces per query.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from graphlib import CycleError, TopologicalSorter
 from typing import Iterable, Mapping, NamedTuple
 
+from ._records import FrozenRecord, Record
 from .calculus import CertaintyInterval, ConflictPolicy, TNormFamily, TOTAL_IGNORANCE, consensus
 from .errors import DomainError, UnboundRoleError
 
@@ -106,20 +106,23 @@ def substitute(atom: Atom, roles: Mapping[str, str]) -> Atom:
     return Atom(atom.predicate, tuple(out))
 
 
-@dataclass(slots=True)
-class Fact:
+class Fact(Record):
     """Evidence about one ground atom, kept per source."""
 
-    atom: Atom
-    evidence: dict[str, CertaintyInterval]
-    effective: CertaintyInterval
+    __slots__ = ("atom", "evidence", "effective")
+
+    def __init__(
+        self, atom: Atom, evidence: dict[str, CertaintyInterval], effective: CertaintyInterval
+    ) -> None:
+        self.atom = atom
+        self.evidence = evidence
+        self.effective = effective
 
     def sources(self) -> list[str]:
         return sorted(self.evidence)
 
 
-@dataclass(frozen=True, slots=True)
-class Rule:
+class Rule(FrozenRecord):
     """A qualified implication.
 
     ``context`` gates whether the rule participates at all in a given
@@ -131,18 +134,28 @@ class Rule:
     ``rule_class`` is an optional taxonomy path used for bookkeeping.
     """
 
-    identifier: str
-    context: tuple[Atom, ...]
-    antecedents: tuple[Atom, ...]
-    consequent: Atom
-    sufficiency: float
-    necessity: float
-    family: TNormFamily
-    rule_class: tuple[str, ...] = ()
+    __slots__ = (
+        "identifier", "context", "antecedents", "consequent",
+        "sufficiency", "necessity", "family", "rule_class",
+    )
 
-    def __post_init__(self) -> None:
-        if not self.antecedents:
-            raise DomainError(f"rule {self.identifier} has no antecedents")
+    def __init__(
+        self, identifier: str, context: tuple[Atom, ...], antecedents: tuple[Atom, ...],
+        consequent: Atom, sufficiency: float, necessity: float, family: TNormFamily,
+        rule_class: tuple[str, ...] = (),
+    ) -> None:
+        if not antecedents:
+            raise DomainError(f"rule {identifier} has no antecedents")
+        # ``_fill`` unrolled, since every rule a KB parses builds one.
+        set_id, set_ctx, set_ante, set_cons, set_suff, set_nec, set_fam, set_cls = self._setters
+        set_id(self, identifier)
+        set_ctx(self, context)
+        set_ante(self, antecedents)
+        set_cons(self, consequent)
+        set_suff(self, sufficiency)
+        set_nec(self, necessity)
+        set_fam(self, family)
+        set_cls(self, rule_class)
 
 
 Path = tuple[str, ...]
@@ -160,27 +173,28 @@ def format_path(path: Path) -> str:
     return "/".join(path) if path else "/"
 
 
-@dataclass(frozen=True, slots=True)
-class CaseTemplate:
+class CaseTemplate(FrozenRecord):
     """A decided case, generalised over its role variables."""
 
-    identifier: str
-    path: Path
-    roles: tuple[str, ...]
-    context: tuple[Atom, ...]
-    antecedents: tuple[Atom, ...]
-    consequent: Atom
-    sufficiency: float
-    necessity: float
-    family: TNormFamily
+    __slots__ = (
+        "identifier", "path", "roles", "context", "antecedents",
+        "consequent", "sufficiency", "necessity", "family",
+    )
 
-    def __post_init__(self) -> None:
-        if not self.antecedents:
-            raise DomainError(f"case {self.identifier} has no premises")
+    def __init__(
+        self, identifier: str, path: Path, roles: tuple[str, ...], context: tuple[Atom, ...],
+        antecedents: tuple[Atom, ...], consequent: Atom, sufficiency: float, necessity: float,
+        family: TNormFamily,
+    ) -> None:
+        if not antecedents:
+            raise DomainError(f"case {identifier} has no premises")
+        self._fill(
+            identifier, path, roles, context, antecedents, consequent, sufficiency, necessity,
+            family,
+        )
 
 
-@dataclass(frozen=True, slots=True)
-class PrecedentLink:
+class PrecedentLink(FrozenRecord):
     """Marks a predicate as arguable from precedent.
 
     The link instantiates the templates filed under ``path`` that
@@ -189,17 +203,22 @@ class PrecedentLink:
     with ``family``'s dual conorm.  At most one link per predicate.
     """
 
-    target_predicate: str
-    path: Path
-    family: TNormFamily
+    __slots__ = ("target_predicate", "path", "family")
+
+    def __init__(self, target_predicate: str, path: Path, family: TNormFamily) -> None:
+        self._fill(target_predicate, path, family)
 
 
-@dataclass(slots=True)
-class CaseLibrary:
+class CaseLibrary(Record):
     """Case templates filed under declared taxonomy paths."""
 
-    paths: set[Path] = field(default_factory=set)
-    templates: dict[str, CaseTemplate] = field(default_factory=dict)
+    __slots__ = ("paths", "templates")
+
+    def __init__(
+        self, paths: set[Path] | None = None, templates: dict[str, CaseTemplate] | None = None
+    ) -> None:
+        self.paths = set() if paths is None else paths
+        self.templates = {} if templates is None else templates
 
     def declare_path(self, path: Path) -> None:
         self.paths.add(tuple(path))
@@ -223,16 +242,22 @@ class CaseLibrary:
         return found
 
 
-@dataclass(slots=True)
-class World:
+class World(Record):
     """One concrete situation a knowledge base is applied to."""
 
-    identifier: str
-    roles: dict[str, str] = field(default_factory=dict)
-    facts: dict[Atom, Fact] = field(default_factory=dict)
-    askables: set[str] = field(default_factory=set)
-    epoch: int = 0
-    diagnostics: list[str] = field(default_factory=list)
+    __slots__ = ("identifier", "roles", "facts", "askables", "epoch", "diagnostics")
+
+    def __init__(
+        self, identifier: str, roles: dict[str, str] | None = None,
+        facts: dict[Atom, Fact] | None = None, askables: set[str] | None = None,
+        epoch: int = 0, diagnostics: list[str] | None = None,
+    ) -> None:
+        self.identifier = identifier
+        self.roles = {} if roles is None else roles
+        self.facts = {} if facts is None else facts
+        self.askables = set() if askables is None else askables
+        self.epoch = epoch
+        self.diagnostics = [] if diagnostics is None else diagnostics
 
     def copy(self) -> "World":
         """Independent deep copy; used for what-if exploration."""
@@ -325,13 +350,18 @@ def lookup(world: World, atom: Atom) -> CertaintyInterval:
     return fact.effective if fact is not None else TOTAL_IGNORANCE
 
 
-@dataclass
-class KnowledgeBase:
+class KnowledgeBase(Record):
     """Rules plus the case library and its precedent links."""
 
-    rules: dict[str, Rule] = field(default_factory=dict)
-    case_library: CaseLibrary = field(default_factory=CaseLibrary)
-    precedent_links: dict[str, PrecedentLink] = field(default_factory=dict)
+    __slots__ = ("rules", "case_library", "precedent_links")
+
+    def __init__(
+        self, rules: dict[str, Rule] | None = None, case_library: CaseLibrary | None = None,
+        precedent_links: dict[str, PrecedentLink] | None = None,
+    ) -> None:
+        self.rules = {} if rules is None else rules
+        self.case_library = CaseLibrary() if case_library is None else case_library
+        self.precedent_links = {} if precedent_links is None else precedent_links
 
     def linked_templates(self, link: PrecedentLink) -> list[CaseTemplate]:
         """The case templates ``link`` instantiates, in ``templates_at`` order:
@@ -372,18 +402,23 @@ def derivation_order(kb: KnowledgeBase) -> list[str]:
     return list(TopologicalSorter(deps).static_order())
 
 
-@dataclass(slots=True)
-class ValidationReport:
+class ValidationReport(Record):
     """Everything that would make a knowledge base unsafe to query.
 
     An empty report (``ok()``) means every derivation terminates and
     all numeric fields are in range.
     """
 
-    cycles: list[list[str]] = field(default_factory=list)
-    range_errors: list[str] = field(default_factory=list)
-    role_errors: list[str] = field(default_factory=list)
-    path_errors: list[str] = field(default_factory=list)
+    __slots__ = ("cycles", "range_errors", "role_errors", "path_errors")
+
+    def __init__(
+        self, cycles: list[list[str]] | None = None, range_errors: list[str] | None = None,
+        role_errors: list[str] | None = None, path_errors: list[str] | None = None,
+    ) -> None:
+        self.cycles = [] if cycles is None else cycles
+        self.range_errors = [] if range_errors is None else range_errors
+        self.role_errors = [] if role_errors is None else role_errors
+        self.path_errors = [] if path_errors is None else path_errors
 
     def ok(self) -> bool:
         return not (self.cycles or self.range_errors or self.role_errors or self.path_errors)

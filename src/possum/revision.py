@@ -23,10 +23,10 @@ that equality, never a change to it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable
 
+from ._records import Record
 from .calculus import CertaintyInterval
 from .engine import GoalDependencies, QueryConfig, QueryResult, QuerySession, RuleIndex
 from .knowledge import Atom, KnowledgeBase, World, assert_evidence
@@ -34,8 +34,7 @@ from .knowledge import Atom, KnowledgeBase, World, assert_evidence
 __all__ = ["DependencyRecord", "DependencyTracker"]
 
 
-@dataclass(slots=True)
-class DependencyRecord:
+class DependencyRecord(Record):
     """One tracked conclusion and its cached interval.
 
     epoch is the world epoch at which the cached interval last changed.
@@ -43,9 +42,12 @@ class DependencyRecord:
     goal table, whose edges the tracker walks on every update.
     """
 
-    conclusion: Atom
-    cached: CertaintyInterval
-    epoch: int
+    __slots__ = ("conclusion", "cached", "epoch")
+
+    def __init__(self, conclusion: Atom, cached: CertaintyInterval, epoch: int) -> None:
+        self.conclusion = conclusion
+        self.cached = cached
+        self.epoch = epoch
 
 
 class DependencyTracker:

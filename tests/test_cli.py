@@ -62,6 +62,28 @@ class TestParsing:
         assert "no such file" in capsys.readouterr().err
 
 
+def _modules_after(statement):
+    """The names in ``sys.modules`` once a fresh interpreter runs ``statement``."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", f"{statement}\nimport sys\nprint(*sys.modules)"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        check=True,
+    )
+    return set(done.stdout.split())
+
+
+class TestStartup:
+    def test_import_generates_no_code_and_loads_no_json(self):
+        # Compared with a bare interpreter's modules, since site hooks
+        # may already have loaded some of the standard library.
+        added = _modules_after("import possum.cli") - _modules_after("pass")
+        assert "possum.cli" in added
+        assert sorted({"dataclasses", "inspect", "json"} & added) == []
+
+
 class TestLoad:
     def test_demo_summary(self, capsys):
         rc = main(["load", DEMO_KB, DEMO_WORLD])
