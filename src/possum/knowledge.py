@@ -22,8 +22,8 @@ reinforcement is a property of the reasoning and surfaces per query.
 
 from __future__ import annotations
 
-from graphlib import CycleError, TopologicalSorter
-from typing import Iterable, Mapping, NamedTuple
+from itertools import chain
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from ._records import FrozenRecord, Record
 from .calculus import CertaintyInterval, ConflictPolicy, TNormFamily, TOTAL_IGNORANCE, consensus
@@ -373,33 +373,51 @@ class KnowledgeBase(Record):
         ]
 
 
-def predicate_dependencies(kb: KnowledgeBase) -> dict[str, set[str]]:
+def predicate_dependencies(kb: KnowledgeBase) -> dict[str, dict[str, None]]:
     """Which predicates each predicate's derivation reads as premises.
 
     Rule consequents depend on their antecedent predicates; a predicate
-    carrying a precedent link additionally depends on the premises of
-    every case template the link can instantiate.  Context atoms are
-    excluded: screening reads stored values only and never recurses.
+    carrying a precedent link also depends on the premises of every case
+    template the link instantiates.  Context atoms are excluded:
+    screening reads stored values only and never recurses.  The map is
+    in the engine's reading order: keys by the first rule, then linked
+    template, that concludes each predicate, as ``engine.RuleIndex``
+    orders goals; each value an ordered set (a dict of ``None``) of
+    premise predicates, once each, in antecedent order.
     """
-    deps: dict[str, set[str]] = {}
-    for rule in kb.rules.values():
-        bucket = deps.setdefault(rule.consequent.predicate, set())
-        bucket.update(a.predicate for a in rule.antecedents)
-    for link in kb.precedent_links.values():
-        bucket = deps.setdefault(link.target_predicate, set())
-        for template in kb.linked_templates(link):
-            bucket.update(a.predicate for a in template.antecedents)
+    deps: dict[str, dict[str, None]] = {}
+    linked = (kb.linked_templates(link) for link in kb.precedent_links.values())
+    for rule in chain(kb.rules.values(), *linked):
+        premises = deps.setdefault(rule.consequent.predicate, {})
+        for atom in rule.antecedents:
+            premises[atom.predicate] = None
     return deps
 
 
-def derivation_order(kb: KnowledgeBase) -> list[str]:
-    """All predicates in dependency order, premises before conclusions.
+def _first_cycle(deps: dict[str, dict[str, None]]) -> list[str] | None:
+    """The first cycle a depth-first walk over ``deps`` meets, as ``[a, ..., a]``.
 
-    Raises CycleError (from graphlib) on a cyclic knowledge base; run
-    ``validate`` first for a reported rather than raised answer.
+    Roots follow the keys and premises the values: on a role-free KB this
+    is ``QuerySession.saturate``'s walk, and the cycle is the one it raises.
     """
-    deps = predicate_dependencies(kb)
-    return list(TopologicalSorter(deps).static_order())
+    done: set[str | None] = set()
+    # Each predicate under way, outermost first, with the premises it has
+    # yet to read; the roots are the premises of ``None``.
+    stack: dict[str | None, Iterator[str]] = {None: iter(deps)}
+    premises = stack[None]
+    while True:
+        for premise in premises:
+            if premise in stack:
+                path = list(stack)
+                return path[path.index(premise):] + [premise]
+            if premise in deps and premise not in done:
+                premises = stack[premise] = iter(deps[premise])
+                break
+        else:
+            done.add(stack.popitem()[0])
+            if not stack:
+                return None
+            premises = next(reversed(stack.values()))
 
 
 class ValidationReport(Record):
@@ -472,10 +490,7 @@ def validate(kb: KnowledgeBase) -> ValidationReport:
                 f"path {format_path(link.path)} is not in the taxonomy"
             )
 
-    try:
-        derivation_order(kb)
-    except CycleError as err:
-        # graphlib reports the cycle as [a, ..., a].
-        cycle = [str(node) for node in err.args[1]]
+    cycle = _first_cycle(predicate_dependencies(kb))
+    if cycle is not None:
         report.cycles.append(cycle)
     return report

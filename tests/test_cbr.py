@@ -290,6 +290,18 @@ class TestSimilarity:
         sim = case_similarity(x, y)
         assert sim == pytest.approx(1.0 - abs(0.9 - 0.3), abs=1e-12)
 
+    def test_gaps_add_left_to_right(self):
+        # Gaps 0.1, 0.2 and 0.3 added in a plain loop give 0.6000000000000001;
+        # ``sum`` on CPython 3.12 and later compensates and gives 0.6.
+        kb = _case_kb(_template("t", ("p",), ["a", "b", "c"], "q"))
+        w1 = World("w1")
+        w2 = World("w2")
+        for name, value in (("a", 0.1), ("b", 0.2), ("c", 0.3)):
+            assert_evidence(w1, Atom(name), CertaintyInterval(value, value), "s")
+            assert_evidence(w2, Atom(name), CertaintyInterval(0.0, 0.0), "s")
+        (x,), (y,) = _fired(kb, w1), _fired(kb, w2)
+        assert case_similarity(x, y) == 0.7999999999999999
+
     def test_unequal_profiles_rejected(self):
         kb = _case_kb(
             _template("t1", ("p",), ["a"], "q"), _template("t2", ("p",), ["a", "b"], "q")

@@ -25,15 +25,16 @@ def plain_output(monkeypatch):
     monkeypatch.setenv("POSSUM_COLOR", "never")
 
 
-def _possum(*args, stdin=None):
-    """Run ``python -m possum.cli`` in a fresh process, stdin piped."""
+def _possum(*args, stdin=None, env=()):
+    """Run ``python -m possum.cli`` in a fresh process, stdin piped,
+    with the extra environment variables ``env``."""
     src = str(Path(cli.__file__).resolve().parents[1])
     return subprocess.run(
         [sys.executable, "-m", "possum.cli", *args],
         input=stdin,
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": src},
+        env={**os.environ, "PYTHONPATH": src, **dict(env)},
     )
 
 
@@ -81,7 +82,7 @@ class TestStartup:
         # may already have loaded some of the standard library.
         added = _modules_after("import possum.cli") - _modules_after("pass")
         assert "possum.cli" in added
-        assert sorted({"dataclasses", "inspect", "json"} & added) == []
+        assert sorted({"dataclasses", "graphlib", "inspect", "json"} & added) == []
 
 
 class TestLoad:
@@ -105,7 +106,55 @@ class TestLoad:
         rc = main(["load", str(bad)])
         captured = capsys.readouterr()
         assert rc == 1
-        assert "validation:" in captured.err
+        # The cycle ``saturate`` raises for this KB, below.
+        assert captured.err == "validation: derivation cycle: b -> a -> b\n"
+
+    def test_cycle_text_does_not_depend_on_the_hash_seed(self, tmp_path, capsys):
+        bad = tmp_path / "cycle.kb"
+        bad.write_text(
+            "".join(
+                f"rule {ident} tnorm T2 suff 0.9 nec 0 {{ if {body} then {head} }}\n"
+                for ident, body, head in [
+                    ("r0", "(p1)", "(p0)"),
+                    ("r1", "(p5)", "(p3)"),
+                    ("r2", "(p1) (p2) (p8) (p5)", "(p4)"),
+                    ("r3", "(p8) (p6) (p5) (p7)", "(p1)"),
+                    ("r4", "(p6) (p2) (p7)", "(p1)"),
+                    ("r5", "(p7) (p2)", "(p8)"),
+                    ("r6", "(p8) (p1) (p2) (p5)", "(p0)"),
+                    ("r7", "(p6) (p1)", "(p2)"),
+                    ("r8", "(p3) (p6)", "(p2)"),
+                ]
+            )
+        )
+        for seed in ("0", "7"):
+            done = _possum("load", str(bad), env={"PYTHONHASHSEED": seed})
+            assert done.returncode == 1
+            assert done.stderr == "validation: derivation cycle: p1 -> p8 -> p2 -> p1\n"
+        assert main(["saturate", str(bad), DEMO_WORLD]) == 1
+        assert capsys.readouterr().err == (
+            "possum: derivation cycle: (p1) -> (p8) -> (p2) -> (p1)\n"
+        )
+
+    def test_load_checks_predicates_so_rejects_a_kb_query_answers(self, tmp_path, capsys):
+        # ``up`` makes ``p`` read ``p``, a cycle between predicates; in a
+        # world that binds ?lo and ?hi to different constants it reads
+        # (p b) from (p a), and no ground atom reads itself.
+        kb = tmp_path / "roles.kb"
+        kb.write_text(
+            "rule up tnorm T2 suff 0.8 nec 0 { if (p ?lo) then (p ?hi) }\n"
+            "rule base tnorm T2 suff 0.9 nec 0 { if (q ?lo) then (p ?lo) }\n"
+        )
+        world = tmp_path / "w.world"
+        world.write_text("world w {\n  roles ?lo = a ?hi = b;\n  fact (q a) [0.7, 1] @s;\n}\n")
+        assert main(["load", str(kb), str(world)]) == 1
+        assert capsys.readouterr().err == "validation: derivation cycle: p -> p\n"
+        assert main(["query", str(kb), str(world), "(p b)"]) == 0
+        assert "[0.5040, 1.0000]" in capsys.readouterr().out
+        assert main(["saturate", str(kb), str(world)]) == 0
+        out = capsys.readouterr().out
+        assert "(p a) = [0.6300, 1.0000]" in out
+        assert "(p b) = [0.5040, 1.0000]" in out
 
     def test_saturate_reports_a_cycle_without_a_traceback(self, tmp_path):
         bad = tmp_path / "cycle.kb"

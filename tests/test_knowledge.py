@@ -1,6 +1,7 @@
 """Atoms, worlds, evidence bookkeeping, and static KB checks."""
 
 import random
+from graphlib import CycleError, TopologicalSorter
 
 import pytest
 from hypothesis import given
@@ -14,14 +15,14 @@ from possum.calculus import (
     TOTAL_IGNORANCE,
 )
 from possum.cbr import CaseTemplate, PrecedentLink
-from possum.errors import DomainError, UnboundRoleError
+from possum.engine import forward_saturate
+from possum.errors import DerivationCycleError, DomainError, UnboundRoleError
 from possum.knowledge import (
     Atom,
     KnowledgeBase,
     Rule,
     World,
     assert_evidence,
-    derivation_order,
     lookup,
     predicate_dependencies,
     retract_evidence,
@@ -211,7 +212,7 @@ class TestKnowledgeBase:
         kb = KnowledgeBase()
         kb.rules["r"] = _rule("r", ["a", "b"], "q", context=["gate"])
         deps = predicate_dependencies(kb)
-        assert deps["q"] == {"a", "b"}
+        assert deps == {"q": {"a": None, "b": None}}
 
     def test_dependencies_include_linked_case_premises(self):
         kb = KnowledgeBase()
@@ -230,15 +231,28 @@ class TestKnowledgeBase:
         )
         kb.precedent_links["q"] = PrecedentLink("q", ("lib",), T2)
         deps = predicate_dependencies(kb)
-        assert deps["q"] == {"x", "y"}
-        assert "other" not in deps.get("q", set())
+        # c2 concludes ``other``, which no link targets: the engine never
+        # fires it, so it adds no entry.
+        assert list(deps) == ["q"]
+        assert list(deps["q"]) == ["x", "y"]
 
-    def test_derivation_order_respects_layering(self):
+    def test_dependencies_follow_the_engine_reading_order(self):
+        # Keys in the order of the first rule, then linked template, that
+        # concludes each predicate; premises once each, in antecedent order.
         kb = KnowledgeBase()
-        kb.rules["r1"] = _rule("r1", ["a"], "mid")
+        kb.case_library.declare_path(("lib",))
+        kb.case_library.add(
+            CaseTemplate("c", ("lib",), (), (), (Atom("z"), Atom("b")), Atom("top"), 0.9, 0.0, T2)
+        )
+        kb.precedent_links["top"] = PrecedentLink("top", ("lib",), T2)
+        kb.rules["r1"] = _rule("r1", ["b", "a", "b"], "mid")
         kb.rules["r2"] = _rule("r2", ["mid"], "top")
-        order = derivation_order(kb)
-        assert order.index("mid") < order.index("top")
+        kb.rules["r3"] = _rule("r3", ["c", "a"], "mid")
+        deps = predicate_dependencies(kb)
+        assert [(head, list(premises)) for head, premises in deps.items()] == [
+            ("mid", ["b", "a", "c"]),
+            ("top", ["mid", "z", "b"]),
+        ]
 
     def test_validate_clean_kb(self):
         kb = KnowledgeBase()
@@ -297,7 +311,7 @@ class TestKnowledgeBase:
         assert not report.ok()
         assert any("?y" in m for m in report.messages())
 
-    def test_acyclic_random_kbs_validate_and_order(self):
+    def test_acyclic_random_kbs_validate(self):
         rng = random.Random(404)
         for _ in range(25):
             kb = KnowledgeBase()
@@ -309,12 +323,46 @@ class TestKnowledgeBase:
                 pool.append(head)
             report = validate(kb)
             assert report.ok()
-            order = derivation_order(kb)
-            position = {p: i for i, p in enumerate(order)}
-            for rule in kb.rules.values():
-                for premise in rule.antecedents:
-                    if premise.predicate in position:
-                        assert (
-                            position[premise.predicate]
-                            < position[rule.consequent.predicate]
+
+    def test_validate_reports_the_cycle_saturate_raises(self):
+        # Small random role-free, context-free KBs, some of whose
+        # predicates are argued from precedent.  ``validate`` passes
+        # exactly the KBs saturation answers, and reports the cycle it
+        # raises.  graphlib is the reference for the verdict alone.
+        rng = random.Random(1606)
+        cyclic = 0
+        for _ in range(3000):
+            kb = KnowledgeBase()
+            kb.case_library.declare_path(("lib",))
+            pool = [f"p{i}" for i in range(rng.randint(2, 9))]
+            for p in rng.sample(pool, k=rng.randint(0, 2)):
+                kb.precedent_links[p] = PrecedentLink(p, ("lib",), T2)
+            for i in range(rng.randint(1, 9)):
+                body = [rng.choice(pool) for _ in range(rng.randint(1, 4))]
+                head = rng.choice(pool)
+                if rng.random() < 0.25:
+                    kb.case_library.add(
+                        CaseTemplate(
+                            f"c{i}", ("lib",), (), (), tuple(map(Atom, body)), Atom(head),
+                            0.9, 0.0, T2,
                         )
+                    )
+                else:
+                    kb.rules[f"r{i}"] = _rule(f"r{i}", body, head)
+            report = validate(kb)
+            try:
+                list(TopologicalSorter(predicate_dependencies(kb)).static_order())
+                acyclic = True
+            except CycleError:
+                acyclic = False
+            try:
+                forward_saturate(kb, World("w"))
+                raised = None
+            except DerivationCycleError as err:
+                raised = str(err)
+            assert report.ok() == acyclic == (raised is None)
+            if raised is not None:
+                cyclic += 1
+                (cycle,) = report.cycles
+                assert raised == "derivation cycle: " + " -> ".join(f"({p})" for p in cycle)
+        assert 500 < cyclic < 2500
