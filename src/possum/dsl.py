@@ -30,9 +30,16 @@ A world file binds roles and lists evidence:
       askable weak-foreign-competition;
     }
 
-The lexer is one regular expression, and a file's tokens are parallel
-lists of kinds and texts.  Their start offsets, and from an offset a
-token's line:column, are computed only when an error names a token.
+A file's tokens are parallel lists of kinds and texts, and one regular
+expression defines them.  The lexer reaches the same tokens with ``str``
+methods where it can: it cuts comments, pads punctuation with spaces,
+splits at blanks, and gives each distinct word its kind from its first
+character.  Text that path cannot vouch for goes to the expression:
+non-ASCII text, a character no token takes (or a blank ``str.split``
+knows and the grammar does not), a malformed number, or a '?' that does
+not start a role variable.  The expression also places every error:
+token start offsets, and from an offset a token's line:column, are
+computed only when an error names a token.
 Parsing is recursive descent over the lists by index, with one token of
 lookahead.  Inside a knowledge-base file the parser recovers at the
 next top-level keyword so one bad declaration does not hide the rest.
@@ -76,33 +83,43 @@ __all__ = [
 
 _TOP_KEYWORDS = frozenset({"lexicon", "taxonomy", "rule", "case", "precedent", "world"})
 
-# Each match is one token (the group) followed by the blanks and comments
-# after it; only "\n" ends a line.  Identifiers continue with '.' and '-'
-# so family tags (T1.5) and hyphenated predicates (hhi-post-above-1800)
-# are one token; \w is str.isalnum() plus '_'.  Numbers take ASCII
-# digits only: str.isdigit() also admits '²', which float() rejects, and
-# '٣', which it reads as 3.  A word that starts outside ASCII is an
-# identifier only if it starts with a letter ('²x' is not), and the last
-# branch takes any other character, which is an error.
+# The grammar's one definition.  Each match is one token (the group)
+# followed by the blanks and comments after it; only "\n" ends a line.
+# Identifiers continue with '.' and '-' so family tags (T1.5) and
+# hyphenated predicates (hhi-post-above-1800) are one token; \w is
+# str.isalnum() plus '_'.  Numbers take ASCII digits only: str.isdigit()
+# also admits '²', which float() rejects, and '٣', which it reads as 3.  A
+# word that starts outside ASCII is an identifier only if it starts with
+# a letter ('²x' is not), and the last branch takes any other character,
+# which is an error.  ``tokenize`` reaches the same tokens by splitting
+# whenever it can; the pattern lexes the rest and places every error.
+# It is compiled on first use (``re`` caches it), not at import.
 _BLANKS = r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*"
-_TOKEN = re.compile(
+_TOKEN = (
     r"([A-Za-z_][\w.-]*|\?[\w.-]+|[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?"
-    r"|[{}()\[\];,=/@]|\Z|[^\W\d][\w.-]*|.)" + _BLANKS,
-    re.S,
+    r"|[{}()\[\];,=/@]|\Z|[^\W\d][\w.-]*|.)" + _BLANKS
 )
-_LEADING_BLANKS = re.compile(_BLANKS)
 
 _IDENT, _ROLEVAR, _NUMBER, _PUNCT, _EOF = range(5)
 _KIND_NAMES = {
     _IDENT: "identifier", _ROLEVAR: "role variable", _NUMBER: "number", _EOF: "end of input"
 }
 _ARGUMENT_KINDS = (_IDENT, _ROLEVAR)
+_PUNCTUATION = "{}()[];,=/@"
 # A token's kind follows from its first character; None marks a
 # non-ASCII start, checked apart.
 _KIND_OF = {"": _EOF, "?": _ROLEVAR, "_": _IDENT}
-_KIND_OF.update(dict.fromkeys("{}()[];,=/@", _PUNCT))
+_KIND_OF.update(dict.fromkeys(_PUNCTUATION, _PUNCT))
 _KIND_OF.update(dict.fromkeys("0123456789", _NUMBER))
 _KIND_OF.update(dict.fromkeys("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ", _IDENT))
+# Outside comments, the characters a text may hold for ``str.split`` to
+# find the pattern's tokens: the four blanks, punctuation, and what
+# identifiers, numbers and role variables are made of.  ``str.split``
+# also splits at \x0b, \x0c and \x1c-\x1f, which are errors here.
+_SPLITTABLE = (
+    b" \t\r\n" + _PUNCTUATION.encode() + b"?_.-0123456789"
+    b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+)
 
 
 class _Tokens:
@@ -125,8 +142,9 @@ class _Tokens:
         """An error at token ``i``, with its line and column."""
         text = self.text
         if self.starts is None:
-            start = _LEADING_BLANKS.match(text).end()
-            self.starts = [match.start() for match in _TOKEN.finditer(text, start)]
+            start = re.match(_BLANKS, text).end()
+            matches = re.compile(_TOKEN, re.S).finditer(text, start)
+            self.starts = [match.start() for match in matches]
             # A comment does not move the column, so the end of input sits
             # where a comment on the last line starts.
             comment = text.find("#", text.rfind("\n") + 1)
@@ -140,7 +158,15 @@ class _Tokens:
 
 def tokenize(text: str, source_name: str = "<input>") -> _Tokens:
     """Split ``text`` into tokens; a character no token takes raises ParseError."""
-    texts = _TOKEN.findall(text, _LEADING_BLANKS.match(text).end())
+    split = _split(text)
+    if split is None:
+        return _match(text, source_name)
+    return _Tokens(*split, text, source_name)
+
+
+def _match(text: str, source_name: str = "<input>") -> _Tokens:
+    """The tokens of ``text`` by the pattern, which ``_split`` must agree with."""
+    texts = re.compile(_TOKEN, re.S).findall(text, re.match(_BLANKS, text).end())
     kinds = [_KIND_OF.get(word[:1]) for word in texts]
     tokens = _Tokens(kinds, texts, text, source_name)
     if None in kinds or "?" in texts:
@@ -152,6 +178,53 @@ def tokenize(text: str, source_name: str = "<input>") -> _Tokens:
                     raise tokens.error(f"unexpected character {word[0]!r}", i)
                 kinds[i] = _IDENT
     return tokens
+
+
+def _split(text: str) -> tuple[list[int], list[str]] | None:
+    """The pattern's kinds and texts by ``str`` methods, or None for text
+    they cannot be shown to agree on: non-ASCII or unexpected characters,
+    a malformed number, or a '?' that does not start a role variable."""
+    if "#" in text:
+        text = "\n".join([line.partition("#")[0] for line in text.split("\n")])
+    if not text.isascii() or text.encode().translate(None, _SPLITTABLE):
+        return None
+    for mark in _PUNCTUATION:
+        text = text.replace(mark, f" {mark} ")
+    texts = text.split()
+    del text  # the padded copy
+    kind_of = {}
+    for word in set(texts):
+        kind = _KIND_OF.get(word[0])
+        if kind == _IDENT:
+            if "?" in word:
+                return None
+        elif kind == _NUMBER:
+            # Plain decimals pass at once; _is_number judges exponents.
+            if not (word.replace(".", "", 1).isdigit() and word[-1] != "." or _is_number(word)):
+                return None
+        elif kind == _ROLEVAR:
+            if len(word) == 1 or word.find("?", 1) >= 0:
+                return None
+        elif kind != _PUNCT:
+            return None
+        kind_of[word] = kind
+    kinds = list(map(kind_of.__getitem__, texts))
+    kinds.append(_EOF)
+    texts.append("")
+    return kinds, texts
+
+
+def _is_number(word: str) -> bool:
+    """Whether ``word``, of splittable characters, is all one number token.
+
+    '+' is not splittable, so an exponent here is signed only by '-'."""
+    mantissa, e, exponent = word.replace("E", "e").partition("e")
+    whole, dot, fraction = mantissa.partition(".")
+    return (
+        whole.isdigit()
+        and (not dot or fraction.isdigit())
+        and (not e or exponent.removeprefix("-").isdigit())
+    )
 
 
 class _Label(Record):

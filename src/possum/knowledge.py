@@ -296,7 +296,7 @@ def assert_evidence(
         [evidence[s] for s in labels],
         policy,
         labels=labels,
-        subject=str(atom),
+        subject=atom,
         diagnostics=world.diagnostics,
     )
     # Compute-then-commit: a strict conflict above leaves the world untouched.
@@ -333,7 +333,7 @@ def retract_evidence(
         [evidence[s] for s in labels],
         policy,
         labels=labels,
-        subject=str(atom),
+        subject=atom,
         diagnostics=world.diagnostics,
     )
     changed = effective != fact.effective

@@ -6,6 +6,8 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from possum.calculus import CertaintyInterval, ConflictPolicy, SourceConflictError, TNormFamily
 from possum.errors import ConflictError, ParseError, ParseFailure
@@ -21,6 +23,7 @@ from possum.dsl import (
     render_world,
     tokenize,
 )
+from possum.dsl import _match, _split
 from generators import dsl_kb, weighted_kb
 
 DATA = resources.files("possum").joinpath("data")
@@ -103,6 +106,70 @@ class TestTokenizer:
         with pytest.raises(ParseError) as exc:
             parse_kb(text, "k.kb")
         assert (exc.value.line, exc.value.column) == (1, 25)
+
+
+
+def _lexed(lex, text):
+    """What ``lex`` makes of ``text``: its kinds and texts, or its error."""
+    try:
+        tokens = lex(text)
+    except ParseError as err:
+        return err.message, err.line, err.column
+    return tokens.kinds, tokens.texts
+
+
+# Pieces of text that ``str.split`` lexes, and pieces that send a text
+# to the pattern: non-ASCII, characters no token takes, the blanks
+# ``str.split`` knows and the lexer does not, malformed numbers, and a
+# '?' alone or inside a word.
+_SPLIT_PIECES = [
+    *" \t\r\n{}()[];,=/@?_.-#eE09aZ", "rule", "0.5", "1e-3", "2E5", "?x", "T1.5", "x?",
+    "# note\n",
+]
+_REGEX_PIECES = [*"\x0b\x0c\x1c\x1f\xa0é²٣%+\x00", "2e", "1.", "12abc", "1e+5", "1.5.3"]
+
+
+class TestSplitLexer:
+    """``tokenize`` splits text with ``str`` methods where that gives the
+    pattern's tokens, and leaves the rest to the pattern."""
+
+    @settings(max_examples=400)
+    @given(st.lists(st.sampled_from(_SPLIT_PIECES + _REGEX_PIECES), max_size=24).map("".join))
+    def test_same_tokens_or_error_as_the_pattern(self, text):
+        assert _lexed(tokenize, text) == _lexed(_match, text)
+        split = _split(text)
+        if split is not None:
+            assert split == _lexed(_match, text)
+
+    def test_a_kb_is_split(self):
+        text = DATA.joinpath("demo.kb").read_text()
+        assert _split(text) == _lexed(_match, text)
+
+    def test_non_ascii_in_a_comment_is_split(self):
+        assert _split("a # é\n?b") == ([0, 1, 4], ["a", "?b", ""])
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param("x é", id="non-ascii"),
+            pytest.param("a + b", id="no-token-takes"),
+            pytest.param("a\x0bb", id="vertical-tab"),
+            pytest.param("a\x0cb", id="form-feed"),
+            pytest.param("a\x1cb", id="file-separator"),
+            pytest.param("a\x1fb", id="unit-separator"),
+            pytest.param("2e", id="exponent-without-digits"),
+            pytest.param("12abc", id="number-then-identifier"),
+            pytest.param("1.", id="number-then-dot"),
+            pytest.param("1e+5", id="plus-signed-exponent"),
+            pytest.param("( ? )", id="lone-question-mark"),
+            pytest.param("a?b", id="question-mark-inside-identifier"),
+            pytest.param("?a?b", id="question-mark-inside-role-variable"),
+            pytest.param("-a", id="word-starting-with-hyphen"),
+        ],
+    )
+    def test_text_the_split_cannot_vouch_for_goes_to_the_pattern(self, text):
+        assert _split(text) is None
+        assert _lexed(tokenize, text) == _lexed(_match, text)
 
 
 KB_FIXTURE = """

@@ -125,6 +125,33 @@ class TestEvidence:
         assert lookup(world, a) == TOTAL_IGNORANCE
         assert any("conflict" in d for d in world.diagnostics)
 
+    # The atom itself is the subject consensus formats, so the message
+    # prints its text form.
+    CONFLICT = (
+        "sources for (p a) conflict (one, two): "
+        "intervals intersect nowhere (max lower 0.8000, min upper 0.1000)"
+    )
+
+    def test_lenient_assert_conflict_message(self):
+        world = World("w")
+        a = Atom("p", ("a",))
+        assert_evidence(world, a, CertaintyInterval(0.8, 0.9), "one")
+        assert_evidence(world, a, CertaintyInterval(0.0, 0.1), "two", ConflictPolicy.LENIENT)
+        assert world.diagnostics == [self.CONFLICT]
+
+    def test_lenient_retract_conflict_message(self):
+        world = World("w")
+        a = Atom("p", ("a",))
+        for source, interval in (
+            ("one", CertaintyInterval(0.8, 0.9)),
+            ("two", CertaintyInterval(0.0, 0.1)),
+            ("three", CertaintyInterval(0.5, 0.6)),
+        ):
+            assert_evidence(world, a, interval, source, ConflictPolicy.LENIENT)
+        world.diagnostics.clear()
+        assert not retract_evidence(world, a, "three", ConflictPolicy.LENIENT)
+        assert world.diagnostics == [self.CONFLICT]
+
     def test_retract_single_source(self):
         world = World("w")
         a = Atom("p")
