@@ -330,6 +330,12 @@ class QuerySession:
     world's roles change.  ``derived`` lists every goal the session
     evaluated afresh, and so recorded in the table, in the order their
     evaluations finished, including those of a query that raised.
+
+    ``aside`` holds goal-table entries a caller purged but may put back
+    (the revision tracker's set-aside goals).  A goal derived afresh
+    whose interval equals its set-aside entry's is written into that
+    entry's ``ProofNode`` in place, so a parent that points at the old
+    node reads the new derivation.  One-shot sessions pass none.
     """
 
     def __init__(
@@ -341,6 +347,7 @@ class QuerySession:
         *,
         goals: dict[Atom, GoalDependencies] | None = None,
         index: RuleIndex | None = None,
+        aside: Mapping[Atom, GoalDependencies] | None = None,
     ):
         self.kb = kb
         self.world = world
@@ -350,6 +357,7 @@ class QuerySession:
         self.derived: list[Atom] = []
         self._goals = goals if goals is not None else {}
         self._index = index if index is not None else RuleIndex(kb, world.roles)
+        self._aside = aside
         self._asked: set[Atom] = set()
 
     def prove(self, goal: Atom) -> QueryResult:
@@ -395,6 +403,7 @@ class QuerySession:
         known = goals.get(atom)
         if known is not None:
             return known.node
+        aside = self._aside
         atoms: set[Atom] = set()
         subgoals: set[Atom] = set()
         send = self._derive(atom, atoms, subgoals).send
@@ -406,6 +415,10 @@ class QuerySession:
             except StopIteration as done:
                 node = done.value
                 goal, (atoms, subgoals, _) = stack.popitem()
+                if aside is not None:
+                    old = aside.get(goal)
+                    if old is not None and old.node.result == node.result:
+                        node = _refill(old.node, node)
                 goals[goal] = GoalDependencies(
                     node,
                     frozenset(atoms),
@@ -572,6 +585,16 @@ class QuerySession:
     def _inactive(self, rule: Rule | CaseTemplate, err: UnboundRoleError) -> None:
         kind = "case" if isinstance(rule, CaseTemplate) else "rule"
         self._note(f"{kind} {rule.identifier} inactive: {err}")
+
+
+def _refill(old: ProofNode, new: ProofNode) -> ProofNode:
+    """Write ``new``'s fields into ``old`` and return ``old``."""
+    old.kind = new.kind
+    old.result = new.result
+    old.provenance = new.provenance
+    old.premise_interval = new.premise_interval
+    old.children = new.children
+    return old
 
 
 def prove(

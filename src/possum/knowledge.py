@@ -243,14 +243,22 @@ class CaseLibrary(Record):
 
 
 class World(Record):
-    """One concrete situation a knowledge base is applied to."""
+    """One concrete situation a knowledge base is applied to.
 
-    __slots__ = ("identifier", "roles", "facts", "askables", "epoch", "diagnostics")
+    ``epoch`` counts the changes to any fact's effective interval;
+    ``edits`` counts every change to the stored evidence, a source
+    added or changed without moving an interval included, which a proof
+    shows in the sources it names.  ``edits`` stays out of ``==`` and
+    ``repr``.
+    """
+
+    __slots__ = ("identifier", "roles", "facts", "askables", "epoch", "diagnostics", "edits")
+    _fields = __slots__[:-1]
 
     def __init__(
         self, identifier: str, roles: dict[str, str] | None = None,
         facts: dict[Atom, Fact] | None = None, askables: set[str] | None = None,
-        epoch: int = 0, diagnostics: list[str] | None = None,
+        epoch: int = 0, diagnostics: list[str] | None = None, edits: int = 0,
     ) -> None:
         self.identifier = identifier
         self.roles = {} if roles is None else roles
@@ -258,6 +266,7 @@ class World(Record):
         self.askables = set() if askables is None else askables
         self.epoch = epoch
         self.diagnostics = [] if diagnostics is None else diagnostics
+        self.edits = edits
 
     def copy(self) -> "World":
         """Independent deep copy; used for what-if exploration."""
@@ -267,6 +276,7 @@ class World(Record):
             askables=set(self.askables),
             epoch=self.epoch,
             diagnostics=list(self.diagnostics),
+            edits=self.edits,
         )
         for atom, fact in self.facts.items():
             twin.facts[atom] = Fact(atom, dict(fact.evidence), fact.effective)
@@ -283,8 +293,9 @@ def assert_evidence(
     """Record one source's interval for a fact and re-reconcile.
 
     Returns True when the fact's effective interval actually changed
-    (the world epoch advances only then).  Under strict policy a source
-    conflict raises before anything is mutated.
+    (the world epoch advances only then; its edit count advances
+    whenever the source's interval is new).  Under strict policy a
+    source conflict raises before anything is mutated.
     """
     if not atom.is_ground():
         raise DomainError(f"cannot assert evidence for non-ground atom {atom}")
@@ -303,7 +314,10 @@ def assert_evidence(
     if existing is None:
         world.facts[atom] = Fact(atom, evidence, effective)
         world.epoch += 1
+        world.edits += 1
         return True
+    if existing.evidence.get(source) != interval:
+        world.edits += 1
     changed = effective != existing.effective
     existing.evidence = evidence
     existing.effective = effective
@@ -324,6 +338,7 @@ def retract_evidence(
         return False
     evidence = dict(fact.evidence)
     del evidence[source]
+    world.edits += 1
     if not evidence:
         del world.facts[atom]
         world.epoch += 1

@@ -10,15 +10,29 @@ proportion to the goals it reaches, not to the size of the table.
 When evidence changes the tracker walks the reader edges upward from
 the updated atom, drops every goal it reaches from the table, marks the
 tracked conclusions among them stale, and recomputes lazily.
+
+Recomputation stops climbing where an interval did not move (early
+cutoff).  A purged goal's entry is set aside, not discarded.  Before
+proving a target, ``recompute`` and ``query`` settle the set-aside
+goals below it, children first, in premise order.  A goal that read no
+atom updated since it was set aside, and whose sub-goals all kept their
+proof nodes, goes back into the table with its node and reader edges.
+Any other goal is derived again.  If its interval did not move, the new
+derivation is written into its old ``ProofNode`` in place, so parents
+put back later still point at their sub-goal's current proof (and a
+proof a query returned earlier, which shares that node, shows the new
+derivation too).  Nothing set aside outlives ``recompute``.
+
 An edit made to the world outside the tracker shows as a moved world
-epoch (or as changed role bindings) and makes every conclusion stale.
+edit count (or as changed role bindings) and makes every conclusion
+stale.
 The rule index is built once and shared by every session the tracker
 opens.
 
 The defining contract: after any sequence of updates, recomputed
 intervals are identical to what discarding all state and re-proving
-from scratch would give.  Everything here is an optimisation around
-that equality, never a change to it.
+from scratch would give, and so are tracked proofs.  Everything here is
+an optimisation around that equality, never a change to it.
 """
 
 from __future__ import annotations
@@ -28,8 +42,15 @@ from typing import Iterable
 
 from ._records import Record
 from .calculus import CertaintyInterval
-from .engine import GoalDependencies, QueryConfig, QueryResult, QuerySession, RuleIndex
-from .knowledge import Atom, KnowledgeBase, World, assert_evidence
+from .engine import (
+    GoalDependencies,
+    ProofNode,
+    QueryConfig,
+    QueryResult,
+    QuerySession,
+    RuleIndex,
+)
+from .knowledge import Atom, KnowledgeBase, World, assert_evidence, substitute
 
 __all__ = ["DependencyRecord", "DependencyTracker"]
 
@@ -65,8 +86,12 @@ class DependencyTracker:
         self.records: dict[Atom, DependencyRecord] = {}
         self._goals: dict[Atom, GoalDependencies] = {}
         self._readers: dict[Atom, set[Atom]] = {}
+        # Purged entries kept for early cutoff, and the atoms updated
+        # since the oldest of them was set aside.
+        self._aside: dict[Atom, GoalDependencies] = {}
+        self._updated: set[Atom] = set()
         self._stale: set[Atom] = set()
-        self._epoch = world.epoch
+        self._edits = world.edits
         self._roles = dict(world.roles)
         self._index = RuleIndex(kb, world.roles)
 
@@ -77,60 +102,138 @@ class DependencyTracker:
             self.config,
             goals=self._goals,
             index=self._index,
+            aside=self._aside,
         )
 
     def _sync(self) -> set[Atom]:
         """Drop every derived result if the world was edited outside us.
 
-        Rebinding a role moves no epoch but regrounds every rule, so it
-        counts as an edit too.  Returns the records this made stale: all
-        of them, or none.
+        An edit shows as a moved edit count, which every change to the
+        evidence moves, even a source added without moving an interval:
+        proofs name the sources.  Rebinding a role moves no count but
+        regrounds every rule, so it counts as an edit too.  Returns the
+        records this made stale: all of them, or none.
         """
-        rebound = self.world.roles != self._roles
-        if self.world.epoch == self._epoch and not rebound:
+        world = self.world
+        rebound = world.roles != self._roles
+        if world.edits == self._edits and not rebound:
             return set()
         if rebound:
-            self._roles = dict(self.world.roles)
-            self._index = RuleIndex(self.kb, self.world.roles)
-        self._epoch = self.world.epoch
+            self._roles = dict(world.roles)
+            self._index = RuleIndex(self.kb, world.roles)
+        self._edits = world.edits
         self._goals.clear()
         self._readers.clear()
+        self._aside.clear()
         self._stale |= self.records.keys()
         return set(self.records)
 
     def query(self, goal: Atom) -> QueryResult:
-        """Prove a goal and start tracking it (and its derived sub-goals)."""
+        """Prove a goal and start tracking it (and its derived sub-goals).
+
+        Set-aside goals below it are settled first, as in ``recompute``.
+        """
         self._sync()
+        if self._aside:  # settling starts from the ground goal
+            goal = substitute(goal, self.world.roles)
         result = self._prove(self._session(), goal)
         self.track(result)
         self._stale.discard(result.goal)
         return result
 
     def _prove(self, session: QuerySession, goal: Atom) -> QueryResult:
-        """Prove through ``session`` and add the reader edges of every goal
-        it derived.
+        """Settle the set-aside goals below ``goal``, prove it through
+        ``session`` and add the reader edges of every goal derived.
+        ``goal`` must be ground whenever anything is set aside.
 
-        A proof that raises keeps nothing: the goals it derived before
+        The result's ``derived`` lists the goals settling derived too.  A
+        proof that raises keeps nothing: the goals it derived before
         raising would have neither reader edges nor records, so they are
-        dropped from the goal table and derived again when reached.
+        dropped from the goal table, with their set-aside entries (whose
+        nodes the proof may have rewritten) and the goals settling put
+        back (which may read them), and derived again when reached.
         """
+        aside = self._aside
         done = len(session.derived)
+        restored: list[Atom] = []
         try:
+            if goal in aside:
+                self._settle(session, goal, restored)
             result = session.prove(goal)
         except BaseException:
+            for atom in restored:
+                self._drop_readers(atom, self._goals.pop(atom))
             for atom in session.derived[done:]:
                 del self._goals[atom]
+                aside.pop(atom, None)
             raise
-        readers = self._readers
+        if aside:
+            # Settling leaves the entries of the goals it derived aside.
+            result.derived = session.derived[done:]
+            for atom in result.derived:
+                aside.pop(atom, None)
         for atom in result.derived:
-            deps = self._goals[atom]
-            for read in chain(deps.atoms, deps.subgoals):
-                edges = readers.get(read)
-                if edges is None:
-                    readers[read] = {atom}
-                else:
-                    edges.add(atom)
+            self._add_readers(atom, self._goals[atom])
         return result
+
+    def _settle(self, session: QuerySession, target: Atom, restored: list[Atom]) -> None:
+        """Put back or derive again each set-aside goal below ``target``.
+
+        Children come first, in premise order, so the order follows the
+        proofs, not any set's.  A goal goes back, with its reader edges,
+        when it read no atom updated since it was set aside and each
+        premise proof it points at is still its sub-goal's node in the
+        table.  Any other goal is derived again through ``session``,
+        which keeps its old node when its interval did not move.  The
+        goals put back are appended to ``restored``.
+        """
+        goals, aside, updated = self._goals, self._aside, self._updated
+        stack: list[tuple[Atom, list[ProofNode] | None]] = [(target, None)]
+        entered: set[Atom] = set()  # a guard: set-aside proofs form no cycle
+        while stack:
+            goal, premises = stack.pop()
+            deps = aside.get(goal)
+            if deps is None or goal in goals:
+                continue
+            if premises is None:
+                if goal not in entered:
+                    entered.add(goal)
+                    premises = _premise_nodes(deps.node)
+                    stack.append((goal, premises))
+                    stack.extend([(n.goal, None) for n in reversed(premises) if n.goal in aside])
+                continue
+            if updated.isdisjoint(deps.atoms):
+                for node in premises:
+                    live = goals.get(node.goal)
+                    if live is None or live.node is not node:
+                        break
+                else:
+                    del aside[goal]
+                    goals[goal] = deps
+                    self._add_readers(goal, deps)
+                    restored.append(goal)
+                    continue
+            session.evaluate(goal)
+
+    def _add_readers(self, goal: Atom, deps: GoalDependencies) -> None:
+        readers = self._readers
+        for read in chain(deps.atoms, deps.subgoals):
+            edges = readers.get(read)
+            if edges is None:
+                readers[read] = {goal}
+            else:
+                edges.add(goal)
+
+    def _drop_readers(self, goal: Atom, deps: GoalDependencies) -> None:
+        readers = self._readers
+        for read in chain(deps.atoms, deps.subgoals):
+            # An atom both in atoms and in subgoals (read as a context
+            # and as a premise) comes twice: its edge set may be gone.
+            edges = readers.get(read)
+            if edges is not None:
+                edges.discard(goal)
+                if not edges:
+                    del readers[read]
 
     def track(self, result: QueryResult) -> list[DependencyRecord]:
         """Create or refresh records for the goal and its aggregated sub-goals.
@@ -164,20 +267,36 @@ class DependencyTracker:
 
         The update walks the kept reader edges upward from ``atom`` and
         purges every goal it reaches, with that goal's own edges, so its
-        cost follows the goals reached.  An update that does not move
-        the fact's effective interval is a complete no-op: nothing is
-        invalidated, no epoch advances.  The returned atoms stay stale
-        (their records keep the old interval) until ``recompute`` or a
-        fresh ``query`` refreshes them.  A conclusion already stale, and
-        not re-proved since, has no goal-table entry left for the update
-        to reach, so it is not returned again.
+        cost follows the goals reached.  The purged entries are set aside
+        for ``recompute`` to put back where nothing they read moved; the
+        returned set is all the goals reached that have records, as if
+        they were discarded.  An update that does not move the fact's
+        effective interval invalidates nothing and advances no epoch; it
+        only rewrites, in place, the proof of the atom's own goal, which
+        names the fact's sources.  The returned atoms stay stale (their
+        records keep the old interval) until ``recompute`` or a fresh
+        ``query`` refreshes them.  A conclusion already stale, and not
+        re-proved since, has no goal-table entry left for the update to
+        reach, so it is not returned again.
         """
         invalidated = self._sync()
-        if not assert_evidence(
+        changed = assert_evidence(
             self.world, atom, interval, source, self.config.conflict_policy
-        ):
+        )
+        if self.world.edits == self._edits:
+            return invalidated  # the same interval from the same source again
+        self._edits = self.world.edits
+        if not self._aside:
+            self._updated.clear()
+        self._updated.add(atom)
+        goals = self._goals
+        if not changed:
+            deps = goals.pop(atom, None)
+            if deps is not None:
+                self._drop_readers(atom, deps)
+                self._aside[atom] = deps
+                self._prove(self._session(), atom)
             return invalidated
-        self._epoch = self.world.epoch
         readers = self._readers
         reached: set[Atom] = set()
         frontier = [atom]
@@ -186,30 +305,33 @@ class DependencyTracker:
                 if goal not in reached:
                     reached.add(goal)
                     frontier.append(goal)
+        aside = self._aside
         for goal in reached:
-            deps = self._goals.pop(goal)
-            for read in chain(deps.atoms, deps.subgoals):
-                # An atom both in atoms and in subgoals (read as a context
-                # and as a premise) comes twice: its edge set may be gone.
-                edges = readers.get(read)
-                if edges is not None:
-                    edges.discard(goal)
-                    if not edges:
-                        del readers[read]
+            deps = aside[goal] = goals.pop(goal)
+            self._drop_readers(goal, deps)
         invalidated |= reached & self.records.keys()
         self._stale |= invalidated
         return invalidated
 
     def recompute(self, invalidated: Iterable[Atom] | None = None) -> dict[Atom, CertaintyInterval]:
-        """Re-prove stale conclusions, reusing every surviving sub-result."""
+        """Re-prove stale conclusions, reusing every surviving sub-result.
+
+        Each target settles the set-aside goals below it first (see the
+        module docstring), so the climb stops where an interval did not
+        move.  Whatever is still set aside afterwards is discarded.
+        """
         self._sync()
         targets = set(invalidated) if invalidated is not None else set(self._stale)
         refreshed: dict[Atom, CertaintyInterval] = {}
         session = self._session()
-        for atom in sorted(targets, key=str):
-            result = self._prove(session, atom)
-            self.track(result)
-            refreshed[atom] = result.interval
+        try:
+            for atom in sorted(targets, key=str):
+                result = self._prove(session, atom)
+                self.track(result)
+                refreshed[atom] = result.interval
+        finally:
+            self._aside.clear()
+            self._updated.clear()
         self._stale -= targets
         return refreshed
 
@@ -217,3 +339,16 @@ class DependencyTracker:
         """Tracked conclusions invalidated and not yet recomputed."""
         self._sync()
         return frozenset(self._stale)
+
+
+def _premise_nodes(node: ProofNode) -> list[ProofNode]:
+    """The sub-goal proofs a goal's proof points at, in premise order:
+    the children of its rule instances and of its matched cases."""
+    out: list[ProofNode] = []
+    for path in node.children:
+        if path.kind == "precedent":
+            for case in path.children:
+                out.extend(case.children)
+        else:
+            out.extend(path.children)
+    return out

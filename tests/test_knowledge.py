@@ -105,6 +105,22 @@ class TestEvidence:
         assert assert_evidence(world, a, CertaintyInterval(0.7, 1.0), "three")
         assert world.epoch == e1 + 1
 
+    def test_edits_count_every_change_to_the_evidence(self):
+        world = World("w")
+        a = Atom("p")
+        assert_evidence(world, a, CertaintyInterval(0.5, 1.0), "one")
+        assert (world.epoch, world.edits) == (1, 1)
+        # A new source inside the interval moves no epoch, but it is an edit.
+        assert_evidence(world, a, CertaintyInterval(0.2, 1.0), "two")
+        assert (world.epoch, world.edits) == (1, 2)
+        # The same interval from the same source again changes nothing.
+        assert_evidence(world, a, CertaintyInterval(0.2, 1.0), "two")
+        assert (world.epoch, world.edits) == (1, 2)
+        retract_evidence(world, a, "two")
+        assert (world.epoch, world.edits) == (1, 3)
+        assert world.copy().edits == 3
+        assert World("w") == World("w", edits=5)
+
     def test_strict_source_conflict_leaves_world_untouched(self):
         world = World("w")
         a = Atom("p")

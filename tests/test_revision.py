@@ -13,7 +13,16 @@ import possum
 from possum.calculus import CertaintyInterval, ConflictPolicy, TNormFamily
 from possum import revision
 from possum.cbr import CaseTemplate, PrecedentLink
-from possum.engine import QueryConfig, forward_saturate, prove
+from possum.engine import (
+    ProofNode,
+    QueryConfig,
+    QueryResult,
+    QuerySession,
+    explain,
+    forward_saturate,
+    proof_to_dict,
+    prove,
+)
 from possum.errors import DerivationCycleError
 from possum.knowledge import Atom, KnowledgeBase, Rule, World, assert_evidence
 from possum.revision import DependencyTracker
@@ -475,6 +484,223 @@ class TestEquivalence:
         assert tracker.records[Atom("top")].cached == before
         tracker.recompute()
         assert tracker.records[Atom("top")].cached != before
+
+
+def _chain_with_prior():
+    # leaf -> mid -> top, where mid's stored prior [0.9, 1] outweighs what
+    # rm derives from leaf, so moving leaf a little leaves mid where it is.
+    kb = KnowledgeBase()
+    kb.rules["rm"] = _rule("rm", ["leaf"], "mid")
+    kb.rules["rt"] = _rule("rt", ["mid"], "top")
+    world = World("w")
+    assert_evidence(world, Atom("leaf"), CertaintyInterval(0.5, 1.0), "s1")
+    assert_evidence(world, Atom("mid"), CertaintyInterval(0.9, 1.0), "prior")
+    return kb, world
+
+
+def _proof_text(node):
+    """A proof's explanation without the session's notes."""
+    return explain(QueryResult(node.goal, node.result, node, [], [], {}))
+
+
+class TestEarlyCutoff:
+    def test_source_only_update_reaches_tracked_proofs(self):
+        # A second source inside (a)'s interval moves nothing, but the
+        # proof names the fact's sources.
+        kb = KnowledgeBase()
+        kb.rules["r"] = _rule("r", ["a"], "b")
+        world = World("w")
+        assert_evidence(world, Atom("a"), CertaintyInterval(0.8, 1.0), "s1")
+        tracker = DependencyTracker(kb, world)
+        tracker.query(Atom("b"))
+        epoch = world.epoch
+        assert tracker.on_update(Atom("a"), CertaintyInterval(0.5, 1.0), "s2") == set()
+        assert world.epoch == epoch
+        assert tracker.stale() == frozenset()
+        tracked = explain(tracker.query(Atom("b")))
+        assert "via s1+s2" in tracked
+        assert tracked == explain(prove(kb, world.copy(), Atom("b")))
+        assert _reader_sets(tracker) == _invert(tracker._goals)
+
+    def test_source_only_edit_outside_the_tracker_is_seen(self):
+        kb, world = _diamond()
+        tracker = DependencyTracker(kb, world)
+        tracker.query(Atom("top"))
+        epoch = world.epoch
+        assert_evidence(world, Atom("shared"), CertaintyInterval(0.5, 1.0), "outside")
+        assert world.epoch == epoch
+        assert tracker.stale() == set(tracker.records)
+        tracked = explain(tracker.query(Atom("top")))
+        assert "via outside+s" in tracked
+        assert tracked == explain(prove(kb, world.copy(), Atom("top")))
+
+    def test_unmoved_interval_stops_the_climb(self):
+        kb, world = _chain_with_prior()
+        tracker = DependencyTracker(kb, world)
+        tracker.query(Atom("top"))
+        top, mid = tracker._goals[Atom("top")].node, tracker._goals[Atom("mid")].node
+        invalidated = tracker.on_update(Atom("leaf"), CertaintyInterval(0.6, 1.0), "s1")
+        assert invalidated == {Atom("mid"), Atom("top")}
+        assert set(tracker.recompute(invalidated)) == invalidated
+        # top is put back untouched; mid is derived again into its old node.
+        assert tracker._goals[Atom("top")].node is top
+        assert tracker._goals[Atom("mid")].node is mid
+        assert tracker._aside == {}
+        fresh = prove(kb, world.copy(), Atom("top"))
+        assert _proof_text(top) == _proof_text(fresh.proof)
+        assert proof_to_dict(top) == proof_to_dict(fresh.proof)
+        assert "fact (leaf) = [0.6000, 1.0000]" in _proof_text(top)
+        assert _reader_sets(tracker) == _invert(tracker._goals)
+
+    def test_moved_interval_climbs_on(self):
+        kb, world = _chain_with_prior()
+        tracker = DependencyTracker(kb, world)
+        tracker.query(Atom("top"))
+        top = tracker._goals[Atom("top")].node
+        tracker.on_update(Atom("mid"), CertaintyInterval(0.95, 1.0), "prior")
+        tracker.recompute()
+        assert tracker._goals[Atom("top")].node is not top
+        fresh = prove(kb, world.copy(), Atom("top"))
+        assert tracker.records[Atom("top")].cached == fresh.interval
+        assert proof_to_dict(tracker._goals[Atom("top")].node) == proof_to_dict(fresh.proof)
+
+    def test_query_before_recompute_settles_its_goal(self):
+        kb, world = _chain_with_prior()
+        tracker = DependencyTracker(kb, world)
+        tracker.query(Atom("top"))
+        top = tracker._goals[Atom("top")].node
+        tracker.on_update(Atom("leaf"), CertaintyInterval(0.6, 1.0), "s1")
+        result = tracker.query(Atom("top"))
+        assert result.proof is top
+        assert result.derived == [Atom("leaf"), Atom("mid")]
+        assert tracker.stale() == {Atom("mid")}
+        assert tracker._aside == {}
+        fresh = prove(kb, world.copy(), Atom("top"))
+        assert proof_to_dict(result.proof) == proof_to_dict(fresh.proof)
+
+    def test_cycle_raised_while_settling_keeps_nothing_it_touched(self):
+        # q <- x, p; x <- y; y <- u at strength 0, so y never moves; and
+        # p <- q behind context (u).  Raising u opens the cycle q -> p -> q
+        # after x was put back on top of y, derived again.
+        kb = KnowledgeBase()
+        kb.rules["ry"] = _rule("ry", ["u"], "y", s=0.0)
+        kb.rules["rx"] = _rule("rx", ["y"], "x")
+        kb.rules["rq"] = _rule("rq", ["x", "p"], "q")
+        kb.rules["rp"] = _rule("rp", ["q"], "p", context=["u"])
+        world = World("w")
+        assert_evidence(world, Atom("u"), CertaintyInterval(0.2, 1.0), "s")
+        tracker = DependencyTracker(kb, world)
+        tracker.query(Atom("q"))
+        invalidated = tracker.on_update(Atom("u"), CertaintyInterval(0.9, 1.0), "s")
+        assert invalidated == {Atom("q"), Atom("x"), Atom("y")}
+        with pytest.raises(DerivationCycleError):
+            tracker.recompute()
+        assert tracker._aside == {}
+        assert _reader_sets(tracker) == _invert(tracker._goals)
+        for deps in tracker._goals.values():
+            assert deps.subgoals <= tracker._goals.keys()
+        result = tracker.query(Atom("x"))
+        fresh = prove(kb, world.copy(), Atom("x"))
+        assert proof_to_dict(result.proof) == proof_to_dict(fresh.proof)
+
+
+def _with_roles(rng, kb, world):
+    """Add rules that read the role ?who in a premise, a context and a
+    consequent, with facts for both of its bindings, A and B."""
+    heads = sorted({r.consequent.predicate for r in kb.rules.values()})
+    who = Atom("seat", ("?who",))
+    kb.rules["who-premise"] = Rule(
+        "who-premise", (), (who,), Atom(rng.choice(heads)), 0.8, 0.0, T2
+    )
+    kb.rules["who-context"] = Rule(
+        "who-context", (Atom("gate", ("?who",)),), (Atom("atom0"),),
+        Atom(rng.choice(heads)), 0.7, 0.0, T2,
+    )
+    kb.rules["who-head"] = Rule("who-head", (), (Atom("atom1"),), Atom("post", ("?who",)), 0.9, 0.0, T2)
+    kb.rules["who-top"] = Rule(
+        "who-top", (), (Atom("post", ("?who",)), Atom(heads[0])), Atom("summit"), 0.9, 0.0, T2
+    )
+    for name in ("A", "B"):
+        for predicate in ("seat", "gate"):
+            interval = CertaintyInterval(round(rng.uniform(0.0, 1.0), 6), 1.0)
+            assert_evidence(world, Atom(predicate, (name,)), interval, "s0")
+    world.roles["?who"] = "A"
+
+
+def _hexed(interval):
+    return (interval.lower.hex(), interval.upper.hex())
+
+
+class TestDifferential:
+    """Tracked intervals and proofs against a from-scratch session, step by step.
+
+    Steps mix updates that move an interval, updates that only add a
+    source, edits to the world made outside the tracker, role
+    rebindings, recomputes of all or some of the stale set, and queries,
+    which often land between an update and its recompute.  After each
+    step every record not stale, and every query's answer, must equal
+    scratch in its interval (as ``float.hex``), its explanation (notes
+    excluded) and its node table, which shows a sub-proof held as two
+    node objects where scratch has one.  The records' node tables are
+    compared as one table under a common root, so sharing across
+    records counts too; explanations, whose size follows the proof
+    walked as a tree, are compared for the answers and for a sample of
+    the records.
+    """
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tracked_proofs_equal_scratch(self, seed):
+        rng = random.Random(7400 + seed)
+        kb, world, contexts = weighted_kb(rng, n_rules=200)
+        _with_roles(rng, kb, world)
+        config = QueryConfig(conflict_policy=ConflictPolicy.LENIENT)
+        tracker = DependencyTracker(kb, world, config)
+        goals = sorted(forward_saturate(kb, world.copy(), config), key=str)
+        goals.append(Atom("post", ("?who",)))
+        for goal in rng.sample(goals, 40):
+            tracker.query(goal)
+
+        def same(tracked, fresh, where):
+            assert _hexed(tracked.result) == _hexed(fresh.result), where
+            assert _proof_text(tracked) == _proof_text(fresh), where
+            assert proof_to_dict(tracked) == proof_to_dict(fresh), where
+
+        for step in range(60):
+            where = f"seed {seed}, step {step}"
+            draw = rng.random()
+            if draw < 0.4:
+                tracker.on_update(*random_update(rng, world, contexts))
+            elif draw < 0.5:
+                atom = rng.choice(sorted(world.facts, key=str))
+                tracker.on_update(atom, CertaintyInterval(0.0, 1.0), f"echo{step}")
+            elif draw < 0.55:
+                assert_evidence(world, *random_update(rng, world, contexts), config.conflict_policy)
+            elif draw < 0.6:
+                world.roles["?who"] = "B" if world.roles["?who"] == "A" else "A"
+            elif draw < 0.75:
+                stale = sorted(tracker.stale(), key=str)
+                tracker.recompute(rng.sample(stale, len(stale) // 2) if rng.random() < 0.3 else None)
+            else:
+                for goal in rng.sample(goals, 3):
+                    result = tracker.query(goal)
+                    fresh = prove(kb, world.copy(), goal, config)
+                    same(result.proof, fresh.proof, f"{where}, query {goal}")
+            scratch = QuerySession(kb, world.copy(), config)
+            stale = tracker.stale()
+            settled = [atom for atom in tracker.records if atom not in stale]
+            tracked = [tracker._goals[atom].node for atom in settled]
+            fresh = [scratch.prove(atom).proof for atom in settled]
+            for atom, node in zip(settled, fresh):
+                assert _hexed(tracker.records[atom].cached) == _hexed(node.result), f"{where}, {atom}"
+            assert proof_to_dict(_root(tracked)) == proof_to_dict(_root(fresh)), where
+            for i in rng.sample(range(len(settled)), min(3, len(settled))):
+                same(tracked[i], fresh[i], f"{where}, record {settled[i]}")
+            assert _reader_sets(tracker) == _invert(tracker._goals), where
+
+
+def _root(nodes):
+    """One node over ``nodes``, so that one node table holds them all."""
+    return ProofNode(Atom("records"), "aggregation", CertaintyInterval(0.0, 1.0), "all", None, tuple(nodes))
 
 
 # Queries, updates and recomputes over one seeded weighted KB, printed
