@@ -11,10 +11,14 @@ grounded in the world's roles, built once per session: each rule's
 consequent, context and premises are bound there once, not per
 derivation, and a matched case fires exactly as a rule does.  Every
 step is kept as a proof node so answers can be explained.  One goal
-table maps each derived goal to its proof and to the stored atoms and
-sub-goals it read: the session answers a goal it already holds from
-the table, and belief revision keeps the table's edges reversed and
-walks them to invalidate exactly what an update touches.
+table maps each derived goal to its proof, and the session answers a
+goal it already holds from the table.  The proof is the one record of
+what a goal read: its premises are the sub-goal proofs it points at
+(``premise_nodes``), and its stored-value reads (its own fact slot and
+the contexts of the rules for it) depend only on the goal and the rule
+index, which inverts them (``RuleIndex.readers_of``).  Belief revision
+walks those two edges upward to invalidate exactly what an update
+touches.
 
 Context screening (``context_passes``) is the cheap gate in front of
 all of this: a rule or case with a context only participates when the
@@ -57,7 +61,7 @@ __all__ = [
     "QueryConfig",
     "ProofNode",
     "QueryResult",
-    "GoalDependencies",
+    "premise_nodes",
     "RuleInstance",
     "RuleIndex",
     "ground_context",
@@ -120,24 +124,17 @@ class ProofNode(Record):
         self.children = children
 
 
-class GoalDependencies(Record):
-    """One entry of the goal table: a derived goal's proof and what it read.
-
-    node: the goal's proof, whose ``result`` is its interval; atoms:
-    stored atoms looked up (the goal's own fact slot, context atoms
-    consulted during screening); subgoals: premises recursed into.
-    These are the only dependency edges there are: belief revision
-    keeps them reversed, as reader edges, and walks those to find every
-    goal an update reaches.  Every goal that reads no sub-goal shares one
-    empty ``subgoals`` set.
-    """
-
-    __slots__ = ("node", "atoms", "subgoals")
-
-    def __init__(self, node: ProofNode, atoms: frozenset[Atom], subgoals: frozenset[Atom]) -> None:
-        self.node = node
-        self.atoms = atoms
-        self.subgoals = subgoals
+def premise_nodes(node: ProofNode) -> list[ProofNode]:
+    """The sub-goal proofs a goal's proof points at, in premise order:
+    the children of its rule instances and of its matched cases."""
+    out: list[ProofNode] = []
+    for path in node.children:
+        if path.kind == "precedent":
+            for case in path.children:
+                out.extend(case.children)
+        else:
+            out.extend(path.children)
+    return out
 
 
 class QueryResult(Record):
@@ -154,7 +151,7 @@ class QueryResult(Record):
 
     def __init__(
         self, goal: Atom, interval: CertaintyInterval, proof: ProofNode, diagnostics: list[str],
-        derived: list[Atom], graph: dict[Atom, GoalDependencies],
+        derived: list[Atom], graph: dict[Atom, ProofNode],
     ) -> None:
         self.goal = goal
         self.interval = interval
@@ -164,27 +161,26 @@ class QueryResult(Record):
         self.graph = graph
 
     @property
-    def dependencies(self) -> dict[Atom, GoalDependencies]:
-        """The goal and every sub-goal it reaches, with what each read.
+    def dependencies(self) -> dict[Atom, ProofNode]:
+        """The goal and every sub-goal it reaches, each with its proof.
 
-        Computed on access from the session's goal table, so a table
-        that belief revision has purged since gives less.
+        A goal reaches the premises its proof points at, and the goals
+        come in preorder of those premises.  Computed on access from the
+        session's goal table, so a table that belief revision has purged
+        since gives less.
         """
-        out: dict[Atom, GoalDependencies] = {}
+        out: dict[Atom, ProofNode] = {}
         stack = [self.goal]
         while stack:
             atom = stack.pop()
             if atom in out:
                 continue
-            deps = self.graph.get(atom)
-            if deps is None:
+            node = self.graph.get(atom)
+            if node is None:
                 continue
-            out[atom] = deps
-            stack.extend(deps.subgoals)
+            out[atom] = node
+            stack.extend(premise.goal for premise in reversed(premise_nodes(node)))
         return out
-
-
-_NO_SUBGOALS: frozenset[Atom] = frozenset()
 
 
 def ground_context(
@@ -206,25 +202,18 @@ def ground_context(
     return tuple(ground), None
 
 
-def context_passes(
-    context: tuple[Atom, ...],
-    world: World,
-    config: QueryConfig,
-    reads: set[Atom] | None = None,
-) -> bool:
+def context_passes(context: tuple[Atom, ...], world: World, config: QueryConfig) -> bool:
     """The screening gate that admits rules and case templates alike.
 
     ``context`` is ground (``ground_context`` binds it).  Screening is a
     shallow read of the world's stored values, never a proof, and grades
     the joint context with the most liberal conjunction (min), so the
     gate fails on the weakest atom alone, not on the interaction of
-    several weak ones.  Every context atom is added to ``reads``: context
-    reads are dependencies too, and revision must see them.
+    several weak ones.  Context reads are dependencies whatever the
+    verdict; ``RuleIndex.readers_of`` inverts them for revision.
     """
     if not context:
         return True
-    if reads is not None:
-        reads.update(context)
     threshold = config.context_threshold
     for atom in context:
         if lookup(world, atom).lower < threshold:
@@ -270,16 +259,21 @@ class RuleIndex:
     ground atom, so the goal table, keyed by the premises it derives,
     mostly finds a key by identity rather than by comparing atoms.
 
+    A derivation's stored-value reads follow from the index alone, so
+    ``readers_of`` inverts them; the inverse is built on its first use,
+    and one-shot queries never build it.
+
     The index is valid only for the KB and role bindings it was built
     from.
     """
 
-    __slots__ = ("concluding", "inactive", "_unbound")
+    __slots__ = ("concluding", "inactive", "_unbound", "_context_readers")
 
     def __init__(self, kb: KnowledgeBase, roles: dict[str, str]):
         self.concluding: dict[Atom, list[RuleInstance]] = {}
         self.inactive: list[RuleInstance] = []
         self._unbound: dict[str, list[RuleInstance]] = {}
+        self._context_readers: dict[Atom, dict[Atom, None]] | None = None
         atoms_of: dict[str, list[Atom]] = {}
         one: dict[Atom, Atom] = {}
 
@@ -317,25 +311,43 @@ class RuleIndex:
         """The rules a derivation of ``atom`` considers, in index order."""
         return self.concluding.get(atom) or self._unbound.get(atom.predicate, ())
 
+    def readers_of(self, atom: Atom) -> tuple[Atom, ...]:
+        """The goals whose derivation reads ``atom``'s stored value.
+
+        These are ``atom`` itself, whose fact slot its derivation reads,
+        then in index order every conclusion with a rule whose ground
+        context holds ``atom``: the gate reads the context whatever its
+        verdict, including the atoms of a context bound up to an unbound
+        role.
+        """
+        inverse = self._context_readers
+        if inverse is None:
+            inverse = self._context_readers = {}
+            for goal, instances in self.concluding.items():
+                for instance in instances:
+                    for read in instance.context:
+                        inverse.setdefault(read, {})[goal] = None
+        return (atom, *inverse.get(atom, ()))
+
 
 class QuerySession:
     """One reasoning pass over a fixed knowledge base and world.
 
     Every goal the session derives goes into its goal table with its
-    proof and what it read, and a goal the table holds is answered from
-    it, so shared premises are proved once.  The goal table (``goals``)
-    and the rule index can be supplied by a caller (the revision tracker
-    does) to persist them across sessions; the caller must then purge
-    the table on world updates, and rebuild the index when the KB or the
-    world's roles change.  ``derived`` lists every goal the session
-    evaluated afresh, and so recorded in the table, in the order their
-    evaluations finished, including those of a query that raised.
+    proof, and a goal the table holds is answered from it, so shared
+    premises are proved once.  The goal table (``goals``) and the rule
+    index can be supplied by a caller (the revision tracker does) to
+    persist them across sessions; the caller must then purge the table
+    on world updates, and rebuild the index when the KB or the world's
+    roles change.  ``derived`` lists every goal the session evaluated
+    afresh, and so recorded in the table, in the order their evaluations
+    finished, including those of a query that raised.
 
     ``aside`` holds goal-table entries a caller purged but may put back
     (the revision tracker's set-aside goals).  A goal derived afresh
-    whose interval equals its set-aside entry's is written into that
-    entry's ``ProofNode`` in place, so a parent that points at the old
-    node reads the new derivation.  One-shot sessions pass none.
+    whose interval equals its set-aside proof's is written into that
+    ``ProofNode`` in place, so a parent that points at the old node
+    reads the new derivation.  One-shot sessions pass none.
     """
 
     def __init__(
@@ -345,9 +357,9 @@ class QuerySession:
         config: QueryConfig | None = None,
         asker: Asker | None = None,
         *,
-        goals: dict[Atom, GoalDependencies] | None = None,
+        goals: dict[Atom, ProofNode] | None = None,
         index: RuleIndex | None = None,
-        aside: Mapping[Atom, GoalDependencies] | None = None,
+        aside: Mapping[Atom, ProofNode] | None = None,
     ):
         self.kb = kb
         self.world = world
@@ -397,55 +409,43 @@ class QuerySession:
 
     def _evaluate(self, atom: Atom) -> ProofNode:
         """Drive ``_derive`` for ``atom`` and each premise it yields;
-        ``stack`` holds each goal under way with the atoms and sub-goals
-        it has read and its derivation, outermost first."""
+        ``stack`` holds each goal under way with its derivation,
+        outermost first."""
         goals = self._goals
         known = goals.get(atom)
         if known is not None:
-            return known.node
+            return known
         aside = self._aside
-        atoms: set[Atom] = set()
-        subgoals: set[Atom] = set()
-        send = self._derive(atom, atoms, subgoals).send
-        stack = {atom: (atoms, subgoals, send)}
+        send = self._derive(atom).send
+        stack = {atom: send}
         node = None
         while True:
             try:
                 premise = send(node)
             except StopIteration as done:
                 node = done.value
-                goal, (atoms, subgoals, _) = stack.popitem()
+                goal, _ = stack.popitem()
                 if aside is not None:
                     old = aside.get(goal)
-                    if old is not None and old.node.result == node.result:
-                        node = _refill(old.node, node)
-                goals[goal] = GoalDependencies(
-                    node,
-                    frozenset(atoms),
-                    frozenset(subgoals) if subgoals else _NO_SUBGOALS,
-                )
+                    if old is not None and old.result == node.result:
+                        node = _refill(old, node)
+                goals[goal] = node
                 self.derived.append(goal)
                 if not stack:
                     return node
-                send = next(reversed(stack.values()))[2]
+                send = next(reversed(stack.values()))
                 continue
             if premise in stack:
                 path = [*stack, premise][list(stack).index(premise):]
                 raise DerivationCycleError("derivation cycle: " + " -> ".join(map(str, path)))
-            atoms = set()
-            subgoals = set()
-            send = self._derive(premise, atoms, subgoals).send
-            stack[premise] = (atoms, subgoals, send)
+            send = stack[premise] = self._derive(premise).send
             # A generator just started takes None.
             node = None
 
-    def _derive(
-        self, atom: Atom, atoms: set[Atom], subgoals: set[Atom]
-    ) -> Generator[Atom, ProofNode, ProofNode]:
-        """Derive ``atom`` and add the stored atoms and the sub-goals it
-        reads to ``atoms`` and ``subgoals``.  A premise the goal table
-        holds is answered from it; each other premise is yielded to
-        ``_evaluate``, which sends back its proof."""
+    def _derive(self, atom: Atom) -> Generator[Atom, ProofNode, ProofNode]:
+        """Derive ``atom``.  A premise the goal table holds is answered
+        from it; each other premise is yielded to ``_evaluate``, which
+        sends back its proof."""
         world = self.world
         config = self.config
         goals = self._goals
@@ -457,29 +457,26 @@ class QuerySession:
             if answer is not None:
                 assert_evidence(world, atom, answer, "user", config.conflict_policy)
                 fact = world.facts.get(atom)
-        atoms.add(atom)
 
         paths: list[ProofNode] = []
         cases: list[ProofNode] = []
         families: list[TNormFamily] = []
 
         for rule, context, premises, error in self._index.rules_for(atom):
-            # Screen first, even a rule that cannot fire: what the gate
-            # reads is a dependency whatever the verdict.  An unbound role
-            # in the consequent or the context is noted always, one in an
-            # antecedent only past the gate.
-            passes = context_passes(context, world, config, atoms)
-            if premises is None or (passes and error is not None):
-                self._inactive(rule, error)
+            # An unbound role in the consequent or the context (no
+            # premises) is noted always, one in an antecedent only past
+            # the gate.
+            if premises is not None and not context_passes(context, world, config):
                 continue
-            if not passes:
+            if error is not None:
+                self._inactive(rule, error)
                 continue
             child_nodes = []
             premise_values = []
             for premise in premises:
-                subgoals.add(premise)
-                known = goals.get(premise)
-                sub = known.node if known is not None else (yield premise)
+                sub = goals.get(premise)
+                if sub is None:
+                    sub = yield premise
                 child_nodes.append(sub)
                 premise_values.append(sub.result)
             joint = antecedent_eval(rule.family, premise_values)

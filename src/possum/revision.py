@@ -1,27 +1,33 @@
 """Belief revision with dependency tracking.
 
 The tracker wraps the engine: queries run through it, and it keeps the
-engine's goal table (each derived goal's proof, and the atoms and
-sub-goals it read) between them.  Beside the table it keeps the same
-edges reversed: for each atom or sub-goal, the set of goals that read
-it.  These reader edges are added when a goal is derived and removed
-when it is purged, each in constant time, so an update costs in
-proportion to the goals it reaches, not to the size of the table.
-When evidence changes the tracker walks the reader edges upward from
-the updated atom, drops every goal it reaches from the table, marks the
-tracked conclusions among them stale, and recomputes lazily.
+engine's goal table (each derived goal's proof) between them.  A goal
+reads two things: the premises its proof points at, and stored values
+(its own fact slot and the contexts of the rules for it), which the
+rule index inverts (``RuleIndex.readers_of``).  Beside the table the
+tracker keeps the premise edges reversed: for each sub-goal, the set of
+goals whose proofs point at it.  These reader edges are added when a
+goal is derived and removed when it is purged, each in constant time,
+so an update costs in proportion to the goals it reaches, not to the
+size of the table.  When evidence changes, the tracker starts from the
+goals that read the updated atom's stored value and climbs the reader
+edges upward, drops every goal it reaches from the table, marks the
+tracked conclusions among them stale, and recomputes lazily.  A goal
+that screens a derived atom's stored value is not reached through that
+atom's derivation, which may move while the stored value does not.
 
 Recomputation stops climbing where an interval did not move (early
 cutoff).  A purged goal's entry is set aside, not discarded.  Before
 proving a target, ``recompute`` and ``query`` settle the set-aside
 goals below it, children first, in premise order.  A goal that read no
-atom updated since it was set aside, and whose sub-goals all kept their
-proof nodes, goes back into the table with its node and reader edges.
-Any other goal is derived again.  If its interval did not move, the new
-derivation is written into its old ``ProofNode`` in place, so parents
-put back later still point at their sub-goal's current proof (and a
-proof a query returned earlier, which shares that node, shows the new
-derivation too).  Nothing set aside outlives ``recompute``.
+stored value updated since it was set aside, and whose sub-goals all
+kept their proof nodes, goes back into the table with its node and
+reader edges.  Any other goal is derived again.  If its interval did
+not move, the new derivation is written into its old ``ProofNode`` in
+place, so parents put back later still point at their sub-goal's
+current proof (and a proof a query returned earlier, which shares that
+node, shows the new derivation too).  Nothing set aside outlives
+``recompute``.
 
 An edit made to the world outside the tracker shows as a moved world
 edit count (or as changed role bindings) and makes every conclusion
@@ -37,18 +43,17 @@ an optimisation around that equality, never a change to it.
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Iterable
 
 from ._records import Record
 from .calculus import CertaintyInterval
 from .engine import (
-    GoalDependencies,
     ProofNode,
     QueryConfig,
     QueryResult,
     QuerySession,
     RuleIndex,
+    premise_nodes,
 )
 from .knowledge import Atom, KnowledgeBase, World, assert_evidence, substitute
 
@@ -84,11 +89,11 @@ class DependencyTracker:
         self.world = world
         self.config = config or QueryConfig()
         self.records: dict[Atom, DependencyRecord] = {}
-        self._goals: dict[Atom, GoalDependencies] = {}
+        self._goals: dict[Atom, ProofNode] = {}
         self._readers: dict[Atom, set[Atom]] = {}
-        # Purged entries kept for early cutoff, and the atoms updated
-        # since the oldest of them was set aside.
-        self._aside: dict[Atom, GoalDependencies] = {}
+        # Purged entries kept for early cutoff, and the goals whose
+        # stored reads were updated since the oldest of them was set aside.
+        self._aside: dict[Atom, ProofNode] = {}
         self._updated: set[Atom] = set()
         self._stale: set[Atom] = set()
         self._edits = world.edits
@@ -181,9 +186,9 @@ class DependencyTracker:
 
         Children come first, in premise order, so the order follows the
         proofs, not any set's.  A goal goes back, with its reader edges,
-        when it read no atom updated since it was set aside and each
-        premise proof it points at is still its sub-goal's node in the
-        table.  Any other goal is derived again through ``session``,
+        when no stored value it reads was updated since it was set aside
+        and each premise proof it points at is still its sub-goal's node
+        in the table.  Any other goal is derived again through ``session``,
         which keeps its old node when its interval did not move.  The
         goals put back are appended to ``restored``.
         """
@@ -192,48 +197,47 @@ class DependencyTracker:
         entered: set[Atom] = set()  # a guard: set-aside proofs form no cycle
         while stack:
             goal, premises = stack.pop()
-            deps = aside.get(goal)
-            if deps is None or goal in goals:
+            node = aside.get(goal)
+            if node is None or goal in goals:
                 continue
             if premises is None:
                 if goal not in entered:
                     entered.add(goal)
-                    premises = _premise_nodes(deps.node)
+                    premises = premise_nodes(node)
                     stack.append((goal, premises))
                     stack.extend([(n.goal, None) for n in reversed(premises) if n.goal in aside])
                 continue
-            if updated.isdisjoint(deps.atoms):
-                for node in premises:
-                    live = goals.get(node.goal)
-                    if live is None or live.node is not node:
+            if goal not in updated:
+                for premise in premises:
+                    if goals.get(premise.goal) is not premise:
                         break
                 else:
                     del aside[goal]
-                    goals[goal] = deps
-                    self._add_readers(goal, deps)
+                    goals[goal] = node
+                    self._add_readers(goal, node)
                     restored.append(goal)
                     continue
             session.evaluate(goal)
 
-    def _add_readers(self, goal: Atom, deps: GoalDependencies) -> None:
+    def _add_readers(self, goal: Atom, node: ProofNode) -> None:
         readers = self._readers
-        for read in chain(deps.atoms, deps.subgoals):
-            edges = readers.get(read)
+        for premise in premise_nodes(node):
+            edges = readers.get(premise.goal)
             if edges is None:
-                readers[read] = {goal}
+                readers[premise.goal] = {goal}
             else:
                 edges.add(goal)
 
-    def _drop_readers(self, goal: Atom, deps: GoalDependencies) -> None:
+    def _drop_readers(self, goal: Atom, node: ProofNode) -> None:
         readers = self._readers
-        for read in chain(deps.atoms, deps.subgoals):
-            # An atom both in atoms and in subgoals (read as a context
-            # and as a premise) comes twice: its edge set may be gone.
-            edges = readers.get(read)
+        for premise in premise_nodes(node):
+            # A premise two of the goal's rules share comes twice: its
+            # edge set may be gone.
+            edges = readers.get(premise.goal)
             if edges is not None:
                 edges.discard(goal)
                 if not edges:
-                    del readers[read]
+                    del readers[premise.goal]
 
     def track(self, result: QueryResult) -> list[DependencyRecord]:
         """Create or refresh records for the goal and its aggregated sub-goals.
@@ -246,7 +250,7 @@ class DependencyTracker:
         """
         touched = []
         for atom in (result.goal, *result.derived):
-            node = self._goals[atom].node
+            node = self._goals[atom]
             if atom != result.goal and node.kind != "aggregation":
                 continue
             old = self.records.get(atom)
@@ -265,9 +269,10 @@ class DependencyTracker:
     ) -> set[Atom]:
         """Apply new evidence and report which conclusions it unsettles.
 
-        The update walks the kept reader edges upward from ``atom`` and
-        purges every goal it reaches, with that goal's own edges, so its
-        cost follows the goals reached.  The purged entries are set aside
+        The update starts from the goals that read ``atom``'s stored
+        value, climbs the kept reader edges upward and purges every goal
+        it reaches, with that goal's own edges, so its cost follows the
+        goals reached.  The purged entries are set aside
         for ``recompute`` to put back where nothing they read moved; the
         returned set is all the goals reached that have records, as if
         they were discarded.  An update that does not move the fact's
@@ -288,18 +293,19 @@ class DependencyTracker:
         self._edits = self.world.edits
         if not self._aside:
             self._updated.clear()
-        self._updated.add(atom)
+        stored_readers = self._index.readers_of(atom)
+        self._updated.update(stored_readers)
         goals = self._goals
         if not changed:
-            deps = goals.pop(atom, None)
-            if deps is not None:
-                self._drop_readers(atom, deps)
-                self._aside[atom] = deps
+            node = goals.pop(atom, None)
+            if node is not None:
+                self._drop_readers(atom, node)
+                self._aside[atom] = node
                 self._prove(self._session(), atom)
             return invalidated
         readers = self._readers
-        reached: set[Atom] = set()
-        frontier = [atom]
+        reached = {goal for goal in stored_readers if goal in goals}
+        frontier = list(reached)
         while frontier:
             for goal in readers.get(frontier.pop(), ()):
                 if goal not in reached:
@@ -307,8 +313,8 @@ class DependencyTracker:
                     frontier.append(goal)
         aside = self._aside
         for goal in reached:
-            deps = aside[goal] = goals.pop(goal)
-            self._drop_readers(goal, deps)
+            node = aside[goal] = goals.pop(goal)
+            self._drop_readers(goal, node)
         invalidated |= reached & self.records.keys()
         self._stale |= invalidated
         return invalidated
@@ -339,16 +345,3 @@ class DependencyTracker:
         """Tracked conclusions invalidated and not yet recomputed."""
         self._sync()
         return frozenset(self._stale)
-
-
-def _premise_nodes(node: ProofNode) -> list[ProofNode]:
-    """The sub-goal proofs a goal's proof points at, in premise order:
-    the children of its rule instances and of its matched cases."""
-    out: list[ProofNode] = []
-    for path in node.children:
-        if path.kind == "precedent":
-            for case in path.children:
-                out.extend(case.children)
-        else:
-            out.extend(path.children)
-    return out

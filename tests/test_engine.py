@@ -129,15 +129,18 @@ class TestScreening:
         assert "on" in used
         assert "off" not in used
 
-    def test_context_reads_recorded_in_dependencies(self):
+    def test_stored_reads_are_the_goal_slot_and_every_context(self):
+        # The gate reads (chill) whatever its verdict; revision must know
+        # that.  A premise is read through its own goal, not here.
         kb = KnowledgeBase()
         kb.rules["off"] = _rule("off", ["a"], "q", context=["chill"])
-        world = World("w")
-        _fact(world, "chill", 0.1)
-        _fact(world, "a", 0.8)
-        result = prove(kb, world, Atom("q"))
-        # The screen decision read (chill); revision must know that.
-        assert Atom("chill") in result.dependencies[Atom("q")].atoms
+        kb.rules["on"] = _rule("on", ["b"], "q", context=["warm", "chill"])
+        kb.rules["up"] = _rule("up", ["q"], "top", context=["chill"])
+        index = RuleIndex(kb, {})
+        assert index.readers_of(Atom("chill")) == (Atom("chill"), Atom("q"), Atom("top"))
+        assert index.readers_of(Atom("warm")) == (Atom("warm"), Atom("q"))
+        assert index.readers_of(Atom("q")) == (Atom("q"),)
+        assert index.readers_of(Atom("a")) == (Atom("a"),)
 
     def test_memo_hit_reports_the_same_dependencies(self):
         kb = KnowledgeBase()
@@ -153,18 +156,9 @@ class TestScreening:
         assert first.derived == [Atom("a"), Atom("mid"), Atom("b"), Atom("top")]
         assert again.derived == []
         assert again.dependencies == first.dependencies
-        assert set(first.dependencies) == set(first.derived)
-
-    def test_leaf_goals_share_one_empty_subgoal_set(self):
-        kb = KnowledgeBase()
-        kb.rules["t"] = _rule("t", ["a", "b"], "top")
-        world = World("w")
-        _fact(world, "a", 0.8)
-        _fact(world, "b", 0.7)
-        deps = prove(kb, world, Atom("top")).dependencies
-        assert deps[Atom("a")].subgoals == frozenset()
-        assert deps[Atom("a")].subgoals is deps[Atom("b")].subgoals
-        assert deps[Atom("top")].subgoals == {Atom("a"), Atom("b")}
+        # Each goal maps to its proof, in preorder of the premises.
+        assert list(first.dependencies) == [Atom("top"), Atom("mid"), Atom("a"), Atom("b")]
+        assert first.dependencies[Atom("top")] is first.proof
 
     def test_context_read_up_to_an_unbound_role(self):
         # The context atoms bound before the unbound one are still read.
@@ -175,9 +169,11 @@ class TestScreening:
         _fact(world, "warm", 0.9)
         _fact(world, "a", 0.8)
         result = prove(kb, world, Atom("q"))
-        assert result.dependencies[Atom("q")].atoms == {Atom("q"), Atom("warm")}
-        assert result.dependencies[Atom("q")].subgoals == frozenset()
         assert result.diagnostics[0] == "rule r inactive: role ?x is unbound in (g ?x)"
+        assert list(result.dependencies) == [Atom("q")]
+        index = RuleIndex(kb, world.roles)
+        assert index.readers_of(Atom("warm")) == (Atom("warm"), Atom("q"))
+        assert index.readers_of(Atom("late")) == (Atom("late"),)
 
     def test_unbound_context_role_noted(self):
         kb = KnowledgeBase()

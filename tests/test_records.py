@@ -12,7 +12,7 @@ import pickle
 import pytest
 
 from possum.calculus import CertaintyInterval, ConflictPolicy, TNormFamily
-from possum.engine import GoalDependencies, ProofNode, QueryConfig, QueryResult
+from possum.engine import ProofNode, QueryConfig, QueryResult
 from possum.errors import DomainError
 from possum.knowledge import (
     Atom,
@@ -105,11 +105,6 @@ MUTABLE = {
         lambda: ProofNode(P, "fact", QUARTER, "s"),
         lambda: ProofNode(P, "fact", QUARTER, "s", children=(NODE,)),
         NODE_REPR,
-    ),
-    "GoalDependencies": (
-        lambda: GoalDependencies(NODE, frozenset(), frozenset()),
-        lambda: GoalDependencies(NODE, frozenset({P}), frozenset()),
-        f"GoalDependencies(node={NODE_REPR}, atoms=frozenset(), subgoals=frozenset())",
     ),
     "QueryResult": (
         lambda: QueryResult(P, QUARTER, NODE, [], [], {}),
@@ -223,7 +218,7 @@ def test_default_containers_are_fresh_per_instance():
 
 
 def test_query_result_equality_and_repr_ignore_the_goal_table():
-    table = {P: GoalDependencies(NODE, frozenset(), frozenset())}
+    table = {P: NODE}
     with_table = QueryResult(P, QUARTER, NODE, [], [], table)
     without = QueryResult(P, QUARTER, NODE, [], [], {})
     assert with_table == without

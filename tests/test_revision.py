@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -20,11 +21,12 @@ from possum.engine import (
     QuerySession,
     explain,
     forward_saturate,
+    premise_nodes,
     proof_to_dict,
     prove,
 )
-from possum.errors import DerivationCycleError
-from possum.knowledge import Atom, KnowledgeBase, Rule, World, assert_evidence
+from possum.errors import DerivationCycleError, UnboundRoleError
+from possum.knowledge import Atom, KnowledgeBase, Rule, World, assert_evidence, substitute
 from possum.revision import DependencyTracker
 from generators import random_update, weighted_kb
 
@@ -43,11 +45,32 @@ def _rule(ident, body, head, context=(), s=0.9, n=0.0):
     )
 
 
-def _invert(deps):
-    """Reader edges as the inversion of a whole goal table."""
+def _invert(goals):
+    """Premise edges as the inversion of a whole goal table."""
     readers = {}
-    for goal, d in deps.items():
-        for read in d.atoms | d.subgoals:
+    for goal, node in goals.items():
+        for premise in premise_nodes(node):
+            readers.setdefault(premise.goal, set()).add(goal)
+    return readers
+
+
+def _context_readers(kb, roles):
+    """Stored-value reads inverted from the KB alone: for each context
+    atom, every conclusion of a rule or linked case template whose
+    context, bound up to its first unbound role, holds it.  A goal also
+    reads its own fact slot, which this leaves out."""
+    readers = {}
+    linked = (kb.linked_templates(link) for link in kb.precedent_links.values())
+    for rule in chain(kb.rules.values(), *linked):
+        try:
+            goal = substitute(rule.consequent, roles)
+        except UnboundRoleError:
+            continue
+        for atom in rule.context:
+            try:
+                read = substitute(atom, roles)
+            except UnboundRoleError:
+                break
             readers.setdefault(read, set()).add(goal)
     return readers
 
@@ -104,6 +127,25 @@ class TestTracking:
             Atom("gate"), CertaintyInterval(0.95, 1.0), "s2"
         )
         assert invalidated == {Atom("q")}
+
+    def test_derived_context_atom_screens_only_its_stored_value(self):
+        # rh screens (g)'s stored value, which an update to (a) leaves as
+        # it was: only (g)'s derivation moves, so (h) is not reached.
+        kb = KnowledgeBase()
+        kb.rules["rg"] = _rule("rg", ["a"], "g")
+        kb.rules["rh"] = _rule("rh", ["b"], "h", context=["g"])
+        world = World("w")
+        for name in ("a", "b", "g"):
+            assert_evidence(world, Atom(name), CertaintyInterval(0.8, 1.0), "s")
+        tracker = DependencyTracker(kb, world)
+        tracker.query(Atom("h"))
+        tracker.query(Atom("g"))
+        assert tracker.on_update(Atom("a"), CertaintyInterval(0.2, 1.0), "s") == {Atom("g")}
+        assert tracker.recompute() == {Atom("g"): prove(kb, world.copy(), Atom("g")).interval}
+        assert tracker.records[Atom("h")].cached == prove(kb, world.copy(), Atom("h")).interval
+        # An update to (g)'s own evidence does reach (h).
+        invalidated = tracker.on_update(Atom("g"), CertaintyInterval(0.3, 1.0), "s")
+        assert invalidated == {Atom("g"), Atom("h")}
 
     def test_case_context_supports_only_its_own_conclusion(self):
         # c1 concludes (q A) behind gate (g1), c2 concludes (q B) behind
@@ -349,23 +391,26 @@ class TestRecords:
         assert tracker.on_update(Atom("b"), CertaintyInterval(0.9, 1.0), "s2") == {Atom("a2")}
 
     def test_atom_read_as_context_and_as_premise_is_one_reader_edge(self):
-        # Each g<i> reads c twice: as r<i>'s context and as s<i>'s premise.
-        # The update purges c's own goal and every g<i>; the set order
-        # decides which of them drops the last edge on c, so several goals
-        # make an edge dropped twice show under almost any hash seed.
+        # Each g<i> reads c three times: as r<i>'s context, and as the
+        # premise of s<i> and of t<i>.  The update purges c's own goal
+        # and every g<i>; whichever of them goes last drops its edge on c
+        # twice, after the first drop emptied and removed c's edge set.
         kb = KnowledgeBase()
         goals = [Atom(f"g{i}") for i in range(7)]
         for i in range(7):
             kb.rules[f"r{i}"] = _rule(f"r{i}", ["a"], f"g{i}", context=["c"])
             kb.rules[f"s{i}"] = _rule(f"s{i}", ["c"], f"g{i}", s=0.5)
+            kb.rules[f"t{i}"] = _rule(f"t{i}", ["c"], f"g{i}", s=0.4)
         world = World("w")
         assert_evidence(world, Atom("a"), CertaintyInterval(0.8, 1.0), "s")
         assert_evidence(world, Atom("c"), CertaintyInterval(0.7, 1.0), "s")
         tracker = DependencyTracker(kb, world)
         for goal in goals:
             tracker.query(goal)
-        deps = tracker._goals[goals[0]]
-        assert Atom("c") in deps.atoms and Atom("c") in deps.subgoals
+        premises = [node.goal for node in premise_nodes(tracker._goals[goals[0]])]
+        assert premises == [Atom("a"), Atom("c"), Atom("c")]
+        assert goals[0] in tracker._index.readers_of(Atom("c"))
+        assert _reader_sets(tracker)[Atom("c")] == set(goals)
         assert _reader_sets(tracker) == _invert(tracker._goals)
         invalidated = tracker.on_update(Atom("c"), CertaintyInterval(0.2, 1.0), "s")
         assert invalidated == set(goals)
@@ -377,12 +422,15 @@ class TestRecords:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_reader_edges_match_a_full_inversion(self, seed):
-        # The oracle is the full-graph algorithm: invert every goal's
-        # dependencies, then walk the inversion breadth-first.
+        # The oracle is the full-graph algorithm: invert every read, the
+        # stored values from the KB's rules and the premises from every
+        # proof in the table, then walk the inversion breadth-first from
+        # the goals that read the updated atom's stored value.
         rng = random.Random(7300 + seed)
         kb, world, contexts = weighted_kb(rng, n_rules=200)
         config = QueryConfig(conflict_policy=ConflictPolicy.LENIENT)
         tracker = DependencyTracker(kb, world, config)
+        context_readers = _context_readers(kb, world.roles)
         goals = sorted(forward_saturate(kb, world.copy(), config), key=str)
         for goal in rng.sample(goals, 10):
             tracker.query(goal)
@@ -390,19 +438,21 @@ class TestRecords:
             draw = rng.random()
             if draw < 0.5:
                 update = random_update(rng, world, contexts)
-                deps, records, epoch = dict(tracker._goals), set(tracker.records), world.epoch
+                table, records, epoch = dict(tracker._goals), set(tracker.records), world.epoch
                 invalidated = tracker.on_update(*update)
                 expected = set()
                 if world.epoch != epoch:
-                    readers = _invert(deps)
-                    reached, frontier = set(), [update[0]]
+                    readers = _invert(table)
+                    stored = {update[0]} | context_readers.get(update[0], set())
+                    reached = stored & table.keys()
+                    frontier = list(reached)
                     while frontier:
                         for goal in readers.get(frontier.pop(0), ()):
                             if goal not in reached:
                                 reached.add(goal)
                                 frontier.append(goal)
                     expected = reached & records
-                    assert set(tracker._goals) == set(deps) - reached, f"step {step}"
+                    assert set(tracker._goals) == set(table) - reached, f"step {step}"
                 assert invalidated == expected, f"step {step}"
             elif draw < 0.75:
                 tracker.recompute()
@@ -538,13 +588,13 @@ class TestEarlyCutoff:
         kb, world = _chain_with_prior()
         tracker = DependencyTracker(kb, world)
         tracker.query(Atom("top"))
-        top, mid = tracker._goals[Atom("top")].node, tracker._goals[Atom("mid")].node
+        top, mid = tracker._goals[Atom("top")], tracker._goals[Atom("mid")]
         invalidated = tracker.on_update(Atom("leaf"), CertaintyInterval(0.6, 1.0), "s1")
         assert invalidated == {Atom("mid"), Atom("top")}
         assert set(tracker.recompute(invalidated)) == invalidated
         # top is put back untouched; mid is derived again into its old node.
-        assert tracker._goals[Atom("top")].node is top
-        assert tracker._goals[Atom("mid")].node is mid
+        assert tracker._goals[Atom("top")] is top
+        assert tracker._goals[Atom("mid")] is mid
         assert tracker._aside == {}
         fresh = prove(kb, world.copy(), Atom("top"))
         assert _proof_text(top) == _proof_text(fresh.proof)
@@ -556,19 +606,19 @@ class TestEarlyCutoff:
         kb, world = _chain_with_prior()
         tracker = DependencyTracker(kb, world)
         tracker.query(Atom("top"))
-        top = tracker._goals[Atom("top")].node
+        top = tracker._goals[Atom("top")]
         tracker.on_update(Atom("mid"), CertaintyInterval(0.95, 1.0), "prior")
         tracker.recompute()
-        assert tracker._goals[Atom("top")].node is not top
+        assert tracker._goals[Atom("top")] is not top
         fresh = prove(kb, world.copy(), Atom("top"))
         assert tracker.records[Atom("top")].cached == fresh.interval
-        assert proof_to_dict(tracker._goals[Atom("top")].node) == proof_to_dict(fresh.proof)
+        assert proof_to_dict(tracker._goals[Atom("top")]) == proof_to_dict(fresh.proof)
 
     def test_query_before_recompute_settles_its_goal(self):
         kb, world = _chain_with_prior()
         tracker = DependencyTracker(kb, world)
         tracker.query(Atom("top"))
-        top = tracker._goals[Atom("top")].node
+        top = tracker._goals[Atom("top")]
         tracker.on_update(Atom("leaf"), CertaintyInterval(0.6, 1.0), "s1")
         result = tracker.query(Atom("top"))
         assert result.proof is top
@@ -597,8 +647,8 @@ class TestEarlyCutoff:
             tracker.recompute()
         assert tracker._aside == {}
         assert _reader_sets(tracker) == _invert(tracker._goals)
-        for deps in tracker._goals.values():
-            assert deps.subgoals <= tracker._goals.keys()
+        for node in tracker._goals.values():
+            assert {premise.goal for premise in premise_nodes(node)} <= tracker._goals.keys()
         result = tracker.query(Atom("x"))
         fresh = prove(kb, world.copy(), Atom("x"))
         assert proof_to_dict(result.proof) == proof_to_dict(fresh.proof)
@@ -688,7 +738,7 @@ class TestDifferential:
             scratch = QuerySession(kb, world.copy(), config)
             stale = tracker.stale()
             settled = [atom for atom in tracker.records if atom not in stale]
-            tracked = [tracker._goals[atom].node for atom in settled]
+            tracked = [tracker._goals[atom] for atom in settled]
             fresh = [scratch.prove(atom).proof for atom in settled]
             for atom, node in zip(settled, fresh):
                 assert _hexed(tracker.records[atom].cached) == _hexed(node.result), f"{where}, {atom}"
