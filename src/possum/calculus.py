@@ -342,7 +342,8 @@ def aggregate(
     A single path is returned exactly as given.  Paths that jointly
     confirm and refute (combined lower above combined upper) are a
     conflict: strict policy raises EvidenceConflictError, lenient
-    substitutes total ignorance and records a diagnostic once.
+    substitutes total ignorance and appends a diagnostic to
+    ``diagnostics`` (an ``engine.Notes`` keeps each message once).
     ``subject`` names the conclusion in that message, and is formatted
     only when a conflict is reported.
     """
@@ -362,7 +363,7 @@ def aggregate(
         )
         if policy is ConflictPolicy.STRICT:
             raise EvidenceConflictError(message)
-        if diagnostics is not None and message not in diagnostics:
+        if diagnostics is not None:
             diagnostics.append(message)
         return TOTAL_IGNORANCE
     return CertaintyInterval(lo, hi)
@@ -382,8 +383,8 @@ def consensus(
     the intersection: [max of lowers, min of uppers].  An empty
     intersection means the sources genuinely disagree: strict policy
     raises SourceConflictError naming them, lenient substitutes total
-    ignorance and records a diagnostic once.  ``subject`` names the
-    proposition in that message, and is formatted only when a conflict
+    ignorance and appends a diagnostic to ``diagnostics``.  ``subject``
+    names the proposition in that message, and is formatted only when a conflict
     is reported.
     """
     if not sources:
@@ -402,7 +403,7 @@ def consensus(
         )
         if policy is ConflictPolicy.STRICT:
             raise SourceConflictError(message)
-        if diagnostics is not None and message not in diagnostics:
+        if diagnostics is not None:
             diagnostics.append(message)
         return TOTAL_IGNORANCE
     return CertaintyInterval(lo, hi)

@@ -51,7 +51,7 @@ def retrieve(
     descendants sees.  An undeclared path is an error rather than an
     empty answer, so typos do not read as absent knowledge.  A template
     whose context has a role the world leaves unbound is screened out
-    and, given ``diagnostics``, noted there once.
+    and, given ``diagnostics``, noted there.
     """
     if isinstance(path, str):
         path = parse_path(path)
@@ -63,15 +63,11 @@ def retrieve(
     for t in library.templates_at(path):
         context, err = ground_context(t.context, world.roles)
         if err is not None:
-            _note(diagnostics, f"case {t.identifier} inactive: {err}")
+            if diagnostics is not None:
+                diagnostics.append(f"case {t.identifier} inactive: {err}")
         elif context_passes(context, world, config):
             kept.append(t)
     return kept
-
-
-def _note(diagnostics: list[str] | None, message: str) -> None:
-    if diagnostics is not None and message not in diagnostics:
-        diagnostics.append(message)
 
 
 def case_similarity(a: ProofNode, b: ProofNode) -> float:

@@ -278,6 +278,7 @@ def _cmd_load(args: argparse.Namespace) -> int:
             f"{_count(len(world.facts), 'fact')}, "
             f"{_count(len(world.askables), 'askable')}"
         )
+        _print_notes(world.diagnostics)
     return 0
 
 
@@ -303,6 +304,7 @@ def _cmd_assert(args: argparse.Namespace) -> int:
     out = Path(args.out) if args.out else Path(args.world)
     out.write_text(render_world(world), encoding="utf-8")
     print(f"{ground} = {_interval_str(lookup(world, ground))} (written to {out})")
+    _print_notes(world.diagnostics)
     return 0
 
 
@@ -327,6 +329,7 @@ def _cmd_cases(args: argparse.Namespace) -> int:
     notes: list[str] = []
     if args.world:
         world = load_world(args.world, _policy(args))
+        notes = world.diagnostics  # a fresh list
         templates = retrieve(kb.case_library, path, world, _config(args), diagnostics=notes)
     else:
         if not kb.case_library.has_path(path):
@@ -439,7 +442,7 @@ def _cmd_repl(args: argparse.Namespace) -> int:
                 print(f"with {ground} = {interval}:")
                 _repl_query(kb, twin, config, asker, last_goal_text)
             elif verb == "cases":
-                notes: list[str] = []
+                notes = world.diagnostics
                 found = retrieve(
                     kb.case_library, parse_path(rest), world, config, diagnostics=notes
                 )

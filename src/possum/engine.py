@@ -31,7 +31,7 @@ screens through the same gate.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Callable, Generator, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Generator, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from ._records import Record
 from .calculus import (
@@ -61,6 +61,7 @@ __all__ = [
     "QueryConfig",
     "ProofNode",
     "QueryResult",
+    "Notes",
     "premise_nodes",
     "RuleInstance",
     "RuleIndex",
@@ -122,6 +123,26 @@ class ProofNode(Record):
         self.provenance = provenance
         self.premise_interval = premise_interval
         self.children = children
+
+
+class Notes:
+    """Messages in the order first noted, each held once.
+
+    ``append`` skips a message already held, in constant time however
+    many came before it, so the code that notes (``calculus``, ``cbr``,
+    the engine) appends without looking first.
+    """
+
+    __slots__ = ("_held",)
+
+    def __init__(self, messages: Iterable[str] = ()) -> None:
+        self._held = dict.fromkeys(messages)
+
+    def append(self, message: str) -> None:
+        self._held[message] = None
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._held)
 
 
 def premise_nodes(node: ProofNode) -> list[ProofNode]:
@@ -191,14 +212,16 @@ def ground_context(
     Binding stops at the first atom with a role ``roles`` leaves unbound:
     the atoms before it are returned with that role's error.  Such a
     context is about some other situation, so its rule or case is
-    inactive; the gate still reads the atoms that were bound.
+    inactive; the gate still reads the atoms that were bound.  The
+    error is returned without its traceback, which would keep the
+    frames it passed through alive as long as the error.
     """
     ground = []
     for atom in context:
         try:
             ground.append(substitute(atom, roles))
         except UnboundRoleError as err:
-            return tuple(ground), err
+            return tuple(ground), err.with_traceback(None)
     return tuple(ground), None
 
 
@@ -263,6 +286,9 @@ class RuleIndex:
     ``readers_of`` inverts them; the inverse is built on its first use,
     and one-shot queries never build it.
 
+    An instance keeps its error without the traceback (see
+    ``ground_context``), so a KB of many inactive rules keeps no frames.
+
     The index is valid only for the KB and role bindings it was built
     from.
     """
@@ -286,7 +312,7 @@ class RuleIndex:
             try:
                 consequent = intern(substitute(rule.consequent, roles))
             except UnboundRoleError as err:
-                instance = RuleInstance(rule, (), None, err)
+                instance = RuleInstance(rule, (), None, err.with_traceback(None))
                 self.inactive.append(instance)
                 self._unbound.setdefault(predicate, []).append(instance)
                 for atom in atoms_of.get(predicate, ()):
@@ -300,7 +326,7 @@ class RuleIndex:
                 try:
                     premises = tuple(intern(substitute(a, roles)) for a in rule.antecedents)
                 except UnboundRoleError as err:
-                    premises, error = (), err
+                    premises, error = (), err.with_traceback(None)
             bucket = self.concluding.get(consequent)
             if bucket is None:
                 bucket = self.concluding[consequent] = list(self._unbound.get(predicate, ()))
@@ -341,7 +367,10 @@ class QuerySession:
     on world updates, and rebuild the index when the KB or the world's
     roles change.  ``derived`` lists every goal the session evaluated
     afresh, and so recorded in the table, in the order their evaluations
-    finished, including those of a query that raised.
+    finished, including those of a query that raised.  ``notes`` holds
+    the session's notes, first the world's conflict notes, so a conflict
+    degraded while the world's evidence was reconciled is noted by every
+    query over it; ``diagnostics`` lists them.
 
     ``aside`` holds goal-table entries a caller purged but may put back
     (the revision tracker's set-aside goals).  A goal derived afresh
@@ -365,12 +394,16 @@ class QuerySession:
         self.world = world
         self.config = config or QueryConfig()
         self.asker = asker
-        self.diagnostics: list[str] = []
+        self.notes = Notes(world.conflicts.values())
         self.derived: list[Atom] = []
         self._goals = goals if goals is not None else {}
         self._index = index if index is not None else RuleIndex(kb, world.roles)
         self._aside = aside
         self._asked: set[Atom] = set()
+
+    @property
+    def diagnostics(self) -> list[str]:
+        return list(self.notes)
 
     def prove(self, goal: Atom) -> QueryResult:
         """Evaluate one goal; role variables are bound from the world."""
@@ -378,12 +411,12 @@ class QuerySession:
         start = len(self.derived)
         node = self._evaluate(goal)
         if node.kind == "fact" and goal not in self.world.facts:
-            self._note(f"no support for {goal}: answering with total ignorance")
+            self.notes.append(f"no support for {goal}: answering with total ignorance")
         return QueryResult(
             goal=goal,
             interval=node.result,
             proof=node,
-            diagnostics=list(self.diagnostics),
+            diagnostics=list(self.notes),
             derived=self.derived[start:],
             graph=self._goals,
         )
@@ -506,10 +539,12 @@ class QuerySession:
                     [c.result for c in cases],
                     config.conflict_policy,
                     subject=f"precedent support for {atom}",
-                    diagnostics=self.diagnostics,
+                    diagnostics=self.notes,
                 )
             else:
-                self._note(f"no precedent support for {atom} under {format_path(link.path)}")
+                self.notes.append(
+                    f"no precedent support for {atom} under {format_path(link.path)}"
+                )
                 support = TOTAL_IGNORANCE
             families.append(link.family)
             paths.append(
@@ -544,7 +579,7 @@ class QuerySession:
             [p.result for p in paths],
             config.conflict_policy,
             subject=atom,
-            diagnostics=self.diagnostics,
+            diagnostics=self.notes,
         )
         children = list(paths)
         if fact_node is not None:
@@ -554,7 +589,7 @@ class QuerySession:
                 config.conflict_policy,
                 labels=["derived support", f"stored fact ({fact_node.provenance})"],
                 subject=atom,
-                diagnostics=self.diagnostics,
+                diagnostics=self.notes,
             )
             children.append(fact_node)
         else:
@@ -575,13 +610,9 @@ class QuerySession:
             and atom not in self._asked
         )
 
-    def _note(self, message: str) -> None:
-        if message not in self.diagnostics:
-            self.diagnostics.append(message)
-
     def _inactive(self, rule: Rule | CaseTemplate, err: UnboundRoleError) -> None:
         kind = "case" if isinstance(rule, CaseTemplate) else "rule"
-        self._note(f"{kind} {rule.identifier} inactive: {err}")
+        self.notes.append(f"{kind} {rule.identifier} inactive: {err}")
 
 
 def _refill(old: ProofNode, new: ProofNode) -> ProofNode:

@@ -97,10 +97,10 @@ def substitute(atom: Atom, roles: Mapping[str, str]) -> Atom:
     out = []
     for arg in atom.arguments:
         if is_role_variable(arg):
-            try:
-                out.append(roles[arg])
-            except KeyError:
-                raise UnboundRoleError(arg, str(atom)) from None
+            value = roles.get(arg)
+            if value is None:  # no KeyError to chain: a kept error holds no frame
+                raise UnboundRoleError(arg, str(atom))
+            out.append(value)
         else:
             out.append(arg)
     return Atom(atom.predicate, tuple(out))
@@ -250,23 +250,33 @@ class World(Record):
     added or changed without moving an interval included, which a proof
     shows in the sources it names.  ``edits`` stays out of ``==`` and
     ``repr``.
+
+    ``conflicts`` holds the note on each fact whose sources conflict
+    under the lenient policy.  It is the world's current state, not a
+    log: reconciling a fact's evidence again replaces or drops its
+    note.  ``diagnostics`` lists those notes, and stands for
+    ``conflicts`` in ``==`` and ``repr``.
     """
 
-    __slots__ = ("identifier", "roles", "facts", "askables", "epoch", "diagnostics", "edits")
-    _fields = __slots__[:-1]
+    __slots__ = ("identifier", "roles", "facts", "askables", "epoch", "conflicts", "edits")
+    _fields = ("identifier", "roles", "facts", "askables", "epoch", "diagnostics")
 
     def __init__(
         self, identifier: str, roles: dict[str, str] | None = None,
         facts: dict[Atom, Fact] | None = None, askables: set[str] | None = None,
-        epoch: int = 0, diagnostics: list[str] | None = None, edits: int = 0,
+        epoch: int = 0, conflicts: dict[Atom, str] | None = None, edits: int = 0,
     ) -> None:
         self.identifier = identifier
         self.roles = {} if roles is None else roles
         self.facts = {} if facts is None else facts
         self.askables = set() if askables is None else askables
         self.epoch = epoch
-        self.diagnostics = [] if diagnostics is None else diagnostics
+        self.conflicts = {} if conflicts is None else conflicts
         self.edits = edits
+
+    @property
+    def diagnostics(self) -> list[str]:
+        return list(self.conflicts.values())
 
     def copy(self) -> "World":
         """Independent deep copy; used for what-if exploration."""
@@ -275,7 +285,7 @@ class World(Record):
             roles=dict(self.roles),
             askables=set(self.askables),
             epoch=self.epoch,
-            diagnostics=list(self.diagnostics),
+            conflicts=dict(self.conflicts),
             edits=self.edits,
         )
         for atom, fact in self.facts.items():
@@ -302,15 +312,8 @@ def assert_evidence(
     existing = world.facts.get(atom)
     evidence = dict(existing.evidence) if existing else {}
     evidence[source] = interval
-    labels = sorted(evidence)
-    effective = consensus(
-        [evidence[s] for s in labels],
-        policy,
-        labels=labels,
-        subject=atom,
-        diagnostics=world.diagnostics,
-    )
-    # Compute-then-commit: a strict conflict above leaves the world untouched.
+    # Compute-then-commit: a strict conflict raises before the world is touched.
+    effective = _reconcile(world, atom, evidence, policy)
     if existing is None:
         world.facts[atom] = Fact(atom, evidence, effective)
         world.epoch += 1
@@ -341,22 +344,34 @@ def retract_evidence(
     world.edits += 1
     if not evidence:
         del world.facts[atom]
+        world.conflicts.pop(atom, None)
         world.epoch += 1
         return True
-    labels = sorted(evidence)
-    effective = consensus(
-        [evidence[s] for s in labels],
-        policy,
-        labels=labels,
-        subject=atom,
-        diagnostics=world.diagnostics,
-    )
+    effective = _reconcile(world, atom, evidence, policy)
     changed = effective != fact.effective
     fact.evidence = evidence
     fact.effective = effective
     if changed:
         world.epoch += 1
     return changed
+
+
+def _reconcile(
+    world: World, atom: Atom, evidence: dict[str, CertaintyInterval], policy: ConflictPolicy
+) -> CertaintyInterval:
+    """The consensus of a fact's evidence.  The world's note on the fact
+    is replaced by the note on this consensus, or dropped when it has
+    none; a strict conflict raises before the world is touched."""
+    labels = sorted(evidence)
+    notes: list[str] = []
+    effective = consensus(
+        [evidence[s] for s in labels], policy, labels=labels, subject=atom, diagnostics=notes
+    )
+    if notes:
+        world.conflicts[atom] = notes[0]
+    else:
+        world.conflicts.pop(atom, None)
+    return effective
 
 
 def lookup(world: World, atom: Atom) -> CertaintyInterval:

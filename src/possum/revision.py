@@ -12,22 +12,27 @@ so an update costs in proportion to the goals it reaches, not to the
 size of the table.  When evidence changes, the tracker starts from the
 goals that read the updated atom's stored value and climbs the reader
 edges upward, drops every goal it reaches from the table, marks the
-tracked conclusions among them stale, and recomputes lazily.  A goal
-that screens a derived atom's stored value is not reached through that
-atom's derivation, which may move while the stored value does not.
+tracked conclusions among them stale, and recomputes lazily.  The climb
+pops each reached goal's set of readers as it goes: every reader of a
+reached goal is reached too, so the purge is left to discard only the
+edges from premises outside the reached set.  A goal that screens a
+derived atom's stored value is not reached through that atom's
+derivation, which may move while the stored value does not.
 
 Recomputation stops climbing where an interval did not move (early
-cutoff).  A purged goal's entry is set aside, not discarded.  Before
-proving a target, ``recompute`` and ``query`` settle the set-aside
-goals below it, children first, in premise order.  A goal that read no
-stored value updated since it was set aside, and whose sub-goals all
-kept their proof nodes, goes back into the table with its node and
-reader edges.  Any other goal is derived again.  If its interval did
-not move, the new derivation is written into its old ``ProofNode`` in
-place, so parents put back later still point at their sub-goal's
-current proof (and a proof a query returned earlier, which shares that
-node, shows the new derivation too).  Nothing set aside outlives
-``recompute``.
+cutoff).  A purged goal's entry is set aside, not discarded.
+``recompute`` settles the set-aside goals below all its targets in one
+walk: targets in ``str`` order, below each children first, in premise
+order.  ``query`` settles those below its goal the same way.  A goal
+that read no stored value updated since it was set aside, and whose
+sub-goals all kept their proof nodes, goes back into the table with its
+node and reader edges.  Any other goal is derived again.  If its
+interval did not move, the new derivation is written into its old
+``ProofNode`` in place, so parents put back later still point at their
+sub-goal's current proof (and a proof a query returned earlier, which
+shares that node, shows the new derivation too).  Each target is then
+read from the goal table, and only one the walk left out of it is
+derived afresh.  Nothing set aside outlives ``recompute``.
 
 An edit made to the world outside the tracker shows as a moved world
 edit count (or as changed role bindings) and makes every conclusion
@@ -43,7 +48,8 @@ an optimisation around that equality, never a change to it.
 
 from __future__ import annotations
 
-from typing import Iterable
+from itertools import chain
+from typing import Collection, Iterable
 
 from ._records import Record
 from .calculus import CertaintyInterval
@@ -141,59 +147,63 @@ class DependencyTracker:
         self._sync()
         if self._aside:  # settling starts from the ground goal
             goal = substitute(goal, self.world.roles)
-        result = self._prove(self._session(), goal)
+        session = self._session()
+        derived = self._prove(session, [goal])
+        result = session.prove(goal)  # answered from the goal table
+        result.derived = derived
         self.track(result)
         self._stale.discard(result.goal)
         return result
 
-    def _prove(self, session: QuerySession, goal: Atom) -> QueryResult:
-        """Settle the set-aside goals below ``goal``, prove it through
-        ``session`` and add the reader edges of every goal derived.
-        ``goal`` must be ground whenever anything is set aside.
+    def _prove(self, session: QuerySession, targets: list[Atom]) -> list[Atom]:
+        """Settle the set-aside goals below ``targets`` in one walk, prove
+        each target still missing from the goal table, and add the reader
+        edges of every goal derived.  ``session`` is fresh, and
+        ``targets`` are ground whenever anything is set aside.
 
-        The result's ``derived`` lists the goals settling derived too.  A
-        proof that raises keeps nothing: the goals it derived before
-        raising would have neither reader edges nor records, so they are
-        dropped from the goal table, with their set-aside entries (whose
-        nodes the proof may have rewritten) and the goals settling put
-        back (which may read them), and derived again when reached.
+        Returns the goals derived, settling's included, in the order
+        their derivations finished.  Raising keeps nothing: the goals
+        derived before the raise would have neither reader edges nor
+        records, so they are dropped from the goal table, with their
+        set-aside entries (whose nodes the walk may have rewritten) and
+        the goals settling put back (which may read them), and derived
+        again when reached.
         """
-        aside = self._aside
-        done = len(session.derived)
+        goals, aside = self._goals, self._aside
         restored: list[Atom] = []
         try:
-            if goal in aside:
-                self._settle(session, goal, restored)
-            result = session.prove(goal)
+            if aside:
+                self._settle(session, targets, restored)
+            for goal in targets:
+                if goal not in goals:
+                    session.prove(goal)
         except BaseException:
             for atom in restored:
-                self._drop_readers(atom, self._goals.pop(atom))
-            for atom in session.derived[done:]:
-                del self._goals[atom]
+                self._drop_readers(atom, goals.pop(atom))
+            for atom in session.derived:
+                del goals[atom]
                 aside.pop(atom, None)
             raise
-        if aside:
-            # Settling leaves the entries of the goals it derived aside.
-            result.derived = session.derived[done:]
-            for atom in result.derived:
-                aside.pop(atom, None)
-        for atom in result.derived:
-            self._add_readers(atom, self._goals[atom])
-        return result
+        # Settling leaves the entries of the goals it derived aside.
+        for atom in session.derived:
+            aside.pop(atom, None)
+            self._add_readers(atom, premise_nodes(goals[atom]))
+        return session.derived
 
-    def _settle(self, session: QuerySession, target: Atom, restored: list[Atom]) -> None:
-        """Put back or derive again each set-aside goal below ``target``.
+    def _settle(self, session: QuerySession, targets: list[Atom], restored: list[Atom]) -> None:
+        """Put back or derive again each set-aside goal below ``targets``.
 
-        Children come first, in premise order, so the order follows the
-        proofs, not any set's.  A goal goes back, with its reader edges,
-        when no stored value it reads was updated since it was set aside
-        and each premise proof it points at is still its sub-goal's node
-        in the table.  Any other goal is derived again through ``session``,
-        which keeps its old node when its interval did not move.  The
-        goals put back are appended to ``restored``.
+        One walk serves every target: targets in the order given, and
+        below each, children first, in premise order, so the order
+        follows the proofs, not any set's.  A goal goes back, with its
+        reader edges, when no stored value it reads was updated since it
+        was set aside and each premise proof it points at is still its
+        sub-goal's node in the table.  Any other goal is derived again
+        through ``session``, which keeps its old node when its interval
+        did not move.  The goals put back are appended to ``restored``.
         """
         goals, aside, updated = self._goals, self._aside, self._updated
-        stack: list[tuple[Atom, list[ProofNode] | None]] = [(target, None)]
+        stack: list[tuple[Atom, list[ProofNode] | None]] = [(t, None) for t in reversed(targets)]
         entered: set[Atom] = set()  # a guard: set-aside proofs form no cycle
         while stack:
             goal, premises = stack.pop()
@@ -214,14 +224,14 @@ class DependencyTracker:
                 else:
                     del aside[goal]
                     goals[goal] = node
-                    self._add_readers(goal, node)
+                    self._add_readers(goal, premises)
                     restored.append(goal)
                     continue
             session.evaluate(goal)
 
-    def _add_readers(self, goal: Atom, node: ProofNode) -> None:
+    def _add_readers(self, goal: Atom, premises: list[ProofNode]) -> None:
         readers = self._readers
-        for premise in premise_nodes(node):
+        for premise in premises:
             edges = readers.get(premise.goal)
             if edges is None:
                 readers[premise.goal] = {goal}
@@ -231,8 +241,8 @@ class DependencyTracker:
     def _drop_readers(self, goal: Atom, node: ProofNode) -> None:
         readers = self._readers
         for premise in premise_nodes(node):
-            # A premise two of the goal's rules share comes twice: its
-            # edge set may be gone.
+            # Its edge set may be gone: a premise two rules share comes
+            # twice, and ``on_update`` pops the reached goals' sets.
             edges = readers.get(premise.goal)
             if edges is not None:
                 edges.discard(goal)
@@ -248,17 +258,22 @@ class DependencyTracker:
         left alone, so untouched conclusions keep their epoch across
         other conclusions' recomputation.
         """
+        return self._refresh((result.goal,), result.derived)
+
+    def _refresh(self, roots: Collection[Atom], derived: list[Atom]) -> list[DependencyRecord]:
+        """``track``'s rule: a record for each root and each aggregation
+        goal in ``derived``, replaced only where its interval moved.
+        ``roots`` answers ``in`` in constant time."""
+        goals, records, epoch = self._goals, self.records, self.world.epoch
         touched = []
-        for atom in (result.goal, *result.derived):
-            node = self._goals[atom]
-            if atom != result.goal and node.kind != "aggregation":
+        for atom in chain(roots, derived):
+            node = goals[atom]
+            if node.kind != "aggregation" and atom not in roots:
                 continue
-            old = self.records.get(atom)
-            if old is not None and old.cached == node.result:
-                continue
-            record = DependencyRecord(atom, node.result, self.world.epoch)
-            self.records[atom] = record
-            touched.append(record)
+            old = records.get(atom)
+            if old is None or old.cached != node.result:
+                record = records[atom] = DependencyRecord(atom, node.result, epoch)
+                touched.append(record)
         return touched
 
     def on_update(
@@ -270,9 +285,10 @@ class DependencyTracker:
         """Apply new evidence and report which conclusions it unsettles.
 
         The update starts from the goals that read ``atom``'s stored
-        value, climbs the kept reader edges upward and purges every goal
-        it reaches, with that goal's own edges, so its cost follows the
-        goals reached.  The purged entries are set aside
+        value, climbs the kept reader edges upward, popping each reached
+        goal's reader set, and purges every goal it reaches, with its
+        edges from premises outside the reached set, so its cost follows
+        the goals reached.  The purged entries are set aside
         for ``recompute`` to put back where nothing they read moved; the
         returned set is all the goals reached that have records, as if
         they were discarded.  An update that does not move the fact's
@@ -301,13 +317,13 @@ class DependencyTracker:
             if node is not None:
                 self._drop_readers(atom, node)
                 self._aside[atom] = node
-                self._prove(self._session(), atom)
+                self._prove(self._session(), [atom])
             return invalidated
         readers = self._readers
         reached = {goal for goal in stored_readers if goal in goals}
         frontier = list(reached)
         while frontier:
-            for goal in readers.get(frontier.pop(), ()):
+            for goal in readers.pop(frontier.pop(), ()):
                 if goal not in reached:
                     reached.add(goal)
                     frontier.append(goal)
@@ -322,22 +338,27 @@ class DependencyTracker:
     def recompute(self, invalidated: Iterable[Atom] | None = None) -> dict[Atom, CertaintyInterval]:
         """Re-prove stale conclusions, reusing every surviving sub-result.
 
-        Each target settles the set-aside goals below it first (see the
-        module docstring), so the climb stops where an interval did not
-        move.  Whatever is still set aside afterwards is discarded.
+        Role variables in the targets are bound from the world, as in
+        ``query``.  The targets, in ``str`` order, settle the set-aside goals below
+        them in one walk (see the module docstring), then each is read
+        from the goal table.  One pass refreshes the records of the
+        targets and of the aggregation goals derived, by ``track``'s
+        rule.  Whatever is still set aside is discarded, and if settling
+        raises, nothing it touched is kept and no record changes.
         """
         self._sync()
-        targets = set(invalidated) if invalidated is not None else set(self._stale)
-        refreshed: dict[Atom, CertaintyInterval] = {}
-        session = self._session()
+        targets = set(self._stale if invalidated is None else invalidated)
+        if not targets <= self.records.keys():  # records are keyed by ground goals
+            targets = {substitute(atom, self.world.roles) for atom in targets}
+        order = sorted(targets, key=str)
         try:
-            for atom in sorted(targets, key=str):
-                result = self._prove(session, atom)
-                self.track(result)
-                refreshed[atom] = result.interval
+            derived = self._prove(self._session(), order)
         finally:
             self._aside.clear()
             self._updated.clear()
+        goals = self._goals
+        refreshed = {atom: goals[atom].result for atom in order}
+        self._refresh(refreshed, derived)
         self._stale -= targets
         return refreshed
 

@@ -452,6 +452,113 @@ class TestUnboundRoleNotes:
         assert out.count(UNBOUND_NOTES[2]) == 2
 
 
+CONFLICT_KB = """\
+taxonomy p;
+
+rule r tnorm T1 suff 0.9 nec 0 { if (a) then (b) }
+
+case c path p tnorm T1 suff 0.9 nec 0 {
+  roles
+  if (a)
+  then (c)
+}
+"""
+
+CONFLICT_NOTE = (
+    "note: sources for (a) conflict (s1, s2): "
+    "intervals intersect nowhere (max lower 0.8000, min upper 0.2000)"
+)
+
+
+@pytest.fixture()
+def conflict_world(tmp_path):
+    """A KB over a world whose two sources for (a) intersect nowhere."""
+    kb = tmp_path / "k.kb"
+    kb.write_text(CONFLICT_KB)
+    world = tmp_path / "w.world"
+    world.write_text("world w {\n  fact (a) [0.8, 1] @s1;\n  fact (a) [0, 0.2] @s2;\n}\n")
+    return str(kb), str(world)
+
+
+class TestWorldConflictNotes:
+    """A conflict the lenient policy degrades while a world file is read
+    is noted by every command that reads that world."""
+
+    LENIENT = ("--tnorm-policy", "lenient")
+
+    def test_query_text_notes_it(self, conflict_world, capsys):
+        rc = main(["query", *conflict_world, "(b)", *self.LENIENT])
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines() == ["(b) = [0.0000, 1.0000]", CONFLICT_NOTE]
+
+    def test_query_json_notes_it(self, conflict_world, capsys):
+        main(["query", *conflict_world, "(b)", *self.LENIENT, "--format", "json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["diagnostics"] == [CONFLICT_NOTE.removeprefix("note: ")]
+
+    def test_explain_notes_it(self, conflict_world, capsys):
+        main(["explain", *conflict_world, "(b)", *self.LENIENT])
+        out = capsys.readouterr().out.splitlines()
+        assert "    fact (a) = [0.0000, 1.0000] via s1+s2" in out
+        assert out[-1] == CONFLICT_NOTE
+
+    def test_saturate_notes_it(self, conflict_world, capsys):
+        main(["saturate", *conflict_world, *self.LENIENT])
+        assert capsys.readouterr().out.splitlines() == ["(b) = [0.0000, 1.0000]", CONFLICT_NOTE]
+
+    def test_cases_notes_it(self, conflict_world, capsys):
+        kb, world = conflict_world
+        main(["cases", kb, "p", world, *self.LENIENT])
+        assert capsys.readouterr().out.splitlines() == ["c  p", CONFLICT_NOTE]
+
+    def test_load_notes_it(self, conflict_world, capsys):
+        kb, world = conflict_world
+        rc = main(["load", kb, world, *self.LENIENT])
+        out = capsys.readouterr().out.splitlines()
+        assert rc == 0
+        assert out[-2:] == [f"{world}: world w, 1 fact, 0 askables", CONFLICT_NOTE]
+
+    def test_assert_notes_the_conflict_it_makes(self, conflict_world, tmp_path, capsys):
+        kb, world = conflict_world
+        Path(world).write_text("world w {\n  fact (a) [0.8, 1] @s1;\n}\n")
+        out = tmp_path / "out.world"
+        rc = main(
+            ["assert", world, "(a)", "[0, 0.2]", "--source", "s2", *self.LENIENT, "--out", str(out)]
+        )
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"(a) = [0.0000, 1.0000] (written to {out})",
+            CONFLICT_NOTE,
+        ]
+
+    def test_repl_query_notes_it(self, conflict_world, monkeypatch, capsys):
+        _feed(monkeypatch, ["query (b)", "quit"])
+        main(["repl", *conflict_world, *self.LENIENT])
+        assert CONFLICT_NOTE in capsys.readouterr().out.splitlines()
+
+    def test_repl_assert_that_resolves_the_conflict_retires_its_note(
+        self, conflict_world, monkeypatch, capsys
+    ):
+        _feed(monkeypatch, ["query (b)", "assert (a) [0.8, 1] @s2", "query (b)", "quit"])
+        main(["repl", *conflict_world, *self.LENIENT])
+        out = capsys.readouterr().out.splitlines()
+        assert out.count(CONFLICT_NOTE) == 1
+        assert out[out.index(CONFLICT_NOTE) - 1] == "(b) = [0.0000, 1.0000]"
+        assert "(a) = [0.8000, 1.0000]" in out
+
+    def test_repl_what_if_notes_the_conflict_it_makes(self, tmp_path, monkeypatch, capsys):
+        kb = tmp_path / "k.kb"
+        kb.write_text(CONFLICT_KB)
+        world = tmp_path / "w.world"
+        world.write_text("world w {\n  fact (a) [0.8, 1] @s1;\n}\n")
+        _feed(monkeypatch, ["query (b)", "what-if (a) [0, 0.2] @s2", "query (b)", "quit"])
+        main(["repl", str(kb), str(world), *self.LENIENT])
+        out = capsys.readouterr().out.splitlines()
+        # Only the what-if run sees the conflict: its world was a copy.
+        assert out.count(CONFLICT_NOTE) == 1
+        assert out[out.index(CONFLICT_NOTE) - 1] == "(b) = [0.0000, 1.0000]"
+
+
 class TestColor:
     def test_never_strips_codes(self, monkeypatch):
         monkeypatch.setenv("POSSUM_COLOR", "never")

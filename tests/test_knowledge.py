@@ -164,9 +164,27 @@ class TestEvidence:
             ("three", CertaintyInterval(0.5, 0.6)),
         ):
             assert_evidence(world, a, interval, source, ConflictPolicy.LENIENT)
-        world.diagnostics.clear()
+        assert world.diagnostics == [self.CONFLICT.replace("(one, two)", "(one, three, two)")]
         assert not retract_evidence(world, a, "three", ConflictPolicy.LENIENT)
         assert world.diagnostics == [self.CONFLICT]
+
+    def test_reconciling_again_replaces_or_drops_the_note(self):
+        # The world's notes are its current conflicts, not a log.
+        world = World("w")
+        a = Atom("p", ("a",))
+        assert_evidence(world, a, CertaintyInterval(0.8, 0.9), "one")
+        assert_evidence(world, a, CertaintyInterval(0.0, 0.1), "two", ConflictPolicy.LENIENT)
+        twin = world.copy()
+        assert assert_evidence(
+            world, a, CertaintyInterval(0.85, 0.9), "two", ConflictPolicy.LENIENT
+        )
+        assert world.diagnostics == [] and world.conflicts == {}
+        assert twin.diagnostics == [self.CONFLICT]
+        assert retract_evidence(twin, a, "two", ConflictPolicy.LENIENT)
+        assert twin.diagnostics == []
+        assert_evidence(twin, a, CertaintyInterval(0.0, 0.1), "two", ConflictPolicy.LENIENT)
+        assert retract_evidence(twin, a, "one") and retract_evidence(twin, a, "two")
+        assert a not in twin.facts and twin.diagnostics == []
 
     def test_retract_single_source(self):
         world = World("w")

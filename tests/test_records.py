@@ -195,7 +195,7 @@ def test_keywords_and_positions_build_the_same_record():
         necessity=0.1,
         family=T2,
     )
-    assert World("w", {}, {}, set(), 0, []) == World(identifier="w")
+    assert World("w", {}, {}, set(), 0, {}) == World(identifier="w")
     assert QueryConfig(0.5, ConflictPolicy.STRICT, False) == QueryConfig()
     assert ProofNode(P, "fact", QUARTER, "s", None, ()) == NODE
 

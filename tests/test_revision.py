@@ -654,6 +654,137 @@ class TestEarlyCutoff:
         assert proof_to_dict(result.proof) == proof_to_dict(fresh.proof)
 
 
+class TestWorldNotes:
+    """A session's notes start with the world's current conflict notes."""
+
+    def test_a_resolved_conflict_is_no_longer_noted(self):
+        kb = KnowledgeBase()
+        kb.rules["r"] = _rule("r", ["a"], "b")
+        world = World("w")
+        lenient = QueryConfig(conflict_policy=ConflictPolicy.LENIENT)
+        assert_evidence(world, Atom("a"), CertaintyInterval(0.8, 1.0), "s1")
+        assert_evidence(world, Atom("a"), CertaintyInterval(0.0, 0.2), "s2", ConflictPolicy.LENIENT)
+        tracker = DependencyTracker(kb, world, lenient)
+        assert [note.split(":")[0] for note in tracker.query(Atom("b")).diagnostics] == [
+            "sources for (a) conflict (s1, s2)"
+        ]
+        tracker.on_update(Atom("a"), CertaintyInterval(0.8, 1.0), "s2")
+        tracker.recompute()
+        assert tracker.query(Atom("b")).diagnostics == []
+        assert world.conflicts == {}
+
+
+class TestOneWalk:
+    """``recompute`` settles all its targets in one walk and reads each
+    from the goal table; ``on_update`` pops reader sets as it climbs."""
+
+    def test_target_with_no_set_aside_entry_is_proved_and_recorded(self):
+        kb, world = _diamond()
+        tracker = DependencyTracker(kb, world)
+        tracker.query(Atom("top"))
+        tracker.query(Atom("island"))
+        # The outside edit clears the goal table and makes every record stale.
+        assert_evidence(world, Atom("shared"), CertaintyInterval(0.95, 1.0), "outside")
+        tracker.query(Atom("island"))
+        tracker.on_update(Atom("island-seed"), CertaintyInterval(0.7, 1.0), "s2")
+        assert Atom("island") in tracker._aside
+        assert Atom("top") not in tracker._aside and Atom("top") not in tracker._goals
+        refreshed = tracker.recompute([Atom("top"), Atom("island")])
+        for atom in (Atom("top"), Atom("island")):
+            fresh = prove(kb, world.copy(), atom)
+            assert refreshed[atom] == fresh.interval
+            assert tracker.records[atom].cached == fresh.interval
+            assert tracker.records[atom].epoch == world.epoch
+            assert proof_to_dict(tracker._goals[atom]) == proof_to_dict(fresh.proof)
+        assert tracker.stale() == {Atom("left"), Atom("right")}
+        assert _reader_sets(tracker) == _invert(tracker._goals)
+
+    def test_target_a_query_derived_again_is_recorded_from_the_table(self):
+        # A query settles (leaf) below (top), but a fact node gets no
+        # record from it: recompute, which derives nothing, records it.
+        kb = KnowledgeBase()
+        kb.rules["r"] = _rule("r", ["leaf"], "top")
+        world = World("w")
+        assert_evidence(world, Atom("leaf"), CertaintyInterval(0.5, 1.0), "s")
+        tracker = DependencyTracker(kb, world)
+        tracker.query(Atom("leaf"))
+        tracker.query(Atom("top"))
+        tracker.on_update(Atom("leaf"), CertaintyInterval(0.7, 1.0), "s")
+        tracker.query(Atom("top"))
+        assert tracker.stale() == {Atom("leaf")}
+        assert tracker.recompute() == {Atom("leaf"): CertaintyInterval(0.7, 1.0)}
+        assert tracker.records[Atom("leaf")].cached == CertaintyInterval(0.7, 1.0)
+        assert tracker.stale() == frozenset()
+
+    def test_refreshed_keys_come_in_str_order(self):
+        # Derived children first, but named to sort after their parent.
+        kb = KnowledgeBase()
+        kb.rules["rz"] = _rule("rz", ["shared"], "z-left")
+        kb.rules["ry"] = _rule("ry", ["shared"], "y-right")
+        kb.rules["ra"] = _rule("ra", ["z-left", "y-right"], "a-top")
+        world = World("w")
+        assert_evidence(world, Atom("shared"), CertaintyInterval(0.8, 1.0), "s")
+        tracker = DependencyTracker(kb, world)
+        tracker.query(Atom("a-top"))
+        invalidated = tracker.on_update(Atom("shared"), CertaintyInterval(0.9, 1.0), "s2")
+        refreshed = tracker.recompute(invalidated)
+        assert list(refreshed) == [Atom("a-top"), Atom("y-right"), Atom("z-left")]
+
+    def test_unmoved_conclusion_keeps_its_epoch(self):
+        kb, world = _chain_with_prior()
+        tracker = DependencyTracker(kb, world)
+        tracker.query(Atom("top"))
+        epochs = {atom: record.epoch for atom, record in tracker.records.items()}
+        invalidated = tracker.on_update(Atom("leaf"), CertaintyInterval(0.6, 1.0), "s1")
+        assert invalidated == {Atom("mid"), Atom("top")} == epochs.keys()
+        assert world.epoch > max(epochs.values())
+        tracker.recompute(invalidated)
+        assert {atom: record.epoch for atom, record in tracker.records.items()} == epochs
+
+    def test_role_bound_target_is_read_by_its_ground_goal(self):
+        kb = KnowledgeBase()
+        kb.rules["r"] = Rule(
+            "r", (), (Atom("leaf", ("?who",)),), Atom("post", ("?who",)), 0.9, 0.0, T2
+        )
+        world = World("w", roles={"?who": "ann"})
+        assert_evidence(world, Atom("leaf", ("ann",)), CertaintyInterval(0.5, 1.0), "s")
+        tracker = DependencyTracker(kb, world)
+        target, ground = Atom("post", ("?who",)), Atom("post", ("ann",))
+        tracker.query(target)
+        invalidated = tracker.on_update(
+            Atom("leaf", ("ann",)), CertaintyInterval(0.8, 1.0), "s"
+        )
+        assert invalidated == {ground}
+        refreshed = tracker.recompute([target])
+        fresh = prove(kb, world.copy(), target)
+        assert refreshed == {ground: fresh.interval}
+        assert tracker.records[ground].cached == fresh.interval
+        assert tracker.stale() == frozenset()
+        assert tracker._aside == {}
+
+    def test_purge_of_goals_that_read_each_other_keeps_the_reader_edges(self):
+        # top reads left and right, which read shared, and reads other,
+        # which the update does not reach and which side reads too.
+        kb = KnowledgeBase()
+        kb.rules["rl"] = _rule("rl", ["shared"], "left")
+        kb.rules["rr"] = _rule("rr", ["shared"], "right")
+        kb.rules["rt"] = _rule("rt", ["left", "right", "other"], "top")
+        kb.rules["rs"] = _rule("rs", ["other"], "side")
+        world = World("w")
+        assert_evidence(world, Atom("shared"), CertaintyInterval(0.8, 1.0), "s")
+        assert_evidence(world, Atom("other"), CertaintyInterval(0.7, 1.0), "s")
+        tracker = DependencyTracker(kb, world)
+        tracker.query(Atom("top"))
+        tracker.query(Atom("side"))
+        tracker.on_update(Atom("shared"), CertaintyInterval(0.9, 1.0), "s2")
+        assert tracker._aside.keys() == {Atom(a) for a in ("shared", "left", "right", "top")}
+        assert tracker._readers[Atom("other")] == {Atom("side")}
+        assert _reader_sets(tracker) == _invert(tracker._goals)
+        tracker.recompute()
+        assert _reader_sets(tracker) == _invert(tracker._goals)
+        assert tracker._readers[Atom("other")] == {Atom("side"), Atom("top")}
+
+
 def _with_roles(rng, kb, world):
     """Add rules that read the role ?who in a premise, a context and a
     consequent, with facts for both of its bindings, A and B."""
