@@ -42,7 +42,13 @@ checks its bounds when it is built, so the steps that read intervals
 do not check them again: ``antecedent_eval`` and ``aggregate`` check
 only the family.  Bare numbers are checked by the functions that take
 them: ``tnorm``, ``tconorm``, the strengths of ``detach``,
-``similarity_from_distance`` and ``transitivity_bound``.
+``similarity_from_distance`` and ``transitivity_bound``.  Where a rule
+fires, in ``CertaintyInterval`` and ``detach``, a ``float`` already in
+[0, 1] passes with one class test and one chained comparison; any other
+value (an ``int``, a ``bool``, a ``float`` subclass, NaN, a string) takes
+the full check, which converts it or names it in its error.  A rule's
+strengths are not checked ahead of its firing, so a bad one raises only
+when a derivation reaches its rule.
 """
 
 from __future__ import annotations
@@ -138,14 +144,15 @@ class CertaintyInterval(FrozenRecord):
     __slots__ = ("lower", "upper")
 
     def __init__(self, lower: float, upper: float) -> None:
-        if not (isinstance(lower, _NUMBER) and isinstance(upper, _NUMBER)):
-            raise DomainError(f"interval bounds must be numbers, got {lower!r}, {upper!r}")
-        lo, hi = float(lower), float(upper)
-        if not (0.0 <= lo <= hi <= 1.0):
-            raise DomainError(f"invalid certainty interval [{lo!r}, {hi!r}]")
+        if not (lower.__class__ is upper.__class__ is float and 0.0 <= lower <= upper <= 1.0):
+            if not (isinstance(lower, _NUMBER) and isinstance(upper, _NUMBER)):
+                raise DomainError(f"interval bounds must be numbers, got {lower!r}, {upper!r}")
+            lower, upper = float(lower), float(upper)
+            if not (0.0 <= lower <= upper <= 1.0):
+                raise DomainError(f"invalid certainty interval [{lower!r}, {upper!r}]")
         set_lower, set_upper = self._setters
-        set_lower(self, lo)
-        set_upper(self, hi)
+        set_lower(self, lower)
+        set_upper(self, upper)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -315,8 +322,10 @@ def detach(
     leaves the conclusion unrefuted (upper 1) no matter how weak the
     premise.
     """
-    s = _check_unit(sufficiency, "sufficiency")
-    n = _check_unit(necessity, "necessity")
+    s, n = sufficiency, necessity
+    if not (s.__class__ is n.__class__ is float and 0.0 <= s <= 1.0 and 0.0 <= n <= 1.0):
+        s = _check_unit(s, "sufficiency")
+        n = _check_unit(n, "necessity")
     conj = _conjunction(family, "detach")
     lo = conj((s, premise.lower))
     hi = 1.0 - conj((n, 1.0 - premise.upper))

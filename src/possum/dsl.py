@@ -290,7 +290,7 @@ class _Parser:
         self.kinds = tokens.kinds
         self.texts = tokens.texts
         self.resume = 0  # where a recovering parse goes on after an error
-        self.atoms: dict[tuple[str, ...], Atom] = {}
+        self.atoms: dict[str | tuple[str, ...], Atom] = {}
 
     # -- token plumbing ----------------------------------------------
 
@@ -346,10 +346,11 @@ class _Parser:
             j += 1
         if texts[j] != ")":
             raise self.expected(j, "')'", f"to close the {name}")
-        key = tuple(texts[i:j])
+        # A bare predicate is its own key: no slice, no tuple.
+        key = texts[i] if j == i + 1 else tuple(texts[i:j])
         atom = self.atoms.get(key)
         if atom is None:
-            atom = self.atoms[key] = Atom(key[0], key[1:])
+            atom = self.atoms[key] = Atom(texts[i], tuple(texts[i + 1:j]))
         return atom, j + 1
 
     def parse_atoms(self, i: int, context: str) -> tuple[tuple[Atom, ...], int]:

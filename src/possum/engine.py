@@ -9,7 +9,10 @@ any stored evidence about the goal itself.  The rules for a goal, and
 the case templates its precedent link instantiates, come from one index
 grounded in the world's roles, built once per session: each rule's
 consequent, context and premises are bound there once, not per
-derivation, and a matched case fires exactly as a rule does.  Every
+derivation, and a matched case fires exactly as a rule does.  Firing
+is then arithmetic alone: a step whose answer is its input (the
+conjunction of one premise, the aggregate of one path, the gate of an
+empty context) is not called.  Every
 step is kept as a proof node so answers can be explained.  One goal
 table maps each derived goal to its proof, and the session answers a
 goal it already holds from the table.  The proof is the one record of
@@ -31,6 +34,7 @@ screens through the same gate.
 from __future__ import annotations
 
 from itertools import chain
+from operator import is_
 from typing import Callable, Generator, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from ._records import Record
@@ -235,8 +239,6 @@ def context_passes(context: tuple[Atom, ...], world: World, config: QueryConfig)
     several weak ones.  Context reads are dependencies whatever the
     verdict; ``RuleIndex.readers_of`` inverts them for revision.
     """
-    if not context:
-        return True
     threshold = config.context_threshold
     for atom in context:
         if lookup(world, atom).lower < threshold:
@@ -278,9 +280,17 @@ class RuleIndex:
     every rule would.  Each instance's context is grounded here too,
     beside its premises, so a derivation binds no role; only the gate's
     reads of the context's facts wait for evaluation time, since facts
-    change between queries.  The index holds one object per distinct
-    ground atom, so the goal table, keyed by the premises it derives,
-    mostly finds a key by identity rather than by comparing atoms.
+    change between queries.
+
+    Each distinct source atom is grounded and interned once, through
+    one memo that consequents, contexts and premises share, so the
+    index holds one object per distinct ground atom and the goal table,
+    keyed by the premises it derives, mostly finds a key by identity
+    rather than by comparing atoms.  Where every ground atom of a
+    context or premise list is the rule's own object, as in any
+    role-free KB the parser built, the instance keeps the rule's own
+    tuple; otherwise (roles, or a KB built in code with a fresh atom
+    per reference) it holds a ground tuple of its own.
 
     A derivation's stored-value reads follow from the index alone, so
     ``readers_of`` inverts them; the inverse is built on its first use,
@@ -301,16 +311,27 @@ class RuleIndex:
         self._unbound: dict[str, list[RuleInstance]] = {}
         self._context_readers: dict[Atom, dict[Atom, None]] | None = None
         atoms_of: dict[str, list[Atom]] = {}
+        bound: dict[Atom, Atom] = {}  # source atom -> its ground atom, interned
         one: dict[Atom, Atom] = {}
 
-        def intern(atom: Atom) -> Atom:
-            return one.setdefault(atom, atom)
+        def bind(atom: Atom) -> Atom:
+            ground = bound.get(atom)
+            if ground is None:
+                ground = substitute(atom, roles)
+                ground = bound[atom] = one.setdefault(ground, ground)
+            return ground
+
+        def bind_all(atoms: tuple[Atom, ...]) -> tuple[Atom, ...]:
+            if all(map(is_, map(bound.get, atoms), atoms)):
+                return atoms  # each atom is already its own ground atom
+            ground = tuple(map(bind, atoms))
+            return atoms if all(map(is_, ground, atoms)) else ground
 
         linked = (kb.linked_templates(link) for link in kb.precedent_links.values())
         for rule in chain(kb.rules.values(), *linked):
             predicate = rule.consequent.predicate
             try:
-                consequent = intern(substitute(rule.consequent, roles))
+                consequent = bind(rule.consequent)
             except UnboundRoleError as err:
                 instance = RuleInstance(rule, (), None, err.with_traceback(None))
                 self.inactive.append(instance)
@@ -318,13 +339,16 @@ class RuleIndex:
                 for atom in atoms_of.get(predicate, ()):
                     self.concluding[atom].append(instance)
                 continue
-            context, error = ground_context(rule.context, roles)
-            context = tuple(map(intern, context))
+            try:
+                context, error = bind_all(rule.context), None
+            except UnboundRoleError:
+                context, error = ground_context(rule.context, roles)
+                context = tuple(map(one.setdefault, context, context))
             if error is not None:
                 premises = None
             else:
                 try:
-                    premises = tuple(intern(substitute(a, roles)) for a in rule.antecedents)
+                    premises = bind_all(rule.antecedents)
                 except UnboundRoleError as err:
                     premises, error = (), err.with_traceback(None)
             bucket = self.concluding.get(consequent)
@@ -499,34 +523,32 @@ class QuerySession:
             # An unbound role in the consequent or the context (no
             # premises) is noted always, one in an antecedent only past
             # the gate.
-            if premises is not None and not context_passes(context, world, config):
+            if premises is not None and context and not context_passes(context, world, config):
                 continue
             if error is not None:
                 self._inactive(rule, error)
                 continue
-            child_nodes = []
-            premise_values = []
+            children = []
             for premise in premises:
                 sub = goals.get(premise)
                 if sub is None:
                     sub = yield premise
-                child_nodes.append(sub)
-                premise_values.append(sub.result)
-            joint = antecedent_eval(rule.family, premise_values)
-            detached = detach(rule.family, rule.sufficiency, rule.necessity, joint)
+                children.append(sub)
+            # Calls whose answer is their input are skipped, once the
+            # family they would check is known to be one.
+            family = rule.family
+            if len(children) == 1 and family.__class__ is TNormFamily:
+                joint = sub.result
+            else:
+                joint = antecedent_eval(family, [child.result for child in children])
+            detached = detach(family, rule.sufficiency, rule.necessity, joint)
             is_case = isinstance(rule, CaseTemplate)
-            node = ProofNode(
-                goal=atom,
-                kind="case-instance" if is_case else "rule-instance",
-                result=detached,
-                provenance=rule.identifier,
-                premise_interval=joint,
-                children=tuple(child_nodes),
-            )
+            kind = "case-instance" if is_case else "rule-instance"
+            node = ProofNode(atom, kind, detached, rule.identifier, joint, tuple(children))
             if is_case:
                 cases.append(node)
             else:
-                families.append(rule.family)
+                families.append(family)
                 paths.append(node)
 
         link = self.kb.precedent_links.get(atom.predicate)
@@ -548,39 +570,29 @@ class QuerySession:
                 support = TOTAL_IGNORANCE
             families.append(link.family)
             paths.append(
-                ProofNode(
-                    goal=atom,
-                    kind="precedent",
-                    result=support,
-                    provenance=format_path(link.path),
-                    children=tuple(cases),
-                )
+                ProofNode(atom, "precedent", support, format_path(link.path), None, tuple(cases))
             )
 
         fact_node = None
         if fact is not None:
-            fact_node = ProofNode(
-                goal=atom,
-                kind="fact",
-                result=fact.effective,
-                provenance="+".join(fact.sources()),
-            )
+            fact_node = ProofNode(atom, "fact", fact.effective, "+".join(fact.sources()))
 
         if not paths:
             if fact_node is None:
-                return ProofNode(
-                    goal=atom, kind="fact", result=TOTAL_IGNORANCE, provenance="unknown"
-                )
+                return ProofNode(atom, "fact", TOTAL_IGNORANCE, "unknown")
             return fact_node
 
-        family = TNormFamily.most_conservative(families)
-        derived = aggregate(
-            family,
-            [p.result for p in paths],
-            config.conflict_policy,
-            subject=atom,
-            diagnostics=self.notes,
-        )
+        if len(paths) == 1 and families[0].__class__ is TNormFamily:
+            family, derived = families[0], paths[0].result  # one path is its own aggregate
+        else:
+            family = TNormFamily.most_conservative(families)
+            derived = aggregate(
+                family,
+                [p.result for p in paths],
+                config.conflict_policy,
+                subject=atom,
+                diagnostics=self.notes,
+            )
         children = list(paths)
         if fact_node is not None:
             # The stored fact joins as one more independent source.
@@ -594,13 +606,7 @@ class QuerySession:
             children.append(fact_node)
         else:
             final = derived
-        return ProofNode(
-            goal=atom,
-            kind="aggregation",
-            result=final,
-            provenance=family.label,
-            children=tuple(children),
-        )
+        return ProofNode(atom, "aggregation", final, family.label, None, tuple(children))
 
     def _may_ask(self, atom: Atom) -> bool:
         return (

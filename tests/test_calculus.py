@@ -30,6 +30,13 @@ from conftest import FAMILIES, GRID, TOL, families, intervals, unit_floats
 T1, T1_5, T2, T2_5, T3 = FAMILIES
 
 
+class _Half(float):
+    """A float subclass with its own repr, which no message may show."""
+
+    def __repr__(self) -> str:
+        return "_Half(...)"
+
+
 class TestIntervalType:
     def test_valid_construction(self):
         iv = CertaintyInterval(0.3, 0.9)
@@ -57,6 +64,29 @@ class TestIntervalType:
         iv = CertaintyInterval(0, 1)
         assert isinstance(iv.lower, float) and iv.lower == 0.0
         assert isinstance(iv.upper, float) and iv.upper == 1.0
+
+    @pytest.mark.parametrize("lo,hi", [(False, True), (0, 1), (_Half(0.25), _Half(0.5))])
+    def test_bools_ints_and_float_subclasses_become_plain_floats(self, lo, hi):
+        iv = CertaintyInterval(lo, hi)
+        assert (iv.lower.__class__, iv.upper.__class__) == (float, float)
+        assert (iv.lower, iv.upper) == (float(lo), float(hi))
+        assert repr(iv) == f"CertaintyInterval(lower={float(lo)!r}, upper={float(hi)!r})"
+
+    @pytest.mark.parametrize(
+        "lo,hi,message",
+        [
+            (math.nan, 0.5, "invalid certainty interval [nan, 0.5]"),
+            (0.5, math.nan, "invalid certainty interval [0.5, nan]"),
+            (_Half(0.75), _Half(0.5), "invalid certainty interval [0.75, 0.5]"),
+            (_Half(math.nan), 1, "invalid certainty interval [nan, 1.0]"),
+            (2, True, "invalid certainty interval [2.0, 1.0]"),
+            (None, 0.5, "interval bounds must be numbers, got None, 0.5"),
+        ],
+    )
+    def test_bad_bounds_are_named_as_before(self, lo, hi, message):
+        with pytest.raises(DomainError) as err:
+            CertaintyInterval(lo, hi)
+        assert str(err.value) == message
 
     def test_named_constants(self):
         assert TOTAL_IGNORANCE.ignorance() == 1.0
@@ -273,6 +303,28 @@ class TestDetach:
             detach(T2, 1.2, 0.0, CERTAIN)
         with pytest.raises(DomainError):
             detach(T2, 0.5, -0.5, CERTAIN)
+
+    @pytest.mark.parametrize("s,n", [(1, 0), (True, False), (_Half(0.5), _Half(0.25))])
+    def test_bools_ints_and_float_subclasses_are_strengths(self, s, n):
+        premise = CertaintyInterval(0.6, 0.8)
+        assert detach(T2, s, n, premise) == detach(T2, float(s), float(n), premise)
+
+    @pytest.mark.parametrize(
+        "s,n,message",
+        [
+            (1.5, 0.0, "sufficiency 1.5 outside [0, 1]"),
+            (math.nan, 2.0, "sufficiency nan outside [0, 1]"),
+            (0.5, math.nan, "necessity nan outside [0, 1]"),
+            (_Half(1.5), 0.0, "sufficiency _Half(...) outside [0, 1]"),
+            (2, 0, "sufficiency 2 outside [0, 1]"),
+            (0.5, "0", "necessity must be a number, got '0'"),
+            (None, -1, "sufficiency must be a number, got None"),
+        ],
+    )
+    def test_bad_strengths_are_named_as_before(self, s, n, message):
+        with pytest.raises(DomainError) as err:
+            detach(T2, s, n, CERTAIN)
+        assert str(err.value) == message
 
 
 class TestAggregate:

@@ -213,6 +213,20 @@ class TestKbParsing:
         assert link.path == ("deals",)
         assert link.family is TNormFamily.T1
 
+    def test_each_distinct_atom_is_one_object(self):
+        text = (
+            "rule r1 tnorm T2 suff 0.9 nec 0 { if (p) then (q) }\n"
+            "rule r2 context (p) tnorm T2 suff 0.9 nec 0 { if (p a) (p) then (q) }\n"
+        )
+        kb = parse_kb(text)
+        r1, r2 = kb.rules["r1"], kb.rules["r2"]
+        assert r1.antecedents[0] is r2.antecedents[1] is r2.context[0]
+        assert r1.antecedents[0] == Atom("p")
+        assert r1.consequent is r2.consequent
+        bare, applied = r2.antecedents[1], r2.antecedents[0]
+        assert bare is not applied
+        assert applied == Atom("p", ("a",)) and bare != applied
+
     def test_lexicon_may_follow_its_uses(self):
         text = (
             "rule r tnorm T2 suff likely nec 0 { if (a) then (b) }\n"

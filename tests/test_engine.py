@@ -18,7 +18,7 @@ from possum.calculus import (
     TOTAL_IGNORANCE,
 )
 from possum.cbr import CaseTemplate, PrecedentLink
-from possum.dsl import parse_kb, parse_world
+from possum.dsl import parse_kb, parse_world, render_kb
 from possum.engine import (
     QueryConfig,
     QuerySession,
@@ -333,6 +333,129 @@ class TestRuleIndex:
         index = RuleIndex(kb, {})
         assert [i.rule.identifier for i in index.rules_for(Atom("q"))] == ["r", "t2", "t1"]
         assert set(index.concluding) == {Atom("q")}
+
+
+class TestIndexSharing:
+    def _assert_one_object_per_atom(self, index):
+        """Equal ground atoms among conclusions, contexts and premises are one object."""
+        atoms = list(index.concluding)
+        for instances in index.concluding.values():
+            for instance in instances:
+                atoms += instance.context
+                atoms += instance.premises or ()
+        first = {}
+        for atom in atoms:
+            assert first.setdefault(atom, atom) is atom
+        assert len(first) < len(atoms)
+
+    def test_demo_holds_one_object_per_ground_atom(self, demo):
+        kb, world = demo
+        self._assert_one_object_per_atom(RuleIndex(kb, world.roles))
+
+    def test_programmatic_kb_is_interned(self):
+        # The generator builds a fresh Atom for every reference.
+        kb, world, _ = weighted_kb(random.Random(4), 300)
+        rules = list(kb.rules.values())
+        assert rules[0].consequent is not rules[0].antecedents[0]
+        assert sum(len(r.antecedents) for r in rules) > len({a for r in rules for a in r.antecedents})
+        self._assert_one_object_per_atom(RuleIndex(kb, world.roles))
+
+    def test_a_bound_role_and_a_written_constant_are_one_object(self):
+        kb = KnowledgeBase()
+        g, a, p = (Atom(name, ("?x",)) for name in ("g", "a", "p"))
+        kb.rules["bound"] = Rule("bound", (g,), (a,), p, 0.9, 0.0, T2)
+        g, p, q = (Atom(name, ("A",)) for name in ("g", "p", "q"))
+        kb.rules["written"] = Rule("written", (g,), (p,), q, 0.5, 0.0, T2)
+        index = RuleIndex(kb, {"?x": "A"})
+        (bound,) = index.rules_for(p)
+        (written,) = index.rules_for(q)
+        assert bound.context[0] is written.context[0]
+        assert written.premises[0] in index.concluding
+        self._assert_one_object_per_atom(index)
+
+    def test_role_free_parsed_rule_shares_its_tuples(self):
+        kb, world, _ = weighted_kb(random.Random(4), 300)
+        kb = parse_kb(render_kb(kb))
+        index = RuleIndex(kb, world.roles)
+        instances = [i for bucket in index.concluding.values() for i in bucket]
+        assert {i.rule.identifier for i in instances} >= kb.rules.keys()
+        for instance in instances:
+            assert instance.context is instance.rule.context
+            assert instance.premises is instance.rule.antecedents
+        self._assert_one_object_per_atom(index)
+
+    def test_demo_rules_with_roles_ground_per_world(self, demo):
+        kb, world = demo
+        other = dict(world.roles, **{"?raider": "Exxon"})
+        first, second = RuleIndex(kb, world.roles), RuleIndex(kb, other)
+        for index, raider in ((first, "Mobil"), (second, "Exxon")):
+            for instances in index.concluding.values():
+                for instance in instances:
+                    rule = instance.rule
+                    if not any(a.variables() for a in rule.antecedents):
+                        continue
+                    assert instance.premises is not rule.antecedents
+                    assert all(a.is_ground() for a in instance.premises)
+            goal = Atom("anti-trust-success", (raider, "Marathon"))
+            assert goal in index.concluding
+        assert first.concluding.keys().isdisjoint(second.concluding)
+
+
+class TestFiringChecks:
+    """A programmatic rule's strengths are checked where it fires."""
+
+    def _kb(self):
+        kb = KnowledgeBase()
+        kb.rules["bad"] = _rule("bad", ["a", "b"], "q", s=1.5)
+        kb.rules["fine"] = _rule("fine", ["a"], "other", s=0.9)
+        return kb
+
+    def _world(self):
+        world = World("w")
+        _fact(world, "a", 0.8)
+        _fact(world, "b", 0.5)
+        return world
+
+    def test_validate_reports_it(self):
+        report = validate(self._kb())
+        assert report.range_errors == ["rule bad: sufficiency 1.5 outside [0, 1]"]
+
+    def test_it_raises_when_it_fires(self):
+        kb = self._kb()
+        for run in (
+            lambda: prove(kb, self._world(), Atom("q")),
+            lambda: forward_saturate(kb, self._world()),
+        ):
+            with pytest.raises(DomainError) as err:
+                run()
+            assert str(err.value) == "sufficiency 1.5 outside [0, 1]"
+
+    def test_one_premise_and_necessity_too(self):
+        kb = KnowledgeBase()
+        kb.rules["bad"] = _rule("bad", ["a"], "q", s=0.5, n=-0.25)
+        with pytest.raises(DomainError) as err:
+            prove(kb, self._world(), Atom("q"))
+        assert str(err.value) == "necessity -0.25 outside [0, 1]"
+
+    def test_a_goal_that_never_reaches_it_answers_as_before(self):
+        result = prove(self._kb(), self._world(), Atom("other"))
+        assert result.interval == CertaintyInterval(0.9 * 0.8, 1.0)
+        assert result.diagnostics == []
+
+    def test_a_screened_out_rule_never_fires(self):
+        kb = self._kb()
+        kb.rules["bad"] = _rule("bad", ["a"], "q", context=["cold"], s=1.5)
+        world = self._world()
+        _fact(world, "cold", 0.1)
+        assert prove(kb, world, Atom("q")).interval == TOTAL_IGNORANCE
+
+    @pytest.mark.parametrize("s,n", [(1, 0), (True, False)])
+    def test_int_and_bool_strengths_fire_as_floats(self, s, n):
+        kb = KnowledgeBase()
+        kb.rules["r"] = _rule("r", ["a", "b"], "q", s=s, n=n)
+        kb.rules["f"] = _rule("f", ["a", "b"], "p", s=float(s), n=float(n))
+        table = forward_saturate(kb, self._world())
+        assert table[Atom("q")] == table[Atom("p")]
 
 
 class TestBackwardChaining:

@@ -4,9 +4,13 @@
 many floats it covers, and the SHA-256 of their ``float.hex`` forms.
 The entries are the saturated intervals of ``weighted_kb`` seeds 0-9 at
 250 rules, those of every ``dsl_kb`` seed below 1,000 that validates and
-derives something (saturated in a seeded world), and the pairwise
-``case_similarity`` of one case fired in twelve seeded worlds.  A digest that moves on some
-interpreter means the arithmetic is not the same there.
+derives something (saturated in a seeded world), the pairwise
+``case_similarity`` of one case fired in twelve seeded worlds, and the
+intervals a ``DependencyTracker`` over ``weighted_kb`` seeds 0-4 gives
+back through a seeded run of ``on_update`` and ``recompute``.  A digest
+that moves on some interpreter means the arithmetic is not the same
+there; one that moves on the tracker alone means re-derivation no
+longer matches derivation.
 
 The check needs no pytest, so it runs on any interpreter:
 
@@ -23,12 +27,13 @@ import random
 import sys
 from pathlib import Path
 
-from generators import dsl_kb, weighted_kb
+from generators import dsl_kb, random_update, weighted_kb
 from possum.calculus import CertaintyInterval, ConflictPolicy, TNormFamily
 from possum.cbr import CaseTemplate, PrecedentLink, case_similarity
 from possum.dsl import parse_kb, render_kb
 from possum.engine import QueryConfig, forward_saturate, prove
 from possum.knowledge import Atom, KnowledgeBase, World, assert_evidence, validate
+from possum.revision import DependencyTracker
 
 GOLDEN = Path(__file__).parent / "golden" / "float_hex.txt"
 LENIENT = QueryConfig(conflict_policy=ConflictPolicy.LENIENT)
@@ -91,6 +96,23 @@ def _similarities() -> list[float]:
     return [case_similarity(x, y) for i, x in enumerate(cases) for y in cases[i + 1 :]]
 
 
+def _revised(seed: int) -> list[float]:
+    """Every tracked goal of a 250-rule ``weighted_kb`` tracked, then 20
+    seeded updates, each followed by ``recompute``: the intervals each
+    recompute returns, then every record's cached interval."""
+    rng = random.Random(seed)
+    kb, world, contexts = weighted_kb(rng, 250)
+    tracker = DependencyTracker(kb, world, LENIENT)
+    for goal in sorted(forward_saturate(kb, world, LENIENT), key=str):
+        tracker.query(goal)
+    floats = []
+    for _ in range(20):
+        tracker.on_update(*random_update(rng, world, contexts))
+        floats += _table_floats(tracker.recompute())
+    records = {atom: record.cached for atom, record in tracker.records.items()}
+    return floats + _table_floats(records)
+
+
 def digests() -> dict[str, tuple[int, str]]:
     """Each entry's name, with its float count and digest."""
     entries = {}
@@ -107,6 +129,8 @@ def digests() -> dict[str, tuple[int, str]]:
             if floats:
                 entries[f"dsl_kb/{seed}"] = floats
     entries["case_similarity"] = _similarities()
+    for seed in range(5):
+        entries[f"tracker/{seed}"] = _revised(seed)
     return {name: (len(floats), _digest(floats)) for name, floats in entries.items()}
 
 
