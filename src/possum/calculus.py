@@ -41,7 +41,7 @@ Values are checked once, where they enter.  ``CertaintyInterval``
 checks its bounds when it is built, so the steps that read intervals
 do not check them again: ``antecedent_eval`` and ``aggregate`` check
 only the family.  Bare numbers are checked by the functions that take
-them: ``tnorm``, ``tconorm``, the strengths of ``detach``,
+them: ``tnorm``, the strengths of ``detach``,
 ``similarity_from_distance`` and ``transitivity_bound``.  Where a rule
 fires, in ``CertaintyInterval`` and ``detach``, a ``float`` already in
 [0, 1] passes with one class test and one chained comparison; any other
@@ -68,7 +68,6 @@ __all__ = [
     "CERTAIN",
     "IMPOSSIBLE",
     "tnorm",
-    "tconorm",
     "antecedent_eval",
     "detach",
     "aggregate",
@@ -166,10 +165,6 @@ class CertaintyInterval(FrozenRecord):
         """Belief in the negated proposition: [1 - upper, 1 - lower]."""
         return CertaintyInterval(1.0 - self.upper, 1.0 - self.lower)
 
-    def ignorance(self) -> float:
-        """Width of the interval; 0 is fully informed, 1 knows nothing."""
-        return self.upper - self.lower
-
     def midpoint(self) -> float:
         return 0.5 * (self.lower + self.upper)
 
@@ -253,14 +248,6 @@ def _disjunction(conj: _Conjunction, values: Sequence[float]) -> float:
     return 1.0 - conj([1.0 - v for v in values])
 
 
-def _unit_values(values: Sequence[float], op: str) -> list[float]:
-    what = f"{op} argument"
-    vals = [_check_unit(v, what) for v in values]
-    if not vals:
-        raise DomainError(f"{op} of an empty sequence")
-    return vals
-
-
 def tnorm(family: TNormFamily, values: Sequence[float]) -> float:
     """Conjunction of one or more certainty values.
 
@@ -268,15 +255,10 @@ def tnorm(family: TNormFamily, values: Sequence[float]) -> float:
     the family's fold (closed n-ary form for T1.5 and T2.5).
     """
     conj = _conjunction(family, "tnorm")
-    vals = _unit_values(values, "tnorm")
+    vals = [_check_unit(v, "tnorm argument") for v in values]
+    if not vals:
+        raise DomainError("tnorm of an empty sequence")
     return vals[0] if len(vals) == 1 else conj(vals)
-
-
-def tconorm(family: TNormFamily, values: Sequence[float]) -> float:
-    """Disjunction of one or more certainty values, dual to ``tnorm``."""
-    conj = _conjunction(family, "tconorm")
-    vals = _unit_values(values, "tconorm")
-    return vals[0] if len(vals) == 1 else _disjunction(conj, vals)
 
 
 def _snap(lower: float, upper: float) -> tuple[float, float]:
@@ -418,12 +400,14 @@ def consensus(
     return CertaintyInterval(lo, hi)
 
 
+# The paper's claim that similarity is the complement of distance.
 def similarity_from_distance(distance: float) -> float:
     """Turn a normalised distance into a similarity: S = 1 - d."""
     d = _check_unit(distance, "distance")
     return 1.0 - d
 
 
+# The paper's claim that T-transitive similarity underlies the generalized modus ponens.
 def transitivity_bound(family: TNormFamily, s_ac: float, s_cb: float) -> float:
     """Least similarity of A and B compatible with their similarities to C.
 

@@ -70,6 +70,7 @@ def retrieve(
     return kept
 
 
+# The paper's claim that case similarity is the complement of distance, on fired cases.
 def case_similarity(a: ProofNode, b: ProofNode) -> float:
     """Similarity of two fired cases: the complement of their distance.
 

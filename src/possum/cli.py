@@ -90,25 +90,6 @@ def _threshold(text: str) -> float:
     return value
 
 
-def _add_query_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--tnorm-policy",
-        choices=["strict", "lenient"],
-        default="strict",
-        help="raise on conflicting evidence (strict) or degrade to ignorance (lenient)",
-    )
-    sub.add_argument(
-        "--alpha",
-        type=_threshold,
-        default=0.5,
-        metavar="A",
-        help="context activation threshold (default 0.5)",
-    )
-    sub.add_argument(
-        "--format", choices=["text", "json"], default="text", help="output format"
-    )
-
-
 def build_parser() -> _Parser:
     parser = _Parser(
         prog="possum",
@@ -116,17 +97,31 @@ def build_parser() -> _Parser:
     )
     parser.add_argument("--version", action="version", version=f"possum {__version__}")
     verbs = parser.add_subparsers(dest="verb", required=True, metavar="VERB")
+    # Flags several verbs share, each declared once.
+    policy = _Parser(add_help=False)
+    policy.add_argument(
+        "--tnorm-policy", choices=["strict", "lenient"], default="strict",
+        help="raise on conflicting evidence (strict) or degrade to ignorance (lenient)",
+    )
+    alpha = _Parser(add_help=False)
+    alpha.add_argument(
+        "--alpha", type=_threshold, default=0.5, metavar="A",
+        help="context activation threshold (default 0.5)",
+    )
+    output = _Parser(add_help=False)
+    output.add_argument("--format", choices=["text", "json"], default="text", help="output format")
+    querying = [policy, alpha, output]
 
-    p = verbs.add_parser("load", help="parse and validate a knowledge base and worlds")
+    p = verbs.add_parser(
+        "load", parents=[policy], help="parse and validate a knowledge base and worlds"
+    )
     p.add_argument("kb", help="knowledge-base file")
     p.add_argument("worlds", nargs="*", help="world files")
-    p.add_argument("--tnorm-policy", choices=["strict", "lenient"], default="strict")
 
-    p = verbs.add_parser("query", help="prove one goal by backward chaining")
+    p = verbs.add_parser("query", parents=querying, help="prove one goal by backward chaining")
     p.add_argument("kb")
     p.add_argument("world")
     p.add_argument("goal", help='e.g. "(anti-trust-success ?raider ?target)"')
-    _add_query_flags(p)
     p.add_argument("--trace", action="store_true", help="print the proof tree too")
     p.add_argument(
         "--interactive",
@@ -134,54 +129,52 @@ def build_parser() -> _Parser:
         help="prompt for askable facts the world does not settle",
     )
 
-    p = verbs.add_parser("explain", help="prove one goal and print its proof tree")
+    p = verbs.add_parser(
+        "explain", parents=querying, help="prove one goal and print its proof tree"
+    )
     p.add_argument("kb")
     p.add_argument("world")
     p.add_argument("goal")
-    _add_query_flags(p)
 
-    p = verbs.add_parser("assert", help="add evidence to a world file")
+    p = verbs.add_parser("assert", parents=[policy], help="add evidence to a world file")
     p.add_argument("world")
     p.add_argument("atom", help='e.g. "(strong-political-lobby Marathon)"')
     p.add_argument("interval", help='e.g. "[0.8, 1]"')
     p.add_argument("--source", default="user")
-    p.add_argument("--tnorm-policy", choices=["strict", "lenient"], default="strict")
     p.add_argument("--out", help="write here instead of back to the world file")
 
-    p = verbs.add_parser("retract-source", help="withdraw one source's evidence from a world file")
+    p = verbs.add_parser(
+        "retract-source", parents=[policy],
+        help="withdraw one source's evidence from a world file",
+    )
     p.add_argument("world")
     p.add_argument("atom")
     p.add_argument("source")
-    p.add_argument("--tnorm-policy", choices=["strict", "lenient"], default="strict")
     p.add_argument("--out", help="write here instead of back to the world file")
 
-    p = verbs.add_parser("cases", help="list case templates under a taxonomy node")
+    p = verbs.add_parser(
+        "cases", parents=[alpha, policy], help="list case templates under a taxonomy node"
+    )
     p.add_argument("kb")
     p.add_argument("path", help="taxonomy node, e.g. defense/anti-trust")
     p.add_argument("world", nargs="?", help="screen templates against this world")
-    p.add_argument("--alpha", type=_threshold, default=0.5)
-    p.add_argument("--tnorm-policy", choices=["strict", "lenient"], default="strict")
 
-    p = verbs.add_parser("saturate", help="derive every derivable conclusion")
+    p = verbs.add_parser("saturate", parents=querying, help="derive every derivable conclusion")
     p.add_argument("kb")
     p.add_argument("world")
-    _add_query_flags(p)
 
-    p = verbs.add_parser("repl", help="interactive session over a knowledge base and world")
+    p = verbs.add_parser(
+        "repl", parents=[policy, alpha],
+        help="interactive session over a knowledge base and world",
+    )
     p.add_argument("kb")
     p.add_argument("world")
-    p.add_argument("--tnorm-policy", choices=["strict", "lenient"], default="strict")
-    p.add_argument("--alpha", type=_threshold, default=0.5)
 
     return parser
 
 
-def _config(args: argparse.Namespace, interactive: bool = False) -> QueryConfig:
-    return QueryConfig(
-        context_threshold=args.alpha,
-        conflict_policy=ConflictPolicy(args.tnorm_policy),
-        interactive=interactive,
-    )
+def _config(args: argparse.Namespace) -> QueryConfig:
+    return QueryConfig(args.alpha, _policy(args))
 
 
 def _policy(args: argparse.Namespace) -> ConflictPolicy:
@@ -229,9 +222,8 @@ def _run_query(args: argparse.Namespace, want_trace: bool) -> int:
     kb = load_kb(args.kb)
     world = load_world(args.world, _policy(args))
     goal, negated = parse_goal(args.goal)
-    interactive = getattr(args, "interactive", False)
-    config = _config(args, interactive=interactive)
-    asker = _StdinAsker() if interactive else None
+    config = _config(args)
+    asker = _StdinAsker() if getattr(args, "interactive", False) else None
     result = prove(kb, world, goal, config, asker)
     interval = result.interval.complement() if negated else result.interval
     shown_goal = f"(not {result.goal})" if negated else str(result.goal)
@@ -395,7 +387,7 @@ def _repl_query(kb, world, config, asker, goal_text: str) -> QueryResult | None:
 def _cmd_repl(args: argparse.Namespace) -> int:
     kb = load_kb(args.kb)
     world = load_world(args.world, _policy(args))
-    config = _config(args, interactive=True)
+    config = _config(args)
     asker = _StdinAsker()
     last: QueryResult | None = None
     last_goal_text: str | None = None

@@ -87,21 +87,20 @@ class QueryConfig(Record):
 
     ``context_threshold`` is the activation level a rule's context must
     reach; ``conflict_policy`` decides whether inverted intervals raise
-    or degrade to ignorance; ``interactive`` allows prompting for
-    askable facts.
+    or degrade to ignorance.  Whether a query may prompt for askable
+    facts follows from whether its session was given an asker.
     """
 
-    __slots__ = ("context_threshold", "conflict_policy", "interactive")
+    __slots__ = ("context_threshold", "conflict_policy")
 
     def __init__(
         self, context_threshold: float = 0.5,
-        conflict_policy: ConflictPolicy = ConflictPolicy.STRICT, interactive: bool = False,
+        conflict_policy: ConflictPolicy = ConflictPolicy.STRICT,
     ) -> None:
         if not 0.0 <= context_threshold <= 1.0:  # nan fails too
             raise DomainError(f"context threshold {context_threshold!r} outside [0, 1]")
         self.context_threshold = context_threshold
         self.conflict_policy = conflict_policy
-        self.interactive = interactive
 
 
 class ProofNode(Record):
@@ -610,8 +609,7 @@ class QuerySession:
 
     def _may_ask(self, atom: Atom) -> bool:
         return (
-            self.config.interactive
-            and self.asker is not None
+            self.asker is not None
             and atom.predicate in self.world.askables
             and atom not in self._asked
         )

@@ -248,8 +248,11 @@ class World(Record):
     ``epoch`` counts the changes to any fact's effective interval;
     ``edits`` counts every change to the stored evidence, a source
     added or changed without moving an interval included, which a proof
-    shows in the sources it names.  ``edits`` stays out of ``==`` and
-    ``repr``.
+    shows in the sources it names.  ``log``, the change log, holds one
+    entry per edited atom, ordered by last edit: the edit count at its
+    last edit and at its last move of the effective interval, so a
+    reader that kept an edit count finds what changed since at its end.
+    ``edits`` and ``log`` stay out of ``==`` and ``repr``.
 
     ``conflicts`` holds the note on each fact whose sources conflict
     under the lenient policy.  It is the world's current state, not a
@@ -258,13 +261,14 @@ class World(Record):
     ``conflicts`` in ``==`` and ``repr``.
     """
 
-    __slots__ = ("identifier", "roles", "facts", "askables", "epoch", "conflicts", "edits")
+    __slots__ = ("identifier", "roles", "facts", "askables", "epoch", "conflicts", "edits", "log")
     _fields = ("identifier", "roles", "facts", "askables", "epoch", "diagnostics")
 
     def __init__(
         self, identifier: str, roles: dict[str, str] | None = None,
         facts: dict[Atom, Fact] | None = None, askables: set[str] | None = None,
         epoch: int = 0, conflicts: dict[Atom, str] | None = None, edits: int = 0,
+        log: dict[Atom, tuple[int, int]] | None = None,
     ) -> None:
         self.identifier = identifier
         self.roles = {} if roles is None else roles
@@ -273,6 +277,7 @@ class World(Record):
         self.epoch = epoch
         self.conflicts = {} if conflicts is None else conflicts
         self.edits = edits
+        self.log = {} if log is None else log
 
     @property
     def diagnostics(self) -> list[str]:
@@ -287,6 +292,7 @@ class World(Record):
             epoch=self.epoch,
             conflicts=dict(self.conflicts),
             edits=self.edits,
+            log=dict(self.log),
         )
         for atom, fact in self.facts.items():
             twin.facts[atom] = Fact(atom, dict(fact.evidence), fact.effective)
@@ -303,9 +309,9 @@ def assert_evidence(
     """Record one source's interval for a fact and re-reconcile.
 
     Returns True when the fact's effective interval actually changed
-    (the world epoch advances only then; its edit count advances
-    whenever the source's interval is new).  Under strict policy a
-    source conflict raises before anything is mutated.
+    (the world epoch advances only then; the edit count and the log
+    advance whenever the source's interval is new).  Under strict
+    policy a source conflict raises before anything is mutated.
     """
     if not atom.is_ground():
         raise DomainError(f"cannot assert evidence for non-ground atom {atom}")
@@ -316,16 +322,14 @@ def assert_evidence(
     effective = _reconcile(world, atom, evidence, policy)
     if existing is None:
         world.facts[atom] = Fact(atom, evidence, effective)
-        world.epoch += 1
-        world.edits += 1
+        _log_edit(world, atom, True)
         return True
-    if existing.evidence.get(source) != interval:
-        world.edits += 1
+    new = existing.evidence.get(source) != interval
     changed = effective != existing.effective
     existing.evidence = evidence
     existing.effective = effective
-    if changed:
-        world.epoch += 1
+    if new or changed:
+        _log_edit(world, atom, changed)
     return changed
 
 
@@ -341,19 +345,28 @@ def retract_evidence(
         return False
     evidence = dict(fact.evidence)
     del evidence[source]
-    world.edits += 1
     if not evidence:
         del world.facts[atom]
         world.conflicts.pop(atom, None)
-        world.epoch += 1
-        return True
-    effective = _reconcile(world, atom, evidence, policy)
-    changed = effective != fact.effective
-    fact.evidence = evidence
-    fact.effective = effective
-    if changed:
-        world.epoch += 1
+        changed = True
+    else:
+        effective = _reconcile(world, atom, evidence, policy)
+        changed = effective != fact.effective
+        fact.evidence = evidence
+        fact.effective = effective
+    _log_edit(world, atom, changed)
     return changed
+
+
+def _log_edit(world: World, atom: Atom, moved: bool) -> None:
+    """Count one edit to ``atom``'s evidence, and the move of its
+    effective interval if ``moved``, and put its log entry last."""
+    world.edits += 1
+    edit = world.edits
+    if moved:
+        world.epoch += 1
+    _, last_move = world.log.pop(atom, (0, 0))
+    world.log[atom] = (edit, edit if moved else last_move)
 
 
 def _reconcile(

@@ -9,10 +9,13 @@ tracker keeps the premise edges reversed: for each sub-goal, the set of
 goals whose proofs point at it.  These reader edges are added when a
 goal is derived and removed when it is purged, each in constant time,
 so an update costs in proportion to the goals it reaches, not to the
-size of the table.  When evidence changes, the tracker starts from the
-goals that read the updated atom's stored value and climbs the reader
-edges upward, drops every goal it reaches from the table, marks the
-tracked conclusions among them stale, and recomputes lazily.  The climb
+size of the table.  Every evidence edit, through ``on_update`` or made
+on the world directly (a retraction too), takes one path: at its next
+call the tracker reads the atoms edited since from the world's change
+log.  For each atom whose interval moved, it starts from the goals that
+read its stored value and climbs the reader edges upward, drops every
+goal it reaches from the table, marks the tracked conclusions among
+them stale, and recomputes lazily.  The climb
 pops each reached goal's set of readers as it goes: every reader of a
 reached goal is reached too, so the purge is left to discard only the
 edges from premises outside the reached set.  A goal that screens a
@@ -34,11 +37,11 @@ shares that node, shows the new derivation too).  Each target is then
 read from the goal table, and only one the walk left out of it is
 derived afresh.  Nothing set aside outlives ``recompute``.
 
-An edit made to the world outside the tracker shows as a moved world
-edit count (or as changed role bindings) and makes every conclusion
-stale.
-The rule index is built once and shared by every session the tracker
-opens.
+An atom whose sources changed but whose interval did not invalidates
+nothing: only its own goal's proof, which names the sources, is
+rewritten in place.  A role rebinding regrounds every rule and makes
+every conclusion stale.  The rule index is built once and shared by
+every session the tracker opens.
 
 The defining contract: after any sequence of updates, recomputed
 intervals are identical to what discarding all state and re-proving
@@ -117,27 +120,70 @@ class DependencyTracker:
         )
 
     def _sync(self) -> set[Atom]:
-        """Drop every derived result if the world was edited outside us.
+        """Apply every evidence edit since the last call: the one path.
 
-        An edit shows as a moved edit count, which every change to the
-        evidence moves, even a source added without moving an interval:
-        proofs name the sources.  Rebinding a role moves no count but
-        regrounds every rule, so it counts as an edit too.  Returns the
-        records this made stale: all of them, or none.
+        Walks the world's change log back to the last edit count seen,
+        then takes each atom edited since, in edit order.  If its
+        interval moved, the goals that read its stored value and their
+        reader cone are purged into ``_aside`` (see the module
+        docstring).  If only a source changed, its own goal's proof is
+        then rewritten in place, unless a purge took it.  A role
+        rebinding drops every derived result instead.  Returns the tracked conclusions this made stale; one
+        already stale, and not re-proved since, has no goal-table entry
+        left to reach, so it is not returned again.
         """
         world = self.world
-        rebound = world.roles != self._roles
-        if world.edits == self._edits and not rebound:
-            return set()
-        if rebound:
+        if world.roles != self._roles:
             self._roles = dict(world.roles)
             self._index = RuleIndex(self.kb, world.roles)
+            self._edits = world.edits
+            self._goals.clear()
+            self._readers.clear()
+            self._aside.clear()
+            self._stale |= self.records.keys()
+            return set(self.records)
+        since = self._edits
+        if world.edits == since:
+            return set()
         self._edits = world.edits
-        self._goals.clear()
-        self._readers.clear()
-        self._aside.clear()
-        self._stale |= self.records.keys()
-        return set(self.records)
+        edited = []
+        for atom, (edit, last_move) in reversed(world.log.items()):
+            if edit <= since:
+                break
+            edited.append((atom, last_move > since))
+        if not self._aside:
+            self._updated.clear()
+        goals, readers, aside = self._goals, self._readers, self._aside
+        reached: set[Atom] = set()
+        rewrite = []
+        for atom, moved in reversed(edited):
+            stored_readers = self._index.readers_of(atom)
+            self._updated.update(stored_readers)
+            if not moved:
+                rewrite.append(atom)
+                continue
+            frontier = [goal for goal in stored_readers if goal in goals]
+            purged = set(frontier)
+            while frontier:
+                for goal in readers.pop(frontier.pop(), ()):
+                    if goal not in purged:
+                        purged.add(goal)
+                        frontier.append(goal)
+            for goal in purged:
+                node = aside[goal] = goals.pop(goal)
+                self._drop_readers(goal, node)
+            reached |= purged
+        invalidated = reached & self.records.keys()
+        self._stale |= invalidated
+        # A goal no purge took read nothing that moved, so deriving it
+        # again keeps its interval and node; only its sources change.
+        rewrite = [atom for atom in rewrite if atom in goals]
+        for atom in rewrite:
+            node = aside[atom] = goals.pop(atom)
+            self._drop_readers(atom, node)
+        if rewrite:
+            self._prove(self._session(), rewrite)
+        return invalidated
 
     def query(self, goal: Atom) -> QueryResult:
         """Prove a goal and start tracking it (and its derived sub-goals).
@@ -242,7 +288,7 @@ class DependencyTracker:
         readers = self._readers
         for premise in premise_nodes(node):
             # Its edge set may be gone: a premise two rules share comes
-            # twice, and ``on_update`` pops the reached goals' sets.
+            # twice, and ``_sync`` pops the reached goals' sets.
             edges = readers.get(premise.goal)
             if edges is not None:
                 edges.discard(goal)
@@ -276,64 +322,18 @@ class DependencyTracker:
                 touched.append(record)
         return touched
 
-    def on_update(
-        self,
-        atom: Atom,
-        interval: CertaintyInterval,
-        source: str,
-    ) -> set[Atom]:
+    def on_update(self, atom: Atom, interval: CertaintyInterval, source: str) -> set[Atom]:
         """Apply new evidence and report which conclusions it unsettles.
 
-        The update starts from the goals that read ``atom``'s stored
-        value, climbs the kept reader edges upward, popping each reached
-        goal's reader set, and purges every goal it reaches, with its
-        edges from premises outside the reached set, so its cost follows
-        the goals reached.  The purged entries are set aside
-        for ``recompute`` to put back where nothing they read moved; the
-        returned set is all the goals reached that have records, as if
-        they were discarded.  An update that does not move the fact's
-        effective interval invalidates nothing and advances no epoch; it
-        only rewrites, in place, the proof of the atom's own goal, which
-        names the fact's sources.  The returned atoms stay stale (their
-        records keep the old interval) until ``recompute`` or a fresh
-        ``query`` refreshes them.  A conclusion already stale, and not
-        re-proved since, has no goal-table entry left for the update to
-        reach, so it is not returned again.
+        This is ``assert_evidence`` followed by ``_sync``, the path an
+        edit made on the world directly takes too, so the returned set
+        includes what earlier outside edits reached.  An update that
+        does not move the fact's interval invalidates nothing.  The
+        returned atoms stay stale (their records keep the old interval)
+        until ``recompute`` or a fresh ``query`` refreshes them.
         """
-        invalidated = self._sync()
-        changed = assert_evidence(
-            self.world, atom, interval, source, self.config.conflict_policy
-        )
-        if self.world.edits == self._edits:
-            return invalidated  # the same interval from the same source again
-        self._edits = self.world.edits
-        if not self._aside:
-            self._updated.clear()
-        stored_readers = self._index.readers_of(atom)
-        self._updated.update(stored_readers)
-        goals = self._goals
-        if not changed:
-            node = goals.pop(atom, None)
-            if node is not None:
-                self._drop_readers(atom, node)
-                self._aside[atom] = node
-                self._prove(self._session(), [atom])
-            return invalidated
-        readers = self._readers
-        reached = {goal for goal in stored_readers if goal in goals}
-        frontier = list(reached)
-        while frontier:
-            for goal in readers.pop(frontier.pop(), ()):
-                if goal not in reached:
-                    reached.add(goal)
-                    frontier.append(goal)
-        aside = self._aside
-        for goal in reached:
-            node = aside[goal] = goals.pop(goal)
-            self._drop_readers(goal, node)
-        invalidated |= reached & self.records.keys()
-        self._stale |= invalidated
-        return invalidated
+        assert_evidence(self.world, atom, interval, source, self.config.conflict_policy)
+        return self._sync()
 
     def recompute(self, invalidated: Iterable[Atom] | None = None) -> dict[Atom, CertaintyInterval]:
         """Re-prove stale conclusions, reusing every surviving sub-result.

@@ -23,7 +23,6 @@ from possum.calculus import (
     TOTAL_IGNORANCE,
     aggregate,
     similarity_from_distance,
-    tconorm,
     tnorm,
     transitivity_bound,
 )
@@ -109,8 +108,13 @@ def test_criterion_03_duality():
     for family in FAMILIES:
         for a in GRID:
             for b in GRID:
+                # aggregate reinforces confirmations through the dual
+                # conorm, and refutations through it on the complements.
                 dual = 1.0 - tnorm(family, [1.0 - a, 1.0 - b])
-                assert abs(tconorm(family, [a, b]) - dual) <= tol
+                confirmed = aggregate(family, [CertaintyInterval(v, 1.0) for v in (a, b)])
+                assert abs(confirmed.lower - dual) <= tol
+                refuted = aggregate(family, [CertaintyInterval(0.0, v) for v in (a, b)])
+                assert abs(refuted.upper - tnorm(family, [a, b])) <= tol
     for lo in GRID:
         for hi in GRID:
             if lo > hi:

@@ -19,7 +19,6 @@ from possum.calculus import (
     consensus,
     detach,
     similarity_from_distance,
-    tconorm,
     tnorm,
     transitivity_bound,
 )
@@ -28,6 +27,12 @@ from possum.errors import DomainError, EvidenceConflictError, SourceConflictErro
 from conftest import FAMILIES, GRID, TOL, families, intervals, unit_floats
 
 T1, T1_5, T2, T2_5, T3 = FAMILIES
+
+
+def _conorm(family, values):
+    """The dual conorm of ``values``, as ``aggregate`` reinforces
+    confirmations with it: the lower bound of paths ``[v, 1]``."""
+    return aggregate(family, [CertaintyInterval(v, 1.0) for v in values]).lower
 
 
 class _Half(float):
@@ -44,7 +49,8 @@ class TestIntervalType:
         assert iv.upper == 0.9
 
     def test_degenerate_point_interval(self):
-        assert CertaintyInterval(0.5, 0.5).ignorance() == 0.0
+        point = CertaintyInterval(0.5, 0.5)
+        assert point.lower == point.upper == 0.5
 
     @pytest.mark.parametrize("lo,hi", [(0.9, 0.3), (-0.1, 0.5), (0.5, 1.1), (2.0, 3.0)])
     def test_rejects_bad_bounds(self, lo, hi):
@@ -89,7 +95,7 @@ class TestIntervalType:
         assert str(err.value) == message
 
     def test_named_constants(self):
-        assert TOTAL_IGNORANCE.ignorance() == 1.0
+        assert TOTAL_IGNORANCE == CertaintyInterval(0.0, 1.0)
         assert CERTAIN == CertaintyInterval(1.0, 1.0)
         assert IMPOSSIBLE == CertaintyInterval(0.0, 0.0)
 
@@ -103,10 +109,6 @@ class TestIntervalType:
         back = iv.complement().complement()
         assert abs(back.lower - iv.lower) <= 1e-12
         assert abs(back.upper - iv.upper) <= 1e-12
-
-    @given(intervals())
-    def test_ignorance_is_width(self, iv):
-        assert iv.ignorance() == pytest.approx(iv.upper - iv.lower, abs=TOL)
 
     def test_four_decimal_rendering(self):
         assert str(CertaintyInterval(0.93818, 0.98)) == "[0.9382, 0.9800]"
@@ -142,7 +144,7 @@ class TestNormPointValues:
         ],
     )
     def test_tconorm_pairs(self, family, a, b, expect):
-        assert tconorm(family, [a, b]) == pytest.approx(expect, abs=TOL)
+        assert _conorm(family, [a, b]) == pytest.approx(expect, abs=TOL)
 
     def test_nary_closed_forms(self):
         # T1.5 over three values via the closed sum-of-roots form.
@@ -157,13 +159,10 @@ class TestNormPointValues:
     def test_singleton_passthrough_is_exact(self):
         for fam in FAMILIES:
             assert tnorm(fam, [0.37]) == 0.37
-            assert tconorm(fam, [0.37]) == 0.37
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(DomainError):
             tnorm(T2, [])
-        with pytest.raises(DomainError):
-            tconorm(T2, [])
 
     def test_out_of_range_rejected(self):
         with pytest.raises(DomainError):
@@ -215,8 +214,8 @@ class TestNormAxioms:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_conorm_boundary(self, family):
         for a in GRID:
-            assert tconorm(family, [a, 0.0]) == pytest.approx(a, abs=1e-12)
-            assert tconorm(family, [a, 1.0]) == pytest.approx(1.0, abs=1e-12)
+            assert _conorm(family, [a, 0.0]) == pytest.approx(a, abs=1e-12)
+            assert _conorm(family, [a, 1.0]) == pytest.approx(1.0, abs=1e-12)
 
     @given(families, unit_floats, unit_floats)
     def test_frechet_bounds(self, family, a, b):
@@ -240,12 +239,12 @@ class TestNormAxioms:
     @given(families, st.lists(unit_floats, min_size=2, max_size=6))
     def test_demorgan_duality(self, family, vals):
         dual = 1.0 - tnorm(family, [1.0 - v for v in vals])
-        assert tconorm(family, vals) == dual
+        assert _conorm(family, vals) == dual
 
     @given(families, st.lists(unit_floats, min_size=1, max_size=6))
     def test_results_stay_in_unit_interval(self, family, vals):
         assert 0.0 <= tnorm(family, vals) <= 1.0
-        assert 0.0 <= tconorm(family, vals) <= 1.0
+        assert 0.0 <= _conorm(family, vals) <= 1.0
 
 
 class TestAntecedentEval:
@@ -566,7 +565,7 @@ class TestSummationOrder:
             got, expected = tnorm(family, values), _folded_tnorm(family, values)
         else:
             args = tuple(1.0 - v for v in values)
-            got, expected = tconorm(family, values), 1.0 - _folded_tnorm(family, args)
+            got, expected = _conorm(family, values), 1.0 - _folded_tnorm(family, args)
         terms = [math.sqrt(v) if family is T1_5 else 1.0 / v for v in args]
         assert math.fsum(terms) != _left_to_right(terms)
         assert got == expected

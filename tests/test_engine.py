@@ -655,7 +655,7 @@ class TestAskables:
             calls.append(atom)
             return CertaintyInterval(0.6, 1.0)
 
-        config = QueryConfig(interactive=True)
+        config = QueryConfig()
         session = QuerySession(kb, world, config, asker)
         first = session.prove(Atom("verdict"))
         assert first.interval.lower == pytest.approx(0.8 * 0.6, abs=1e-12)
@@ -671,23 +671,23 @@ class TestAskables:
             calls.append(atom)
             return None
 
-        config = QueryConfig(interactive=True)
+        config = QueryConfig()
         session = QuerySession(kb, world, config, asker)
         result = session.prove(Atom("verdict"))
         assert result.interval == TOTAL_IGNORANCE
         assert calls == [Atom("hunch")]
         assert Atom("hunch") not in world.facts
 
-    def test_not_interactive_never_asks(self):
+    def test_session_with_no_asker_never_asks(self):
         kb, world = self._setup()
-        calls = []
-        session = QuerySession(kb, world, None, lambda a: calls.append(a))
-        session.prove(Atom("verdict"))
-        assert calls == []
+        edits = world.edits
+        result = QuerySession(kb, world).prove(Atom("verdict"))
+        assert result.interval == TOTAL_IGNORANCE
+        assert Atom("hunch") not in world.facts and world.edits == edits
 
     def test_answered_askable_survives_into_new_sessions(self):
         kb, world = self._setup()
-        config = QueryConfig(interactive=True)
+        config = QueryConfig()
         QuerySession(
             kb, world, config, lambda a: CertaintyInterval(0.6, 1.0)
         ).prove(Atom("verdict"))

@@ -121,6 +121,44 @@ class TestEvidence:
         assert world.copy().edits == 3
         assert World("w") == World("w", edits=5)
 
+    def test_change_log_keeps_each_atoms_last_edit_and_last_move(self):
+        world = World("w")
+        p, q = Atom("p"), Atom("q")
+        assert_evidence(world, p, CertaintyInterval(0.5, 1.0), "s1")
+        assert_evidence(world, q, CertaintyInterval(0.5, 1.0), "s1")
+        assert_evidence(world, p, CertaintyInterval(0.2, 1.0), "s2")  # moves nothing
+        assert list(world.log.items()) == [(q, (2, 2)), (p, (3, 1))]
+        retract_evidence(world, q, "s1")  # the fact goes
+        assert list(world.log.items()) == [(p, (3, 1)), (q, (4, 4))]
+        retract_evidence(world, p, "s1")  # s2's interval takes over
+        assert_evidence(world, p, CertaintyInterval(0.2, 1.0), "s2")  # no edit
+        assert list(world.log.items()) == [(q, (4, 4)), (p, (5, 5))]
+        assert world.edits == 5
+
+    def test_change_log_holds_one_entry_per_atom(self):
+        rng = random.Random(11)
+        world = World("w")
+        atoms = [Atom("p", (str(i),)) for i in range(10)]
+        for step in range(1000):
+            # Each interval is new, so each assert is one edit.
+            interval = CertaintyInterval(step / 2000, 1.0)
+            assert_evidence(world, rng.choice(atoms), interval, rng.choice(["a", "b"]))
+        assert world.edits == 1000
+        assert sorted(world.log) == sorted(atoms)
+        edits = [edit for edit, _ in world.log.values()]
+        assert edits == sorted(edits) and edits[-1] == 1000
+        assert all(0 < moved <= edit for edit, moved in world.log.values())
+
+    def test_copy_carries_the_change_log_and_equality_ignores_it(self):
+        world = World("w")
+        assert_evidence(world, Atom("p"), CertaintyInterval(0.5, 1.0), "s1")
+        twin = world.copy()
+        assert twin.log == world.log == {Atom("p"): (1, 1)}
+        assert_evidence(twin, Atom("q"), CertaintyInterval(0.5, 1.0), "s1")
+        assert Atom("q") not in world.log
+        assert World("w") == World("w", log={Atom("p"): (1, 1)})
+        assert repr(World("w")) == repr(World("w", edits=1, log={Atom("p"): (1, 1)}))
+
     def test_strict_source_conflict_leaves_world_untouched(self):
         world = World("w")
         a = Atom("p")

@@ -97,9 +97,8 @@ MUTABLE = {
     ),
     "QueryConfig": (
         QueryConfig,
-        lambda: QueryConfig(interactive=True),
-        "QueryConfig(context_threshold=0.5, "
-        "conflict_policy=<ConflictPolicy.STRICT: 'strict'>, interactive=False)",
+        lambda: QueryConfig(conflict_policy=ConflictPolicy.LENIENT),
+        "QueryConfig(context_threshold=0.5, conflict_policy=<ConflictPolicy.STRICT: 'strict'>)",
     ),
     "ProofNode": (
         lambda: ProofNode(P, "fact", QUARTER, "s"),
@@ -196,7 +195,7 @@ def test_keywords_and_positions_build_the_same_record():
         family=T2,
     )
     assert World("w", {}, {}, set(), 0, {}) == World(identifier="w")
-    assert QueryConfig(0.5, ConflictPolicy.STRICT, False) == QueryConfig()
+    assert QueryConfig(0.5, ConflictPolicy.STRICT) == QueryConfig()
     assert ProofNode(P, "fact", QUARTER, "s", None, ()) == NODE
 
 
@@ -206,6 +205,7 @@ def test_default_containers_are_fresh_per_instance():
     assert one.facts is not two.facts
     assert one.askables is not two.askables
     assert one.diagnostics is not two.diagnostics
+    assert one.log is not two.log
     kb_one, kb_two = KnowledgeBase(), KnowledgeBase()
     assert kb_one.rules is not kb_two.rules
     assert kb_one.case_library is not kb_two.case_library

@@ -26,7 +26,15 @@ from possum.engine import (
     prove,
 )
 from possum.errors import DerivationCycleError, UnboundRoleError
-from possum.knowledge import Atom, KnowledgeBase, Rule, World, assert_evidence, substitute
+from possum.knowledge import (
+    Atom,
+    KnowledgeBase,
+    Rule,
+    World,
+    assert_evidence,
+    retract_evidence,
+    substitute,
+)
 from possum.revision import DependencyTracker
 from generators import random_update, weighted_kb
 
@@ -228,8 +236,11 @@ class TestInvalidation:
         tracker = DependencyTracker(kb, world)
         tracker.query(Atom("top"))
         tracker.query(Atom("island"))
+        island = tracker._goals[Atom("island")]
         assert_evidence(world, Atom("shared"), CertaintyInterval(0.95, 1.0), "outside")
-        assert tracker.stale() == set(tracker.records)
+        # Only the updated atom's reader cone goes stale.
+        assert tracker.stale() == {Atom("top"), Atom("left"), Atom("right")}
+        assert tracker._goals[Atom("island")] is island
         answer = tracker.query(Atom("top")).interval
         assert answer == prove(kb, world.copy(), Atom("top")).interval
         tracker.recompute()
@@ -249,6 +260,58 @@ class TestInvalidation:
         tracker.recompute(invalidated)
         for atom, record in tracker.records.items():
             assert record.cached == prove(kb, world.copy(), atom).interval
+
+    def test_outside_retraction_keeps_the_proofs_it_does_not_reach(self):
+        kb, world = _diamond()
+        tracker = DependencyTracker(kb, world)
+        tracker.query(Atom("top"))
+        tracker.query(Atom("island"))
+        kept = {atom: tracker._goals[atom] for atom in (Atom("island"), Atom("island-seed"))}
+        assert retract_evidence(world, Atom("shared"), "s")  # its only source: the fact goes
+        assert Atom("shared") not in world.facts
+        assert tracker.stale() == {Atom("top"), Atom("left"), Atom("right")}
+        tracker.recompute()
+        for atom, node in kept.items():
+            assert tracker._goals[atom] is node
+        for atom, record in tracker.records.items():
+            fresh = prove(kb, world.copy(), atom)
+            assert record.cached == fresh.interval
+            assert proof_to_dict(tracker._goals[atom]) == proof_to_dict(fresh.proof)
+        assert _reader_sets(tracker) == _invert(tracker._goals)
+
+    def test_outside_edit_to_an_atom_nothing_reads_makes_nothing_stale(self):
+        kb, world = _diamond()
+        tracker = DependencyTracker(kb, world)
+        tracker.query(Atom("top"))
+        kept = dict(tracker._goals)
+        assert_evidence(world, Atom("free-floating"), CertaintyInterval(0.5, 1.0), "s")
+        retract_evidence(world, Atom("free-floating"), "s")
+        assert tracker.stale() == frozenset()
+        assert tracker._goals.keys() == kept.keys()
+        assert all(tracker._goals[atom] is node for atom, node in kept.items())
+
+    def test_burst_of_outside_edits_reaches_each_cone_once(self):
+        # island-seed gains two sources that move nothing, around a move
+        # of shared and a later source-only edit of shared: the log keeps
+        # shared's move, so its cone goes stale all the same.
+        kb, world = _diamond()
+        tracker = DependencyTracker(kb, world)
+        tracker.query(Atom("top"))
+        tracker.query(Atom("island"))
+        island = tracker._goals[Atom("island")]
+        assert_evidence(world, Atom("island-seed"), CertaintyInterval(0.5, 1.0), "outside")
+        assert_evidence(world, Atom("shared"), CertaintyInterval(0.9, 1.0), "outside")
+        assert_evidence(world, Atom("shared"), CertaintyInterval(0.5, 1.0), "weak")
+        assert_evidence(world, Atom("island-seed"), CertaintyInterval(0.4, 1.0), "again")
+        assert tracker.stale() == {Atom("top"), Atom("left"), Atom("right")}
+        assert tracker._goals[Atom("island")] is island
+        tracker.recompute()
+        for atom in tracker.records:
+            fresh = prove(kb, world.copy(), atom)
+            assert explain(tracker.query(atom)) == explain(fresh)
+            assert proof_to_dict(tracker._goals[atom]) == proof_to_dict(fresh.proof)
+        assert "via again+outside+s" in explain(tracker.query(Atom("island")))
+        assert _reader_sets(tracker) == _invert(tracker._goals)
 
     def test_second_update_before_recompute(self):
         kb, world = _diamond()
@@ -354,10 +417,15 @@ class TestRecords:
         tracker.query(Atom("top"))
         tracker.query(Atom("island"))
         assert_evidence(world, Atom("shared"), CertaintyInterval(0.95, 1.0), "outside")
-        tracker.query(Atom("top"))
-        assert Atom("island-seed") not in tracker._readers
+        assert tracker.stale() == {Atom("top"), Atom("left"), Atom("right")}
+        assert Atom("left") not in tracker._readers
         assert _reader_sets(tracker) == _invert(tracker._goals)
-        assert tracker.on_update(Atom("island-seed"), CertaintyInterval(0.7, 1.0), "s2") == set()
+        tracker.query(Atom("top"))
+        assert tracker._readers[Atom("island-seed")] == {Atom("island")}
+        assert _reader_sets(tracker) == _invert(tracker._goals)
+        assert tracker.on_update(Atom("island-seed"), CertaintyInterval(0.7, 1.0), "s2") == {
+            Atom("island")
+        }
 
     def test_sync_after_role_rebinding_leaves_no_stale_reader_edges(self):
         kb = KnowledgeBase()
@@ -577,9 +645,12 @@ class TestEarlyCutoff:
         tracker = DependencyTracker(kb, world)
         tracker.query(Atom("top"))
         epoch = world.epoch
+        top = tracker._goals[Atom("top")]
         assert_evidence(world, Atom("shared"), CertaintyInterval(0.5, 1.0), "outside")
         assert world.epoch == epoch
-        assert tracker.stale() == set(tracker.records)
+        # Nothing moved: only the fact's own proof is rewritten, in place.
+        assert tracker.stale() == frozenset()
+        assert tracker._goals[Atom("top")] is top
         tracked = explain(tracker.query(Atom("top")))
         assert "via outside+s" in tracked
         assert tracked == explain(prove(kb, world.copy(), Atom("top")))
@@ -683,9 +754,10 @@ class TestOneWalk:
         tracker = DependencyTracker(kb, world)
         tracker.query(Atom("top"))
         tracker.query(Atom("island"))
-        # The outside edit clears the goal table and makes every record stale.
+        # The outside edit sets shared's reader cone aside, and recompute
+        # of (left) alone discards the set-aside entries of (top) and (right).
         assert_evidence(world, Atom("shared"), CertaintyInterval(0.95, 1.0), "outside")
-        tracker.query(Atom("island"))
+        tracker.recompute([Atom("left")])
         tracker.on_update(Atom("island-seed"), CertaintyInterval(0.7, 1.0), "s2")
         assert Atom("island") in tracker._aside
         assert Atom("top") not in tracker._aside and Atom("top") not in tracker._goals
@@ -696,7 +768,7 @@ class TestOneWalk:
             assert tracker.records[atom].cached == fresh.interval
             assert tracker.records[atom].epoch == world.epoch
             assert proof_to_dict(tracker._goals[atom]) == proof_to_dict(fresh.proof)
-        assert tracker.stale() == {Atom("left"), Atom("right")}
+        assert tracker.stale() == {Atom("right")}
         assert _reader_sets(tracker) == _invert(tracker._goals)
 
     def test_target_a_query_derived_again_is_recorded_from_the_table(self):
@@ -816,9 +888,11 @@ class TestDifferential:
     """Tracked intervals and proofs against a from-scratch session, step by step.
 
     Steps mix updates that move an interval, updates that only add a
-    source, edits to the world made outside the tracker, role
-    rebindings, recomputes of all or some of the stale set, and queries,
-    which often land between an update and its recompute.  After each
+    source, edits to the world made outside the tracker (asserts,
+    retractions, some of which delete a fact, and bursts of two or three
+    edits that mix moves and source-only changes), role rebindings,
+    recomputes of all or some of the stale set, and queries, which often
+    land between an update and its recompute.  After each
     step every record not stale, and every query's answer, must equal
     scratch in its interval (as ``float.hex``), its explanation (notes
     excluded) and its node table, which shows a sub-proof held as two
@@ -846,19 +920,42 @@ class TestDifferential:
             assert _proof_text(tracked) == _proof_text(fresh), where
             assert proof_to_dict(tracked) == proof_to_dict(fresh), where
 
+        policy = config.conflict_policy
+
+        def echo(step):
+            # A source at total ignorance moves no interval.
+            atom = rng.choice(sorted(world.facts, key=str))
+            return atom, CertaintyInterval(0.0, 1.0), f"echo{step}"
+
+        def retract():
+            facts = sorted(world.facts, key=str)
+            single = [atom for atom in facts if len(world.facts[atom].evidence) == 1]
+            atom = rng.choice(single if single and rng.random() < 0.5 else facts)
+            retract_evidence(world, atom, rng.choice(world.facts[atom].sources()), policy)
+
         for step in range(60):
             where = f"seed {seed}, step {step}"
             draw = rng.random()
-            if draw < 0.4:
+            if draw < 0.35:
                 tracker.on_update(*random_update(rng, world, contexts))
-            elif draw < 0.5:
-                atom = rng.choice(sorted(world.facts, key=str))
-                tracker.on_update(atom, CertaintyInterval(0.0, 1.0), f"echo{step}")
-            elif draw < 0.55:
-                assert_evidence(world, *random_update(rng, world, contexts), config.conflict_policy)
-            elif draw < 0.6:
+            elif draw < 0.43:
+                tracker.on_update(*echo(step))
+            elif draw < 0.48:
+                assert_evidence(world, *random_update(rng, world, contexts), policy)
+            elif draw < 0.53:
+                retract()
+            elif draw < 0.58:
+                for k in range(rng.randint(2, 3)):
+                    kind = rng.random()
+                    if kind < 0.4:
+                        assert_evidence(world, *random_update(rng, world, contexts), policy)
+                    elif kind < 0.8:
+                        assert_evidence(world, *echo(f"{step}.{k}"), policy)
+                    else:
+                        retract()
+            elif draw < 0.62:
                 world.roles["?who"] = "B" if world.roles["?who"] == "A" else "A"
-            elif draw < 0.75:
+            elif draw < 0.76:
                 stale = sorted(tracker.stale(), key=str)
                 tracker.recompute(rng.sample(stale, len(stale) // 2) if rng.random() < 0.3 else None)
             else:
