@@ -148,11 +148,17 @@ class Notes:
         return iter(self._held)
 
 
-def premise_nodes(node: ProofNode) -> list[ProofNode]:
+def premise_nodes(
+    node: ProofNode, children: tuple[ProofNode, ...] | None = None
+) -> list[ProofNode]:
     """The sub-goal proofs a goal's proof points at, in premise order:
-    the children of its rule instances and of its matched cases."""
+    the children of its rule instances and of its matched cases.
+
+    ``children`` stands in for ``node.children``: the revision tracker
+    passes the children a node held when it was set aside, which a
+    derivation written into the node since has replaced."""
     out: list[ProofNode] = []
-    for path in node.children:
+    for path in node.children if children is None else children:
         if path.kind == "precedent":
             for case in path.children:
                 out.extend(case.children)
