@@ -7,15 +7,16 @@ instantiates exactly as it fires rules.  This module holds what only
 cases have.  ``retrieve`` finds the templates under a taxonomy node
 that pass the engine's screening gate, and ``case_similarity`` compares
 two fired cases by the premise profiles their ``case-instance`` proof
-nodes keep.  ``CaseTemplate``, ``CaseLibrary``, ``PrecedentLink``,
-``parse_path`` and ``format_path`` are re-exported from ``knowledge``.
+nodes keep.  ``CaseTemplate`` and ``PrecedentLink`` are re-exported
+from ``knowledge``, their home, for the benchmark's inputs, which
+import them from here.
 """
 
 from __future__ import annotations
 
 from .calculus import similarity_from_distance
-from .engine import ProofNode, QueryConfig, context_passes, ground_context
-from .errors import DomainError, UnknownPathError
+from .engine import ProofNode, QueryConfig, context_passes
+from .errors import DomainError, UnboundRoleError, UnknownPathError
 from .knowledge import (
     CaseLibrary,
     CaseTemplate,
@@ -24,14 +25,12 @@ from .knowledge import (
     World,
     format_path,
     parse_path,
+    substitute,
 )
 
 __all__ = [
     "CaseTemplate",
-    "CaseLibrary",
     "PrecedentLink",
-    "parse_path",
-    "format_path",
     "retrieve",
     "case_similarity",
 ]
@@ -50,8 +49,8 @@ def retrieve(
     Retrieval at an ancestor node sees a superset of what any of its
     descendants sees.  An undeclared path is an error rather than an
     empty answer, so typos do not read as absent knowledge.  A template
-    whose context has a role the world leaves unbound is screened out
-    and, given ``diagnostics``, noted there.
+    whose context has a role the world leaves unbound is inactive: it is
+    left out unscreened and, given ``diagnostics``, noted there.
     """
     if isinstance(path, str):
         path = parse_path(path)
@@ -61,11 +60,13 @@ def retrieve(
         config = QueryConfig()
     kept = []
     for t in library.templates_at(path):
-        context, err = ground_context(t.context, world.roles)
-        if err is not None:
+        try:
+            context = tuple(substitute(atom, world.roles) for atom in t.context)
+        except UnboundRoleError as err:
             if diagnostics is not None:
                 diagnostics.append(f"case {t.identifier} inactive: {err}")
-        elif context_passes(context, world, config):
+            continue
+        if context_passes(context, world, config):
             kept.append(t)
     return kept
 

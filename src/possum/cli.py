@@ -44,6 +44,7 @@ from .dsl import (
 )
 from .knowledge import (
     Atom,
+    KnowledgeBase,
     World,
     assert_evidence,
     format_path,
@@ -221,13 +222,23 @@ class _StdinAsker:
 def _run_query(args: argparse.Namespace, want_trace: bool) -> int:
     kb = load_kb(args.kb)
     world = load_world(args.world, _policy(args))
-    goal, negated = parse_goal(args.goal)
-    config = _config(args)
     asker = _StdinAsker() if getattr(args, "interactive", False) else None
+    _answer(kb, world, args.goal, _config(args), asker, args.format, want_trace)
+    return 0
+
+
+def _answer(
+    kb: KnowledgeBase, world: World, goal_text: str, config: QueryConfig,
+    asker: _StdinAsker | None, form: str = "text", want_trace: bool = False,
+) -> QueryResult:
+    """Prove a goal, ``(not (atom))`` for its complement, and print the
+    answer with its notes: the query and explain verbs and the repl's
+    query and what-if all print through here."""
+    goal, negated = parse_goal(goal_text)
     result = prove(kb, world, goal, config, asker)
     interval = result.interval.complement() if negated else result.interval
     shown_goal = f"(not {result.goal})" if negated else str(result.goal)
-    if args.format == "json":
+    if form == "json":
         import json  # here, not at the top: every other run starts without it
         payload = result_to_dict(result)
         payload["interval"] = [interval.lower, interval.upper]
@@ -235,14 +246,14 @@ def _run_query(args: argparse.Namespace, want_trace: bool) -> int:
         if negated:
             payload["negated"] = True
         print(json.dumps(payload, indent=2, sort_keys=True))
-        return 0
+        return result
     print(f"{shown_goal} = {_interval_str(interval)}")
     if negated:
         print("note: negated goal; interval is the complement of the positive answer")
     _print_notes(result.diagnostics)
     if want_trace:
         print(explain(result))
-    return 0
+    return result
 
 
 def _count(n: int, noun: str) -> str:
@@ -293,11 +304,23 @@ def _cmd_assert(args: argparse.Namespace) -> int:
     interval = parse_interval_text(args.interval)
     ground = substitute(atom, world.roles)
     assert_evidence(world, ground, interval, args.source, _policy(args))
+    return _write_back(args, world, ground)
+
+
+def _write_back(args: argparse.Namespace, world: World, ground: Atom) -> int:
+    """Write an edited world to ``--out`` or back to its file, and print
+    the edited fact."""
     out = Path(args.out) if args.out else Path(args.world)
     out.write_text(render_world(world), encoding="utf-8")
-    print(f"{ground} = {_interval_str(lookup(world, ground))} (written to {out})")
-    _print_notes(world.diagnostics)
+    _print_edited(world, ground, f" (written to {out})")
     return 0
+
+
+def _print_edited(world: World, ground: Atom, where: str = "") -> None:
+    """The fact an evidence edit left, then the world's notes: the assert
+    and retract-source verbs and the repl's assert print through here."""
+    print(f"{ground} = {_interval_str(lookup(world, ground))}{where}")
+    _print_notes(world.diagnostics)
 
 
 def _cmd_retract_source(args: argparse.Namespace) -> int:
@@ -306,13 +329,12 @@ def _cmd_retract_source(args: argparse.Namespace) -> int:
     if negated:
         raise PossumError("retract the positive atom, not its negation")
     ground = substitute(atom, world.roles)
-    if not retract_evidence(world, ground, args.source, _policy(args)):
+    edits = world.edits  # retract_evidence answers whether the interval moved
+    retract_evidence(world, ground, args.source, _policy(args))
+    if world.edits == edits:
         print(f"no evidence from {args.source} for {ground}; nothing to do")
         return 0
-    out = Path(args.out) if args.out else Path(args.world)
-    out.write_text(render_world(world), encoding="utf-8")
-    print(f"{ground} = {_interval_str(lookup(world, ground))} (written to {out})")
-    return 0
+    return _write_back(args, world, ground)
 
 
 def _cmd_cases(args: argparse.Namespace) -> int:
@@ -374,16 +396,6 @@ commands:
 """
 
 
-def _repl_query(kb, world, config, asker, goal_text: str) -> QueryResult | None:
-    goal, negated = parse_goal(goal_text)
-    result = QuerySession(kb, world, config, asker).prove(goal)
-    interval = result.interval.complement() if negated else result.interval
-    shown = f"(not {result.goal})" if negated else str(result.goal)
-    print(f"{shown} = {_interval_str(interval)}")
-    _print_notes(result.diagnostics)
-    return result
-
-
 def _cmd_repl(args: argparse.Namespace) -> int:
     kb = load_kb(args.kb)
     world = load_world(args.world, _policy(args))
@@ -411,7 +423,7 @@ def _cmd_repl(args: argparse.Namespace) -> int:
             elif verb == "help":
                 print(_REPL_HELP)
             elif verb == "query":
-                last = _repl_query(kb, world, config, asker, rest)
+                last = _answer(kb, world, rest, config, asker)
                 last_goal_text = rest
             elif verb == "why":
                 if last is None:
@@ -422,7 +434,7 @@ def _cmd_repl(args: argparse.Namespace) -> int:
                 atom, interval, source = parse_evidence_text(rest)
                 ground = substitute(atom, world.roles)
                 assert_evidence(world, ground, interval, source or "user", config.conflict_policy)
-                print(f"{ground} = {_interval_str(lookup(world, ground))}")
+                _print_edited(world, ground)
             elif verb == "what-if":
                 if last_goal_text is None:
                     print("nothing queried yet; query first, then explore")
@@ -432,7 +444,7 @@ def _cmd_repl(args: argparse.Namespace) -> int:
                 ground = substitute(atom, twin.roles)
                 assert_evidence(twin, ground, interval, source or "what-if", config.conflict_policy)
                 print(f"with {ground} = {interval}:")
-                _repl_query(kb, twin, config, asker, last_goal_text)
+                _answer(kb, twin, last_goal_text, config, asker)
             elif verb == "cases":
                 notes = world.diagnostics
                 found = retrieve(

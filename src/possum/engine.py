@@ -12,16 +12,18 @@ consequent, context and premises are bound there once, not per
 derivation, and a matched case fires exactly as a rule does.  Firing
 is then arithmetic alone: a step whose answer is its input (the
 conjunction of one premise, the aggregate of one path, the gate of an
-empty context) is not called.  Every
-step is kept as a proof node so answers can be explained.  One goal
-table maps each derived goal to its proof, and the session answers a
-goal it already holds from the table.  The proof is the one record of
-what a goal read: its premises are the sub-goal proofs it points at
-(``premise_nodes``), and its stored-value reads (its own fact slot and
-the contexts of the rules for it) depend only on the goal and the rule
-index, which inverts them (``RuleIndex.readers_of``).  Belief revision
-walks those two edges upward to invalidate exactly what an update
-touches.
+empty context) is not called.  A rule with a role the world leaves
+unbound never fires; one unbound in its consequent or context is noted
+whenever its goal is derived, one in an antecedent only once its
+context passes the gate.  Every step is kept as a proof node so
+answers can be explained.  One goal table maps each derived goal to
+its proof, and the session answers a goal it already holds from the
+table.  The proof is the one record of what a goal read: its premises
+are the sub-goal proofs it points at (``premise_nodes``), and its
+stored-value reads (its own fact slot and the ground contexts its
+rules' gates screen) depend only on the goal and the rule index, which
+inverts them (``RuleIndex.readers_of``).  Belief revision walks those
+two edges upward to invalidate exactly what an update touches.
 
 Context screening (``context_passes``) is the cheap gate in front of
 all of this: a rule or case with a context only participates when the
@@ -33,7 +35,6 @@ screens through the same gate.
 
 from __future__ import annotations
 
-from itertools import chain
 from operator import is_
 from typing import Callable, Generator, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
@@ -69,7 +70,6 @@ __all__ = [
     "premise_nodes",
     "RuleInstance",
     "RuleIndex",
-    "ground_context",
     "context_passes",
     "QuerySession",
     "prove",
@@ -213,31 +213,10 @@ class QueryResult(Record):
         return out
 
 
-def ground_context(
-    context: tuple[Atom, ...], roles: Mapping[str, str]
-) -> tuple[tuple[Atom, ...], UnboundRoleError | None]:
-    """A context with its roles bound, for ``context_passes``.
-
-    Binding stops at the first atom with a role ``roles`` leaves unbound:
-    the atoms before it are returned with that role's error.  Such a
-    context is about some other situation, so its rule or case is
-    inactive; the gate still reads the atoms that were bound.  The
-    error is returned without its traceback, which would keep the
-    frames it passed through alive as long as the error.
-    """
-    ground = []
-    for atom in context:
-        try:
-            ground.append(substitute(atom, roles))
-        except UnboundRoleError as err:
-            return tuple(ground), err.with_traceback(None)
-    return tuple(ground), None
-
-
 def context_passes(context: tuple[Atom, ...], world: World, config: QueryConfig) -> bool:
     """The screening gate that admits rules and case templates alike.
 
-    ``context`` is ground (``ground_context`` binds it).  Screening is a
+    ``context`` is ground (``RuleIndex`` binds it).  Screening is a
     shallow read of the world's stored values, never a proof, and grades
     the joint context with the most liberal conjunction (min), so the
     gate fails on the weakest atom alone, not on the interaction of
@@ -254,27 +233,29 @@ def context_passes(context: tuple[Atom, ...], world: World, config: QueryConfig)
 class RuleInstance(NamedTuple):
     """One rule or linked case template as one world's roles ground it.
 
-    ``context`` is the ground context, as ``ground_context`` gives it, and
-    ``premises`` are the ground antecedents.  ``error`` is the first role
-    the world leaves unbound, in the consequent, then the context, then
-    the antecedents; a rule with an error never fires.  ``premises`` is
-    None when the error is in the consequent, so the rule concludes
-    nothing here (its ``context`` is then empty), or in the context, so
-    the rule is inactive whatever the facts.
+    ``context`` is the ground context the gate screens, and ``premises``
+    are the ground antecedents: what a derivation reads, and no more.
+    ``error`` is the first role the world leaves unbound, in the
+    consequent, then the context, then the antecedents; a rule with an
+    error never fires, and its ``premises`` are empty.  An error in the
+    consequent or the context leaves ``context`` empty too: the rule is
+    about some other situation, nothing screens it, and a derivation of
+    its goal always notes it.  One in an antecedent keeps the ground
+    context, and the rule is noted only past the gate.
     """
 
     rule: Rule | CaseTemplate
     context: tuple[Atom, ...]
-    premises: tuple[Atom, ...] | None
+    premises: tuple[Atom, ...]
     error: UnboundRoleError | None
 
 
 class RuleIndex:
     """The rules of one knowledge base, grounded in one world's roles.
 
-    The rules are ``kb.rules`` followed by the case templates each
-    precedent link instantiates (``kb.linked_templates``); a template is
-    a rule filed in the case library, and is indexed as one.  Roles are
+    The rules are ``kb.indexed_rules()``: ``kb.rules`` followed by the
+    case templates each precedent link instantiates; a template is a
+    rule filed in the case library, and is indexed as one.  Roles are
     bound per world and never unified, so a rule has at most
     one ground instance in a world: this is Rete's alpha memory with a
     trivial join.  ``concluding`` maps each ground consequent to the
@@ -297,12 +278,14 @@ class RuleIndex:
     tuple; otherwise (roles, or a KB built in code with a fresh atom
     per reference) it holds a ground tuple of its own.
 
-    A derivation's stored-value reads follow from the index alone, so
-    ``readers_of`` inverts them; the inverse is built on its first use,
-    and one-shot queries never build it.
+    The index holds exactly what a derivation reads, so its
+    stored-value reads follow from the index alone and ``readers_of``
+    inverts them; the inverse is built on its first use, and one-shot
+    queries never build it.
 
-    An instance keeps its error without the traceback (see
-    ``ground_context``), so a KB of many inactive rules keeps no frames.
+    An instance keeps its error without the traceback, which would keep
+    the frames it passed through alive, so a KB of many inactive rules
+    keeps no frames.
 
     The index is valid only for the KB and role bindings it was built
     from.
@@ -332,35 +315,28 @@ class RuleIndex:
             ground = tuple(map(bind, atoms))
             return atoms if all(map(is_, ground, atoms)) else ground
 
-        linked = (kb.linked_templates(link) for link in kb.precedent_links.values())
-        for rule in chain(kb.rules.values(), *linked):
+        for rule in kb.indexed_rules():
             predicate = rule.consequent.predicate
+            consequent = error = None
+            context = premises = ()
             try:
                 consequent = bind(rule.consequent)
+                context = bind_all(rule.context)
+                premises = bind_all(rule.antecedents)
             except UnboundRoleError as err:
-                instance = RuleInstance(rule, (), None, err.with_traceback(None))
+                error = err.with_traceback(None)
+            instance = RuleInstance(rule, context, premises, error)
+            if consequent is None:
                 self.inactive.append(instance)
                 self._unbound.setdefault(predicate, []).append(instance)
                 for atom in atoms_of.get(predicate, ()):
                     self.concluding[atom].append(instance)
                 continue
-            try:
-                context, error = bind_all(rule.context), None
-            except UnboundRoleError:
-                context, error = ground_context(rule.context, roles)
-                context = tuple(map(one.setdefault, context, context))
-            if error is not None:
-                premises = None
-            else:
-                try:
-                    premises = bind_all(rule.antecedents)
-                except UnboundRoleError as err:
-                    premises, error = (), err.with_traceback(None)
             bucket = self.concluding.get(consequent)
             if bucket is None:
                 bucket = self.concluding[consequent] = list(self._unbound.get(predicate, ()))
                 atoms_of.setdefault(predicate, []).append(consequent)
-            bucket.append(RuleInstance(rule, context, premises, error))
+            bucket.append(instance)
 
     def rules_for(self, atom: Atom) -> Sequence[RuleInstance]:
         """The rules a derivation of ``atom`` considers, in index order."""
@@ -371,9 +347,9 @@ class RuleIndex:
 
         These are ``atom`` itself, whose fact slot its derivation reads,
         then in index order every conclusion with a rule whose ground
-        context holds ``atom``: the gate reads the context whatever its
-        verdict, including the atoms of a context bound up to an unbound
-        role.
+        context holds ``atom``: the gate reads that context whatever its
+        verdict.  A rule whose context has an unbound role has no ground
+        context, since nothing screens it, so it reads no atom here.
         """
         inverse = self._context_readers
         if inverse is None:
@@ -526,9 +502,9 @@ class QuerySession:
 
         for rule, context, premises, error in self._index.rules_for(atom):
             # An unbound role in the consequent or the context (no
-            # premises) is noted always, one in an antecedent only past
+            # context) is noted always, one in an antecedent only past
             # the gate.
-            if premises is not None and context and not context_passes(context, world, config):
+            if context and not context_passes(context, world, config):
                 continue
             if error is not None:
                 self._inactive(rule, error)

@@ -415,6 +415,12 @@ class KnowledgeBase(Record):
             if template.consequent.predicate == link.target_predicate
         ]
 
+    def indexed_rules(self) -> Iterator[Rule | CaseTemplate]:
+        """The rules the engine reads, in its reading order: ``rules``, then
+        the templates each precedent link instantiates, link by link."""
+        linked = (self.linked_templates(link) for link in self.precedent_links.values())
+        return chain(self.rules.values(), *linked)
+
 
 def predicate_dependencies(kb: KnowledgeBase) -> dict[str, dict[str, None]]:
     """Which predicates each predicate's derivation reads as premises.
@@ -423,14 +429,14 @@ def predicate_dependencies(kb: KnowledgeBase) -> dict[str, dict[str, None]]:
     carrying a precedent link also depends on the premises of every case
     template the link instantiates.  Context atoms are excluded:
     screening reads stored values only and never recurses.  The map is
-    in the engine's reading order: keys by the first rule, then linked
-    template, that concludes each predicate, as ``engine.RuleIndex``
-    orders goals; each value an ordered set (a dict of ``None``) of
-    premise predicates, once each, in antecedent order.
+    in the engine's reading order (``KnowledgeBase.indexed_rules``): keys
+    by the first rule or linked template that concludes each predicate,
+    as ``engine.RuleIndex`` orders goals; each value an ordered set (a
+    dict of ``None``) of premise predicates, once each, in antecedent
+    order.
     """
     deps: dict[str, dict[str, None]] = {}
-    linked = (kb.linked_templates(link) for link in kb.precedent_links.values())
-    for rule in chain(kb.rules.values(), *linked):
+    for rule in kb.indexed_rules():
         premises = deps.setdefault(rule.consequent.predicate, {})
         for atom in rule.antecedents:
             premises[atom.predicate] = None

@@ -3,18 +3,19 @@
 The tracker wraps the engine: queries run through it, and it keeps the
 engine's goal table (each derived goal's proof) between them.  A goal
 reads two things: the premises its proof points at, and stored values
-(its own fact slot and the contexts of the rules for it), which the
-rule index inverts (``RuleIndex.readers_of``).  Beside the table the
-tracker keeps the premise edges reversed: for each sub-goal, the goals
-whose proofs point at it, in the order their edges were added.  Every
-evidence edit, through ``on_update`` or made on the world directly (a
-retraction too), takes one path: at its next call the tracker reads the
-atoms edited since from the world's change log.  For each atom whose
-interval moved, it starts from the goals that read its stored value and
-climbs the reader edges upward, sets aside every goal it reaches, marks
-the tracked conclusions among them stale, and recomputes lazily.  A
-goal that screens a derived atom's stored value is not reached through
-that atom's derivation, which may move while the stored value does not.
+(its own fact slot and the ground contexts its rules' gates screen),
+which the rule index inverts (``RuleIndex.readers_of``).  Beside the
+table the tracker keeps the premise edges reversed: for each sub-goal,
+the goals whose proofs point at it, in the order their edges were
+added.  Every evidence edit, through ``on_update`` or made on the world
+directly (a retraction too), takes one path: at its next call the
+tracker reads the atoms edited since from the world's change log.  For
+each atom whose interval moved, it starts from the goals that read its
+stored value and climbs the reader edges upward, sets aside every goal
+it reaches, marks the tracked conclusions among them stale, and
+recomputes lazily.  A goal that screens a derived atom's stored value
+is not reached through that atom's derivation, which may move while the
+stored value does not.
 
 Reader edges survive the purge: the climb reads them and changes
 none, so a set-aside goal keeps the edges of the proof it was set aside
@@ -225,11 +226,9 @@ class DependencyTracker:
     def _mentioned_roles(self) -> frozenset[str]:
         """The role variables the indexed rules and templates mention."""
         if self._rule_roles is None:
-            kb = self.kb
-            linked = (kb.linked_templates(link) for link in kb.precedent_links.values())
             self._rule_roles = frozenset(
                 role
-                for rule in chain(kb.rules.values(), *linked)
+                for rule in self.kb.indexed_rules()
                 for atom in (rule.consequent, *rule.context, *rule.antecedents)
                 for role in atom.variables()
             )

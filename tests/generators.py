@@ -18,8 +18,15 @@ from __future__ import annotations
 import random
 
 from possum.calculus import CERTAIN, IMPOSSIBLE, CertaintyInterval, TNormFamily
-from possum.cbr import CaseTemplate, PrecedentLink
-from possum.knowledge import Atom, KnowledgeBase, Rule, World, assert_evidence
+from possum.knowledge import (
+    Atom,
+    CaseTemplate,
+    KnowledgeBase,
+    PrecedentLink,
+    Rule,
+    World,
+    assert_evidence,
+)
 
 FAMILIES = list(TNormFamily)
 

@@ -14,18 +14,21 @@ from possum.calculus import (
     detach,
     tnorm,
 )
-from possum.cbr import (
-    CaseLibrary,
-    CaseTemplate,
-    PrecedentLink,
-    case_similarity,
-    format_path,
-    parse_path,
-    retrieve,
-)
+from possum.cbr import case_similarity, retrieve
 from possum.engine import QueryConfig, QuerySession, prove
 from possum.errors import DomainError, UnknownPathError
-from possum.knowledge import Atom, KnowledgeBase, Rule, World, assert_evidence
+from possum.knowledge import (
+    Atom,
+    CaseLibrary,
+    CaseTemplate,
+    KnowledgeBase,
+    PrecedentLink,
+    Rule,
+    World,
+    assert_evidence,
+    format_path,
+    parse_path,
+)
 from conftest import ForgetfulGoals
 
 T2 = TNormFamily.T2

@@ -340,6 +340,15 @@ class TestAssertRetract:
         assert rc == 0
         assert Atom("fresh-rumor") not in load_world(world_copy).facts
 
+    def test_retract_source_that_moves_no_interval_is_still_withdrawn(self, tmp_path, capsys):
+        # (c) reads [0.5, 1] with or without s3's wider interval.
+        world = tmp_path / "w.world"
+        world.write_text("world w {\n  fact (c) [0.5, 1] @s1;\n  fact (c) [0.4, 1] @s3;\n}\n")
+        rc = main(["retract-source", str(world), "(c)", "s3"])
+        assert rc == 0
+        assert capsys.readouterr().out == f"(c) = [0.5000, 1.0000] (written to {world})\n"
+        assert load_world(str(world)).facts[Atom("c")].sources() == ["s1"]
+
     def test_retract_missing_source_is_noop(self, world_copy, capsys):
         rc = main(["retract-source", world_copy, "(fresh-rumor)", "nobody"])
         out = capsys.readouterr().out
@@ -531,10 +540,30 @@ class TestWorldConflictNotes:
             CONFLICT_NOTE,
         ]
 
+    def test_retract_source_notes_it(self, conflict_world, tmp_path, capsys):
+        kb, world = conflict_world
+        Path(world).write_text(Path(world).read_text().replace("}", "  fact (c) [0.5, 1] @s3;\n}"))
+        out = tmp_path / "out.world"
+        rc = main(["retract-source", world, "(c)", "s3", *self.LENIENT, "--out", str(out)])
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"(c) = [0.0000, 1.0000] (written to {out})",
+            CONFLICT_NOTE,
+        ]
+
     def test_repl_query_notes_it(self, conflict_world, monkeypatch, capsys):
         _feed(monkeypatch, ["query (b)", "quit"])
         main(["repl", *conflict_world, *self.LENIENT])
         assert CONFLICT_NOTE in capsys.readouterr().out.splitlines()
+
+    def test_repl_assert_notes_the_conflict_it_makes(self, conflict_world, monkeypatch, capsys):
+        kb, world = conflict_world
+        Path(world).write_text("world w {\n  fact (a) [0.8, 1] @s1;\n}\n")
+        _feed(monkeypatch, ["assert (a) [0, 0.2] @s2", "quit"])
+        main(["repl", kb, world, *self.LENIENT])
+        out = capsys.readouterr().out.splitlines()
+        # The assert verb prints the same two lines, with the file it wrote.
+        assert out[1:] == ["(a) = [0.0000, 1.0000]", CONFLICT_NOTE]
 
     def test_repl_assert_that_resolves_the_conflict_retires_its_note(
         self, conflict_world, monkeypatch, capsys
@@ -638,6 +667,14 @@ class TestRepl:
         assert "(anti-trust-success Mobil Marathon) = [0.9382, 0.9500]" in out
         # First and third answers identical: the what-if world was a copy.
         assert out.count("(anti-trust-success Mobil Marathon) = [0.9382, 0.9800]") == 2
+
+    def test_negated_query_prints_what_the_query_verb_prints(self, monkeypatch, capsys):
+        main(["query", DEMO_KB, DEMO_WORLD, f"(not {GOAL})"])
+        verb = capsys.readouterr().out.splitlines()
+        _feed(monkeypatch, [f"query (not {GOAL})", "", "quit"])  # decline the askable prompt
+        main(["repl", DEMO_KB, DEMO_WORLD])
+        assert capsys.readouterr().out.splitlines()[1:] == verb
+        assert "note: negated goal; interval is the complement of the positive answer" in verb
 
     def test_conflicting_assert_reported_not_fatal(self, monkeypatch, capsys):
         _feed(

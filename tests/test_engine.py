@@ -17,7 +17,6 @@ from possum.calculus import (
     TNormFamily,
     TOTAL_IGNORANCE,
 )
-from possum.cbr import CaseTemplate, PrecedentLink
 from possum.dsl import parse_kb, parse_world, render_kb
 from possum.engine import (
     QueryConfig,
@@ -30,7 +29,16 @@ from possum.engine import (
     result_to_dict,
 )
 from possum.errors import DerivationCycleError, DomainError, UnboundRoleError
-from possum.knowledge import Atom, KnowledgeBase, Rule, World, assert_evidence, validate
+from possum.knowledge import (
+    Atom,
+    CaseTemplate,
+    KnowledgeBase,
+    PrecedentLink,
+    Rule,
+    World,
+    assert_evidence,
+    validate,
+)
 from possum.revision import DependencyTracker
 from conftest import ForgetfulGoals
 from generators import diamond_kb, weighted_kb
@@ -160,8 +168,9 @@ class TestScreening:
         assert list(first.dependencies) == [Atom("top"), Atom("mid"), Atom("a"), Atom("b")]
         assert first.dependencies[Atom("top")] is first.proof
 
-    def test_context_read_up_to_an_unbound_role(self):
-        # The context atoms bound before the unbound one are still read.
+    def test_context_with_an_unbound_role_is_not_read(self):
+        # The rule is inactive at its unbound role, and no derivation
+        # screens its context, not even the atoms bound before that role.
         kb = KnowledgeBase()
         context = (Atom("warm"), Atom("g", ("?x",)), Atom("late"))
         kb.rules["r"] = Rule("r", context, (Atom("a"),), Atom("q"), 0.9, 0.0, T2)
@@ -172,8 +181,27 @@ class TestScreening:
         assert result.diagnostics[0] == "rule r inactive: role ?x is unbound in (g ?x)"
         assert list(result.dependencies) == [Atom("q")]
         index = RuleIndex(kb, world.roles)
-        assert index.readers_of(Atom("warm")) == (Atom("warm"), Atom("q"))
+        assert index.readers_of(Atom("warm")) == (Atom("warm"),)
         assert index.readers_of(Atom("late")) == (Atom("late"),)
+
+    def test_an_unbound_role_leaves_one_of_two_instance_shapes(self):
+        # In the consequent or the context: nothing to screen or prove.
+        # In an antecedent: the ground context, screened before the note.
+        g = Atom("g", ("?x",))
+        kb = KnowledgeBase()
+        kb.rules["head"] = Rule("head", (Atom("warm"),), (Atom("a"),), Atom("q", ("?x",)), 0.9, 0.0, T2)
+        kb.rules["gate"] = Rule("gate", (Atom("warm"), g), (Atom("a"),), Atom("q"), 0.9, 0.0, T2)
+        kb.rules["body"] = Rule("body", (Atom("warm"),), (Atom("a"), g), Atom("q"), 0.9, 0.0, T2)
+        index = RuleIndex(kb, {})
+        shapes = [
+            (i.rule.identifier, i.context, i.premises, str(i.error)) for i in index.rules_for(Atom("q"))
+        ]
+        assert shapes == [
+            ("head", (), (), "role ?x is unbound in (q ?x)"),
+            ("gate", (), (), "role ?x is unbound in (g ?x)"),
+            ("body", (Atom("warm"),), (), "role ?x is unbound in (g ?x)"),
+        ]
+        assert index.readers_of(Atom("warm")) == (Atom("warm"), Atom("q"))
 
     def test_unbound_context_role_noted(self):
         kb = KnowledgeBase()

@@ -29,10 +29,18 @@ from pathlib import Path
 
 from generators import dsl_kb, random_update, weighted_kb
 from possum.calculus import CertaintyInterval, ConflictPolicy, TNormFamily
-from possum.cbr import CaseTemplate, PrecedentLink, case_similarity
+from possum.cbr import case_similarity
 from possum.dsl import parse_kb, render_kb
 from possum.engine import QueryConfig, forward_saturate, prove
-from possum.knowledge import Atom, KnowledgeBase, World, assert_evidence, validate
+from possum.knowledge import (
+    Atom,
+    CaseTemplate,
+    KnowledgeBase,
+    PrecedentLink,
+    World,
+    assert_evidence,
+    validate,
+)
 from possum.revision import DependencyTracker
 
 GOLDEN = Path(__file__).parent / "golden" / "float_hex.txt"

@@ -14,12 +14,13 @@ from possum.calculus import (
     TNormFamily,
     TOTAL_IGNORANCE,
 )
-from possum.cbr import CaseTemplate, PrecedentLink
 from possum.engine import forward_saturate
 from possum.errors import DerivationCycleError, DomainError, UnboundRoleError
 from possum.knowledge import (
     Atom,
+    CaseTemplate,
     KnowledgeBase,
+    PrecedentLink,
     Rule,
     World,
     assert_evidence,

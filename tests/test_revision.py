@@ -5,7 +5,6 @@ import os
 import random
 import subprocess
 import sys
-from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -13,7 +12,6 @@ import pytest
 import possum
 from possum.calculus import CertaintyInterval, ConflictPolicy, TNormFamily
 from possum import revision
-from possum.cbr import CaseTemplate, PrecedentLink
 from possum.engine import (
     ProofNode,
     QueryConfig,
@@ -28,7 +26,9 @@ from possum.engine import (
 from possum.errors import DerivationCycleError, UnboundRoleError
 from possum.knowledge import (
     Atom,
+    CaseTemplate,
     KnowledgeBase,
+    PrecedentLink,
     Rule,
     World,
     assert_evidence,
@@ -65,20 +65,17 @@ def _invert(goals):
 def _context_readers(kb, roles):
     """Stored-value reads inverted from the KB alone: for each context
     atom, every conclusion of a rule or linked case template whose
-    context, bound up to its first unbound role, holds it.  A goal also
-    reads its own fact slot, which this leaves out."""
+    context holds it.  A context with a role ``roles`` leaves unbound is
+    never screened, so it holds no read.  A goal also reads its own fact
+    slot, which this leaves out."""
     readers = {}
-    linked = (kb.linked_templates(link) for link in kb.precedent_links.values())
-    for rule in chain(kb.rules.values(), *linked):
+    for rule in kb.indexed_rules():
         try:
             goal = substitute(rule.consequent, roles)
+            context = [substitute(atom, roles) for atom in rule.context]
         except UnboundRoleError:
             continue
-        for atom in rule.context:
-            try:
-                read = substitute(atom, roles)
-            except UnboundRoleError:
-                break
+        for read in context:
             readers.setdefault(read, set()).add(goal)
     return readers
 
@@ -296,6 +293,22 @@ class TestInvalidation:
         assert tracker.stale() == frozenset()
         assert tracker._goals.keys() == kept.keys()
         assert all(tracker._goals[atom] is node for atom, node in kept.items())
+
+    def test_context_atom_before_an_unbound_role_is_not_read(self):
+        # The rule is inactive at its unbound role, so no derivation of
+        # (q) screens (warm): moving it must unsettle nothing.
+        kb = KnowledgeBase()
+        context = (Atom("warm"), Atom("g", ("?x",)), Atom("late"))
+        kb.rules["r"] = Rule("r", context, (Atom("a"),), Atom("q"), 0.9, 0.0, T2)
+        world = World("w")
+        assert_evidence(world, Atom("warm"), CertaintyInterval(0.9, 1.0), "s")
+        assert_evidence(world, Atom("a"), CertaintyInterval(0.8, 1.0), "s")
+        tracker = DependencyTracker(kb, world)
+        tracker.query(Atom("q"))
+        node = tracker._goals[Atom("q")]
+        assert tracker.on_update(Atom("warm"), CertaintyInterval(0.2, 1.0), "s") == set()
+        assert tracker.stale() == frozenset()
+        assert tracker._goals[Atom("q")] is node
 
     def test_burst_of_outside_edits_reaches_each_cone_once(self):
         # island-seed gains two sources that move nothing, around a move
@@ -523,22 +536,41 @@ class TestRecords:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_reader_edges_match_a_full_inversion(self, seed):
+        self._match_a_full_inversion(seed, roles=False)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_reader_edges_match_a_full_inversion_with_roles(self, seed):
+        # Rules with a role bound, and with one unbound in a consequent,
+        # a context and an antecedent (``_with_roles``).  Their
+        # conclusions are tracked, and some updates aim at the atoms
+        # they read, so the oracle meets every instance shape.
+        self._match_a_full_inversion(seed, roles=True)
+
+    def _match_a_full_inversion(self, seed, roles):
         # The oracle is the full-graph algorithm: invert every read, the
         # stored values from the KB's rules and the premises from every
         # proof in the table, then walk the inversion breadth-first from
         # the goals that read the updated atom's stored value.
         rng = random.Random(7300 + seed)
         kb, world, contexts = weighted_kb(rng, n_rules=200)
+        if roles:
+            _with_roles(rng, kb, world)
         config = QueryConfig(conflict_policy=ConflictPolicy.LENIENT)
         tracker = DependencyTracker(kb, world, config)
         context_readers = _context_readers(kb, world.roles)
         goals = sorted(forward_saturate(kb, world.copy(), config), key=str)
         for goal in rng.sample(goals, 10):
             tracker.query(goal)
+        if roles:
+            for ident in ("far-context", "far-premise"):
+                tracker.query(kb.rules[ident].consequent)
         for step in range(40):
             draw = rng.random()
             if draw < 0.5:
                 update = random_update(rng, world, contexts)
+                if roles and draw < 0.25:
+                    role_atom = Atom(rng.choice(("seat", "gate", "lamp")), (rng.choice("AB"),))
+                    update = (role_atom, *update[1:])
                 table, records, epoch = dict(tracker._goals), set(tracker.records), world.epoch
                 invalidated = tracker.on_update(*update)
                 expected = set()
@@ -955,7 +987,10 @@ def _narrowed(rng, world, atom, step):
 
 def _with_roles(rng, kb, world):
     """Add rules that read the role ?who in a premise, a context and a
-    consequent, with facts for both of its bindings, A and B."""
+    consequent, and rules that read the role ?far, which the world leaves
+    unbound, in a consequent, in a context after a bound atom, and in an
+    antecedent behind a context; with facts for both bindings of each, A
+    and B."""
     heads = sorted({r.consequent.predicate for r in kb.rules.values()})
     who = Atom("seat", ("?who",))
     kb.rules["who-premise"] = Rule(
@@ -969,8 +1004,17 @@ def _with_roles(rng, kb, world):
     kb.rules["who-top"] = Rule(
         "who-top", (), (Atom("post", ("?who",)), Atom(heads[0])), Atom("summit"), 0.9, 0.0, T2
     )
+    kb.rules["far-head"] = Rule("far-head", (), (Atom("atom2"),), Atom("post", ("?far",)), 0.6, 0.0, T2)
+    kb.rules["far-context"] = Rule(
+        "far-context", (Atom("lamp", ("?who",)), Atom("gate", ("?far",))), (Atom("atom3"),),
+        Atom(rng.choice(heads)), 0.7, 0.0, T2,
+    )
+    kb.rules["far-premise"] = Rule(
+        "far-premise", (Atom("gate", ("?who",)),), (Atom("atom4"), Atom("seat", ("?far",))),
+        Atom(rng.choice(heads)), 0.8, 0.0, T2,
+    )
     for name in ("A", "B"):
-        for predicate in ("seat", "gate"):
+        for predicate in ("seat", "gate", "lamp"):
             interval = CertaintyInterval(round(rng.uniform(0.0, 1.0), 6), 1.0)
             assert_evidence(world, Atom(predicate, (name,)), interval, "s0")
     world.roles["?who"] = "A"
@@ -986,13 +1030,14 @@ class TestDifferential:
     Steps mix updates that move an interval, updates that only add a
     source, edits to the world made outside the tracker (asserts,
     retractions, some of which delete a fact, and bursts of two or three
-    edits that mix moves and source-only changes), role rebindings,
-    recomputes of all or some of the stale set, and queries, which often
-    land between an update and its recompute.  After each
-    step every record not stale, and every query's answer, must equal
-    scratch in its interval (as ``float.hex``), its explanation (notes
-    excluded) and its node table, which shows a sub-proof held as two
-    node objects where scratch has one.  The records' node tables are
+    edits that mix moves and source-only changes), role rebindings, a
+    role bound and unbound again, recomputes of all or some of the stale
+    set, and queries, which often land between an update and its
+    recompute.  After each step every record not stale, and every
+    query's answer, must equal scratch in its interval (as
+    ``float.hex``), its explanation (notes excluded) and its node table,
+    which shows a sub-proof held as two node objects where scratch has
+    one.  The records' node tables are
     compared as one table under a common root, so sharing across
     records counts too; explanations, whose size follows the proof
     walked as a tree, are compared for the answers and for a sample of
@@ -1066,6 +1111,9 @@ class TestDifferential:
                         retract()
             elif draw < 0.62:
                 world.roles["?who"] = "B" if world.roles["?who"] == "A" else "A"
+            elif draw < 0.65:
+                if world.roles.pop("?far", None) is None:
+                    world.roles["?far"] = rng.choice(("A", "B"))
             elif draw < 0.76:
                 stale = sorted(tracker.stale(), key=str)
                 tracker.recompute(rng.sample(stale, len(stale) // 2) if rng.random() < 0.3 else None)
