@@ -1,6 +1,6 @@
 """The textual knowledge-base and world language.
 
-Two file kinds share one lexer.  A knowledge-base file holds lexicon
+Two file kinds share one grammar.  A knowledge-base file holds lexicon
 blocks (named strength levels), taxonomy declarations, rules, cases,
 and precedent links:
 
@@ -30,23 +30,33 @@ A world file binds roles and lists evidence:
       askable weak-foreign-competition;
     }
 
-A file's tokens are parallel lists of kinds and texts, and one regular
-expression defines them.  The lexer reaches the same tokens with ``str``
-methods where it can: it cuts comments, pads punctuation with spaces,
-splits at blanks, and gives each distinct word its kind from its first
-character.  Text that path cannot vouch for goes to the expression:
-non-ASCII text, a character no token takes (or a blank ``str.split``
-knows and the grammar does not), a malformed number, or a '?' that does
-not start a role variable.  The expression also places every error:
-token start offsets, and from an offset a token's line:column, are
-computed only when an error names a token.
-Parsing is recursive descent over the lists by index, with one token of
-lookahead.  Inside a knowledge-base file the parser recovers at the
-next top-level keyword so one bad declaration does not hide the rest.
-Each distinct atom is built once per parse and shared.  Lexicon labels
-resolve in a second pass, so a block may follow its uses.  ``render_kb``
-emits a canonical form (sorted, labels replaced by their numbers) that
-re-parses to an equal knowledge base.
+A file is read by one of two paths, chosen by its text alone.  The
+declaration path cuts the comments, checks that every other character
+is an ASCII one the grammar uses, and then reads one declaration (or
+world line) per match of that kind's pattern.  The patterns are built
+from the token pieces and make the parser's keyword and kind checks;
+rules, cases, links and facts are built straight from their groups.
+The path accepts only what the token path accepts, and builds the same
+objects in the same orders, sharing the same atoms.  At the first thing
+it cannot vouch for it gives up: text no pattern matches, an unknown
+family or label, a number outside [0, 1], an inverted interval, a
+duplicate, a case under an undeclared path, an unbound role, or a
+conflict that raises.  The token path then parses the whole file, so
+every error, its position and the recovery come from that path alone.
+
+The token path is the reference.  A file's tokens are parallel lists of
+kinds and texts, lexed by one regular expression; token start offsets,
+and from an offset a token's line:column, are computed only when an
+error names a token.  Parsing is recursive descent over the lists by
+index, with one token of lookahead.  Inside a knowledge-base file the
+parser recovers at the next top-level keyword so one bad declaration
+does not hide the rest.
+
+On either path each distinct atom is built once per parse and shared,
+and lexicon labels resolve at the end, so a block may follow its uses.
+``render_kb`` emits a canonical form (sorted, labels replaced by their
+numbers) that re-parses, by the declaration path, to an equal knowledge
+base.
 """
 
 from __future__ import annotations
@@ -56,7 +66,7 @@ from pathlib import Path as FsPath
 
 from ._records import Record
 from .calculus import CertaintyInterval, ConflictPolicy, TNormFamily
-from .errors import DomainError, ParseError, ParseFailure, UnboundRoleError
+from .errors import ConflictError, DomainError, ParseError, ParseFailure, UnboundRoleError
 from .knowledge import (
     Atom,
     CaseTemplate,
@@ -91,14 +101,14 @@ _TOP_KEYWORDS = frozenset({"lexicon", "taxonomy", "rule", "case", "precedent", "
 # also admits '²', which float() rejects, and '٣', which it reads as 3.  A
 # word that starts outside ASCII is an identifier only if it starts with
 # a letter ('²x' is not), and the last branch takes any other character,
-# which is an error.  ``tokenize`` reaches the same tokens by splitting
-# whenever it can; the pattern lexes the rest and places every error.
-# It is compiled on first use (``re`` caches it), not at import.
+# which is an error.  The declaration patterns below are built from the
+# same pieces.  Every pattern is compiled on first use (``re`` caches
+# it), not at import.
 _BLANKS = r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*"
-_TOKEN = (
-    r"([A-Za-z_][\w.-]*|\?[\w.-]+|[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?"
-    r"|[{}()\[\];,=/@]|\Z|[^\W\d][\w.-]*|.)" + _BLANKS
-)
+_ID = r"[A-Za-z_][\w.-]*"
+_VAR = r"\?[\w.-]+"
+_NUM = r"[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?"
+_TOKEN = f"({_ID}|{_VAR}|{_NUM}" r"|[{}()\[\];,=/@]|\Z|[^\W\d][\w.-]*|.)" + _BLANKS
 
 _IDENT, _ROLEVAR, _NUMBER, _PUNCT, _EOF = range(5)
 _KIND_NAMES = {
@@ -112,14 +122,6 @@ _KIND_OF = {"": _EOF, "?": _ROLEVAR, "_": _IDENT}
 _KIND_OF.update(dict.fromkeys(_PUNCTUATION, _PUNCT))
 _KIND_OF.update(dict.fromkeys("0123456789", _NUMBER))
 _KIND_OF.update(dict.fromkeys("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ", _IDENT))
-# Outside comments, the characters a text may hold for ``str.split`` to
-# find the pattern's tokens: the four blanks, punctuation, and what
-# identifiers, numbers and role variables are made of.  ``str.split``
-# also splits at \x0b, \x0c and \x1c-\x1f, which are errors here.
-_SPLITTABLE = (
-    b" \t\r\n" + _PUNCTUATION.encode() + b"?_.-0123456789"
-    b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
-)
 
 
 class _Tokens:
@@ -158,14 +160,6 @@ class _Tokens:
 
 def tokenize(text: str, source_name: str = "<input>") -> _Tokens:
     """Split ``text`` into tokens; a character no token takes raises ParseError."""
-    split = _split(text)
-    if split is None:
-        return _match(text, source_name)
-    return _Tokens(*split, text, source_name)
-
-
-def _match(text: str, source_name: str = "<input>") -> _Tokens:
-    """The tokens of ``text`` by the pattern, which ``_split`` must agree with."""
     texts = re.compile(_TOKEN, re.S).findall(text, re.match(_BLANKS, text).end())
     kinds = [_KIND_OF.get(word[:1]) for word in texts]
     tokens = _Tokens(kinds, texts, text, source_name)
@@ -178,53 +172,6 @@ def _match(text: str, source_name: str = "<input>") -> _Tokens:
                     raise tokens.error(f"unexpected character {word[0]!r}", i)
                 kinds[i] = _IDENT
     return tokens
-
-
-def _split(text: str) -> tuple[list[int], list[str]] | None:
-    """The pattern's kinds and texts by ``str`` methods, or None for text
-    they cannot be shown to agree on: non-ASCII or unexpected characters,
-    a malformed number, or a '?' that does not start a role variable."""
-    if "#" in text:
-        text = "\n".join([line.partition("#")[0] for line in text.split("\n")])
-    if not text.isascii() or text.encode().translate(None, _SPLITTABLE):
-        return None
-    for mark in _PUNCTUATION:
-        text = text.replace(mark, f" {mark} ")
-    texts = text.split()
-    del text  # the padded copy
-    kind_of = {}
-    for word in set(texts):
-        kind = _KIND_OF.get(word[0])
-        if kind == _IDENT:
-            if "?" in word:
-                return None
-        elif kind == _NUMBER:
-            # Plain decimals pass at once; _is_number judges exponents.
-            if not (word.replace(".", "", 1).isdigit() and word[-1] != "." or _is_number(word)):
-                return None
-        elif kind == _ROLEVAR:
-            if len(word) == 1 or word.find("?", 1) >= 0:
-                return None
-        elif kind != _PUNCT:
-            return None
-        kind_of[word] = kind
-    kinds = list(map(kind_of.__getitem__, texts))
-    kinds.append(_EOF)
-    texts.append("")
-    return kinds, texts
-
-
-def _is_number(word: str) -> bool:
-    """Whether ``word``, of splittable characters, is all one number token.
-
-    '+' is not splittable, so an exponent here is signed only by '-'."""
-    mantissa, e, exponent = word.replace("E", "e").partition("e")
-    whole, dot, fraction = mantissa.partition(".")
-    return (
-        whole.isdigit()
-        and (not dot or fraction.isdigit())
-        and (not e or exponent.removeprefix("-").isdigit())
-    )
 
 
 class _Label(Record):
@@ -577,12 +524,260 @@ class _KbParser(_Parser):
         return kb
 
 
+# -- the declaration path ------------------------------------------
+#
+# Every '#' starts a comment, so cutting comments line by line keeps
+# every token.  On what is left, if all of it is in ``_PLAIN``, \s is one
+# of the four blanks and \w is [A-Za-z0-9_].  In each pattern a keyword,
+# identifier, role variable or number is followed by a blank or by
+# punctuation, which none of those tokens can hold, so each piece ends
+# where the lexer's token ends: no pattern reads one token as two.  An
+# atom is taken as the text between its parentheses, which
+# ``_ATOM_BODY`` checks once per distinct text.
+
+_PLAIN = (
+    b" \t\r\n" + _PUNCTUATION.encode() + b"?_.-0123456789"
+    b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+)
+_PATH = rf"({_ID}(?:\s*/\s*{_ID})*)"
+_ATOMS = r"(\([^()]*\)(?:\s*\([^()]*\))*)"
+_GRADING = rf"\s+tnorm\s+({_ID})\s+suff\s+({_NUM}|{_ID})\s+nec\s+({_NUM}|{_ID})\s*\{{\s*"
+_PREMISES = rf"if\s*{_ATOMS}\s*then\s*\(([^()]*)\)\s*\}}\s*"
+# ``rule ID [path P] [context A..] GRADING { if A.. then A }`` or
+# ``case ID path P GRADING { roles ?v.. [context A..] if A.. then A }``,
+# told apart after the match, as ``_KbParser.parse_rule_or_case`` does.
+_RULE_OR_CASE = (
+    rf"(rule|case)\s+({_ID})(?:\s+path\s+{_PATH})?(?:\s+context\s*{_ATOMS})?{_GRADING}"
+    rf"(?:roles((?:\s+{_VAR})*)(?:\s+context\s*{_ATOMS})?\s+)?{_PREMISES}"
+)
+_TAXONOMY = rf"taxonomy\s+{_PATH}\s*;\s*"
+_PRECEDENT = rf"precedent\s*\(([^()]*)\)\s*from\s+{_PATH}\s+tnorm\s+({_ID})\s*;\s*"
+_LEXICON = rf"lexicon\s*\{{((?:\s*{_ID}\s*=\s*{_NUM}\s*;)*)\s*\}}\s*"
+_WORLD = rf"world\s+({_ID})\s*\{{\s*"
+_ROLES = rf"roles((?:\s+{_VAR}\s*=\s*{_ID})*)\s*;\s*"
+_FACT = rf"fact\s*\(([^()]*)\)\s*\[\s*({_NUM})\s*,\s*({_NUM})\s*\]\s*(?:@\s*({_ID})\s*)?;\s*"
+_ASKABLE = rf"askable\s+({_ID})\s*;\s*"
+_ATOM_BODY = rf"\s*{_ID}(?:\s+(?:{_ID}|{_VAR}))*\s*"
+_FAMILIES = {family.label: family for family in TNormFamily}
+
+
+class _Unvouched(Exception):
+    """Text the declaration path leaves to the token parser."""
+
+
+def _plain(text: str) -> str:
+    """``text`` with its comments cut, if every other character is one
+    the declaration patterns read."""
+    if "#" in text:
+        text = "\n".join([line.partition("#")[0] for line in text.split("\n")])
+    if not text.isascii() or text.encode().translate(None, _PLAIN):
+        raise _Unvouched
+    return text
+
+
+def _unit(word: str) -> float:
+    value = float(word)
+    if not 0.0 <= value <= 1.0:
+        raise _Unvouched
+    return value
+
+
+def _family(label: str) -> TNormFamily:
+    family = _FAMILIES.get(label)
+    if family is None:
+        raise _Unvouched
+    return family
+
+
+def _path(group: str) -> tuple[str, ...]:
+    return tuple(group.replace("/", " ").split())
+
+
+class _Atoms(dict):
+    """One ``Atom`` per distinct atom of a parse, keyed by the text between
+    its parentheses; the token parser shares the same ones."""
+
+    def __init__(self) -> None:
+        self.by_words: dict[tuple[str, ...], Atom] = {}
+        self.body = re.compile(_ATOM_BODY).fullmatch
+        self.inners = re.compile(r"\(([^()]*)\)").findall
+
+    def __missing__(self, inner: str) -> Atom:
+        if self.body(inner) is None:
+            raise _Unvouched
+        words = tuple(inner.split())
+        atom = self.by_words.get(words)
+        if atom is None:
+            atom = self.by_words[words] = Atom(words[0], words[1:])
+        self[inner] = atom
+        return atom
+
+    def run(self, text: str) -> tuple[Atom, ...]:
+        """The atoms of a run of parenthesised atoms."""
+        return tuple([self[inner] for inner in self.inners(text)])
+
+
+def _declared_kb(text: str) -> KnowledgeBase | None:
+    """The knowledge base in ``text``, one declaration per pattern match,
+    or None at the first thing the patterns cannot vouch for."""
+    try:
+        return _read_kb(_plain(text))
+    except _Unvouched:
+        return None
+
+
+def _read_kb(text: str) -> KnowledgeBase:
+    rule_or_case = re.compile(_RULE_OR_CASE).match
+    matchers = {
+        "r": rule_or_case, "c": rule_or_case, "t": re.compile(_TAXONOMY).match,
+        "p": re.compile(_PRECEDENT).match, "l": re.compile(_LEXICON).match,
+    }
+    kb = KnowledgeBase()
+    rules, library, links = kb.rules, kb.case_library, kb.precedent_links
+    templates = library.templates
+    atoms = _Atoms()
+    run = atoms.run
+    lexicon: dict[str, float] = {}
+    labelled: list[list] = []  # ``_built``'s arguments, strengths not yet resolved
+    pos, end = len(text) - len(text.lstrip()), len(text)
+    while pos < end:
+        first = text[pos]
+        match = matchers.get(first)
+        m = match(text, pos) if match else None
+        if m is None:
+            raise _Unvouched
+        pos = m.end()
+        if first == "r" or first == "c":
+            kind, ident, path, header, family, suff, nec, roles, body, antecedents, consequent = (
+                m.groups()
+            )
+            if kind == "rule":
+                if roles is not None:
+                    raise _Unvouched
+                table, context, path = rules, header, _path(path) if path else ()
+            else:
+                if path is None or header is not None or roles is None:
+                    raise _Unvouched
+                table, context, path, roles = templates, body, _path(path), tuple(roles.split())
+            if ident in table:
+                raise _Unvouched
+            args = [
+                ident, path, roles, run(context) if context else (), run(antecedents),
+                atoms[consequent], suff, nec, _family(family),
+            ]
+            if suff[0] <= "9" and nec[0] <= "9":  # numbers, not lexicon labels
+                args[6], args[7] = _unit(suff), _unit(nec)
+                table[ident] = _built(*args)
+            else:
+                labelled.append(args)
+                table[ident] = None  # holds its place in file order
+        elif first == "t":
+            library.paths.add(_path(m[1]))
+        elif first == "p":
+            predicate = atoms[m[1]].predicate
+            if predicate in links:
+                raise _Unvouched
+            links[predicate] = PrecedentLink(predicate, _path(m[2]), _family(m[3]))
+        else:
+            entries = m[1].replace("=", " ").replace(";", " ").split()
+            for label, value in zip(entries[::2], entries[1::2]):
+                if label in lexicon:
+                    raise _Unvouched
+                lexicon[label] = _unit(value)
+    for args in labelled:
+        for i in (6, 7):
+            word = args[i]
+            if word[0] <= "9":
+                args[i] = _unit(word)
+            elif word in lexicon:
+                args[i] = lexicon[word]
+            else:
+                raise _Unvouched
+        (rules if args[2] is None else templates)[args[0]] = _built(*args)
+    if not all(library.has_path(case.path) for case in templates.values()):
+        raise _Unvouched
+    return kb
+
+
+def _built(
+    identifier: str, path: tuple[str, ...], roles: tuple[str, ...] | None,
+    context: tuple[Atom, ...], antecedents: tuple[Atom, ...], consequent: Atom,
+    sufficiency: float, necessity: float, family: TNormFamily,
+) -> Rule | CaseTemplate:
+    """A rule, or a case when it has ``roles``."""
+    if roles is None:
+        return Rule(
+            identifier, context, antecedents, consequent, sufficiency, necessity, family, path
+        )
+    return CaseTemplate(
+        identifier, path, roles, context, antecedents, consequent, sufficiency, necessity, family
+    )
+
+
+def _declared_world(text: str, policy: ConflictPolicy) -> World | None:
+    """The world in ``text``, one line per pattern match, its facts
+    asserted in file order, or None at the first thing the patterns
+    cannot vouch for: an unbound role or a conflict that raises included."""
+    try:
+        return _read_world(_plain(text), policy)
+    except (_Unvouched, UnboundRoleError, ConflictError):
+        return None
+
+
+def _read_world(text: str, policy: ConflictPolicy) -> World:
+    matchers = {
+        "f": re.compile(_FACT).match, "r": re.compile(_ROLES).match,
+        "a": re.compile(_ASKABLE).match,
+    }
+    m = re.compile(_WORLD).match(text, len(text) - len(text.lstrip()))
+    if m is None:
+        raise _Unvouched
+    world = World(identifier=m[1])
+    roles = world.roles
+    atoms = _Atoms()
+    pos = m.end()
+    while True:
+        first = text[pos:pos + 1]
+        if first == "}" and not text[pos + 1:].strip():
+            return world
+        match = matchers.get(first)
+        m = match(text, pos) if match else None
+        if m is None:
+            raise _Unvouched
+        pos = m.end()
+        if first == "f":
+            lower, upper = _unit(m[2]), _unit(m[3])
+            if lower > upper:
+                raise _Unvouched
+            ground = substitute(atoms[m[1]], roles)
+            assert_evidence(
+                world, ground, CertaintyInterval(lower, upper), m[4] or "asserted", policy
+            )
+        elif first == "r":
+            bindings = m[1].replace("=", " ").split()
+            for var, value in zip(bindings[::2], bindings[1::2]):
+                if var in roles:
+                    raise _Unvouched
+                roles[var] = value
+        else:
+            world.askables.add(m[1])
+
+
 def parse_kb(text: str, source_name: str = "<input>") -> KnowledgeBase:
-    """Parse a knowledge-base file.
+    """Parse a knowledge-base file: by the declaration path where it
+    vouches for the text, by the token parser otherwise.
 
     Raises ParseError for a single problem, ParseFailure listing all of
     them when recovery found several.
     """
+    kb = _declared_kb(text)
+    if kb is not None:
+        return kb
+    return _token_kb(text, source_name)
+
+
+def _token_kb(text: str, source_name: str = "<input>") -> KnowledgeBase:
+    """``parse_kb`` by the token parser, which reports every error."""
     parser = _KbParser(tokenize(text, source_name))
     parser.parse_file()
     kb = parser.build()
@@ -648,7 +843,18 @@ def parse_world(
     source_name: str = "<input>",
     policy: ConflictPolicy = ConflictPolicy.STRICT,
 ) -> World:
-    """Parse a world file.  Conflicting sources surface per ``policy``."""
+    """Parse a world file, by the same two paths as ``parse_kb``.
+    Conflicting sources surface per ``policy``."""
+    world = _declared_world(text, policy)
+    if world is not None:
+        return world
+    return _token_world(text, source_name, policy)
+
+
+def _token_world(
+    text: str, source_name: str = "<input>", policy: ConflictPolicy = ConflictPolicy.STRICT
+) -> World:
+    """``parse_world`` by the token parser, which reports every error."""
     return _WorldParser(tokenize(text, source_name)).parse_file(policy)
 
 
@@ -686,8 +892,6 @@ def parse_evidence_text(
     source, i = parser.parse_source(i)
     parser.expect_kind(i, _EOF, "after the evidence")
     return atom, interval, source
-
-
 
 
 def load_kb(path: str | FsPath) -> KnowledgeBase:

@@ -110,6 +110,7 @@ class DependencyTracker:
         self.world = world
         self.config = config or QueryConfig()
         self.records: dict[Atom, DependencyRecord] = {}
+        self._texts: dict[Atom, str] = {}  # each record's conclusion as text, to sort by
         self._goals: dict[Atom, ProofNode] = {}
         # Each premise's readers, as an ordered set, so the climb's
         # order, and through it settling's, follows no hash seed.
@@ -381,6 +382,8 @@ class DependencyTracker:
             if node.kind != "aggregation" and atom not in roots:
                 continue
             old = records.get(atom)
+            if old is None:
+                self._texts[atom] = str(atom)
             if old is None or old.cached is not node.result and old.cached != node.result:
                 record = records[atom] = DependencyRecord(atom, node.result, epoch)
                 touched.append(record)
@@ -418,7 +421,8 @@ class DependencyTracker:
         targets = set(self._stale if invalidated is None else invalidated)
         if not targets <= self.records.keys():  # records are keyed by ground goals
             targets = {substitute(atom, self.world.roles) for atom in targets}
-        order = sorted(targets, key=str)
+        texts = self._texts
+        order = sorted(targets, key=texts.__getitem__ if targets <= texts.keys() else str)
         try:
             derived = self._prove(self._session(), order)
         finally:

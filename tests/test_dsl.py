@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 from importlib import resources
 from pathlib import Path
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from possum.calculus import CertaintyInterval, ConflictPolicy, SourceConflictError, TNormFamily
 from possum.errors import ConflictError, ParseError, ParseFailure
-from possum.knowledge import Atom, lookup
+from possum.knowledge import Atom, KnowledgeBase, World, lookup
 from possum.dsl import (
     format_number,
     parse_evidence_text,
@@ -23,7 +24,7 @@ from possum.dsl import (
     render_world,
     tokenize,
 )
-from possum.dsl import _match, _split
+from possum.dsl import _declared_kb, _declared_world, _token_kb, _token_world
 from generators import dsl_kb, weighted_kb
 
 DATA = resources.files("possum").joinpath("data")
@@ -107,69 +108,6 @@ class TestTokenizer:
             parse_kb(text, "k.kb")
         assert (exc.value.line, exc.value.column) == (1, 25)
 
-
-
-def _lexed(lex, text):
-    """What ``lex`` makes of ``text``: its kinds and texts, or its error."""
-    try:
-        tokens = lex(text)
-    except ParseError as err:
-        return err.message, err.line, err.column
-    return tokens.kinds, tokens.texts
-
-
-# Pieces of text that ``str.split`` lexes, and pieces that send a text
-# to the pattern: non-ASCII, characters no token takes, the blanks
-# ``str.split`` knows and the lexer does not, malformed numbers, and a
-# '?' alone or inside a word.
-_SPLIT_PIECES = [
-    *" \t\r\n{}()[];,=/@?_.-#eE09aZ", "rule", "0.5", "1e-3", "2E5", "?x", "T1.5", "x?",
-    "# note\n",
-]
-_REGEX_PIECES = [*"\x0b\x0c\x1c\x1f\xa0é²٣%+\x00", "2e", "1.", "12abc", "1e+5", "1.5.3"]
-
-
-class TestSplitLexer:
-    """``tokenize`` splits text with ``str`` methods where that gives the
-    pattern's tokens, and leaves the rest to the pattern."""
-
-    @settings(max_examples=400)
-    @given(st.lists(st.sampled_from(_SPLIT_PIECES + _REGEX_PIECES), max_size=24).map("".join))
-    def test_same_tokens_or_error_as_the_pattern(self, text):
-        assert _lexed(tokenize, text) == _lexed(_match, text)
-        split = _split(text)
-        if split is not None:
-            assert split == _lexed(_match, text)
-
-    def test_a_kb_is_split(self):
-        text = DATA.joinpath("demo.kb").read_text()
-        assert _split(text) == _lexed(_match, text)
-
-    def test_non_ascii_in_a_comment_is_split(self):
-        assert _split("a # é\n?b") == ([0, 1, 4], ["a", "?b", ""])
-
-    @pytest.mark.parametrize(
-        "text",
-        [
-            pytest.param("x é", id="non-ascii"),
-            pytest.param("a + b", id="no-token-takes"),
-            pytest.param("a\x0bb", id="vertical-tab"),
-            pytest.param("a\x0cb", id="form-feed"),
-            pytest.param("a\x1cb", id="file-separator"),
-            pytest.param("a\x1fb", id="unit-separator"),
-            pytest.param("2e", id="exponent-without-digits"),
-            pytest.param("12abc", id="number-then-identifier"),
-            pytest.param("1.", id="number-then-dot"),
-            pytest.param("1e+5", id="plus-signed-exponent"),
-            pytest.param("( ? )", id="lone-question-mark"),
-            pytest.param("a?b", id="question-mark-inside-identifier"),
-            pytest.param("?a?b", id="question-mark-inside-role-variable"),
-            pytest.param("-a", id="word-starting-with-hyphen"),
-        ],
-    )
-    def test_text_the_split_cannot_vouch_for_goes_to_the_pattern(self, text):
-        assert _split(text) is None
-        assert _lexed(tokenize, text) == _lexed(_match, text)
 
 
 KB_FIXTURE = """
@@ -441,13 +379,14 @@ class TestRenderer:
 
     def test_atoms_are_shared_within_a_parse(self):
         kb, _, _ = weighted_kb(random.Random(1), 500)
-        parsed = parse_kb(render_kb(kb))
-        by_value = {}
-        for item in [*parsed.rules.values(), *parsed.case_library.templates.values()]:
-            for atom in (*item.context, *item.antecedents, item.consequent):
+        text = render_kb(kb)
+        for parsed in (parse_kb(text), _token_kb(text)):
+            by_value = {}
+            for atom in _kb_atoms(parsed):
                 by_value.setdefault(atom, set()).add(id(atom))
-        assert len(by_value) > 100
-        assert all(len(ids) == 1 for ids in by_value.values())
+            assert len(by_value) > 100
+            assert all(len(ids) == 1 for ids in by_value.values())
+        assert _same_kb(text) is not None
 
     def test_generated_kbs_round_trip(self):
         for seed in range(3000):
@@ -563,6 +502,276 @@ class TestMutatedFiles:
         assert len(actual) == len(expected)
         for got, want in zip(actual, expected):
             assert got == want
+
+
+# -- the two parse paths ---------------------------------------------
+
+
+def _kb_atoms(kb: KnowledgeBase) -> list[Atom]:
+    items = [*kb.rules.values(), *kb.case_library.templates.values()]
+    return [atom for item in items for atom in (*item.context, *item.antecedents, item.consequent)]
+
+
+def _sharing(atoms: list[Atom]) -> list[int]:
+    """For each atom, the first position in ``atoms`` that holds the same object."""
+    first: dict[int, int] = {}
+    return [first.setdefault(id(atom), i) for i, atom in enumerate(atoms)]
+
+
+def _same_kb(text: str) -> KnowledgeBase | None:
+    """The declaration path's KB for ``text``, or None, checked against the
+    token parser: equal, in the same orders and sharing atoms alike
+    wherever it returns one, and None wherever the token parser raises."""
+    declared = _declared_kb(text)
+    try:
+        reference = _token_kb(text)
+    except (ParseError, ParseFailure):
+        assert declared is None
+        return None
+    if declared is not None:
+        assert declared == reference
+        assert list(declared.rules) == list(reference.rules)
+        assert list(declared.case_library.templates) == list(reference.case_library.templates)
+        assert list(declared.precedent_links) == list(reference.precedent_links)
+        assert _sharing(_kb_atoms(declared)) == _sharing(_kb_atoms(reference))
+    return declared
+
+
+def _world_atoms(world: World) -> list[Atom]:
+    return [one for atom, fact in world.facts.items() for one in (atom, fact.atom)]
+
+
+def _same_world(text: str, policy: ConflictPolicy = ConflictPolicy.STRICT) -> World | None:
+    """``_same_kb`` for a world: its facts, their sources, the conflict
+    notes and the change log in the same order, and a conflict the token
+    parser raises is a None too."""
+    declared = _declared_world(text, policy)
+    try:
+        reference = _token_world(text, policy=policy)
+    except (ParseError, ConflictError):
+        assert declared is None
+        return None
+    if declared is not None:
+        assert declared == reference
+        assert list(declared.facts) == list(reference.facts)
+        assert [list(fact.evidence.items()) for fact in declared.facts.values()] == [
+            list(fact.evidence.items()) for fact in reference.facts.values()
+        ]
+        assert list(declared.conflicts.items()) == list(reference.conflicts.items())
+        assert list(declared.log.items()) == list(reference.log.items())
+        assert declared.edits == reference.edits
+        assert _sharing(_world_atoms(declared)) == _sharing(_world_atoms(reference))
+    return declared
+
+
+def _decorated(kb_text: str, world_text: str, rng: random.Random) -> tuple[str, str]:
+    """A rendered KB and world with a role on every atom, about half the
+    sufficiencies given as lexicon labels defined after their uses, and
+    comments (non-ASCII ones too) between and after declarations."""
+    kb_text = re.sub(r"\(([\w.-]+)\)", r"(\1 ?deal)", kb_text).replace("  roles\n", "  roles ?deal\n")
+    labels: dict[str, str] = {}
+
+    def label(match: re.Match) -> str:
+        if rng.random() < 0.5:
+            return match[0]
+        return f"suff {labels.setdefault(match[1], f'level-{len(labels)}')} nec"
+
+    kb_text = re.sub(r"suff (\S+) nec", label, kb_text)
+    kb_text += "lexicon {\n" + "".join(f"  {name} = {value};\n" for value, name in labels.items())
+    kb_text += "}\n"
+    world_text = re.sub(
+        r"\(([\w.-]+)\)", lambda m: f"({m[1]} {rng.choice(['?deal', 'Acme'])})", world_text
+    )
+    world_text = world_text.replace("{\n", "{\n  roles ?deal = Acme;\n", 1)
+
+    def commented(text: str) -> str:
+        lines = []
+        for line in text.split("\n"):
+            if rng.random() < 0.05:
+                lines.append("# a note on the next line, café")
+            lines.append(line + (" # trailing ½" if line and rng.random() < 0.2 else ""))
+        return "\n".join(lines)
+
+    return commented(kb_text), commented(world_text)
+
+
+def _assert_decorated_kbs_agree(n_rules: int, seeds) -> None:
+    for seed in seeds:
+        rng = random.Random(seed)
+        kb, world, _ = weighted_kb(rng, n_rules)
+        kb_text, world_text = _decorated(render_kb(kb), render_world(world), rng)
+        assert "?deal" in kb_text and "lexicon" in kb_text and "#" in kb_text
+        declared = _same_kb(kb_text)
+        assert declared is not None, f"seed {seed}"
+        assert declared.case_library.templates, f"seed {seed}"
+        for policy in ConflictPolicy:
+            assert _same_world(world_text, policy) is not None, f"seed {seed}"
+
+
+_PIECES = [
+    *" \t\r\n{}()[];,=/@?_.-#eE09aZ", "rule", "0.5", "1e-3", "2E5", "?x", "T1.5", "x?", "# note\n",
+    *"\x0b\x0c\x1c\x1f\xa0é²٣%+\x00", "2e", "1.", "12abc", "1e+5", "1.5.3",
+    "rule r tnorm T2 suff 0.5 nec 0 { if (a) then (b ?x) }", "taxonomy a/b;", "suff l",
+    "case c path a tnorm T1 suff 1 nec 0 { roles ?x if (a ?x) then (b ?x) }",
+    "lexicon { l = 0.3; }", "precedent (b) from a tnorm T3;", " context (c)", "(d ?y)",
+]
+
+
+def _in_a_premise(piece: str) -> str:
+    return f"rule r tnorm T2 suff 0.5 nec 0 {{ if (p {piece}) then (q) }}"
+
+
+class TestDeclarationPath:
+    """A KB or world the declaration path returns equals the token
+    parser's, and it returns None wherever the token parser raises."""
+
+    @settings(max_examples=400)
+    @given(st.lists(st.sampled_from(_PIECES), max_size=24).map("".join))
+    def test_same_kb_or_none_as_the_tokens(self, text):
+        _same_kb(text)
+
+    def test_fixtures_agree(self):
+        for text in (KB_FIXTURE, DATA.joinpath("demo.kb").read_text()):
+            assert _same_kb(text) is not None
+        for text in (WORLD_FIXTURE, DATA.joinpath("m1.world").read_text()):
+            for policy in ConflictPolicy:
+                assert _same_world(text, policy) is not None
+
+    def test_each_blank_removed_agrees(self):
+        """Two word-like tokens with no blank between them are one token
+        to the lexer, so a pattern must not read them as two."""
+        texts = [KB_FIXTURE, DATA.joinpath("demo.kb").read_text()]
+        for text in texts:
+            for blank in re.finditer(r"\s+", text):
+                _same_kb(text[:blank.start()] + text[blank.end():])
+        texts = [WORLD_FIXTURE, DATA.joinpath("m1.world").read_text()]
+        for text in texts:
+            for blank in re.finditer(r"\s+", text):
+                _same_world(text[:blank.start()] + text[blank.end():], ConflictPolicy.LENIENT)
+
+    def test_non_ascii_in_a_comment_is_declared(self):
+        kb = _same_kb("taxonomy a; # é\n# ²\ntaxonomy b;")
+        assert kb is not None and kb.case_library.paths == {("a",), ("b",)}
+        world = _same_world("world w { # é\n  askable b; # ²\n}")
+        assert world is not None and world.askables == {"b"}
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param(_in_a_premise("x é"), id="non-ascii"),
+            pytest.param(_in_a_premise("a + b"), id="no-token-takes"),
+            pytest.param(_in_a_premise("a\x0bb"), id="vertical-tab"),
+            pytest.param(_in_a_premise("a\x0cb"), id="form-feed"),
+            pytest.param(_in_a_premise("a\x1cb"), id="file-separator"),
+            pytest.param(_in_a_premise("a\x1fb"), id="unit-separator"),
+            pytest.param(_in_a_premise("2e"), id="exponent-without-digits"),
+            pytest.param(_in_a_premise("12abc"), id="number-then-identifier"),
+            pytest.param(_in_a_premise("1."), id="number-then-dot"),
+            pytest.param(_in_a_premise("1e+5"), id="plus-signed-exponent"),
+            pytest.param(_in_a_premise("( ? )"), id="lone-question-mark"),
+            pytest.param(_in_a_premise("a?b"), id="question-mark-inside-identifier"),
+            pytest.param(_in_a_premise("?a?b"), id="question-mark-inside-role-variable"),
+            pytest.param(_in_a_premise("-a"), id="word-starting-with-hyphen"),
+            pytest.param("rule r tnorm T2 suff likely nec 0 { if (a) then (b) }", id="unknown-label"),
+            pytest.param("rule r tnorm T9 suff 0.5 nec 0 { if (a) then (b) }", id="unknown-family"),
+            pytest.param("rule r tnorm T2 suff 1.5 nec 0 { if (a) then (b) }", id="strength-above-1"),
+            pytest.param("lexicon { l = 2; }", id="label-above-1"),
+            pytest.param("lexicon { l = 0.2; l = 0.3; }", id="label-twice"),
+            pytest.param(
+                "rule r tnorm T2 suff 1 nec 0 { if (a) then (b) }\n" * 2, id="identifier-twice"
+            ),
+            pytest.param("precedent (a) from x tnorm T1;\n" * 2, id="link-twice"),
+            pytest.param(
+                "case c path nowhere tnorm T2 suff 1 nec 0 { roles if (a) then (b) }",
+                id="undeclared-path",
+            ),
+            pytest.param("rule r tnorm T2 suff 0.5nec 0 { if (a) then (b) }", id="no-blank"),
+            pytest.param("ruler tnorm T2 suff 0.5 nec 0 { if (a) then (b) }", id="joined-keyword"),
+            pytest.param(
+                "case c path a context (x) tnorm T2 suff 1 nec 0 { roles if (a) then (b) }\n"
+                "taxonomy a;",
+                id="case-header-context",
+            ),
+            pytest.param(
+                "rule r tnorm T2 suff 1 nec 0 { roles if (a) then (b) }", id="rule-with-roles"
+            ),
+            pytest.param(
+                "case c tnorm T2 suff 1 nec 0 { roles if (a) then (b) }", id="case-without-path"
+            ),
+            pytest.param(
+                "case c path a tnorm T2 suff 1 nec 0 { if (a) then (b) }\ntaxonomy a;",
+                id="case-without-roles",
+            ),
+            pytest.param("world w { }", id="world-in-a-kb"),
+        ],
+    )
+    def test_text_the_patterns_cannot_vouch_for_goes_to_the_tokens(self, text):
+        """Some of these the token parser accepts ('é' is a letter, and
+        'a?b' is two arguments), the rest it rejects."""
+        assert _declared_kb(text) is None
+        assert _outcome(lambda: parse_kb(text), text) == _outcome(lambda: _token_kb(text), text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param("world w {\n  fact (p) [0.9, 0.2];\n}", id="inverted-interval"),
+            pytest.param("world w {\n  fact (p) [0, 1.5];\n}", id="bound-above-1"),
+            pytest.param("world w {\n  roles ?x = A ?x = B;\n}", id="role-twice"),
+            pytest.param("world w {\n  fact (p ?x) [0, 1];\n  roles ?x = A;\n}", id="unbound-role"),
+            pytest.param("world w {\n  askable p;\n} x", id="text-after-the-body"),
+            pytest.param("world w {\n  askable p;\n", id="unclosed-body"),
+        ],
+    )
+    def test_world_the_patterns_cannot_vouch_for(self, text):
+        for policy in ConflictPolicy:
+            assert _declared_world(text, policy) is None
+            with pytest.raises(ParseError):
+                parse_world(text, policy=policy)
+
+    def test_a_strict_conflict_is_raised_by_the_token_parser(self):
+        text = "world w {\n  fact (p) [1, 1] @a;\n  fact (p) [0, 0] @b;\n}"
+        assert _same_world(text) is None
+        with pytest.raises(SourceConflictError):
+            parse_world(text)
+        assert _same_world(text, ConflictPolicy.LENIENT).diagnostics
+
+    def test_rendered_text_takes_the_declaration_path(self):
+        """A renderer or pattern change must not send canonical text to
+        the token parser."""
+        for seed in range(3000):
+            assert _same_kb(render_kb(dsl_kb(random.Random(seed)))) is not None, f"seed {seed}"
+        for seed in range(100):
+            _, world, _ = weighted_kb(random.Random(seed), 40)
+            assert _same_world(render_world(world)) is not None, f"seed {seed}"
+        for text in (WORLD_FIXTURE, DATA.joinpath("m1.world").read_text()):
+            world = parse_world(text, policy=ConflictPolicy.LENIENT)
+            assert _same_world(render_world(world), ConflictPolicy.LENIENT) is not None
+
+    def test_mutated_files_agree(self):
+        """The corpora of ``TestMutatedFiles``: both paths are taken."""
+        declared = fallen_back = 0
+        kb_base = DATA.joinpath("demo.kb").read_text()
+        world_base = DATA.joinpath("m1.world").read_text()
+        for seed in range(FUZZ_SEEDS):
+            text = _mutate(kb_base, random.Random(f"demo.kb-{seed}"))
+            if _same_kb(text) is None:
+                fallen_back += 1
+            else:
+                declared += 1
+            text = _mutate(world_base, random.Random(f"m1.world-{seed}"))
+            for policy in ConflictPolicy:
+                if _same_world(text, policy) is None:
+                    fallen_back += 1
+                else:
+                    declared += 1
+        assert declared > 500 and fallen_back > 500
+
+    def test_decorated_weighted_kbs_agree(self):
+        _assert_decorated_kbs_agree(200, range(20))
+
+    @pytest.mark.slow
+    def test_decorated_weighted_kbs_agree_at_scale(self):
+        _assert_decorated_kbs_agree(4000, range(1, 4))
 
 
 if __name__ == "__main__":

@@ -898,6 +898,22 @@ class TestOneWalk:
         refreshed = tracker.recompute(invalidated)
         assert list(refreshed) == [Atom("a-top"), Atom("y-right"), Atom("z-left")]
 
+    def test_refreshed_keys_sort_as_text_not_as_fields(self):
+        # "(p a)" sorts before "(p)", since ' ' < ')'; ordering by
+        # (predicate, arguments) would put (p) first.
+        kb = KnowledgeBase()
+        kb.rules["bare"] = Rule("bare", (), (Atom("leaf"),), Atom("p"), 0.9, 0.0, T2)
+        kb.rules["applied"] = Rule("applied", (), (Atom("leaf"),), Atom("p", ("a",)), 0.9, 0.0, T2)
+        world = World("w")
+        assert_evidence(world, Atom("leaf"), CertaintyInterval(0.8, 1.0), "s")
+        tracker = DependencyTracker(kb, world)
+        for goal in (Atom("p"), Atom("p", ("a",))):
+            tracker.query(goal)
+        invalidated = tracker.on_update(Atom("leaf"), CertaintyInterval(0.9, 1.0), "s")
+        assert invalidated == {Atom("p"), Atom("p", ("a",))}
+        assert list(tracker.recompute()) == [Atom("p", ("a",)), Atom("p")]
+        assert list(tracker.recompute(invalidated)) == [Atom("p", ("a",)), Atom("p")]
+
     def test_unmoved_conclusion_keeps_its_epoch(self):
         kb, world = _chain_with_prior()
         tracker = DependencyTracker(kb, world)
