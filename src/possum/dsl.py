@@ -30,19 +30,21 @@ A world file binds roles and lists evidence:
       askable weak-foreign-competition;
     }
 
-A file is read by one of two paths, chosen by its text alone.  The
-declaration path cuts the comments, checks that every other character
-is an ASCII one the grammar uses, and then reads one declaration (or
-world line) per match of that kind's pattern.  The patterns are built
-from the token pieces and make the parser's keyword and kind checks;
-rules, cases, links and facts are built straight from their groups.
-The path accepts only what the token path accepts, and builds the same
-objects in the same orders, sharing the same atoms.  At the first thing
-it cannot vouch for it gives up: text no pattern matches, an unknown
-family or label, a number outside [0, 1], an inverted interval, a
-duplicate, a case under an undeclared path, an unbound role, or a
-conflict that raises.  The token path then parses the whole file, so
-every error, its position and the recovery come from that path alone.
+A file is read by one of two paths, chosen by its text alone.  A
+knowledge-base text that, once its comments are cut, holds no
+``lexicon`` and only ASCII characters the grammar uses, as
+``render_kb``'s output does, goes to the declaration path; every other
+knowledge-base text, and every world, goes to the token path.  The
+declaration path reads one declaration per match of that kind's
+pattern.  The patterns are built from the token pieces and make the
+parser's keyword and kind checks; rules, cases and links are built
+straight from their groups.  The path accepts only what the token path
+accepts, and builds the same objects in the same orders, sharing the
+same atoms.  At the first thing it cannot vouch for it gives up: text
+no pattern matches, an unknown family, a number outside [0, 1], a
+duplicate, or a case under an undeclared path.  The token path then
+parses the whole file, so every error, its position and the recovery
+come from that path alone.
 
 The token path is the reference.  A file's tokens are parallel lists of
 kinds and texts, lexed by one regular expression; token start offsets,
@@ -50,10 +52,10 @@ and from an offset a token's line:column, are computed only when an
 error names a token.  Parsing is recursive descent over the lists by
 index, with one token of lookahead.  Inside a knowledge-base file the
 parser recovers at the next top-level keyword so one bad declaration
-does not hide the rest.
+does not hide the rest.  Lexicon labels resolve at the end, so a block
+may follow its uses.
 
-On either path each distinct atom is built once per parse and shared,
-and lexicon labels resolve at the end, so a block may follow its uses.
+On either path each distinct atom is built once per parse and shared.
 ``render_kb`` emits a canonical form (sorted, labels replaced by their
 numbers) that re-parses, by the declaration path, to an equal knowledge
 base.
@@ -66,7 +68,7 @@ from pathlib import Path as FsPath
 
 from ._records import Record
 from .calculus import CertaintyInterval, ConflictPolicy, TNormFamily
-from .errors import ConflictError, DomainError, ParseError, ParseFailure, UnboundRoleError
+from .errors import DomainError, ParseError, ParseFailure, UnboundRoleError
 from .knowledge import (
     Atom,
     CaseTemplate,
@@ -533,7 +535,9 @@ class _KbParser(_Parser):
 # punctuation, which none of those tokens can hold, so each piece ends
 # where the lexer's token ends: no pattern reads one token as two.  An
 # atom is taken as the text between its parentheses, which
-# ``_ATOM_BODY`` checks once per distinct text.
+# ``_ATOM_BODY`` checks once per distinct text.  The patterns read what
+# ``render_kb`` writes, so strengths are numbers: a text that holds
+# ``lexicon`` is left to the token parser before any pattern compiles.
 
 _PLAIN = (
     b" \t\r\n" + _PUNCTUATION.encode() + b"?_.-0123456789"
@@ -541,7 +545,7 @@ _PLAIN = (
 )
 _PATH = rf"({_ID}(?:\s*/\s*{_ID})*)"
 _ATOMS = r"(\([^()]*\)(?:\s*\([^()]*\))*)"
-_GRADING = rf"\s+tnorm\s+({_ID})\s+suff\s+({_NUM}|{_ID})\s+nec\s+({_NUM}|{_ID})\s*\{{\s*"
+_GRADING = rf"\s+tnorm\s+({_ID})\s+suff\s+({_NUM})\s+nec\s+({_NUM})\s*\{{\s*"
 _PREMISES = rf"if\s*{_ATOMS}\s*then\s*\(([^()]*)\)\s*\}}\s*"
 # ``rule ID [path P] [context A..] GRADING { if A.. then A }`` or
 # ``case ID path P GRADING { roles ?v.. [context A..] if A.. then A }``,
@@ -552,11 +556,6 @@ _RULE_OR_CASE = (
 )
 _TAXONOMY = rf"taxonomy\s+{_PATH}\s*;\s*"
 _PRECEDENT = rf"precedent\s*\(([^()]*)\)\s*from\s+{_PATH}\s+tnorm\s+({_ID})\s*;\s*"
-_LEXICON = rf"lexicon\s*\{{((?:\s*{_ID}\s*=\s*{_NUM}\s*;)*)\s*\}}\s*"
-_WORLD = rf"world\s+({_ID})\s*\{{\s*"
-_ROLES = rf"roles((?:\s+{_VAR}\s*=\s*{_ID})*)\s*;\s*"
-_FACT = rf"fact\s*\(([^()]*)\)\s*\[\s*({_NUM})\s*,\s*({_NUM})\s*\]\s*(?:@\s*({_ID})\s*)?;\s*"
-_ASKABLE = rf"askable\s+({_ID})\s*;\s*"
 _ATOM_BODY = rf"\s*{_ID}(?:\s+(?:{_ID}|{_VAR}))*\s*"
 _FAMILIES = {family.label: family for family in TNormFamily}
 
@@ -566,11 +565,11 @@ class _Unvouched(Exception):
 
 
 def _plain(text: str) -> str:
-    """``text`` with its comments cut, if every other character is one
-    the declaration patterns read."""
+    """``text`` with its comments cut, if it holds no ``lexicon`` and
+    every other character is one the declaration patterns read."""
     if "#" in text:
         text = "\n".join([line.partition("#")[0] for line in text.split("\n")])
-    if not text.isascii() or text.encode().translate(None, _PLAIN):
+    if "lexicon" in text or not text.isascii() or text.encode().translate(None, _PLAIN):
         raise _Unvouched
     return text
 
@@ -595,7 +594,7 @@ def _path(group: str) -> tuple[str, ...]:
 
 class _Atoms(dict):
     """One ``Atom`` per distinct atom of a parse, keyed by the text between
-    its parentheses; the token parser shares the same ones."""
+    its parentheses, shared as the token parser shares its atoms."""
 
     def __init__(self) -> None:
         self.by_words: dict[tuple[str, ...], Atom] = {}
@@ -630,15 +629,13 @@ def _read_kb(text: str) -> KnowledgeBase:
     rule_or_case = re.compile(_RULE_OR_CASE).match
     matchers = {
         "r": rule_or_case, "c": rule_or_case, "t": re.compile(_TAXONOMY).match,
-        "p": re.compile(_PRECEDENT).match, "l": re.compile(_LEXICON).match,
+        "p": re.compile(_PRECEDENT).match,
     }
     kb = KnowledgeBase()
     rules, library, links = kb.rules, kb.case_library, kb.precedent_links
     templates = library.templates
     atoms = _Atoms()
     run = atoms.run
-    lexicon: dict[str, float] = {}
-    labelled: list[list] = []  # ``_built``'s arguments, strengths not yet resolved
     pos, end = len(text) - len(text.lstrip()), len(text)
     while pos < end:
         first = text[pos]
@@ -652,115 +649,29 @@ def _read_kb(text: str) -> KnowledgeBase:
                 m.groups()
             )
             if kind == "rule":
-                if roles is not None:
+                if roles is not None or ident in rules:
                     raise _Unvouched
-                table, context, path = rules, header, _path(path) if path else ()
+                rules[ident] = Rule(
+                    ident, run(header) if header else (), run(antecedents), atoms[consequent],
+                    _unit(suff), _unit(nec), _family(family), _path(path) if path else (),
+                )
             else:
-                if path is None or header is not None or roles is None:
+                if path is None or header is not None or roles is None or ident in templates:
                     raise _Unvouched
-                table, context, path, roles = templates, body, _path(path), tuple(roles.split())
-            if ident in table:
-                raise _Unvouched
-            args = [
-                ident, path, roles, run(context) if context else (), run(antecedents),
-                atoms[consequent], suff, nec, _family(family),
-            ]
-            if suff[0] <= "9" and nec[0] <= "9":  # numbers, not lexicon labels
-                args[6], args[7] = _unit(suff), _unit(nec)
-                table[ident] = _built(*args)
-            else:
-                labelled.append(args)
-                table[ident] = None  # holds its place in file order
+                templates[ident] = CaseTemplate(
+                    ident, _path(path), tuple(roles.split()), run(body) if body else (),
+                    run(antecedents), atoms[consequent], _unit(suff), _unit(nec), _family(family),
+                )
         elif first == "t":
             library.paths.add(_path(m[1]))
-        elif first == "p":
+        else:
             predicate = atoms[m[1]].predicate
             if predicate in links:
                 raise _Unvouched
             links[predicate] = PrecedentLink(predicate, _path(m[2]), _family(m[3]))
-        else:
-            entries = m[1].replace("=", " ").replace(";", " ").split()
-            for label, value in zip(entries[::2], entries[1::2]):
-                if label in lexicon:
-                    raise _Unvouched
-                lexicon[label] = _unit(value)
-    for args in labelled:
-        for i in (6, 7):
-            word = args[i]
-            if word[0] <= "9":
-                args[i] = _unit(word)
-            elif word in lexicon:
-                args[i] = lexicon[word]
-            else:
-                raise _Unvouched
-        (rules if args[2] is None else templates)[args[0]] = _built(*args)
     if not all(library.has_path(case.path) for case in templates.values()):
         raise _Unvouched
     return kb
-
-
-def _built(
-    identifier: str, path: tuple[str, ...], roles: tuple[str, ...] | None,
-    context: tuple[Atom, ...], antecedents: tuple[Atom, ...], consequent: Atom,
-    sufficiency: float, necessity: float, family: TNormFamily,
-) -> Rule | CaseTemplate:
-    """A rule, or a case when it has ``roles``."""
-    if roles is None:
-        return Rule(
-            identifier, context, antecedents, consequent, sufficiency, necessity, family, path
-        )
-    return CaseTemplate(
-        identifier, path, roles, context, antecedents, consequent, sufficiency, necessity, family
-    )
-
-
-def _declared_world(text: str, policy: ConflictPolicy) -> World | None:
-    """The world in ``text``, one line per pattern match, its facts
-    asserted in file order, or None at the first thing the patterns
-    cannot vouch for: an unbound role or a conflict that raises included."""
-    try:
-        return _read_world(_plain(text), policy)
-    except (_Unvouched, UnboundRoleError, ConflictError):
-        return None
-
-
-def _read_world(text: str, policy: ConflictPolicy) -> World:
-    matchers = {
-        "f": re.compile(_FACT).match, "r": re.compile(_ROLES).match,
-        "a": re.compile(_ASKABLE).match,
-    }
-    m = re.compile(_WORLD).match(text, len(text) - len(text.lstrip()))
-    if m is None:
-        raise _Unvouched
-    world = World(identifier=m[1])
-    roles = world.roles
-    atoms = _Atoms()
-    pos = m.end()
-    while True:
-        first = text[pos:pos + 1]
-        if first == "}" and not text[pos + 1:].strip():
-            return world
-        match = matchers.get(first)
-        m = match(text, pos) if match else None
-        if m is None:
-            raise _Unvouched
-        pos = m.end()
-        if first == "f":
-            lower, upper = _unit(m[2]), _unit(m[3])
-            if lower > upper:
-                raise _Unvouched
-            ground = substitute(atoms[m[1]], roles)
-            assert_evidence(
-                world, ground, CertaintyInterval(lower, upper), m[4] or "asserted", policy
-            )
-        elif first == "r":
-            bindings = m[1].replace("=", " ").split()
-            for var, value in zip(bindings[::2], bindings[1::2]):
-                if var in roles:
-                    raise _Unvouched
-                roles[var] = value
-        else:
-            world.askables.add(m[1])
 
 
 def parse_kb(text: str, source_name: str = "<input>") -> KnowledgeBase:
@@ -843,18 +754,8 @@ def parse_world(
     source_name: str = "<input>",
     policy: ConflictPolicy = ConflictPolicy.STRICT,
 ) -> World:
-    """Parse a world file, by the same two paths as ``parse_kb``.
+    """Parse a world file by the token parser, which reports every error.
     Conflicting sources surface per ``policy``."""
-    world = _declared_world(text, policy)
-    if world is not None:
-        return world
-    return _token_world(text, source_name, policy)
-
-
-def _token_world(
-    text: str, source_name: str = "<input>", policy: ConflictPolicy = ConflictPolicy.STRICT
-) -> World:
-    """``parse_world`` by the token parser, which reports every error."""
     return _WorldParser(tokenize(text, source_name)).parse_file(policy)
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from possum.calculus import CertaintyInterval, ConflictPolicy, SourceConflictError, TNormFamily
 from possum.errors import ConflictError, ParseError, ParseFailure
-from possum.knowledge import Atom, KnowledgeBase, World, lookup
+from possum.knowledge import Atom, KnowledgeBase, lookup
 from possum.dsl import (
     format_number,
     parse_evidence_text,
@@ -24,7 +24,7 @@ from possum.dsl import (
     render_world,
     tokenize,
 )
-from possum.dsl import _declared_kb, _declared_world, _token_kb, _token_world
+from possum.dsl import _PRECEDENT, _RULE_OR_CASE, _TAXONOMY, _declared_kb, _token_kb
 from generators import dsl_kb, weighted_kb
 
 DATA = resources.files("possum").joinpath("data")
@@ -294,6 +294,25 @@ class TestWorldParsing:
             parse_world("world w {\n  fact (p) [0.9, 0.2];\n}")
         assert "exceeds" in exc.value.message
 
+    def test_non_ascii_in_a_comment(self):
+        assert parse_world("world w { # é\n  askable b; # ²\n}").askables == {"b"}
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param("world w {\n  fact (p) [0.9, 0.2];\n}", id="inverted-interval"),
+            pytest.param("world w {\n  fact (p) [0, 1.5];\n}", id="bound-above-1"),
+            pytest.param("world w {\n  roles ?x = A ?x = B;\n}", id="role-twice"),
+            pytest.param("world w {\n  fact (p ?x) [0, 1];\n  roles ?x = A;\n}", id="unbound-role"),
+            pytest.param("world w {\n  askable p;\n} x", id="text-after-the-body"),
+            pytest.param("world w {\n  askable p;\n", id="unclosed-body"),
+        ],
+    )
+    def test_malformed_world_raises_under_both_policies(self, text):
+        for policy in ConflictPolicy:
+            with pytest.raises(ParseError):
+                parse_world(text, policy=policy)
+
 
 class TestSmallParsers:
     def test_goal(self):
@@ -537,38 +556,21 @@ def _same_kb(text: str) -> KnowledgeBase | None:
     return declared
 
 
-def _world_atoms(world: World) -> list[Atom]:
-    return [one for atom, fact in world.facts.items() for one in (atom, fact.atom)]
-
-
-def _same_world(text: str, policy: ConflictPolicy = ConflictPolicy.STRICT) -> World | None:
-    """``_same_kb`` for a world: its facts, their sources, the conflict
-    notes and the change log in the same order, and a conflict the token
-    parser raises is a None too."""
-    declared = _declared_world(text, policy)
-    try:
-        reference = _token_world(text, policy=policy)
-    except (ParseError, ConflictError):
-        assert declared is None
-        return None
-    if declared is not None:
-        assert declared == reference
-        assert list(declared.facts) == list(reference.facts)
-        assert [list(fact.evidence.items()) for fact in declared.facts.values()] == [
-            list(fact.evidence.items()) for fact in reference.facts.values()
-        ]
-        assert list(declared.conflicts.items()) == list(reference.conflicts.items())
-        assert list(declared.log.items()) == list(reference.log.items())
-        assert declared.edits == reference.edits
-        assert _sharing(_world_atoms(declared)) == _sharing(_world_atoms(reference))
-    return declared
-
-
-def _decorated(kb_text: str, world_text: str, rng: random.Random) -> tuple[str, str]:
-    """A rendered KB and world with a role on every atom, about half the
-    sufficiencies given as lexicon labels defined after their uses, and
-    comments (non-ASCII ones too) between and after declarations."""
+def _decorated(kb_text: str, rng: random.Random) -> str:
+    """A rendered KB with a role on every atom and comments (non-ASCII
+    ones too) between and after declarations."""
     kb_text = re.sub(r"\(([\w.-]+)\)", r"(\1 ?deal)", kb_text).replace("  roles\n", "  roles ?deal\n")
+    lines = []
+    for line in kb_text.split("\n"):
+        if rng.random() < 0.05:
+            lines.append("# a note on the next line, café")
+        lines.append(line + (" # trailing ½" if line and rng.random() < 0.2 else ""))
+    return "\n".join(lines)
+
+
+def _labelled(kb_text: str, rng: random.Random) -> str:
+    """``kb_text`` with about half its sufficiencies given as lexicon
+    labels, defined in a block after their uses."""
     labels: dict[str, str] = {}
 
     def label(match: re.Match) -> str:
@@ -577,35 +579,25 @@ def _decorated(kb_text: str, world_text: str, rng: random.Random) -> tuple[str, 
         return f"suff {labels.setdefault(match[1], f'level-{len(labels)}')} nec"
 
     kb_text = re.sub(r"suff (\S+) nec", label, kb_text)
-    kb_text += "lexicon {\n" + "".join(f"  {name} = {value};\n" for value, name in labels.items())
-    kb_text += "}\n"
-    world_text = re.sub(
-        r"\(([\w.-]+)\)", lambda m: f"({m[1]} {rng.choice(['?deal', 'Acme'])})", world_text
-    )
-    world_text = world_text.replace("{\n", "{\n  roles ?deal = Acme;\n", 1)
-
-    def commented(text: str) -> str:
-        lines = []
-        for line in text.split("\n"):
-            if rng.random() < 0.05:
-                lines.append("# a note on the next line, café")
-            lines.append(line + (" # trailing ½" if line and rng.random() < 0.2 else ""))
-        return "\n".join(lines)
-
-    return commented(kb_text), commented(world_text)
+    entries = "".join(f"  {name} = {value};\n" for value, name in labels.items())
+    return kb_text + "lexicon {\n" + entries + "}\n"
 
 
 def _assert_decorated_kbs_agree(n_rules: int, seeds) -> None:
+    """The decorated text takes the declaration path; its labelled
+    variant takes the token parser, to the same KB."""
     for seed in seeds:
         rng = random.Random(seed)
-        kb, world, _ = weighted_kb(rng, n_rules)
-        kb_text, world_text = _decorated(render_kb(kb), render_world(world), rng)
-        assert "?deal" in kb_text and "lexicon" in kb_text and "#" in kb_text
-        declared = _same_kb(kb_text)
+        kb, _, _ = weighted_kb(rng, n_rules)
+        text = _decorated(render_kb(kb), rng)
+        assert "?deal" in text and "#" in text
+        declared = _same_kb(text)
         assert declared is not None, f"seed {seed}"
         assert declared.case_library.templates, f"seed {seed}"
-        for policy in ConflictPolicy:
-            assert _same_world(world_text, policy) is not None, f"seed {seed}"
+        labelled = _labelled(text, rng)
+        assert "level-0" in labelled
+        assert _declared_kb(labelled) is None, f"seed {seed}"
+        assert parse_kb(labelled) == _token_kb(labelled) == declared, f"seed {seed}"
 
 
 _PIECES = [
@@ -621,9 +613,15 @@ def _in_a_premise(piece: str) -> str:
     return f"rule r tnorm T2 suff 0.5 nec 0 {{ if (p {piece}) then (q) }}"
 
 
+def _rendered_fixtures() -> list[str]:
+    """The KB fixtures as ``render_kb`` writes them: no lexicon, no comments."""
+    texts = (KB_FIXTURE, DATA.joinpath("demo.kb").read_text())
+    return [render_kb(parse_kb(text)) for text in texts]
+
+
 class TestDeclarationPath:
-    """A KB or world the declaration path returns equals the token
-    parser's, and it returns None wherever the token parser raises."""
+    """A KB the declaration path returns equals the token parser's, and
+    it returns None wherever the token parser raises."""
 
     @settings(max_examples=400)
     @given(st.lists(st.sampled_from(_PIECES), max_size=24).map("".join))
@@ -631,29 +629,41 @@ class TestDeclarationPath:
         _same_kb(text)
 
     def test_fixtures_agree(self):
+        """The fixtures hold a lexicon, so only their renderings are declared."""
         for text in (KB_FIXTURE, DATA.joinpath("demo.kb").read_text()):
+            assert _declared_kb(text) is None
+        for text in _rendered_fixtures():
             assert _same_kb(text) is not None
-        for text in (WORLD_FIXTURE, DATA.joinpath("m1.world").read_text()):
-            for policy in ConflictPolicy:
-                assert _same_world(text, policy) is not None
+
+    def test_a_lexicon_kb_compiles_no_declaration_pattern(self, monkeypatch):
+        compiled = []
+        compile = re.compile
+
+        def recording(pattern, flags=0):
+            compiled.append(pattern)
+            return compile(pattern, flags)
+
+        monkeypatch.setattr(re, "compile", recording)
+        declarations = {_RULE_OR_CASE, _TAXONOMY, _PRECEDENT}
+        assert parse_kb(DATA.joinpath("demo.kb").read_text(), "demo.kb").rules
+        assert compiled and not declarations & set(compiled)
+        parse_kb(_rendered_fixtures()[1])
+        assert declarations <= set(compiled)
 
     def test_each_blank_removed_agrees(self):
         """Two word-like tokens with no blank between them are one token
         to the lexer, so a pattern must not read them as two."""
-        texts = [KB_FIXTURE, DATA.joinpath("demo.kb").read_text()]
-        for text in texts:
+        for text in _rendered_fixtures():
             for blank in re.finditer(r"\s+", text):
                 _same_kb(text[:blank.start()] + text[blank.end():])
-        texts = [WORLD_FIXTURE, DATA.joinpath("m1.world").read_text()]
-        for text in texts:
-            for blank in re.finditer(r"\s+", text):
-                _same_world(text[:blank.start()] + text[blank.end():], ConflictPolicy.LENIENT)
 
     def test_non_ascii_in_a_comment_is_declared(self):
         kb = _same_kb("taxonomy a; # é\n# ²\ntaxonomy b;")
         assert kb is not None and kb.case_library.paths == {("a",), ("b",)}
-        world = _same_world("world w { # é\n  askable b; # ²\n}")
-        assert world is not None and world.askables == {"b"}
+
+    def test_a_lexicon_in_a_comment_is_cut_first(self):
+        kb = _same_kb("# lexicon { l = 0.3; }\ntaxonomy a;")
+        assert kb is not None and kb.case_library.paths == {("a",)}
 
     @pytest.mark.parametrize(
         "text",
@@ -672,6 +682,7 @@ class TestDeclarationPath:
             pytest.param(_in_a_premise("a?b"), id="question-mark-inside-identifier"),
             pytest.param(_in_a_premise("?a?b"), id="question-mark-inside-role-variable"),
             pytest.param(_in_a_premise("-a"), id="word-starting-with-hyphen"),
+            pytest.param(_in_a_premise("lexicon-size"), id="lexicon-inside-an-identifier"),
             pytest.param("rule r tnorm T2 suff likely nec 0 { if (a) then (b) }", id="unknown-label"),
             pytest.param("rule r tnorm T9 suff 0.5 nec 0 { if (a) then (b) }", id="unknown-family"),
             pytest.param("rule r tnorm T2 suff 1.5 nec 0 { if (a) then (b) }", id="strength-above-1"),
@@ -679,6 +690,11 @@ class TestDeclarationPath:
             pytest.param("lexicon { l = 0.2; l = 0.3; }", id="label-twice"),
             pytest.param(
                 "rule r tnorm T2 suff 1 nec 0 { if (a) then (b) }\n" * 2, id="identifier-twice"
+            ),
+            pytest.param(
+                "taxonomy a;\n"
+                + "case c path a tnorm T2 suff 1 nec 0 { roles if (a) then (b) }\n" * 2,
+                id="case-identifier-twice",
             ),
             pytest.param("precedent (a) from x tnorm T1;\n" * 2, id="link-twice"),
             pytest.param(
@@ -711,60 +727,22 @@ class TestDeclarationPath:
         assert _declared_kb(text) is None
         assert _outcome(lambda: parse_kb(text), text) == _outcome(lambda: _token_kb(text), text)
 
-    @pytest.mark.parametrize(
-        "text",
-        [
-            pytest.param("world w {\n  fact (p) [0.9, 0.2];\n}", id="inverted-interval"),
-            pytest.param("world w {\n  fact (p) [0, 1.5];\n}", id="bound-above-1"),
-            pytest.param("world w {\n  roles ?x = A ?x = B;\n}", id="role-twice"),
-            pytest.param("world w {\n  fact (p ?x) [0, 1];\n  roles ?x = A;\n}", id="unbound-role"),
-            pytest.param("world w {\n  askable p;\n} x", id="text-after-the-body"),
-            pytest.param("world w {\n  askable p;\n", id="unclosed-body"),
-        ],
-    )
-    def test_world_the_patterns_cannot_vouch_for(self, text):
-        for policy in ConflictPolicy:
-            assert _declared_world(text, policy) is None
-            with pytest.raises(ParseError):
-                parse_world(text, policy=policy)
-
-    def test_a_strict_conflict_is_raised_by_the_token_parser(self):
-        text = "world w {\n  fact (p) [1, 1] @a;\n  fact (p) [0, 0] @b;\n}"
-        assert _same_world(text) is None
-        with pytest.raises(SourceConflictError):
-            parse_world(text)
-        assert _same_world(text, ConflictPolicy.LENIENT).diagnostics
-
     def test_rendered_text_takes_the_declaration_path(self):
         """A renderer or pattern change must not send canonical text to
         the token parser."""
         for seed in range(3000):
             assert _same_kb(render_kb(dsl_kb(random.Random(seed)))) is not None, f"seed {seed}"
-        for seed in range(100):
-            _, world, _ = weighted_kb(random.Random(seed), 40)
-            assert _same_world(render_world(world)) is not None, f"seed {seed}"
-        for text in (WORLD_FIXTURE, DATA.joinpath("m1.world").read_text()):
-            world = parse_world(text, policy=ConflictPolicy.LENIENT)
-            assert _same_world(render_world(world), ConflictPolicy.LENIENT) is not None
 
     def test_mutated_files_agree(self):
-        """The corpora of ``TestMutatedFiles``: both paths are taken."""
+        """The rendered demo mutated as in ``TestMutatedFiles``: both paths are taken."""
         declared = fallen_back = 0
-        kb_base = DATA.joinpath("demo.kb").read_text()
-        world_base = DATA.joinpath("m1.world").read_text()
+        base = _rendered_fixtures()[1]
         for seed in range(FUZZ_SEEDS):
-            text = _mutate(kb_base, random.Random(f"demo.kb-{seed}"))
-            if _same_kb(text) is None:
+            if _same_kb(_mutate(base, random.Random(f"demo.kb-{seed}"))) is None:
                 fallen_back += 1
             else:
                 declared += 1
-            text = _mutate(world_base, random.Random(f"m1.world-{seed}"))
-            for policy in ConflictPolicy:
-                if _same_world(text, policy) is None:
-                    fallen_back += 1
-                else:
-                    declared += 1
-        assert declared > 500 and fallen_back > 500
+        assert declared > 50 and fallen_back > 500
 
     def test_decorated_weighted_kbs_agree(self):
         _assert_decorated_kbs_agree(200, range(20))
