@@ -297,23 +297,6 @@ class TestWorldParsing:
     def test_non_ascii_in_a_comment(self):
         assert parse_world("world w { # é\n  askable b; # ²\n}").askables == {"b"}
 
-    @pytest.mark.parametrize(
-        "text",
-        [
-            pytest.param("world w {\n  fact (p) [0.9, 0.2];\n}", id="inverted-interval"),
-            pytest.param("world w {\n  fact (p) [0, 1.5];\n}", id="bound-above-1"),
-            pytest.param("world w {\n  roles ?x = A ?x = B;\n}", id="role-twice"),
-            pytest.param("world w {\n  fact (p ?x) [0, 1];\n  roles ?x = A;\n}", id="unbound-role"),
-            pytest.param("world w {\n  askable p;\n} x", id="text-after-the-body"),
-            pytest.param("world w {\n  askable p;\n", id="unclosed-body"),
-        ],
-    )
-    def test_malformed_world_raises_under_both_policies(self, text):
-        for policy in ConflictPolicy:
-            with pytest.raises(ParseError):
-                parse_world(text, policy=policy)
-
-
 class TestSmallParsers:
     def test_goal(self):
         atom, negated = parse_goal("(anti-trust-success Mobil Marathon)")
@@ -619,9 +602,27 @@ def _rendered_fixtures() -> list[str]:
     return [render_kb(parse_kb(text)) for text in texts]
 
 
+_DECLARATIONS = {_RULE_OR_CASE, _TAXONOMY, _PRECEDENT}
+
+
+@pytest.fixture
+def compiled(monkeypatch) -> list[str]:
+    """Every pattern ``re.compile`` is given while the test runs."""
+    patterns = []
+    compile = re.compile
+
+    def recording(pattern, flags=0):
+        patterns.append(pattern)
+        return compile(pattern, flags)
+
+    monkeypatch.setattr(re, "compile", recording)
+    return patterns
+
+
 class TestDeclarationPath:
     """A KB the declaration path returns equals the token parser's, and
-    it returns None wherever the token parser raises."""
+    it returns None wherever the token parser raises; a world never
+    takes it."""
 
     @settings(max_examples=400)
     @given(st.lists(st.sampled_from(_PIECES), max_size=24).map("".join))
@@ -635,20 +636,11 @@ class TestDeclarationPath:
         for text in _rendered_fixtures():
             assert _same_kb(text) is not None
 
-    def test_a_lexicon_kb_compiles_no_declaration_pattern(self, monkeypatch):
-        compiled = []
-        compile = re.compile
-
-        def recording(pattern, flags=0):
-            compiled.append(pattern)
-            return compile(pattern, flags)
-
-        monkeypatch.setattr(re, "compile", recording)
-        declarations = {_RULE_OR_CASE, _TAXONOMY, _PRECEDENT}
+    def test_a_lexicon_kb_compiles_no_declaration_pattern(self, compiled):
         assert parse_kb(DATA.joinpath("demo.kb").read_text(), "demo.kb").rules
-        assert compiled and not declarations & set(compiled)
+        assert compiled and not _DECLARATIONS & set(compiled)
         parse_kb(_rendered_fixtures()[1])
-        assert declarations <= set(compiled)
+        assert _DECLARATIONS <= set(compiled)
 
     def test_each_blank_removed_agrees(self):
         """Two word-like tokens with no blank between them are one token
@@ -726,6 +718,32 @@ class TestDeclarationPath:
         'a?b' is two arguments), the rest it rejects."""
         assert _declared_kb(text) is None
         assert _outcome(lambda: parse_kb(text), text) == _outcome(lambda: _token_kb(text), text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param("world w {\n  fact (p) [0.9, 0.2];\n}", id="inverted-interval"),
+            pytest.param("world w {\n  fact (p) [0, 1.5];\n}", id="bound-above-1"),
+            pytest.param("world w {\n  roles ?x = A ?x = B;\n}", id="role-twice"),
+            pytest.param("world w {\n  fact (p ?x) [0, 1];\n  roles ?x = A;\n}", id="unbound-role"),
+            pytest.param("world w {\n  askable p;\n} x", id="text-after-the-body"),
+            pytest.param("world w {\n  askable p;\n", id="unclosed-body"),
+        ],
+    )
+    def test_world_the_patterns_cannot_vouch_for(self, text, compiled):
+        """A world never takes the declaration path: the token parser
+        raises under both policies."""
+        for policy in ConflictPolicy:
+            with pytest.raises(ParseError):
+                parse_world(text, policy=policy)
+        assert not _DECLARATIONS & set(compiled)
+
+    def test_a_strict_conflict_is_raised_by_the_token_parser(self, compiled):
+        text = "world w {\n  fact (p) [1, 1] @a;\n  fact (p) [0, 0] @b;\n}"
+        with pytest.raises(SourceConflictError):
+            parse_world(text)
+        assert parse_world(text, policy=ConflictPolicy.LENIENT).diagnostics
+        assert not _DECLARATIONS & set(compiled)
 
     def test_rendered_text_takes_the_declaration_path(self):
         """A renderer or pattern change must not send canonical text to
