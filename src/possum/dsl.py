@@ -30,21 +30,21 @@ A world file binds roles and lists evidence:
       askable weak-foreign-competition;
     }
 
-A file is read by one of two paths, chosen by its text alone.  A
-knowledge-base text that, once its comments are cut, holds no
-``lexicon`` and only ASCII characters the grammar uses, as
-``render_kb``'s output does, goes to the declaration path; every other
-knowledge-base text, and every world, goes to the token path.  The
-declaration path reads one declaration per match of that kind's
-pattern.  The patterns are built from the token pieces and make the
-parser's keyword and kind checks; rules, cases and links are built
-straight from their groups.  The path accepts only what the token path
-accepts, and builds the same objects in the same orders, sharing the
-same atoms.  At the first thing it cannot vouch for it gives up: text
-no pattern matches, an unknown family, a number outside [0, 1], a
-duplicate, or a case under an undeclared path.  The token path then
-parses the whole file, so every error, its position and the recovery
-come from that path alone.
+A file is read by one of two paths, chosen by its text alone.  The
+declaration path reads exactly what ``render_kb`` writes, one
+declaration per match of that kind's pattern: single spaces,
+``render_kb``'s line breaks and indents, numbers for strengths, and no
+comments.  Every other text goes to the token path: every world, a
+knowledge-base text that holds ``#`` or ``lexicon`` before any pattern
+compiles, and any other text at the first thing the declaration path
+cannot vouch for (text no pattern matches, an unknown family, a number
+outside [0, 1], a duplicate, or a case under an undeclared path).  The
+patterns are built from the token pieces and make the parser's keyword
+and kind checks; rules, cases and links are built straight from their
+groups.  The declaration path accepts only what the token path accepts,
+and builds the same objects in the same orders, sharing the same atoms.
+Where it gives up, the token path parses the whole file, so every
+error, its position and the recovery come from that path alone.
 
 The token path is the reference.  A file's tokens are parallel lists of
 kinds and texts, lexed by one regular expression; token start offsets,
@@ -528,50 +528,34 @@ class _KbParser(_Parser):
 
 # -- the declaration path ------------------------------------------
 #
-# Every '#' starts a comment, so cutting comments line by line keeps
-# every token.  On what is left, if all of it is in ``_PLAIN``, \s is one
-# of the four blanks and \w is [A-Za-z0-9_].  In each pattern a keyword,
-# identifier, role variable or number is followed by a blank or by
-# punctuation, which none of those tokens can hold, so each piece ends
-# where the lexer's token ends: no pattern reads one token as two.  An
-# atom is taken as the text between its parentheses, which
-# ``_ATOM_BODY`` checks once per distinct text.  The patterns read what
-# ``render_kb`` writes, so strengths are numbers: a text that holds
-# ``lexicon`` is left to the token parser before any pattern compiles.
+# The patterns read exactly what ``render_kb`` writes: single spaces,
+# the "\n" and the two- and five-space indents of ``_render_rule_or_case``,
+# and numbers for strengths.  They are ASCII, and each word in them is
+# followed by a space, punctuation or "\n", which no token holds, so each
+# piece ends where the lexer's token ends.  An atom is taken as the text
+# between its parentheses, which ``_ATOM_BODY`` checks once per distinct
+# text.  A text that holds '#' or ``lexicon`` goes to the token parser
+# before any pattern compiles.
 
-_PLAIN = (
-    b" \t\r\n" + _PUNCTUATION.encode() + b"?_.-0123456789"
-    b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
-)
-_PATH = rf"({_ID}(?:\s*/\s*{_ID})*)"
-_ATOMS = r"(\([^()]*\)(?:\s*\([^()]*\))*)"
-_GRADING = rf"\s+tnorm\s+({_ID})\s+suff\s+({_NUM})\s+nec\s+({_NUM})\s*\{{\s*"
-_PREMISES = rf"if\s*{_ATOMS}\s*then\s*\(([^()]*)\)\s*\}}\s*"
+_PATH = rf"({_ID}(?:/{_ID})*)"
+_ATOM = r"\([^()]*\)"
+_CONTEXT = rf"context ({_ATOM}(?: {_ATOM})*)"
 # ``rule ID [path P] [context A..] GRADING { if A.. then A }`` or
 # ``case ID path P GRADING { roles ?v.. [context A..] if A.. then A }``,
 # told apart after the match, as ``_KbParser.parse_rule_or_case`` does.
 _RULE_OR_CASE = (
-    rf"(rule|case)\s+({_ID})(?:\s+path\s+{_PATH})?(?:\s+context\s*{_ATOMS})?{_GRADING}"
-    rf"(?:roles((?:\s+{_VAR})*)(?:\s+context\s*{_ATOMS})?\s+)?{_PREMISES}"
+    rf"(rule|case) ({_ID})(?: path {_PATH})?(?: {_CONTEXT})?"
+    rf" tnorm ({_ID}) suff ({_NUM}) nec ({_NUM}) \{{\n"
+    rf"(?:  roles((?: {_VAR})*)\n(?:  {_CONTEXT}\n)?)?"
+    rf"  if ({_ATOM}(?:\n     {_ATOM})*)\n  then \(([^()]*)\)\n\}}\n\n?"
 )
-_TAXONOMY = rf"taxonomy\s+{_PATH}\s*;\s*"
-_PRECEDENT = rf"precedent\s*\(([^()]*)\)\s*from\s+{_PATH}\s+tnorm\s+({_ID})\s*;\s*"
-_ATOM_BODY = rf"\s*{_ID}(?:\s+(?:{_ID}|{_VAR}))*\s*"
-_FAMILIES = {family.label: family for family in TNormFamily}
+_TAXONOMY = rf"taxonomy {_PATH};\n\n?"
+_PRECEDENT = rf"precedent \(({_ID})\) from {_PATH} tnorm ({_ID});\n\n?"
+_ATOM_BODY = rf"{_ID}(?: (?:{_ID}|{_VAR}))*"
 
 
 class _Unvouched(Exception):
     """Text the declaration path leaves to the token parser."""
-
-
-def _plain(text: str) -> str:
-    """``text`` with its comments cut, if it holds no ``lexicon`` and
-    every other character is one the declaration patterns read."""
-    if "#" in text:
-        text = "\n".join([line.partition("#")[0] for line in text.split("\n")])
-    if "lexicon" in text or not text.isascii() or text.encode().translate(None, _PLAIN):
-        raise _Unvouched
-    return text
 
 
 def _unit(word: str) -> float:
@@ -582,14 +566,10 @@ def _unit(word: str) -> float:
 
 
 def _family(label: str) -> TNormFamily:
-    family = _FAMILIES.get(label)
-    if family is None:
-        raise _Unvouched
-    return family
-
-
-def _path(group: str) -> tuple[str, ...]:
-    return tuple(group.replace("/", " ").split())
+    try:
+        return TNormFamily.from_label(label)
+    except DomainError:
+        raise _Unvouched from None
 
 
 class _Atoms(dict):
@@ -597,18 +577,14 @@ class _Atoms(dict):
     its parentheses, shared as the token parser shares its atoms."""
 
     def __init__(self) -> None:
-        self.by_words: dict[tuple[str, ...], Atom] = {}
-        self.body = re.compile(_ATOM_BODY).fullmatch
+        self.body = re.compile(_ATOM_BODY, re.ASCII).fullmatch
         self.inners = re.compile(r"\(([^()]*)\)").findall
 
     def __missing__(self, inner: str) -> Atom:
         if self.body(inner) is None:
             raise _Unvouched
-        words = tuple(inner.split())
-        atom = self.by_words.get(words)
-        if atom is None:
-            atom = self.by_words[words] = Atom(words[0], words[1:])
-        self[inner] = atom
+        predicate, *arguments = inner.split(" ")
+        atom = self[inner] = Atom(predicate, tuple(arguments))
         return atom
 
     def run(self, text: str) -> tuple[Atom, ...]:
@@ -619,28 +595,29 @@ class _Atoms(dict):
 def _declared_kb(text: str) -> KnowledgeBase | None:
     """The knowledge base in ``text``, one declaration per pattern match,
     or None at the first thing the patterns cannot vouch for."""
+    if "#" in text or "lexicon" in text:
+        return None
     try:
-        return _read_kb(_plain(text))
+        return _read_kb(text)
     except _Unvouched:
         return None
 
 
 def _read_kb(text: str) -> KnowledgeBase:
-    rule_or_case = re.compile(_RULE_OR_CASE).match
+    rule_or_case = re.compile(_RULE_OR_CASE, re.ASCII).match
     matchers = {
-        "r": rule_or_case, "c": rule_or_case, "t": re.compile(_TAXONOMY).match,
-        "p": re.compile(_PRECEDENT).match,
+        "r": rule_or_case, "c": rule_or_case, "t": re.compile(_TAXONOMY, re.ASCII).match,
+        "p": re.compile(_PRECEDENT, re.ASCII).match,
     }
     kb = KnowledgeBase()
     rules, library, links = kb.rules, kb.case_library, kb.precedent_links
     templates = library.templates
     atoms = _Atoms()
     run = atoms.run
-    pos, end = len(text) - len(text.lstrip()), len(text)
+    pos, end = 0, len(text)
     while pos < end:
         first = text[pos]
-        match = matchers.get(first)
-        m = match(text, pos) if match else None
+        m = matchers[first](text, pos) if first in matchers else None
         if m is None:
             raise _Unvouched
         pos = m.end()
@@ -648,27 +625,27 @@ def _read_kb(text: str) -> KnowledgeBase:
             kind, ident, path, header, family, suff, nec, roles, body, antecedents, consequent = (
                 m.groups()
             )
+            path = tuple(path.split("/")) if path else ()
             if kind == "rule":
                 if roles is not None or ident in rules:
                     raise _Unvouched
                 rules[ident] = Rule(
                     ident, run(header) if header else (), run(antecedents), atoms[consequent],
-                    _unit(suff), _unit(nec), _family(family), _path(path) if path else (),
+                    _unit(suff), _unit(nec), _family(family), path,
                 )
             else:
-                if path is None or header is not None or roles is None or ident in templates:
+                if not path or header is not None or roles is None or ident in templates:
                     raise _Unvouched
                 templates[ident] = CaseTemplate(
-                    ident, _path(path), tuple(roles.split()), run(body) if body else (),
+                    ident, path, tuple(roles.split()), run(body) if body else (),
                     run(antecedents), atoms[consequent], _unit(suff), _unit(nec), _family(family),
                 )
         elif first == "t":
-            library.paths.add(_path(m[1]))
+            library.paths.add(tuple(m[1].split("/")))
+        elif m[1] in links:
+            raise _Unvouched
         else:
-            predicate = atoms[m[1]].predicate
-            if predicate in links:
-                raise _Unvouched
-            links[predicate] = PrecedentLink(predicate, _path(m[2]), _family(m[3]))
+            links[m[1]] = PrecedentLink(m[1], tuple(m[2].split("/")), _family(m[3]))
     if not all(library.has_path(case.path) for case in templates.values()):
         raise _Unvouched
     return kb
@@ -844,7 +821,10 @@ def render_kb(kb: KnowledgeBase) -> str:
     """Canonical text for a knowledge base.
 
     Declarations are sorted, lexicon labels are gone (their numbers are
-    inlined), and ``parse_kb(render_kb(kb))`` equals ``kb``.
+    inlined), and ``parse_kb(render_kb(kb))`` equals ``kb``; ``validate``
+    reports a case or link at the taxonomy root, which renders as ``/``.
+    The declaration path reads exactly this text, and every other text
+    goes to the token parser.
     """
     blocks: list[str] = []
     taxonomy = sorted(kb.case_library.paths)

@@ -506,7 +506,8 @@ def validate(kb: KnowledgeBase) -> ValidationReport:
     Reports derivation cycles (including those routed through precedent
     links), sufficiency/necessity values outside the unit interval,
     case-template variables missing from the template's role list, and
-    taxonomy paths that were never declared.
+    taxonomy paths that were never declared.  The root holds no case or
+    link: ``render_kb`` would write it as ``/``, which no parser reads.
     """
     report = ValidationReport()
     library = kb.case_library
@@ -527,13 +528,13 @@ def validate(kb: KnowledgeBase) -> ValidationReport:
             used |= atom.variables()
         for var in sorted(used - declared):
             report.role_errors.append(f"{owner}: role {var} is not declared")
-        if not library.has_path(template.path):
+        if not (template.path and library.has_path(template.path)):
             report.path_errors.append(
                 f"{owner}: path {format_path(template.path)} is not in the taxonomy"
             )
 
     for link in kb.precedent_links.values():
-        if not library.has_path(link.path):
+        if not (link.path and library.has_path(link.path)):
             report.path_errors.append(
                 f"precedent for {link.target_predicate}: "
                 f"path {format_path(link.path)} is not in the taxonomy"

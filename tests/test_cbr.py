@@ -13,6 +13,7 @@ from possum.calculus import (
     antecedent_eval,
     detach,
     tnorm,
+    transitivity_bound,
 )
 from possum.cbr import case_similarity, retrieve
 from possum.engine import QueryConfig, QuerySession, context_passes, forward_saturate, prove
@@ -341,10 +342,10 @@ class TestSimilarity:
         for x in cases:
             for y in cases:
                 for z in cases:
-                    dxz = 1.0 - case_similarity(x, z)
-                    dxy = 1.0 - case_similarity(x, y)
-                    dyz = 1.0 - case_similarity(y, z)
-                    assert dxz <= dxy + dyz + 1e-12
+                    sxz, sxy, syz = (case_similarity(*pair) for pair in ((x, z), (x, y), (y, z)))
+                    assert 1.0 - sxz <= (1.0 - sxy) + (1.0 - syz) + 1e-12
+                    # The paper's form: similarity is T1-transitive.
+                    assert sxz >= transitivity_bound(TNormFamily.T1, sxy, syz) - 1e-12
 
 
 class TestCasesAreRules:

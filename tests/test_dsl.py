@@ -539,10 +539,16 @@ def _same_kb(text: str) -> KnowledgeBase | None:
     return declared
 
 
-def _decorated(kb_text: str, rng: random.Random) -> str:
-    """A rendered KB with a role on every atom and comments (non-ASCII
-    ones too) between and after declarations."""
-    kb_text = re.sub(r"\(([\w.-]+)\)", r"(\1 ?deal)", kb_text).replace("  roles\n", "  roles ?deal\n")
+def _with_roles(kb_text: str) -> str:
+    """A rendered KB with a role on every bare rule or case atom and in
+    every empty role list: still text ``render_kb`` writes."""
+    kb_text = re.sub(r"(?<!precedent )\(([\w.-]+)\)", r"(\1 ?deal)", kb_text)
+    return kb_text.replace("  roles\n", "  roles ?deal\n")
+
+
+def _commented(kb_text: str, rng: random.Random) -> str:
+    """``kb_text`` with comments (non-ASCII ones too) between and after
+    declarations."""
     lines = []
     for line in kb_text.split("\n"):
         if rng.random() < 0.05:
@@ -566,21 +572,23 @@ def _labelled(kb_text: str, rng: random.Random) -> str:
     return kb_text + "lexicon {\n" + entries + "}\n"
 
 
-def _assert_decorated_kbs_agree(n_rules: int, seeds) -> None:
-    """The decorated text takes the declaration path; its labelled
-    variant takes the token parser, to the same KB."""
+def _assert_decorated_kbs_agree(n_rules: int, seeds, compiled: list[str]) -> None:
+    """The rendered text with roles takes the declaration path; its
+    commented and its labelled variants take the token parser, to the
+    same KB, before any declaration pattern compiles."""
     for seed in seeds:
         rng = random.Random(seed)
         kb, _, _ = weighted_kb(rng, n_rules)
-        text = _decorated(render_kb(kb), rng)
-        assert "?deal" in text and "#" in text
+        text = _with_roles(render_kb(kb))
+        assert "?deal" in text
         declared = _same_kb(text)
-        assert declared is not None, f"seed {seed}"
+        assert declared is not None and render_kb(declared) == text, f"seed {seed}"
         assert declared.case_library.templates, f"seed {seed}"
-        labelled = _labelled(text, rng)
-        assert "level-0" in labelled
-        assert _declared_kb(labelled) is None, f"seed {seed}"
-        assert parse_kb(labelled) == _token_kb(labelled) == declared, f"seed {seed}"
+        commented, labelled = _commented(text, rng), _labelled(text, rng)
+        assert "#" in commented and "level-0" in labelled
+        compiled.clear()
+        for variant in (commented, labelled):
+            assert _token_only(variant, compiled) == declared, f"seed {seed}"
 
 
 _PIECES = [
@@ -589,11 +597,24 @@ _PIECES = [
     "rule r tnorm T2 suff 0.5 nec 0 { if (a) then (b ?x) }", "taxonomy a/b;", "suff l",
     "case c path a tnorm T1 suff 1 nec 0 { roles ?x if (a ?x) then (b ?x) }",
     "lexicon { l = 0.3; }", "precedent (b) from a tnorm T3;", " context (c)", "(d ?y)",
+    # The same declarations as ``render_kb`` lays them out.
+    "rule r tnorm T2 suff 0.5 nec 0 {\n  if (a)\n  then (b ?x)\n}\n", "taxonomy a/b;\n",
+    "case c path a tnorm T1 suff 1 nec 0 {\n  roles ?x\n  if (a ?x)\n     (c)\n  then (b ?x)\n}\n",
+    "precedent (b) from a tnorm T3;\n", "\n",
 ]
 
 
 def _in_a_premise(piece: str) -> str:
-    return f"rule r tnorm T2 suff 0.5 nec 0 {{ if (p {piece}) then (q) }}"
+    return f"rule r tnorm T2 suff 0.5 nec 0 {{\n  if (p {piece})\n  then (q)\n}}\n"
+
+
+def _declaration(head: str, body: str = "") -> str:
+    """A rule or case laid out as ``render_kb`` writes one."""
+    return f"{head} {{\n{body}  if (a)\n  then (b)\n}}\n"
+
+
+_RULE = "rule r tnorm T2 suff 1 nec 0"
+_CASE = "case c path a tnorm T2 suff 1 nec 0"
 
 
 def _rendered_fixtures() -> list[str]:
@@ -603,6 +624,16 @@ def _rendered_fixtures() -> list[str]:
 
 
 _DECLARATIONS = {_RULE_OR_CASE, _TAXONOMY, _PRECEDENT}
+
+
+def _token_only(text: str, compiled: list[str]) -> KnowledgeBase:
+    """The KB in ``text``, which goes to the token parser before any
+    declaration pattern compiles."""
+    assert _declared_kb(text) is None
+    kb = parse_kb(text)
+    assert kb == _token_kb(text)
+    assert not _DECLARATIONS & set(compiled)
+    return kb
 
 
 @pytest.fixture
@@ -649,18 +680,51 @@ class TestDeclarationPath:
             for blank in re.finditer(r"\s+", text):
                 _same_kb(text[:blank.start()] + text[blank.end():])
 
-    def test_non_ascii_in_a_comment_is_declared(self):
-        kb = _same_kb("taxonomy a; # é\n# ²\ntaxonomy b;")
-        assert kb is not None and kb.case_library.paths == {("a",), ("b",)}
+    def test_each_blank_widened_goes_to_the_tokens(self):
+        """The patterns read single spaces and ``render_kb``'s indents only."""
+        for text in _rendered_fixtures():
+            for blank in re.finditer(r"\s+", text):
+                assert _same_kb(text[:blank.start()] + " " + text[blank.start():]) is None
 
-    def test_a_lexicon_in_a_comment_is_cut_first(self):
-        kb = _same_kb("# lexicon { l = 0.3; }\ntaxonomy a;")
-        assert kb is not None and kb.case_library.paths == {("a",)}
+    def test_non_ascii_in_a_comment_goes_to_the_tokens(self, compiled):
+        kb = _token_only("taxonomy a; # é\n# ²\ntaxonomy b;\n", compiled)
+        assert kb.case_library.paths == {("a",), ("b",)}
+
+    def test_a_lexicon_in_a_comment_goes_to_the_tokens(self, compiled):
+        kb = _token_only("# lexicon { l = 0.3; }\ntaxonomy a;\n", compiled)
+        assert kb.case_library.paths == {("a",)}
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param(
+                _declaration(_RULE) + "\n"
+                + _declaration("rule s path a/b context (x) (y ?z) tnorm T1.5 suff 0.25 nec 1e-3"),
+                id="two-rules",
+            ),
+            pytest.param(
+                "taxonomy a;\n\n" + _declaration(_CASE, "  roles ?x\n  context (x ?x)\n"),
+                id="case-with-roles-and-context",
+            ),
+            pytest.param(
+                "taxonomy a;\ntaxonomy a/b;\n\nprecedent (b) from a/b tnorm T3;\n",
+                id="taxonomy-and-link",
+            ),
+            pytest.param(_in_a_premise("x ?y"), id="role-in-a-premise"),
+        ],
+    )
+    def test_the_layout_render_kb_writes_is_declared(self, text):
+        """Texts near those of the next test, in canonical form, take the
+        declaration path, so each of those goes to the token parser for
+        its own flaw."""
+        assert _same_kb(text) is not None
 
     @pytest.mark.parametrize(
         "text",
         [
             pytest.param(_in_a_premise("x é"), id="non-ascii"),
+            pytest.param(_declaration("rule ré tnorm T2 suff 1 nec 0"), id="non-ascii-rule-name"),
+            pytest.param("taxonomy café;\n", id="non-ascii-path"),
             pytest.param(_in_a_premise("a + b"), id="no-token-takes"),
             pytest.param(_in_a_premise("a\x0bb"), id="vertical-tab"),
             pytest.param(_in_a_premise("a\x0cb"), id="form-feed"),
@@ -675,42 +739,37 @@ class TestDeclarationPath:
             pytest.param(_in_a_premise("?a?b"), id="question-mark-inside-role-variable"),
             pytest.param(_in_a_premise("-a"), id="word-starting-with-hyphen"),
             pytest.param(_in_a_premise("lexicon-size"), id="lexicon-inside-an-identifier"),
-            pytest.param("rule r tnorm T2 suff likely nec 0 { if (a) then (b) }", id="unknown-label"),
-            pytest.param("rule r tnorm T9 suff 0.5 nec 0 { if (a) then (b) }", id="unknown-family"),
-            pytest.param("rule r tnorm T2 suff 1.5 nec 0 { if (a) then (b) }", id="strength-above-1"),
+            pytest.param(_declaration("rule r tnorm T2 suff likely nec 0"), id="unknown-label"),
+            pytest.param(_declaration("rule r tnorm T9 suff 0.5 nec 0"), id="unknown-family"),
+            pytest.param(_declaration("rule r tnorm T2 suff 1.5 nec 0"), id="strength-above-1"),
             pytest.param("lexicon { l = 2; }", id="label-above-1"),
             pytest.param("lexicon { l = 0.2; l = 0.3; }", id="label-twice"),
+            pytest.param(_declaration(_RULE) * 2, id="identifier-twice"),
             pytest.param(
-                "rule r tnorm T2 suff 1 nec 0 { if (a) then (b) }\n" * 2, id="identifier-twice"
-            ),
-            pytest.param(
-                "taxonomy a;\n"
-                + "case c path a tnorm T2 suff 1 nec 0 { roles if (a) then (b) }\n" * 2,
-                id="case-identifier-twice",
+                "taxonomy a;\n" + _declaration(_CASE, "  roles\n") * 2, id="case-identifier-twice"
             ),
             pytest.param("precedent (a) from x tnorm T1;\n" * 2, id="link-twice"),
+            pytest.param(_declaration(_CASE, "  roles\n"), id="undeclared-path"),
+            pytest.param(_declaration("rule r tnorm T2 suff 0.5nec 0"), id="no-blank"),
+            pytest.param(_declaration("ruler tnorm T2 suff 0.5 nec 0"), id="joined-keyword"),
             pytest.param(
-                "case c path nowhere tnorm T2 suff 1 nec 0 { roles if (a) then (b) }",
-                id="undeclared-path",
-            ),
-            pytest.param("rule r tnorm T2 suff 0.5nec 0 { if (a) then (b) }", id="no-blank"),
-            pytest.param("ruler tnorm T2 suff 0.5 nec 0 { if (a) then (b) }", id="joined-keyword"),
-            pytest.param(
-                "case c path a context (x) tnorm T2 suff 1 nec 0 { roles if (a) then (b) }\n"
-                "taxonomy a;",
+                _declaration(_CASE.replace(" tnorm", " context (x) tnorm"), "  roles\n")
+                + "taxonomy a;\n",
                 id="case-header-context",
             ),
+            pytest.param(_declaration(_RULE, "  roles\n"), id="rule-with-roles"),
             pytest.param(
-                "rule r tnorm T2 suff 1 nec 0 { roles if (a) then (b) }", id="rule-with-roles"
+                _declaration(_CASE.replace(" path a", ""), "  roles\n") + "taxonomy a;\n",
+                id="case-without-path",
             ),
-            pytest.param(
-                "case c tnorm T2 suff 1 nec 0 { roles if (a) then (b) }", id="case-without-path"
-            ),
-            pytest.param(
-                "case c path a tnorm T2 suff 1 nec 0 { if (a) then (b) }\ntaxonomy a;",
-                id="case-without-roles",
-            ),
+            pytest.param(_declaration(_CASE) + "taxonomy a;\n", id="case-without-roles"),
             pytest.param("world w { }", id="world-in-a-kb"),
+            pytest.param("taxonomy  a;\n", id="two-spaces"),
+            pytest.param("taxonomy a;\r\n", id="carriage-return"),
+            pytest.param("\ntaxonomy a;\n", id="leading-blank-line"),
+            pytest.param("taxonomy a;\n\n\ntaxonomy b;\n", id="two-blank-lines"),
+            pytest.param("taxonomy a;", id="no-final-newline"),
+            pytest.param("rule r tnorm T2 suff 1 nec 0 { if (a) then (b) }\n", id="one-line-rule"),
         ],
     )
     def test_text_the_patterns_cannot_vouch_for_goes_to_the_tokens(self, text):
@@ -762,12 +821,12 @@ class TestDeclarationPath:
                 declared += 1
         assert declared > 50 and fallen_back > 500
 
-    def test_decorated_weighted_kbs_agree(self):
-        _assert_decorated_kbs_agree(200, range(20))
+    def test_decorated_weighted_kbs_agree(self, compiled):
+        _assert_decorated_kbs_agree(200, range(20), compiled)
 
     @pytest.mark.slow
-    def test_decorated_weighted_kbs_agree_at_scale(self):
-        _assert_decorated_kbs_agree(4000, range(1, 4))
+    def test_decorated_weighted_kbs_agree_at_scale(self, compiled):
+        _assert_decorated_kbs_agree(4000, range(1, 4), compiled)
 
 
 if __name__ == "__main__":

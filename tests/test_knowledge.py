@@ -14,8 +14,9 @@ from possum.calculus import (
     TNormFamily,
     TOTAL_IGNORANCE,
 )
+from possum.dsl import parse_kb, render_kb
 from possum.engine import forward_saturate
-from possum.errors import DerivationCycleError, DomainError, UnboundRoleError
+from possum.errors import DerivationCycleError, DomainError, ParseError, UnboundRoleError
 from possum.knowledge import (
     Atom,
     CaseTemplate,
@@ -397,6 +398,25 @@ class TestKnowledgeBase:
         report = validate(kb)
         assert not report.ok()
         assert report.path_errors
+
+    def test_validate_flags_a_case_or_link_at_the_root(self):
+        """``render_kb`` writes the root as ``/``, which no parser reads, so
+        a KB that validates must file its cases and links under a path."""
+        def case(path):
+            return CaseTemplate("c", path, (), (), (Atom("p"),), Atom("q"), 0.9, 0.0, T2)
+
+        at_root = KnowledgeBase()
+        at_root.case_library.add(case(()))
+        linked_at_root = KnowledgeBase()
+        linked_at_root.case_library.declare_path(("lib",))
+        linked_at_root.case_library.add(case(("lib",)))
+        linked_at_root.precedent_links["q"] = PrecedentLink("q", (), T2)
+        for kb, owner in ((at_root, "case c"), (linked_at_root, "precedent for q")):
+            report = validate(kb)
+            assert report.path_errors == [f"{owner}: path / is not in the taxonomy"]
+            assert not report.ok()
+            with pytest.raises(ParseError, match="to start a taxonomy path, found '/'"):
+                parse_kb(render_kb(kb))
 
     def test_validate_flags_unbound_case_role(self):
         kb = KnowledgeBase()
