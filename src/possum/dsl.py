@@ -55,15 +55,20 @@ parser recovers at the next top-level keyword so one bad declaration
 does not hide the rest.  Lexicon labels resolve at the end, so a block
 may follow its uses.
 
-On either path each distinct atom is built once per parse and shared.
+On either path each distinct atom is built once per parse and shared,
+and the parse hands its atoms to the knowledge base as its atom table
+(``KnowledgeBase.atoms``), so compiling the KB interns nothing again.
 ``render_kb`` emits a canonical form (sorted, labels replaced by their
 numbers) that re-parses, by the declaration path, to an equal knowledge
-base.
+base; it, and ``render_world``, refuse a name that would not read back
+as the one token it is.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import chain
+from operator import attrgetter, itemgetter
 from pathlib import Path as FsPath
 
 from ._records import Record
@@ -523,6 +528,8 @@ class _KbParser(_Parser):
             kb.precedent_links[decl.predicate] = PrecedentLink(
                 target_predicate=decl.predicate, path=decl.path, family=decl.family
             )
+        built = self.atoms.values()
+        kb.atoms = dict(zip(built, built))
         return kb
 
 
@@ -648,6 +655,8 @@ def _read_kb(text: str) -> KnowledgeBase:
             links[m[1]] = PrecedentLink(m[1], tuple(m[2].split("/")), _family(m[3]))
     if not all(library.has_path(case.path) for case in templates.values()):
         raise _Unvouched
+    built = atoms.values()
+    kb.atoms = dict(zip(built, built))
     return kb
 
 
@@ -794,6 +803,83 @@ def format_number(value: float) -> str:
     return repr(float(value))
 
 
+_FIELDS = (attrgetter("consequent"), attrgetter("context"), attrgetter("antecedents"))
+_HEAD = itemgetter(slice(0, 1))
+
+
+def _word(text: str) -> bool:
+    """True if ``text`` is one or more of the characters ``\\w``, '.' and
+    '-' that the token pieces continue a word with: ``str.isalnum`` is
+    what ``\\w`` matches, '_' aside."""
+    return text.isalnum() or text.replace("_", "a").replace(".", "a").replace("-", "a").isalnum()
+
+
+def _writable(identifiers: set[str], variables: set[str]) -> bool:
+    """True if each identifier reads back as one identifier token (``_ID``,
+    or the lexer's branch for a word that starts outside ASCII with a
+    letter) and each variable as one role variable (``_VAR``): each
+    distinct name once, and the characters of all at once."""
+    heads = "".join(map(_HEAD, identifiers))
+    return (
+        len(heads) == len(identifiers)  # no name is empty
+        and (not heads or heads.replace("_", "a").isalpha() and _word("".join(identifiers)))
+        and all(name[:1] == "?" and _word(name[1:]) for name in variables)
+    )
+
+
+def _refuse_unwritable(identifiers: set[str], variables: set[str]) -> None:
+    """Raise DomainError naming the first name, in sorted order, that
+    would not read back as the one token it stands for."""
+    if _writable(identifiers, variables):
+        return
+    for name in sorted(identifiers):
+        if not _writable({name}, set()):
+            raise DomainError(f"cannot render {name!r}: it does not read back as one identifier")
+    for name in sorted(variables):
+        if not _writable(set(), {name}):
+            raise DomainError(f"cannot render {name!r}: it does not read back as one role variable")
+
+
+def _kb_names(kb: KnowledgeBase) -> tuple[set[str], set[str]]:
+    """The identifiers and the role variables ``render_kb`` writes."""
+    rules, templates = kb.rules.values(), kb.case_library.templates.values()
+    items = [*rules, *templates]
+    consequent, context, antecedents = _FIELDS
+    atoms = [
+        *map(consequent, items),
+        *chain.from_iterable(map(context, items)),
+        *chain.from_iterable(map(antecedents, items)),
+    ]
+    arguments = set(chain.from_iterable(map(itemgetter(1), atoms)))
+    variables = {name for name in arguments if name[:1] == "?"}
+    variables.update(chain.from_iterable(map(attrgetter("roles"), templates)))
+    links = kb.precedent_links.values()
+    identifiers = arguments - variables
+    identifiers.update(
+        map(itemgetter(0), atoms),
+        map(attrgetter("identifier"), items),
+        map(attrgetter("target_predicate"), links),
+        chain.from_iterable(kb.case_library.paths),
+        chain.from_iterable(map(attrgetter("rule_class"), rules)),
+        chain.from_iterable(map(attrgetter("path"), templates)),
+        chain.from_iterable(map(attrgetter("path"), links)),
+    )
+    return identifiers, variables
+
+
+def _world_names(world: World) -> tuple[set[str], set[str]]:
+    """``_kb_names`` for ``render_world``: a fact's atom is ground, so each
+    of its arguments is an identifier."""
+    facts = world.facts
+    identifiers = {world.identifier, *world.roles.values(), *world.askables}
+    identifiers.update(
+        map(itemgetter(0), facts),
+        chain.from_iterable(map(itemgetter(1), facts)),
+        chain.from_iterable(map(attrgetter("evidence"), facts.values())),
+    )
+    return identifiers, set(world.roles)
+
+
 def _render_rule_or_case(
     item: Rule | CaseTemplate, path: tuple[str, ...], roles: tuple[str, ...] | None
 ) -> str:
@@ -824,8 +910,11 @@ def render_kb(kb: KnowledgeBase) -> str:
     inlined), and ``parse_kb(render_kb(kb))`` equals ``kb``; ``validate``
     reports a case or link at the taxonomy root, which renders as ``/``.
     The declaration path reads exactly this text, and every other text
-    goes to the token parser.
+    goes to the token parser.  Raises DomainError, naming the first in
+    sorted order, if a name would not read back as the one identifier or
+    role variable it is.
     """
+    _refuse_unwritable(*_kb_names(kb))
     blocks: list[str] = []
     taxonomy = sorted(kb.case_library.paths)
     if taxonomy:
@@ -849,7 +938,10 @@ def render_kb(kb: KnowledgeBase) -> str:
 
 
 def render_world(world: World) -> str:
-    """Canonical text for a world: one fact line per (atom, source)."""
+    """Canonical text for a world: one fact line per (atom, source).
+
+    Raises DomainError as ``render_kb`` does."""
+    _refuse_unwritable(*_world_names(world))
     lines = [f"world {world.identifier} {{"]
     if world.roles:
         bindings = " ".join(f"{var} = {world.roles[var]}" for var in sorted(world.roles))

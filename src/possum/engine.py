@@ -7,9 +7,10 @@ premises as sub-goals, detaches each support path through its rule's
 strength, aggregates the parallel paths, and reconciles the result with
 any stored evidence about the goal itself.  The rules for a goal, and
 the case templates its precedent link instantiates, come from one index
-grounded in the world's roles, built once per session: each rule's
-consequent, context and premises are bound there once, not per
-derivation, and a matched case fires exactly as a rule does.  Firing
+grounded in the world's roles, built once per session from the KB's
+compiled form: each rule's consequent, context and premises are bound
+there once, not per derivation, only the rules that mention a role are
+bound at all, and a matched case fires exactly as a rule does.  Firing
 is then arithmetic alone: a step whose answer is its input (the
 conjunction of one premise, the aggregate of one path, the gate of an
 empty context) is not called.  A rule with a role the world leaves
@@ -35,8 +36,9 @@ screens through the same gate.
 
 from __future__ import annotations
 
+from itertools import chain
 from operator import is_
-from typing import Callable, Generator, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Generator, Iterable, Iterator, Mapping, Optional, Sequence
 
 from ._records import Record
 from .calculus import (
@@ -55,6 +57,7 @@ from .knowledge import (
     CaseTemplate,
     KnowledgeBase,
     Rule,
+    RuleInstance,
     World,
     assert_evidence,
     format_path,
@@ -230,26 +233,6 @@ def context_passes(context: tuple[Atom, ...], world: World, config: QueryConfig)
     return True
 
 
-class RuleInstance(NamedTuple):
-    """One rule or linked case template as one world's roles ground it.
-
-    ``context`` is the ground context the gate screens, and ``premises``
-    are the ground antecedents: what a derivation reads, and no more.
-    ``error`` is the first role the world leaves unbound, in the
-    consequent, then the context, then the antecedents; a rule with an
-    error never fires, and its ``premises`` are empty.  An error in the
-    consequent or the context leaves ``context`` empty too: the rule is
-    about some other situation, nothing screens it, and a derivation of
-    its goal always notes it.  One in an antecedent keeps the ground
-    context, and the rule is noted only past the gate.
-    """
-
-    rule: Rule | CaseTemplate
-    context: tuple[Atom, ...]
-    premises: tuple[Atom, ...]
-    error: UnboundRoleError | None
-
-
 class RuleIndex:
     """The rules of one knowledge base, grounded in one world's roles.
 
@@ -258,9 +241,11 @@ class RuleIndex:
     rule filed in the case library, and is indexed as one.  Roles are
     bound per world and never unified, so a rule has at most
     one ground instance in a world: this is Rete's alpha memory with a
-    trivial join.  ``concluding`` maps each ground consequent to the
-    rules that conclude it, in that order.  ``inactive`` lists,
-    in the same order, the rules whose consequent the world cannot bind;
+    trivial join (Forgy 1982), built from the KB's compiled form
+    (``KnowledgeBase.compiled``) as Rete builds its network once for
+    every working memory.  ``concluding`` maps each ground consequent to
+    the rules that conclude it, in that order.  ``inactive`` lists, in
+    the same order, the rules whose consequent the world cannot bind;
     each ``concluding`` list also holds those of its predicate at their
     place in that order, so a derivation notes them where a scan over
     every rule would.  Each instance's context is grounded here too,
@@ -268,15 +253,19 @@ class RuleIndex:
     reads of the context's facts wait for evaluation time, since facts
     change between queries.
 
-    Each distinct source atom is grounded and interned once, through
-    one memo that consequents, contexts and premises share, so the
-    index holds one object per distinct ground atom and the goal table,
-    keyed by the premises it derives, mostly finds a key by identity
-    rather than by comparing atoms.  Where every ground atom of a
-    context or premise list is the rule's own object, as in any
-    role-free KB the parser built, the instance keeps the rule's own
-    tuple; otherwise (roles, or a KB built in code with a fresh atom
-    per reference) it holds a ground tuple of its own.
+    A rule that mentions no role is the compiled form's own instance,
+    shared by every world, over the KB's atom table, so equal atoms are
+    one object and the goal table, keyed by the premises it derives,
+    mostly finds a key by identity rather than by comparing atoms.  Of
+    a KB with no role at all, ``concluding`` is the compiled form's
+    grouping itself.  Only a rule that mentions a role is grounded here,
+    each distinct atom once, through one memo that consequents, contexts
+    and premises share; a ground atom the KB holds is the KB's object,
+    and one only this world makes stays in this index.  Where every
+    ground atom of such a rule's context or premises is the compiled
+    instance's own, the instance keeps that tuple.  Only when a world
+    leaves a role unbound can a rule be inactive, and only then does the
+    index keep each predicate's consequents to place it.
 
     The index holds exactly what a derivation reads, so its
     stored-value reads follow from the index alone and ``readers_of``
@@ -294,19 +283,23 @@ class RuleIndex:
     __slots__ = ("concluding", "inactive", "_unbound", "_context_readers")
 
     def __init__(self, kb: KnowledgeBase, roles: dict[str, str]):
-        self.concluding: dict[Atom, list[RuleInstance]] = {}
+        compiled = kb.compiled().grouped()
         self.inactive: list[RuleInstance] = []
         self._unbound: dict[str, list[RuleInstance]] = {}
         self._context_readers: dict[Atom, dict[Atom, None]] | None = None
-        atoms_of: dict[str, list[Atom]] = {}
+        if not compiled.roles:
+            self.concluding: dict[Atom, list[RuleInstance]] = compiled.groups
+            return
+        concluding = self.concluding = {}
+        shared = kb.atoms
+        own: dict[Atom, Atom] = {}  # ground atoms the KB does not hold
         bound: dict[Atom, Atom] = {}  # source atom -> its ground atom, interned
-        one: dict[Atom, Atom] = {}
 
         def bind(atom: Atom) -> Atom:
             ground = bound.get(atom)
             if ground is None:
                 ground = substitute(atom, roles)
-                ground = bound[atom] = one.setdefault(ground, ground)
+                ground = bound[atom] = shared.get(ground) or own.setdefault(ground, ground)
             return ground
 
         def bind_all(atoms: tuple[Atom, ...]) -> tuple[Atom, ...]:
@@ -315,27 +308,34 @@ class RuleIndex:
             ground = tuple(map(bind, atoms))
             return atoms if all(map(is_, ground, atoms)) else ground
 
-        for rule in kb.indexed_rules():
-            predicate = rule.consequent.predicate
-            consequent = error = None
-            context = premises = ()
-            try:
-                consequent = bind(rule.consequent)
-                context = bind_all(rule.context)
-                premises = bind_all(rule.antecedents)
-            except UnboundRoleError as err:
-                error = err.with_traceback(None)
-            instance = RuleInstance(rule, context, premises, error)
-            if consequent is None:
-                self.inactive.append(instance)
-                self._unbound.setdefault(predicate, []).append(instance)
-                for atom in atoms_of.get(predicate, ()):
-                    self.concluding[atom].append(instance)
-                continue
-            bucket = self.concluding.get(consequent)
+        grounded = set(chain.from_iterable(compiled.roles.values()))
+        may_be_inactive = not compiled.roles.keys() <= roles.keys()
+        atoms_of: dict[str, list[Atom]] = {}
+        for position, (instance, head) in enumerate(zip(compiled.instances, compiled.consequents)):
+            if position in grounded:
+                consequent = error = None
+                context = premises = ()
+                try:
+                    consequent = bind(head)
+                    context = bind_all(instance.context)
+                    premises = bind_all(instance.premises)
+                except UnboundRoleError as err:
+                    error = err.with_traceback(None)
+                instance = RuleInstance(instance.rule, context, premises, error)
+                if consequent is None:
+                    predicate = head.predicate
+                    self.inactive.append(instance)
+                    self._unbound.setdefault(predicate, []).append(instance)
+                    for atom in atoms_of.get(predicate, ()):
+                        concluding[atom].append(instance)
+                    continue
+                head = consequent
+            bucket = concluding.get(head)
             if bucket is None:
-                bucket = self.concluding[consequent] = list(self._unbound.get(predicate, ()))
-                atoms_of.setdefault(predicate, []).append(consequent)
+                bucket = concluding[head] = []
+                if may_be_inactive:
+                    bucket += self._unbound.get(head.predicate, ())
+                    atoms_of.setdefault(head.predicate, []).append(head)
             bucket.append(instance)
 
     def rules_for(self, atom: Atom) -> Sequence[RuleInstance]:

@@ -12,6 +12,14 @@ and necessity grading and a list of the roles it generalises over; a
 precedent link marks a predicate as arguable from the templates under
 one path.
 
+A knowledge base is compiled once, free of any world
+(``KnowledgeBase.compiled``): its rules and linked templates grouped by
+conclusion in reading order over the KB's atom table, which role
+variables each rule mentions, and the predicate dependencies and
+strength findings ``validate`` reports.  Every world's rule index,
+``validate`` and the revision tracker read that one form, which the KB
+keeps until a rule, case template or precedent link changes.
+
 Facts keep every source's interval separately and reconcile them into
 one effective interval by consensus at assertion time; inference later
 combines *derived* support by aggregation.  Keeping the two combination
@@ -22,7 +30,8 @@ reinforcement is a property of the reasoning and surfaces per query.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, islice, repeat
+from operator import attrgetter, is_, itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from ._records import FrozenRecord, Record
@@ -40,6 +49,8 @@ __all__ = [
     "format_path",
     "World",
     "KnowledgeBase",
+    "RuleInstance",
+    "CompiledKB",
     "ValidationReport",
     "substitute",
     "assert_evidence",
@@ -394,9 +405,16 @@ def lookup(world: World, atom: Atom) -> CertaintyInterval:
 
 
 class KnowledgeBase(Record):
-    """Rules plus the case library and its precedent links."""
+    """Rules plus the case library and its precedent links.
 
-    __slots__ = ("rules", "case_library", "precedent_links")
+    ``atoms`` is the KB's atom table, one object per distinct atom: the
+    parser hands over the atoms it built, and a KB built in code fills
+    it when it is first indexed.  ``compiled`` gives the KB's
+    world-free form; both stay out of ``==`` and ``repr``.
+    """
+
+    __slots__ = ("rules", "case_library", "precedent_links", "atoms", "_compiled")
+    _fields = ("rules", "case_library", "precedent_links")
 
     def __init__(
         self, rules: dict[str, Rule] | None = None, case_library: CaseLibrary | None = None,
@@ -405,6 +423,8 @@ class KnowledgeBase(Record):
         self.rules = {} if rules is None else rules
         self.case_library = CaseLibrary() if case_library is None else case_library
         self.precedent_links = {} if precedent_links is None else precedent_links
+        self.atoms: dict[Atom, Atom] = {}
+        self._compiled: CompiledKB | None = None
 
     def linked_templates(self, link: PrecedentLink) -> list[CaseTemplate]:
         """The case templates ``link`` instantiates, in ``templates_at`` order:
@@ -421,6 +441,177 @@ class KnowledgeBase(Record):
         linked = (self.linked_templates(link) for link in self.precedent_links.values())
         return chain(self.rules.values(), *linked)
 
+    def compiled(self) -> CompiledKB:
+        """The KB's compiled form, built again if any rule, case template
+        or precedent link was added, replaced or removed since the last."""
+        form = self._compiled
+        if form is None or not form.current(self):
+            form = self._compiled = CompiledKB(self)
+        return form
+
+
+class RuleInstance(NamedTuple):
+    """One rule or linked case template, as the compiled form holds it or
+    as one world's roles ground it (``engine.RuleIndex``).
+
+    ``context`` is the context the gate screens, and ``premises`` are
+    the antecedents: what a derivation reads, and no more.  ``error`` is
+    the first role the world leaves unbound, in the consequent, then the
+    context, then the antecedents; a rule with an error never fires, and
+    its ``premises`` are empty.  An error in the consequent or the
+    context leaves ``context`` empty too: the rule is about some other
+    situation, nothing screens it, and a derivation of its goal always
+    notes it.  One in an antecedent keeps the ground context, and the
+    rule is noted only past the gate.
+    """
+
+    rule: Rule | CaseTemplate
+    context: tuple[Atom, ...]
+    premises: tuple[Atom, ...]
+    error: UnboundRoleError | None
+
+
+_CONSEQUENT = attrgetter("consequent")
+_CONTEXT = attrgetter("context")
+_ANTECEDENTS = attrgetter("antecedents")
+_SUFFICIENCY = attrgetter("sufficiency")
+_NECESSITY = attrgetter("necessity")
+_ARGUMENTS = itemgetter(1)
+
+
+class CompiledKB:
+    """A knowledge base compiled once, free of any world, for every world,
+    ``validate`` and the revision tracker to read.
+
+    The KB keeps it until a rule, case template or precedent link is
+    added, replaced or removed.  All three are frozen records, so the
+    identity of each, in order, is the snapshot that tells.
+
+    Building it walks ``kb.indexed_rules()`` once for what ``validate``
+    reads: ``dependencies``, ``predicate_dependencies``'s map, and
+    ``range_errors``, the strengths of rules and templates outside the
+    unit interval.  ``grouped`` adds, once, what a rule index reads, so
+    a KB that is validated and never indexed (one built in code to be
+    rendered, say) is never interned.  ``instances`` holds one
+    ``RuleInstance`` per rule and linked template, in reading order,
+    and ``consequents`` their consequents.  Their atoms are the KB's own
+    (``KnowledgeBase.atoms``), one object per distinct atom: a parsed
+    KB's rules keep their own tuples, and a KB built in code is interned
+    there, so equal atoms are one object however the KB was made.
+    ``groups`` maps each consequent to its instances in reading order,
+    keys by the first rule that concludes each.  ``roles`` maps each
+    role variable to the positions in ``instances`` of the rules that
+    mention it, in reading order; with none, ``groups`` is every world's
+    rule index.  Nothing here is copied for its readers, so none may
+    change it.
+    """
+
+    __slots__ = (
+        "_snapshot", "_pending", "instances", "consequents", "groups", "roles", "dependencies",
+        "range_errors",
+    )
+
+    def __init__(self, kb: KnowledgeBase) -> None:
+        templates = kb.case_library.templates
+        self._snapshot = (
+            tuple(kb.rules.values()), tuple(templates.values()), tuple(kb.precedent_links.values())
+        )
+        rules = list(kb.indexed_rules())
+        consequents = list(map(_CONSEQUENT, rules))
+        premises = list(map(_ANTECEDENTS, rules))
+        deps: dict[str, dict[str, None]] = {}
+        for head, antecedents in zip(consequents, premises):
+            reads = deps.get(head.predicate)
+            if reads is None:
+                reads = deps[head.predicate] = {}
+            for atom in antecedents:
+                reads[atom.predicate] = None
+        self.dependencies = deps
+        self.range_errors = _range_errors("rule", self._snapshot[0]) + _range_errors(
+            "case", self._snapshot[1]
+        )
+        self._pending = (kb.atoms, rules, consequents, premises)
+
+    def grouped(self) -> CompiledKB:
+        """This form with ``instances``, ``consequents``, ``groups`` and
+        ``roles``, built on the first call."""
+        if self._pending is None:
+            return self
+        table, rules, consequents, premises = self._pending
+        contexts = list(map(_CONTEXT, rules))
+        every = [*consequents, *chain.from_iterable(contexts), *chain.from_iterable(premises)]
+        if not all(map(is_, map(table.get, every), every)):
+            # Built in code, or edited since the parse: intern every atom
+            # and cut the run back into the rules' tuples.  Keyed by its
+            # fields as a plain tuple, an atom compares in C, not through
+            # ``Atom.__eq__``.
+            by_fields = dict(zip(map(tuple, table), table))
+            interned = map(by_fields.setdefault, map(tuple, every), every)
+            consequents = list(islice(interned, len(consequents)))
+            contexts = [atoms and tuple(islice(interned, len(atoms))) for atoms in contexts]
+            premises = [tuple(islice(interned, len(atoms))) for atoms in premises]
+            table.update(zip(by_fields.values(), by_fields.values()))
+        self.instances = list(
+            map(tuple.__new__, repeat(RuleInstance), zip(rules, contexts, premises, repeat(None)))
+        )
+        self.consequents = consequents
+        groups: dict[Atom, list[RuleInstance]] = {}
+        for head, instance in zip(consequents, self.instances):
+            group = groups.get(head)
+            if group is None:
+                groups[head] = [instance]
+            else:
+                group.append(instance)
+        self.groups = groups
+
+        roles: dict[str, list[int]] = {}
+        variables: dict[Atom, list[str]] = {}  # each atom with a role, its roles
+        for atom in filter(_ARGUMENTS, table):
+            mentioned = [arg for arg in atom.arguments if is_role_variable(arg)]
+            if mentioned:
+                variables[atom] = mentioned
+        if variables:
+            mentions = enumerate(zip(consequents, contexts, premises))
+            for position, (head, context, antecedents) in mentions:
+                for atom in (head, *context, *antecedents):
+                    for role in variables.get(atom, ()):
+                        positions = roles.setdefault(role, [])
+                        if positions[-1:] != [position]:
+                            positions.append(position)
+        self.roles = roles
+        self._pending = None
+        return self
+
+    def current(self, kb: KnowledgeBase) -> bool:
+        """True while ``kb`` holds the rules, templates and links this was built from."""
+        rules, templates, links = self._snapshot
+        return (
+            _same(rules, kb.rules)
+            and _same(templates, kb.case_library.templates)
+            and _same(links, kb.precedent_links)
+        )
+
+
+def _same(snapshot: tuple, table: dict) -> bool:
+    return len(snapshot) == len(table) and all(map(is_, snapshot, table.values()))
+
+
+def _range_errors(kind: str, items: tuple[Rule | CaseTemplate, ...]) -> list[str]:
+    """The strengths of ``items`` outside [0, 1], or not numbers at all."""
+    values = [*map(_SUFFICIENCY, items), *map(_NECESSITY, items)]
+    # The common case, checked in C: floats and ints only, none nan
+    # (which the sum carries) and none outside [0, 1].
+    if set(map(type, values)) <= {float, int}:
+        total = sum(values)
+        if total == total and min(values, default=0) >= 0 and max(values, default=1) <= 1:
+            return []
+    errors = []
+    for item in items:
+        for name, value in (("sufficiency", item.sufficiency), ("necessity", item.necessity)):
+            if not isinstance(value, (int, float)) or not 0.0 <= float(value) <= 1.0:
+                errors.append(f"{kind} {item.identifier}: {name} {value!r} outside [0, 1]")
+    return errors
+
 
 def predicate_dependencies(kb: KnowledgeBase) -> dict[str, dict[str, None]]:
     """Which predicates each predicate's derivation reads as premises.
@@ -433,14 +624,9 @@ def predicate_dependencies(kb: KnowledgeBase) -> dict[str, dict[str, None]]:
     by the first rule or linked template that concludes each predicate,
     as ``engine.RuleIndex`` orders goals; each value an ordered set (a
     dict of ``None``) of premise predicates, once each, in antecedent
-    order.
+    order.  It is the compiled form's own map: read it, do not change it.
     """
-    deps: dict[str, dict[str, None]] = {}
-    for rule in kb.indexed_rules():
-        premises = deps.setdefault(rule.consequent.predicate, {})
-        for atom in rule.antecedents:
-            premises[atom.predicate] = None
-    return deps
+    return kb.compiled().dependencies
 
 
 def _first_cycle(deps: dict[str, dict[str, None]]) -> list[str] | None:
@@ -448,22 +634,31 @@ def _first_cycle(deps: dict[str, dict[str, None]]) -> list[str] | None:
 
     Roots follow the keys and premises the values: on a role-free KB this
     is ``QuerySession.saturate``'s walk, and the cycle is the one it raises.
+    A predicate whose premises are all settled (walked already, or
+    concluded by no rule) is settled without a walk: no cycle passes
+    through it.
     """
-    done: set[str | None] = set()
+    settled: set[str | None] = set(chain.from_iterable(deps.values()))
+    settled.difference_update(deps)
     # Each predicate under way, outermost first, with the premises it has
     # yet to read; the roots are the premises of ``None``.
     stack: dict[str | None, Iterator[str]] = {None: iter(deps)}
     premises = stack[None]
     while True:
         for premise in premises:
+            if premise in settled:
+                continue
             if premise in stack:
                 path = list(stack)
                 return path[path.index(premise):] + [premise]
-            if premise in deps and premise not in done:
-                premises = stack[premise] = iter(deps[premise])
-                break
+            reads = deps[premise]
+            if settled.issuperset(reads):
+                settled.add(premise)
+                continue
+            premises = stack[premise] = iter(reads)
+            break
         else:
-            done.add(stack.popitem()[0])
+            settled.add(stack.popitem()[0])
             if not stack:
                 return None
             premises = next(reversed(stack.values()))
@@ -509,16 +704,9 @@ def validate(kb: KnowledgeBase) -> ValidationReport:
     taxonomy paths that were never declared.  The root holds no case or
     link: ``render_kb`` would write it as ``/``, which no parser reads.
     """
-    report = ValidationReport()
+    form = kb.compiled()
+    report = ValidationReport(range_errors=list(form.range_errors))
     library = kb.case_library
-
-    for kind, items in (("rule", kb.rules.values()), ("case", library.templates.values())):
-        for item in items:
-            for name, value in (("sufficiency", item.sufficiency), ("necessity", item.necessity)):
-                if not isinstance(value, (int, float)) or not 0.0 <= float(value) <= 1.0:
-                    report.range_errors.append(
-                        f"{kind} {item.identifier}: {name} {value!r} outside [0, 1]"
-                    )
 
     for template in library.templates.values():
         owner = f"case {template.identifier}"
@@ -540,7 +728,7 @@ def validate(kb: KnowledgeBase) -> ValidationReport:
                 f"path {format_path(link.path)} is not in the taxonomy"
             )
 
-    cycle = _first_cycle(predicate_dependencies(kb))
+    cycle = _first_cycle(form.dependencies)
     if cycle is not None:
         report.cycles.append(cycle)
     return report

@@ -126,7 +126,6 @@ class DependencyTracker:
         self._stale: set[Atom] = set()
         self._edits = world.edits
         self._roles = dict(world.roles)
-        self._rule_roles: frozenset[str] | None = None
         self._index = RuleIndex(kb, world.roles)
 
     def _session(self) -> QuerySession:
@@ -161,7 +160,7 @@ class DependencyTracker:
         if world.roles != self._roles:
             old, self._roles = self._roles, dict(world.roles)
             rebound = {r for r in {*old, *world.roles} if old.get(r) != world.roles.get(r)}
-            if not rebound.isdisjoint(self._mentioned_roles()):
+            if not rebound.isdisjoint(self.kb.compiled().grouped().roles):
                 self._index = RuleIndex(self.kb, world.roles)
                 self._edits = world.edits
                 self._goals.clear()
@@ -223,17 +222,6 @@ class DependencyTracker:
         if rewrite:
             self._prove(self._session(), rewrite)
         return invalidated
-
-    def _mentioned_roles(self) -> frozenset[str]:
-        """The role variables the indexed rules and templates mention."""
-        if self._rule_roles is None:
-            self._rule_roles = frozenset(
-                role
-                for rule in self.kb.indexed_rules()
-                for atom in (rule.consequent, *rule.context, *rule.antecedents)
-                for role in atom.variables()
-            )
-        return self._rule_roles
 
     def query(self, goal: Atom) -> QueryResult:
         """Prove a goal and start tracking it (and its derived sub-goals).

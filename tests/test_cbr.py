@@ -348,6 +348,30 @@ class TestSimilarity:
                     assert sxz >= transitivity_bound(TNormFamily.T1, sxy, syz) - 1e-12
 
 
+    def test_similarity_is_the_complement_of_the_mean_midpoint_gap(self):
+        # ``similarity_from_distance`` on what the engine fired: two
+        # templates under one link, each in six seeded worlds.
+        rng = random.Random(11)
+        kb = _case_kb(
+            _template("t1", ("p",), ["a", "b", "c"], "q"),
+            _template("t2", ("p",), ["c", "d", "e"], "q"),
+        )
+        cases = []
+        for i in range(6):
+            world = World(f"w{i}")
+            for name in "abcde":
+                lo = rng.uniform(0.0, 1.0)
+                assert_evidence(world, Atom(name), CertaintyInterval(lo, rng.uniform(lo, 1.0)), "s")
+            cases.extend(_fired(kb, world))
+        assert [case.provenance for case in cases[:2]] == ["t1", "t2"]
+        for x in cases:
+            for y in cases:
+                gap = 0.0
+                for p, q in zip(x.children, y.children):
+                    gap += abs(p.result.midpoint() - q.result.midpoint())
+                assert case_similarity(x, y) == 1.0 - gap / len(x.children)
+
+
 class TestCasesAreRules:
     """The abstract's central claim: cases join "without altering the
     inference engine of RBR".  A precedent link whose one linked template
@@ -382,3 +406,88 @@ class TestCasesAreRules:
             checked += 1
         # The generator gives 94 such KBs in these seeds.
         assert checked == 94
+
+    def test_several_linked_cases_as_rules_move_no_interval_under_t3(self):
+        # The generator gives 205 such KBs in these seeds.
+        assert _several_cases_as_rules(range(300)) == 205
+
+    @pytest.mark.slow
+    def test_several_linked_cases_as_rules_move_no_interval_under_t3_at_scale(self):
+        assert _several_cases_as_rules(range(300, 3000)) == 1795
+
+    def test_where_several_cases_stop_being_rules(self):
+        # The generator's own mixed families: the link's family is not the
+        # templates', and T1's sums are not associative.
+        kb, world, _ = weighted_kb(random.Random(1), 60)
+        assert _moved_intervals(kb, world) == [Atom("p12")]
+        # Every linked template screened out: the link adds a path at total
+        # ignorance, which T3 aggregates through 1 - min(1 - x, 1), one
+        # rounding away from a lone rule path's own interval; the
+        # conclusions that read it move with it.
+        kb, world, _ = weighted_kb(random.Random(123), 60)
+        _all_t3(kb)
+        (link,) = kb.precedent_links.values()
+        assert not any(context_passes(t.context, world, CONFIG) for t in kb.linked_templates(link))
+        assert _moved_intervals(kb, world) == [Atom("p18"), Atom("p24"), Atom("p40")]
+
+
+CONFIG = QueryConfig(conflict_policy=ConflictPolicy.LENIENT)
+
+
+def _all_t3(kb):
+    """Every rule, template and link of ``kb`` under T3."""
+    for ident, r in kb.rules.items():
+        kb.rules[ident] = Rule(
+            ident, r.context, r.antecedents, r.consequent, r.sufficiency, r.necessity, T3,
+            r.rule_class,
+        )
+    templates = kb.case_library.templates
+    for ident, t in templates.items():
+        templates[ident] = CaseTemplate(
+            ident, t.path, t.roles, t.context, t.antecedents, t.consequent, t.sufficiency,
+            t.necessity, T3,
+        )
+    for predicate, link in kb.precedent_links.items():
+        kb.precedent_links[predicate] = PrecedentLink(predicate, link.path, T3)
+
+
+def _moved_intervals(kb, world):
+    """The atoms whose saturated interval moves, as ``float.hex``, when
+    every template the one link instantiates becomes a rule and the link
+    goes."""
+    (predicate, link), = kb.precedent_links.items()
+    as_case = forward_saturate(kb, world.copy(), CONFIG)
+    for case in kb.linked_templates(link):
+        del kb.case_library.templates[case.identifier]
+        kb.rules[case.identifier] = Rule(
+            case.identifier, case.context, case.antecedents, case.consequent,
+            case.sufficiency, case.necessity, case.family,
+        )
+    del kb.precedent_links[predicate]
+    as_rule = forward_saturate(kb, world, CONFIG)
+    assert as_rule.keys() == as_case.keys()
+    return [
+        atom for atom, iv in as_case.items()
+        if (iv.lower.hex(), iv.upper.hex())
+        != (as_rule[atom].lower.hex(), as_rule[atom].upper.hex())
+    ]
+
+
+def _several_cases_as_rules(seeds) -> int:
+    """Check the KBs among ``seeds`` whose one link instantiates two or
+    three templates, one of them past the gate, all under T3: T3's max
+    and min are associative, so the link's aggregate of the cases is one
+    more aggregate over the paths.  Returns how many were checked."""
+    checked = 0
+    for seed in seeds:
+        kb, world, _ = weighted_kb(random.Random(seed), 60)
+        if len(kb.precedent_links) != 1:
+            continue
+        (link,) = kb.precedent_links.values()
+        linked = kb.linked_templates(link)
+        if len(linked) < 2 or not any(context_passes(t.context, world, CONFIG) for t in linked):
+            continue
+        _all_t3(kb)
+        assert _moved_intervals(kb, world) == [], f"seed {seed}"
+        checked += 1
+    return checked

@@ -11,8 +11,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from possum.calculus import CertaintyInterval, ConflictPolicy, SourceConflictError, TNormFamily
-from possum.errors import ConflictError, ParseError, ParseFailure
-from possum.knowledge import Atom, KnowledgeBase, lookup
+from possum.errors import ConflictError, DomainError, ParseError, ParseFailure
+from possum.knowledge import (
+    Atom,
+    CaseTemplate,
+    KnowledgeBase,
+    PrecedentLink,
+    Rule,
+    World,
+    assert_evidence,
+    lookup,
+)
 from possum.dsl import (
     format_number,
     parse_evidence_text,
@@ -397,6 +406,103 @@ class TestRenderer:
             parsed = parse_kb(text, f"gen{seed}.kb")
             assert parsed == kb, f"seed {seed}"
             assert render_kb(parsed) == text, f"seed {seed}"
+
+
+
+def _one_rule_kb(identifier="r", antecedent=Atom("p", ("x",)), rule_class=()):
+    kb = KnowledgeBase()
+    kb.rules[identifier] = Rule(
+        identifier, (), (antecedent,), Atom("q"), 0.9, 0.0, TNormFamily.T2, rule_class
+    )
+    return kb
+
+
+def _one_case_kb(roles=("?x",), path=("deals",), link_predicate="q", taxonomy=("deals",)):
+    kb = KnowledgeBase()
+    kb.case_library.declare_path(taxonomy)
+    kb.case_library.add(
+        CaseTemplate(
+            "k", path, roles, (), (Atom("p", ("?x",)),), Atom("q", ("?x",)), 0.9, 0.0,
+            TNormFamily.T2,
+        )
+    )
+    kb.precedent_links[link_predicate] = PrecedentLink(link_predicate, ("deals",), TNormFamily.T2)
+    return kb
+
+
+def _with_rule(kb):
+    kb.rules.update(_one_rule_kb().rules)
+    return kb
+
+
+def _one_fact_world(identifier="w", atom=Atom("p", ("x",)), source="s", roles=None, askable="a"):
+    world = World(identifier, roles=dict(roles or {}), askables={askable})
+    assert_evidence(world, atom, CertaintyInterval(0.5, 1.0), source)
+    return world
+
+
+_UNWRITABLE_KBS = [
+    (lambda: _one_rule_kb(antecedent=Atom("p", ("x y",))), "x y"),
+    (lambda: _one_rule_kb(antecedent=Atom("p q", ("x",))), "p q"),
+    (lambda: _one_rule_kb(antecedent=Atom("p", ("?",))), "?"),
+    (lambda: _one_rule_kb(antecedent=Atom("p", ("?x y",))), "?x y"),
+    (lambda: _one_rule_kb(antecedent=Atom("p", ("1x",))), "1x"),
+    (lambda: _one_rule_kb(antecedent=Atom("p", ("x#y",))), "x#y"),
+    (lambda: _one_rule_kb(antecedent=Atom("p", ("",))), ""),
+    (lambda: _one_rule_kb(antecedent=Atom("p", ("²x",))), "²x"),
+    (lambda: _one_rule_kb(identifier="r 1"), "r 1"),
+    (lambda: _one_rule_kb(rule_class=("deals", "big/ones")), "big/ones"),
+    (lambda: _one_case_kb(roles=("x",)), "x"),
+    (lambda: _with_rule(_one_case_kb(roles=("x",))), "x"),  # and an argument, where it is fine
+    (lambda: _one_case_kb(path=("deals", "a b"), taxonomy=("deals", "a b")), "a b"),
+    (lambda: _one_case_kb(link_predicate="q;"), "q;"),
+]
+
+_UNWRITABLE_WORLDS = [
+    (lambda: _one_fact_world(source="two words"), "two words"),
+    (lambda: _one_fact_world(identifier="W 1"), "W 1"),
+    (lambda: _one_fact_world(atom=Atom("p", ("x y",))), "x y"),
+    (lambda: _one_fact_world(roles={"x": "A"}), "x"),
+    (lambda: _one_fact_world(roles={"?x": "A B"}), "A B"),
+    (lambda: _one_fact_world(askable="a b"), "a b"),
+]
+
+
+class TestUnwritableNames:
+    """A name the renderer writes must read back as the one identifier or
+    role variable it stands for, or ``render_kb(kb)`` would parse back as
+    another KB, or not at all."""
+
+    @pytest.mark.parametrize(
+        "build, name", _UNWRITABLE_KBS, ids=[repr(n) for _, n in _UNWRITABLE_KBS]
+    )
+    def test_render_kb_refuses_the_name(self, build, name):
+        kb = build()
+        with pytest.raises(DomainError, match=re.escape(repr(name))):
+            render_kb(kb)
+
+    def test_an_argument_with_a_blank_no_longer_reads_back_as_two(self):
+        # The defect: this KB validated, rendered as (p x y) and parsed
+        # back as Atom('p', ('x', 'y')).
+        kb = _one_rule_kb(antecedent=Atom("p", ("x y",)))
+        with pytest.raises(DomainError, match="'x y': it does not read back as one identifier"):
+            render_kb(kb)
+
+    @pytest.mark.parametrize(
+        "build, name", _UNWRITABLE_WORLDS, ids=[repr(n) for _, n in _UNWRITABLE_WORLDS]
+    )
+    def test_render_world_refuses_the_name(self, build, name):
+        world = build()
+        with pytest.raises(DomainError, match=re.escape(repr(name))):
+            render_world(world)
+
+    def test_names_that_lex_as_one_token_round_trip(self):
+        kb = _one_rule_kb(identifier="r.1-b", antecedent=Atom("café", ("_x", "?y.z", "B-2")))
+        assert parse_kb(render_kb(kb)) == kb
+        world = _one_fact_world(identifier="W", atom=Atom("café", ("B-2",)), source="src.1")
+        again = parse_world(render_world(world))
+        assert again.facts.keys() == world.facts.keys()
+        assert again.facts[Atom("café", ("B-2",))].sources() == ["src.1"]
 
 
 # Pieces a mutation inserts: punctuation, keywords, numbers out of range,

@@ -31,6 +31,7 @@ from possum.engine import (
 from possum.errors import DerivationCycleError, DomainError, UnboundRoleError
 from possum.knowledge import (
     Atom,
+    CaseLibrary,
     CaseTemplate,
     KnowledgeBase,
     PrecedentLink,
@@ -427,6 +428,117 @@ class TestIndexSharing:
             goal = Atom("anti-trust-success", (raider, "Marathon"))
             assert goal in index.concluding
         assert first.concluding.keys().isdisjoint(second.concluding)
+
+
+class TestCompiledForm:
+    """A KB is compiled once and its form kept, but never served after an
+    edit: each call after one reads the edited KB, as a KB never
+    compiled does."""
+
+    TEXT = """taxonomy lib;
+
+rule r1 tnorm T2 suff 0.9 nec 0 {
+  if (a)
+  then (q)
+}
+
+rule r2 tnorm T2 suff 0.6 nec 0 {
+  if (b)
+  then (q)
+}
+
+rule r3 tnorm T2 suff 0.8 nec 0 {
+  if (q)
+  then (top)
+}
+
+case k1 path lib tnorm T2 suff 0.7 nec 0 {
+  roles
+  if (c)
+  then (q)
+}
+
+precedent (q) from lib tnorm T2;
+"""
+
+    def _world(self):
+        world = World("w")
+        for name, lower in (("a", 0.8), ("b", 0.6), ("c", 0.9), ("d", 0.5)):
+            _fact(world, name, lower)
+        return world
+
+    def _answers(self, kb):
+        """What validate, prove and forward_saturate say about ``kb``."""
+        report = validate(kb)
+        if not report.ok():
+            return report, None, None
+        config = QueryConfig(conflict_policy=ConflictPolicy.LENIENT)
+        result = prove(kb, self._world(), Atom("top"), config)
+        saturated = forward_saturate(kb, self._world(), config)
+        return report, (result.proof, result.diagnostics), saturated
+
+    def test_every_edit_is_read_by_the_next_call(self):
+        kb = parse_kb(self.TEXT)
+        before = self._answers(kb)
+        library = kb.case_library
+        edits = [
+            ("add a rule", lambda: kb.rules.__setitem__("r4", _rule("r4", ["d"], "q", s=0.95))),
+            ("replace a rule", lambda: kb.rules.__setitem__("r1", _rule("r1", ["a"], "q", s=0.3))),
+            ("delete a rule", lambda: kb.rules.pop("r2")),
+            ("out of range", lambda: kb.rules.__setitem__("r5", _rule("r5", ["d"], "e", s=1.5))),
+            ("back in range", lambda: kb.rules.pop("r5")),
+            (
+                "a rule with a role",
+                lambda: kb.rules.__setitem__(
+                    "r6", Rule("r6", (), (Atom("d"),), Atom("q", ("?x",)), 0.9, 0.0, T2)
+                ),
+            ),
+            (
+                "replace a template",
+                lambda: library.templates.__setitem__(
+                    "k1",
+                    CaseTemplate("k1", ("lib",), (), (), (Atom("d"),), Atom("q"), 0.2, 0.0, T2),
+                ),
+            ),
+            (
+                "add a template",
+                lambda: library.add(
+                    CaseTemplate("k2", ("lib",), (), (), (Atom("a"),), Atom("q"), 0.99, 0.0, T2)
+                ),
+            ),
+            (
+                "replace the link",
+                lambda: kb.precedent_links.__setitem__("q", PrecedentLink("q", ("lib",), T3)),
+            ),
+            ("delete the link", lambda: kb.precedent_links.pop("q")),
+            ("a cycle", lambda: kb.rules.__setitem__("r7", _rule("r7", ["top"], "a"))),
+        ]
+        for what, edit in edits:
+            edit()
+            now = self._answers(kb)
+            fresh = KnowledgeBase(
+                dict(kb.rules),
+                CaseLibrary(set(library.paths), dict(library.templates)),
+                dict(kb.precedent_links),
+            )
+            assert now == self._answers(fresh), what
+            assert now != before, what
+            before = now
+        assert validate(kb).cycles == [["q", "a", "top", "q"]]
+
+    def test_an_unedited_kb_keeps_its_form(self):
+        kb, world, _ = weighted_kb(random.Random(2), 60)
+        form = kb.compiled()
+        validate(kb)
+        forward_saturate(kb, world.copy())
+        assert kb.compiled() is form
+        kb.rules = dict(kb.rules)  # the same rules in another dict: no edit
+        assert kb.compiled() is form
+        (link,) = kb.precedent_links.values()
+        kb.precedent_links[link.target_predicate] = PrecedentLink(
+            link.target_predicate, link.path, link.family
+        )
+        assert kb.compiled() is not form
 
 
 class TestFiringChecks:

@@ -1,5 +1,6 @@
 """Atoms, worlds, evidence bookkeeping, and static KB checks."""
 
+import math
 import random
 from graphlib import CycleError, TopologicalSorter
 
@@ -368,6 +369,37 @@ class TestKnowledgeBase:
         report = validate(kb)
         assert not report.ok()
         assert any("r1" in m for m in report.messages())
+
+    def test_validate_names_each_strength_outside_the_unit_interval(self):
+        # Most KBs are checked in C at once; the findings must be those
+        # of checking each value on its own.
+        class Half(float):
+            pass
+
+        values = [
+            0.0, 1.0, 0, 1, True, -0.0, Half(0.5), 0.25,
+            1.5, -0.25, 2, math.nan, math.inf, -math.inf, Half(1.5), "0.5", None,
+        ]
+        for value in values:
+            kb = KnowledgeBase()
+            kb.rules["ok"] = _rule("ok", ["a"], "q")
+            kb.rules["r"] = _rule("r", ["a"], "q", s=value)
+            kb.case_library.declare_path(("lib",))
+            kb.case_library.add(
+                CaseTemplate("c", ("lib",), (), (), (Atom("a"),), Atom("q"), 0.5, value, T2)
+            )
+            expected = []
+            if not isinstance(value, (int, float)) or not 0.0 <= float(value) <= 1.0:
+                expected = [
+                    f"rule r: sufficiency {value!r} outside [0, 1]",
+                    f"case c: necessity {value!r} outside [0, 1]",
+                ]
+            assert validate(kb).range_errors == expected, value
+        kb = KnowledgeBase()
+        kb.rules["r"] = _rule("r", ["a"], "q", s=math.inf, n=-math.inf)
+        assert validate(kb).range_errors == [
+            "rule r: sufficiency inf outside [0, 1]", "rule r: necessity -inf outside [0, 1]"
+        ]
 
     def test_validate_flags_rule_cycle(self):
         kb = KnowledgeBase()
