@@ -25,12 +25,15 @@ exclusive alternatives; the half-step families sit between.  Every
 family lies within the Frechet bounds T1 <= T <= T3 pointwise, so the
 choice moves results monotonically along the table.
 
-Each family's conjunction is written once, for one or more values.
-T1.5 and T2.5 take n arguments through their closed forms (sum of
-square roots, sum of reciprocals); T1 folds.  Those sums run left to
-right in a plain loop, because ``sum`` compensates its rounding from
-CPython 3.12 on and would make results depend on the interpreter.
-Outputs are clamped so accumulated rounding can never leave [0, 1].
+Each family's conjunction has an n-ary form and a two-argument form.
+The n-ary form takes T1.5 and T2.5 through their closed forms (sum of
+square roots, sum of reciprocals) and folds T1.  Those sums run left to
+right in a plain loop: ``sum`` compensates its rounding from CPython
+3.12 on, which would make results depend on the interpreter.  Outputs
+are clamped so rounding never leaves [0, 1].  The two-argument form,
+which ``detach`` and every step on two items use, is the n-ary form for
+two values less the operations that cannot change a float there (adding
+to 0.0, a clamp two values never reach), so the forms agree bit for bit.
 
 On top of the raw norms this module provides the four combination
 steps the inference engine is built from: antecedent evaluation,
@@ -55,6 +58,7 @@ from __future__ import annotations
 
 from enum import Enum
 from math import prod, sqrt
+from operator import mul
 from typing import Callable, Iterable, Sequence
 
 from ._records import FrozenRecord
@@ -149,9 +153,8 @@ class CertaintyInterval(FrozenRecord):
             lower, upper = float(lower), float(upper)
             if not (0.0 <= lower <= upper <= 1.0):
                 raise DomainError(f"invalid certainty interval [{lower!r}, {upper!r}]")
-        set_lower, set_upper = self._setters
-        set_lower(self, lower)
-        set_upper(self, upper)
+        _set_lower(self, lower)
+        _set_upper(self, upper)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -171,6 +174,8 @@ class CertaintyInterval(FrozenRecord):
     def __str__(self) -> str:
         return f"[{self.lower:.4f}, {self.upper:.4f}]"
 
+
+_set_lower, _set_upper = CertaintyInterval._setters
 
 TOTAL_IGNORANCE = CertaintyInterval(0.0, 1.0)
 CERTAIN = CertaintyInterval(1.0, 1.0)
@@ -203,12 +208,22 @@ def _bounded_difference(values: Sequence[float]) -> float:
     return _clamp(acc)
 
 
+def _bounded_difference_pair(a: float, b: float) -> float:
+    x = a + b - 1.0  # at most 1.0
+    return 0.0 if x < 0.0 else x
+
+
 def _sqrt_form(values: Sequence[float]) -> float:
     s = 0.0
     for v in values:
         s += sqrt(v)
     r = s - (len(values) - 1)
     return _clamp(r * r) if r > 0.0 else 0.0
+
+
+def _sqrt_pair(a: float, b: float) -> float:
+    r = sqrt(a) + sqrt(b) - 1.0  # at most 1.0
+    return r * r if r > 0.0 else 0.0
 
 
 def _product(values: Sequence[float]) -> float:
@@ -225,6 +240,12 @@ def _reciprocal_form(values: Sequence[float]) -> float:
     return _clamp(1.0 / (s - (len(values) - 1)))
 
 
+def _reciprocal_pair(a: float, b: float) -> float:
+    if a == 0.0 or b == 0.0:
+        return 0.0
+    return 1.0 / (1.0 / a + 1.0 / b - 1.0)  # the divisor is at least 1.0
+
+
 _Conjunction = Callable[[Sequence[float]], float]
 
 _CONJUNCTIONS: dict[TNormFamily, _Conjunction] = {
@@ -234,18 +255,13 @@ _CONJUNCTIONS: dict[TNormFamily, _Conjunction] = {
     TNormFamily.T2_5: _reciprocal_form,
     TNormFamily.T3: min,
 }
-
-
-def _conjunction(family: TNormFamily, op: str) -> _Conjunction:
-    """The family's n-ary conjunction; ``op`` names the caller in errors."""
-    if not isinstance(family, TNormFamily):
-        raise DomainError(f"{op} needs a TNormFamily, got {family!r}")
-    return _CONJUNCTIONS[family]
-
-
-def _disjunction(conj: _Conjunction, values: Sequence[float]) -> float:
-    """The dual conorm: 1 - T(1 - v_1, ..., 1 - v_n)."""
-    return 1.0 - conj([1.0 - v for v in values])
+_PAIRS: dict[TNormFamily, Callable[[float, float], float]] = {
+    TNormFamily.T1: _bounded_difference_pair,
+    TNormFamily.T1_5: _sqrt_pair,
+    TNormFamily.T2: mul,
+    TNormFamily.T2_5: _reciprocal_pair,
+    TNormFamily.T3: min,
+}
 
 
 def tnorm(family: TNormFamily, values: Sequence[float]) -> float:
@@ -254,19 +270,12 @@ def tnorm(family: TNormFamily, values: Sequence[float]) -> float:
     A single value passes through untouched; longer sequences combine by
     the family's fold (closed n-ary form for T1.5 and T2.5).
     """
-    conj = _conjunction(family, "tnorm")
+    if family.__class__ is not TNormFamily:
+        raise DomainError(f"tnorm needs a TNormFamily, got {family!r}")
     vals = [_check_unit(v, "tnorm argument") for v in values]
     if not vals:
         raise DomainError("tnorm of an empty sequence")
-    return vals[0] if len(vals) == 1 else conj(vals)
-
-
-def _snap(lower: float, upper: float) -> tuple[float, float]:
-    # Forgive sub-_SNAP inversions; genuine conflicts are handled by the
-    # caller before interval construction.
-    if lower > upper and lower - upper <= _SNAP:
-        return lower, lower
-    return lower, upper
+    return vals[0] if len(vals) == 1 else _CONJUNCTIONS[family](vals)
 
 
 def antecedent_eval(family: TNormFamily, clauses: Sequence[CertaintyInterval]) -> CertaintyInterval:
@@ -276,14 +285,25 @@ def antecedent_eval(family: TNormFamily, clauses: Sequence[CertaintyInterval]) -
     0 while the uppers keep what is still possible.  A single clause is
     returned exactly as given.
     """
-    conj = _conjunction(family, "antecedent_eval")
-    if not clauses:
-        raise DomainError("antecedent_eval of an empty clause list")
-    if len(clauses) == 1:
+    if family.__class__ is not TNormFamily:
+        raise DomainError(f"antecedent_eval needs a TNormFamily, got {family!r}")
+    if len(clauses) == 2:
+        a, b = clauses
+        conj = _PAIRS[family]
+        lo = conj(a.lower, b.lower)
+        hi = conj(a.upper, b.upper)
+    elif len(clauses) > 2:
+        conj = _CONJUNCTIONS[family]
+        lo = conj([c.lower for c in clauses])
+        hi = conj([c.upper for c in clauses])
+    elif clauses:
         return clauses[0]
-    lo = conj([c.lower for c in clauses])
-    hi = conj([c.upper for c in clauses])
-    return CertaintyInterval(*_snap(lo, hi))
+    else:
+        raise DomainError("antecedent_eval of an empty clause list")
+    # Forgive a rounding-level inversion, here and below.
+    if lo > hi and lo - hi <= _SNAP:
+        hi = lo
+    return CertaintyInterval(lo, hi)
 
 
 def detach(
@@ -308,10 +328,14 @@ def detach(
     if not (s.__class__ is n.__class__ is float and 0.0 <= s <= 1.0 and 0.0 <= n <= 1.0):
         s = _check_unit(s, "sufficiency")
         n = _check_unit(n, "necessity")
-    conj = _conjunction(family, "detach")
-    lo = conj((s, premise.lower))
-    hi = 1.0 - conj((n, 1.0 - premise.upper))
-    return CertaintyInterval(*_snap(lo, hi))
+    if family.__class__ is not TNormFamily:
+        raise DomainError(f"detach needs a TNormFamily, got {family!r}")
+    conj = _PAIRS[family]
+    lo = conj(s, premise.lower)
+    hi = 1.0 - conj(n, 1.0 - premise.upper)
+    if lo > hi and lo - hi <= _SNAP:
+        hi = lo
+    return CertaintyInterval(lo, hi)
 
 
 def aggregate(
@@ -338,14 +362,23 @@ def aggregate(
     ``subject`` names the conclusion in that message, and is formatted
     only when a conflict is reported.
     """
-    conj = _conjunction(family, "aggregate")
-    if not paths:
-        raise DomainError("aggregate of an empty path list")
-    if len(paths) == 1:
+    if family.__class__ is not TNormFamily:
+        raise DomainError(f"aggregate needs a TNormFamily, got {family!r}")
+    if len(paths) == 2:
+        p, q = paths
+        conj = _PAIRS[family]
+        lo = 1.0 - conj(1.0 - p.lower, 1.0 - q.lower)
+        hi = 1.0 - (1.0 - conj(1.0 - (1.0 - p.upper), 1.0 - (1.0 - q.upper)))
+    elif len(paths) > 2:
+        conj = _CONJUNCTIONS[family]  # each bound through the dual conorm
+        lo = 1.0 - conj([1.0 - p.lower for p in paths])
+        hi = 1.0 - (1.0 - conj([1.0 - (1.0 - p.upper) for p in paths]))
+    elif paths:
         return paths[0]
-    lo = _disjunction(conj, [p.lower for p in paths])
-    hi = 1.0 - _disjunction(conj, [1.0 - p.upper for p in paths])
-    lo, hi = _snap(lo, hi)
+    else:
+        raise DomainError("aggregate of an empty path list")
+    if lo > hi and lo - hi <= _SNAP:
+        hi = lo
     if lo > hi:
         what = subject or "conclusion"
         message = (
@@ -378,13 +411,19 @@ def consensus(
     names the proposition in that message, and is formatted only when a conflict
     is reported.
     """
-    if not sources:
-        raise DomainError("consensus of an empty source list")
-    if len(sources) == 1:
+    if len(sources) == 2:
+        a, b = sources
+        lo = max(a.lower, b.lower)
+        hi = min(a.upper, b.upper)
+    elif len(sources) > 2:
+        lo = max(s.lower for s in sources)
+        hi = min(s.upper for s in sources)
+    elif sources:
         return sources[0]
-    lo = max(s.lower for s in sources)
-    hi = min(s.upper for s in sources)
-    lo, hi = _snap(lo, hi)
+    else:
+        raise DomainError("consensus of an empty source list")
+    if lo > hi and lo - hi <= _SNAP:
+        hi = lo
     if lo > hi:
         what = subject or "fact"
         named = ", ".join(labels) if labels else f"{len(sources)} sources"
@@ -416,4 +455,6 @@ def transitivity_bound(family: TNormFamily, s_ac: float, s_cb: float) -> float:
     """
     a = _check_unit(s_ac, "similarity")
     b = _check_unit(s_cb, "similarity")
-    return _conjunction(family, "transitivity_bound")((a, b))
+    if family.__class__ is not TNormFamily:
+        raise DomainError(f"transitivity_bound needs a TNormFamily, got {family!r}")
+    return _PAIRS[family](a, b)

@@ -13,7 +13,9 @@ there once, not per derivation, only the rules that mention a role are
 bound at all, and a matched case fires exactly as a rule does.  Firing
 is then arithmetic alone: a step whose answer is its input (the
 conjunction of one premise, the aggregate of one path, the gate of an
-empty context) is not called.  A rule with a role the world leaves
+empty context) is not called, and a goal derived again keeps each
+rule or case path whose premises are still the same proof nodes, so
+only the other paths fire.  A rule with a role the world leaves
 unbound never fires; one unbound in its consequent or context is noted
 whenever its goal is derived, one in an antecedent only once its
 context passes the gate.  Every step is kept as a proof node so
@@ -381,7 +383,9 @@ class QuerySession:
     (the revision tracker's set-aside goals).  A goal derived afresh
     whose interval equals its set-aside proof's is written into that
     ``ProofNode`` in place, so a parent that points at the old node
-    reads the new derivation.  One-shot sessions pass none.
+    reads the new derivation.  Each rule or case path of a set-aside
+    proof whose premises are still the same nodes is kept as it is.
+    One-shot sessions pass none.
     """
 
     def __init__(
@@ -496,11 +500,31 @@ class QuerySession:
                 assert_evidence(world, atom, answer, "user", config.conflict_policy)
                 fact = world.facts.get(atom)
 
+        fact_node = None
+        if fact is not None:
+            fact_node = ProofNode(atom, "fact", fact.effective, "+".join(fact.sources()))
+        rules = self._index.rules_for(atom)
+        link = self.kb.precedent_links.get(atom.predicate)
+        if not rules and link is None:
+            return fact_node or ProofNode(atom, "fact", TOTAL_IGNORANCE, "unknown")
+
         paths: list[ProofNode] = []
         cases: list[ProofNode] = []
         families: list[TNormFamily] = []
+        # The set-aside proof's rule and case paths, last first: they
+        # fired in index order, so each is the next rule's path or none.
+        old = self._aside.get(atom) if self._aside else None
+        was = [] if old is None else [
+            path for top in reversed(old.children)
+            for path in (reversed(top.children) if top.kind == "precedent" else (top,))
+        ]
 
-        for rule, context, premises, error in self._index.rules_for(atom):
+        for rule, context, premises, error in rules:
+            is_case = isinstance(rule, CaseTemplate)
+            kind = "case-instance" if is_case else "rule-instance"
+            path = None
+            if was and was[-1].provenance == rule.identifier and was[-1].kind == kind:
+                path = was.pop()
             # An unbound role in the consequent or the context (no
             # context) is noted always, one in an antecedent only past
             # the gate.
@@ -515,24 +539,23 @@ class QuerySession:
                 if sub is None:
                     sub = yield premise
                 children.append(sub)
-            # Calls whose answer is their input are skipped, once the
-            # family they would check is known to be one.
             family = rule.family
-            if len(children) == 1 and family.__class__ is TNormFamily:
-                joint = sub.result
-            else:
-                joint = antecedent_eval(family, [child.result for child in children])
-            detached = detach(family, rule.sufficiency, rule.necessity, joint)
-            is_case = isinstance(rule, CaseTemplate)
-            kind = "case-instance" if is_case else "rule-instance"
-            node = ProofNode(atom, kind, detached, rule.identifier, joint, tuple(children))
+            # A path whose premises are the nodes it read is kept.
+            if path is None or not all(map(is_, path.children, children)):
+                # Calls whose answer is their input are skipped, once the
+                # family they would check is known to be one.
+                if len(children) == 1 and family.__class__ is TNormFamily:
+                    joint = sub.result
+                else:
+                    joint = antecedent_eval(family, [child.result for child in children])
+                detached = detach(family, rule.sufficiency, rule.necessity, joint)
+                path = ProofNode(atom, kind, detached, rule.identifier, joint, tuple(children))
             if is_case:
-                cases.append(node)
+                cases.append(path)
             else:
                 families.append(family)
-                paths.append(node)
+                paths.append(path)
 
-        link = self.kb.precedent_links.get(atom.predicate)
         if link is not None:
             # The matched cases are one more support path, combined under
             # the link's family; no match reads as total ignorance.
@@ -554,14 +577,8 @@ class QuerySession:
                 ProofNode(atom, "precedent", support, format_path(link.path), None, tuple(cases))
             )
 
-        fact_node = None
-        if fact is not None:
-            fact_node = ProofNode(atom, "fact", fact.effective, "+".join(fact.sources()))
-
         if not paths:
-            if fact_node is None:
-                return ProofNode(atom, "fact", TOTAL_IGNORANCE, "unknown")
-            return fact_node
+            return fact_node or ProofNode(atom, "fact", TOTAL_IGNORANCE, "unknown")
 
         if len(paths) == 1 and families[0].__class__ is TNormFamily:
             family, derived = families[0], paths[0].result  # one path is its own aggregate

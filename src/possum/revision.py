@@ -37,7 +37,8 @@ its goal the same way.  A goal that read no stored value updated since
 it was set aside, and whose recorded premises each still hold the node
 it was set aside with, goes back into the table with its node: a few
 dict operations, no walk over its proof, and its edges are already in
-place.  Any other goal is derived again.  If its interval did not move,
+place.  Any other goal is derived again, keeping each rule or case
+path whose premises are still the same nodes.  If its interval did not move,
 the new derivation is written into its old ``ProofNode`` in place, so
 parents put back later still point at their sub-goal's current proof
 (and a proof a query returned earlier, which shares that node, shows

@@ -569,3 +569,147 @@ class TestSummationOrder:
         terms = [math.sqrt(v) if family is T1_5 else 1.0 / v for v in args]
         assert math.fsum(terms) != _left_to_right(terms)
         assert got == expected
+
+
+_NOT_FAMILIES = ["T2", None, []]
+
+
+class TestNonFamilies:
+    """Every step that takes a family names itself and the value it got."""
+
+    @pytest.mark.parametrize("bad", _NOT_FAMILIES, ids=["label", "none", "unhashable"])
+    @pytest.mark.parametrize(
+        "op, call",
+        [
+            ("antecedent_eval", lambda f: antecedent_eval(f, [CERTAIN, TOTAL_IGNORANCE])),
+            ("antecedent_eval", lambda f: antecedent_eval(f, [CERTAIN] * 3)),
+            ("detach", lambda f: detach(f, 0.5, 0.5, CERTAIN)),
+            ("aggregate", lambda f: aggregate(f, [CERTAIN, TOTAL_IGNORANCE])),
+            ("aggregate", lambda f: aggregate(f, [CERTAIN] * 3)),
+            ("tnorm", lambda f: tnorm(f, [0.5, 0.5])),
+            ("transitivity_bound", lambda f: transitivity_bound(f, 0.5, 0.5)),
+        ],
+    )
+    def test_a_non_family_is_named(self, op, call, bad):
+        with pytest.raises(DomainError) as err:
+            call(bad)
+        assert str(err.value) == f"{op} needs a TNormFamily, got {bad!r}"
+
+    @pytest.mark.parametrize("bad", _NOT_FAMILIES, ids=["label", "none", "unhashable"])
+    def test_detach_checks_its_strengths_first(self, bad):
+        with pytest.raises(DomainError, match="sufficiency 2.0 outside"):
+            detach(bad, 2.0, 0.5, CERTAIN)
+        with pytest.raises(DomainError, match="necessity must be a number"):
+            detach(bad, 0.5, "x", CERTAIN)
+
+    @pytest.mark.parametrize(
+        "op, call, message",
+        [
+            ("antecedent_eval", antecedent_eval, "antecedent_eval of an empty clause list"),
+            ("aggregate", aggregate, "aggregate of an empty path list"),
+            ("tnorm", tnorm, "tnorm of an empty sequence"),
+        ],
+    )
+    def test_an_empty_list_raises_after_the_family_check(self, op, call, message):
+        with pytest.raises(DomainError) as err:
+            call([], [])
+        assert str(err.value) == f"{op} needs a TNormFamily, got []"
+        with pytest.raises(DomainError) as err:
+            call(T2, [])
+        assert str(err.value) == message
+
+
+def _nary(family, values) -> float:
+    """The n-ary conjunctions as written before the two-argument forms
+    existed: a fold for T1, closed sums run left to right for T1.5 and
+    T2.5, ``math.prod`` for T2 and ``min`` for T3, each clamped."""
+    if family is T1:
+        acc = values[0]
+        for v in values[1:]:
+            acc = acc + v - 1.0
+            if acc < 0.0:
+                acc = 0.0
+        return _clamp(acc)
+    if family is T1_5:
+        s = 0.0
+        for v in values:
+            s += math.sqrt(v)
+        r = s - (len(values) - 1)
+        return _clamp(r * r) if r > 0.0 else 0.0
+    if family is T2:
+        return _clamp(math.prod(values))
+    if family is T2_5:
+        s = 0.0
+        for v in values:
+            if v == 0.0:
+                return 0.0
+            s += 1.0 / v
+        return _clamp(1.0 / (s - (len(values) - 1)))
+    return min(values)
+
+
+def _snapped(lo: float, hi: float):
+    """``(lower.hex(), upper.hex())`` after forgiving a rounding-level
+    inversion, or ``"conflict"`` for a larger one."""
+    if lo > hi and lo - hi <= 1e-12:
+        hi = lo
+    return "conflict" if lo > hi else (lo.hex(), hi.hex())
+
+
+def _reference(step, family, items):
+    """What a step gave through the n-ary forms, for two or more items."""
+    if step == "antecedent_eval":
+        return _snapped(_nary(family, [c.lower for c in items]), _nary(family, [c.upper for c in items]))
+    if step == "detach":
+        s, n, premise = items
+        return _snapped(_nary(family, (s, premise.lower)), 1.0 - _nary(family, (n, 1.0 - premise.upper)))
+    if step == "aggregate":
+        lo = 1.0 - _nary(family, [1.0 - p.lower for p in items])
+        hi = 1.0 - (1.0 - _nary(family, [1.0 - (1.0 - p.upper) for p in items]))
+        return _snapped(lo, hi)
+    return _snapped(max(s.lower for s in items), min(s.upper for s in items))
+
+
+def _outcome(call):
+    try:
+        interval = call()
+    except (EvidenceConflictError, SourceConflictError):
+        return "conflict"
+    return (interval.lower.hex(), interval.upper.hex())
+
+
+# Zero, one, the least subnormal and the float just below one, beside the rest.
+_edge_floats = st.one_of(st.sampled_from([0.0, 1.0, 5e-324, 1 - 2**-53]), unit_floats)
+
+
+@st.composite
+def _edge_intervals(draw) -> CertaintyInterval:
+    a, b = draw(_edge_floats), draw(_edge_floats)
+    return CertaintyInterval(min(a, b), max(a, b))
+
+
+class TestTwoArgumentForms:
+    """The two-item steps give the n-ary forms' floats, bit for bit, and
+    three items still take the closed forms."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(family=families, a=_edge_floats, b=_edge_floats, n=_edge_floats, p=_edge_intervals(), q=_edge_intervals())
+    def test_pairs_equal_the_nary_forms(self, family, a, b, n, p, q):
+        assert _outcome(lambda: detach(family, a, n, p)) == _reference("detach", family, (a, n, p))
+        assert _outcome(lambda: antecedent_eval(family, [p, q])) == _reference("antecedent_eval", family, [p, q])
+        assert _outcome(lambda: aggregate(family, [p, q])) == _reference("aggregate", family, [p, q])
+        assert _outcome(lambda: consensus([p, q])) == _reference("consensus", family, [p, q])
+        assert transitivity_bound(family, a, b).hex() == _nary(family, (a, b)).hex()
+        assert tnorm(family, [a, b]).hex() == _nary(family, (a, b)).hex()
+
+    @settings(max_examples=200, deadline=None)
+    @given(family=families, paths=st.lists(_edge_intervals(), min_size=3, max_size=3))
+    def test_three_items_take_the_closed_forms(self, family, paths):
+        for step, call in (
+            ("antecedent_eval", lambda: antecedent_eval(family, paths)),
+            ("aggregate", lambda: aggregate(family, paths)),
+            ("consensus", lambda: consensus(paths)),
+        ):
+            assert _outcome(call) == _reference(step, family, paths), step
+        values = [p.lower for p in paths]
+        assert tnorm(family, values).hex() == _nary(family, values).hex()

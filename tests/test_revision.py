@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 
 import possum
-from possum.calculus import CertaintyInterval, ConflictPolicy, TNormFamily
-from possum import revision
+from possum.calculus import CERTAIN, IMPOSSIBLE, CertaintyInterval, ConflictPolicy, TNormFamily
+from possum import calculus, revision
 from possum.engine import (
     ProofNode,
     QueryConfig,
@@ -23,7 +23,7 @@ from possum.engine import (
     proof_to_dict,
     prove,
 )
-from possum.errors import DerivationCycleError, UnboundRoleError
+from possum.errors import ConflictError, DerivationCycleError, SourceConflictError, UnboundRoleError
 from possum.knowledge import (
     Atom,
     CaseTemplate,
@@ -686,6 +686,16 @@ def _proof_text(node):
     return explain(QueryResult(node.goal, node.result, node, [], [], {}))
 
 
+def _paths(tracker, goal):
+    """The rule and case paths of ``goal``'s tracked proof, by provenance."""
+    out = {}
+    for path in tracker._goals[goal].children:
+        for node in path.children if path.kind == "precedent" else (path,):
+            if node.kind != "fact":
+                out[node.provenance] = node
+    return out
+
+
 class TestEarlyCutoff:
     def test_source_only_update_reaches_tracked_proofs(self):
         # A second source inside (a)'s interval moves nothing, but the
@@ -818,6 +828,108 @@ class TestEarlyCutoff:
         result = tracker.query(Atom("x"))
         fresh = prove(kb, world.copy(), Atom("x"))
         assert proof_to_dict(result.proof) == proof_to_dict(fresh.proof)
+
+
+    # A goal derived again keeps each rule or case path whose premises
+    # are still the nodes it read, and fires the rest.
+
+    def _gated_pair(self):
+        # rb (behind gate) and ra conclude g over disjoint premises; rb
+        # comes first in index order.
+        kb = KnowledgeBase()
+        kb.rules["rb"] = _rule("rb", ["b"], "g", context=["gate"], s=0.7)
+        kb.rules["ra"] = _rule("ra", ["a"], "g", s=0.8)
+        world = World("w")
+        for name, lower in (("a", 0.6), ("b", 0.7), ("gate", 0.9)):
+            assert_evidence(world, Atom(name), CertaintyInterval(lower, 1.0), "s")
+        return kb, world
+
+    def _same_as_scratch(self, tracker, kb, world, goal):
+        fresh = prove(kb, world.copy(), goal)
+        assert proof_to_dict(tracker._goals[goal]) == proof_to_dict(fresh.proof)
+        assert _reader_sets(tracker) == _invert(tracker._goals)
+
+    def test_only_the_rule_whose_premise_moved_fires_again(self, monkeypatch):
+        kb, world = self._gated_pair()
+        tracker = DependencyTracker(kb, world)
+        tracker.query(Atom("g"))
+        before = _paths(tracker, Atom("g"))
+        fired = []
+
+        def counting(family, s, n, premise):
+            fired.append(s)
+            return detach(family, s, n, premise)
+
+        detach = calculus.detach
+        monkeypatch.setattr("possum.engine.detach", counting)
+        assert tracker.on_update(Atom("a"), CertaintyInterval(0.8, 1.0), "s") == {Atom("g")}
+        tracker.recompute()
+        after = _paths(tracker, Atom("g"))
+        assert after["rb"] is before["rb"]
+        assert after["ra"] is not before["ra"]
+        assert fired == [0.8]
+        self._same_as_scratch(tracker, kb, world, Atom("g"))
+
+    def test_a_kept_rule_whose_gate_closes_loses_its_path(self):
+        kb, world = self._gated_pair()
+        tracker = DependencyTracker(kb, world)
+        tracker.query(Atom("g"))
+        before = _paths(tracker, Atom("g"))
+        tracker.on_update(Atom("gate"), CertaintyInterval(0.1, 1.0), "s")
+        tracker.recompute()
+        # rb's set-aside path is passed over, so ra still finds its own.
+        assert _paths(tracker, Atom("g")) == {"ra": before["ra"]}
+        assert _paths(tracker, Atom("g"))["ra"] is before["ra"]
+        self._same_as_scratch(tracker, kb, world, Atom("g"))
+        tracker.on_update(Atom("gate"), CertaintyInterval(0.9, 1.0), "s")
+        tracker.recompute()
+        after = _paths(tracker, Atom("g"))
+        assert after["ra"] is before["ra"] and after["rb"] is not before["rb"]
+        self._same_as_scratch(tracker, kb, world, Atom("g"))
+
+    def test_a_case_path_is_kept_under_its_precedent(self):
+        kb = KnowledgeBase()
+        kb.rules["r"] = _rule("r", ["a"], "q")
+        kb.case_library.declare_path(("p",))
+        for ident, premise in (("c1", "a"), ("c2", "b")):
+            kb.case_library.add(
+                CaseTemplate(ident, ("p",), (), (), (Atom(premise),), Atom("q"), 0.9, 0.0, T2)
+            )
+        kb.precedent_links["q"] = PrecedentLink("q", ("p",), T2)
+        world = World("w")
+        assert_evidence(world, Atom("a"), CertaintyInterval(0.5, 1.0), "s")
+        assert_evidence(world, Atom("b"), CertaintyInterval(0.6, 1.0), "s")
+        tracker = DependencyTracker(kb, world)
+        tracker.query(Atom("q"))
+        before = _paths(tracker, Atom("q"))
+        tracker.on_update(Atom("a"), CertaintyInterval(0.7, 1.0), "s")
+        tracker.recompute()
+        after = _paths(tracker, Atom("q"))
+        assert after.keys() == {"r", "c1", "c2"}
+        assert after["c2"] is before["c2"]
+        assert after["c1"] is not before["c1"] and after["r"] is not before["r"]
+        self._same_as_scratch(tracker, kb, world, Atom("q"))
+
+    def test_a_rule_never_takes_the_path_of_a_case_of_its_name(self):
+        # Rule x, behind (gate), and case x read the same premise; x's
+        # rule opens while the case's path is the only one set aside.
+        kb = KnowledgeBase()
+        kb.rules["x"] = _rule("x", ["a"], "q", context=["gate"], s=0.4)
+        kb.case_library.declare_path(("p",))
+        kb.case_library.add(CaseTemplate("x", ("p",), (), (), (Atom("a"),), Atom("q"), 0.9, 0.0, T2))
+        kb.precedent_links["q"] = PrecedentLink("q", ("p",), T2)
+        world = World("w")
+        assert_evidence(world, Atom("a"), CertaintyInterval(0.5, 1.0), "s")
+        assert_evidence(world, Atom("gate"), CertaintyInterval(0.1, 1.0), "s")
+        tracker = DependencyTracker(kb, world)
+        tracker.query(Atom("q"))
+        case = _paths(tracker, Atom("q"))["x"]
+        tracker.on_update(Atom("gate"), CertaintyInterval(0.9, 1.0), "s")
+        tracker.recompute()
+        kinds = [path.kind for path in tracker._goals[Atom("q")].children]
+        assert kinds == ["rule-instance", "precedent"]
+        assert tracker._goals[Atom("q")].children[1].children == (case,)
+        self._same_as_scratch(tracker, kb, world, Atom("q"))
 
 
 class TestWorldNotes:
@@ -1071,11 +1183,23 @@ class TestDifferential:
     def test_tracked_proofs_equal_scratch_at_scale(self, seed):
         self._run(seed, n_rules=1000)
 
-    def _run(self, seed, n_rules):
+    @pytest.mark.parametrize("seed", range(4))
+    def test_strict_tracked_proofs_equal_scratch(self, seed):
+        assert self._run(seed, n_rules=200, policy=ConflictPolicy.STRICT)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("seed", range(2))
+    def test_strict_tracked_proofs_equal_scratch_at_scale(self, seed):
+        assert self._run(seed, n_rules=1000, policy=ConflictPolicy.STRICT)
+
+    def _run(self, seed, n_rules, policy=ConflictPolicy.LENIENT):
+        """Returns the (call, error class name) of each recompute and
+        query that raised."""
         rng = random.Random(7400 + seed)
         kb, world, contexts = weighted_kb(rng, n_rules=n_rules)
         _with_roles(rng, kb, world)
-        config = QueryConfig(conflict_policy=ConflictPolicy.LENIENT)
+        config = QueryConfig(conflict_policy=policy)
+        strict = policy is ConflictPolicy.STRICT
         tracker = DependencyTracker(kb, world, config)
         goals = sorted(forward_saturate(kb, world.copy(), config), key=str)
         goals.append(Atom("post", ("?who",)))
@@ -1086,8 +1210,6 @@ class TestDifferential:
             assert _hexed(tracked.result) == _hexed(fresh.result), where
             assert _proof_text(tracked) == _proof_text(fresh), where
             assert proof_to_dict(tracked) == proof_to_dict(fresh), where
-
-        policy = config.conflict_policy
 
         def echo(step):
             # A source at total ignorance moves no interval.
@@ -1100,27 +1222,94 @@ class TestDifferential:
             atom = rng.choice(single if single and rng.random() < 0.5 else facts)
             retract_evidence(world, atom, rng.choice(world.facts[atom].sources()), policy)
 
+        # Pairs of role-free rules for one conclusion, the first with a
+        # necessity: refuting a premise of the first caps the conclusion's
+        # upper bound, and confirming one of the second raises its lower.
+        by_head = {}
+        for rule in kb.rules.values():
+            if all(atom.is_ground() for atom in (rule.consequent, *rule.antecedents)):
+                by_head.setdefault(rule.consequent, []).append(rule)
+        clashes = [
+            (first, second)
+            for rules in by_head.values() for first in rules if first.necessity > 0.0
+            for second in rules if second is not first
+        ]
+
+        def verdicts(step):
+            # Sources holding atoms certainly false or certainly true:
+            # a consensus conflict where rules derive otherwise, or one
+            # between the paths of a clash.
+            if rng.random() < 0.5:
+                first, second = rng.choice(clashes)
+                refuted = rng.choice(first.antecedents)
+                fact = world.facts.get(refuted)
+                # A stored fact keeps its lower bound, so no source refuses it.
+                low = IMPOSSIBLE if fact is None else CertaintyInterval(*[fact.effective.lower] * 2)
+                return [
+                    (refuted, low, f"verdict{step}"),
+                    (rng.choice(second.antecedents), CERTAIN, f"verdict{step}"),
+                ]
+            return [(rng.choice(goals[:-1]), rng.choice((IMPOSSIBLE, CERTAIN)), f"verdict{step}")]
+
+        def edit(apply, *args):
+            """``apply(*args)``; a world edit the strict policy refuses,
+            which touches nothing, gives ``set()``."""
+            edits = world.edits
+            try:
+                return apply(*args)
+            except SourceConflictError:
+                if not strict or world.edits != edits:
+                    raise
+                return set()
+
+        def scratch_raises(goals):
+            """The conflict classes a fresh derivation of ``goals`` raises."""
+            raised = set()
+            for goal in goals:
+                try:
+                    prove(kb, world.copy(), goal, config)
+                except ConflictError as err:
+                    raised.add(type(err))
+            return raised
+
+        raised = []
+
+        def recompute(targets=None):
+            wanted = set(tracker.stale() if targets is None else targets)
+            try:
+                tracker.recompute(targets)
+            except ConflictError as err:
+                raised.append(("recompute", type(err).__name__))
+                assert type(err) in scratch_raises(wanted), where
+            else:
+                assert not strict or not scratch_raises(wanted), where
+
         for step in range(60):
             where = f"seed {seed}, step {step}"
+            if strict and rng.random() < 0.25:
+                for update in verdicts(step):
+                    edit(tracker.on_update, *update)
+                if rng.random() < 0.5:
+                    recompute()
             draw = rng.random()
             if draw < 0.3:
-                tracker.on_update(*random_update(rng, world, contexts))
+                edit(tracker.on_update, *random_update(rng, world, contexts))
             elif draw < 0.35:
                 atom = _widest_fact(tracker, contexts)
-                stale = sorted(tracker.on_update(*_narrowed(rng, world, atom, step)), key=str)
+                stale = edit(tracker.on_update, *_narrowed(rng, world, atom, step))
                 if rng.random() < 0.5:
-                    tracker.recompute(rng.sample(stale, len(stale) // 2))
+                    recompute(rng.sample(sorted(stale, key=str), len(stale) // 2))
             elif draw < 0.43:
                 tracker.on_update(*echo(step))
             elif draw < 0.48:
-                assert_evidence(world, *random_update(rng, world, contexts), policy)
+                edit(assert_evidence, world, *random_update(rng, world, contexts), policy)
             elif draw < 0.53:
                 retract()
             elif draw < 0.58:
                 for k in range(rng.randint(2, 3)):
                     kind = rng.random()
                     if kind < 0.4:
-                        assert_evidence(world, *random_update(rng, world, contexts), policy)
+                        edit(assert_evidence, world, *random_update(rng, world, contexts), policy)
                     elif kind < 0.8:
                         assert_evidence(world, *echo(f"{step}.{k}"), policy)
                     else:
@@ -1132,11 +1321,18 @@ class TestDifferential:
                     world.roles["?far"] = rng.choice(("A", "B"))
             elif draw < 0.76:
                 stale = sorted(tracker.stale(), key=str)
-                tracker.recompute(rng.sample(stale, len(stale) // 2) if rng.random() < 0.3 else None)
+                recompute(rng.sample(stale, len(stale) // 2) if rng.random() < 0.3 else None)
             else:
                 for goal in rng.sample(goals, 3):
+                    try:
+                        fresh = prove(kb, world.copy(), goal, config)
+                    except ConflictError as err:
+                        with pytest.raises(ConflictError) as tracked:
+                            tracker.query(goal)
+                        assert type(tracked.value) is type(err), f"{where}, query {goal}"
+                        raised.append(("query", type(err).__name__))
+                        continue
                     result = tracker.query(goal)
-                    fresh = prove(kb, world.copy(), goal, config)
                     same(result.proof, fresh.proof, f"{where}, query {goal}")
             scratch = QuerySession(kb, world.copy(), config)
             stale = tracker.stale()
@@ -1149,6 +1345,7 @@ class TestDifferential:
             for i in rng.sample(range(len(settled)), min(3, len(settled))):
                 same(tracked[i], fresh[i], f"{where}, record {settled[i]}")
             assert _reader_sets(tracker) == _held_edges(tracker), where
+        return raised
 
 
 def _root(nodes):
