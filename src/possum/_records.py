@@ -1,20 +1,48 @@
-"""Slotted record classes that compare, hash and print by their fields.
+"""Record classes that compare, hash and print by their fields.
 
-A subclass lists its fields in ``__slots__`` (two or more) and writes its
-own ``__init__``.  ``==`` compares the fields as one tuple, and only
-between instances of the same class; ``repr`` prints
-``Name(field=value, ...)``.  A class that sets ``_fields`` narrows both
-to the fields it names.  A ``Record`` is mutable and unhashable.  A
-``FrozenRecord`` hashes by its fields and refuses assignment and
-deletion, so its ``__init__`` sets its fields with ``_fill``, through
-each slot's own setter (``_setters``, in ``__slots__`` order).
+The immutable records a parse builds one per atom or declaration
+(``knowledge.Atom``, ``Rule``, ``CaseTemplate`` and ``PrecedentLink``)
+are ``typing.NamedTuple`` classes, as is the compiled form's
+``RuleInstance``: a parser builds each in one C call, ``tuple.__new__``
+over its fields, where a slotted record sets each field through its own
+descriptor, and each hashes in C as the tuple of its fields.
+``TupleRecord``, put ahead of the named tuple among a rule's, case
+template's or link's bases, makes it equal only a record of its own
+class, never a plain tuple in either order (``Atom`` does the same in
+its own body).
+
+The other records are slotted classes.  A subclass of ``Record`` lists
+its fields in ``__slots__`` (two or more) and writes its own
+``__init__``.  ``==`` compares the fields as one tuple, and only between
+instances of the same class; ``repr`` prints ``Name(field=value,
+...)``.  A class that sets ``_fields`` narrows both to the fields it
+names.  A ``Record`` is mutable and unhashable.  A ``FrozenRecord``
+(``calculus.CertaintyInterval``) refuses assignment and deletion, so its
+``__init__`` sets its fields through each slot's own setter
+(``_setters``, in ``__slots__`` order), and its class defines its hash.
 
 The methods are written once here rather than generated per class, so
-importing possum compiles no code at run time and does not load
-``inspect``.
+importing possum compiles no code at run time beyond the named tuples'
+constructors, and does not load ``inspect``.
 """
 
 from operator import attrgetter
+
+
+class TupleRecord(tuple):
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return tuple.__eq__(self, other)
+        return False if isinstance(other, tuple) else NotImplemented
+
+    def __ne__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return tuple.__ne__(self, other)
+        return True if isinstance(other, tuple) else NotImplemented
+
+    __hash__ = tuple.__hash__
 
 
 class Record:
@@ -44,18 +72,11 @@ class FrozenRecord(Record):
         super().__init_subclass__(**kwargs)
         cls._setters = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
 
-    def _fill(self, *values: object) -> None:
-        for set_field, value in zip(self._setters, values):
-            set_field(self, value)
-
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
-
-    def __hash__(self) -> int:
-        return hash(self._values(self))
 
     def __reduce__(self):
         # copy and pickle rebuild through __init__: they cannot assign.

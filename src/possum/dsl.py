@@ -40,11 +40,15 @@ compiles, and any other text at the first thing the declaration path
 cannot vouch for (text no pattern matches, an unknown family, a number
 outside [0, 1], a duplicate, or a case under an undeclared path).  The
 patterns are built from the token pieces and make the parser's keyword
-and kind checks; rules, cases and links are built straight from their
-groups.  The declaration path accepts only what the token path accepts,
-and builds the same objects in the same orders, sharing the same atoms.
-Where it gives up, the token path parses the whole file, so every
-error, its position and the recovery come from that path alone.
+and kind checks.  Rules, cases, links and atoms are tuple records
+(``knowledge``), so each is built from its groups in one
+``tuple.__new__``, past its constructor: the pattern reads at least one
+premise, which is all the rule and case constructors check, and the
+path checks each strength and family itself.  The declaration path
+accepts only what the token path accepts, and builds the same objects
+in the same orders, sharing the same atoms.  Where it gives up, the
+token path parses the whole file, so every error, its position and the
+recovery come from that path alone.
 
 The token path is the reference.  A file's tokens are parallel lists of
 kinds and texts, lexed by one regular expression; token start offsets,
@@ -55,13 +59,14 @@ parser recovers at the next top-level keyword so one bad declaration
 does not hide the rest.  Lexicon labels resolve at the end, so a block
 may follow its uses.
 
-On either path each distinct atom is built once per parse and shared,
-and the parse hands its atoms to the knowledge base as its atom table
-(``KnowledgeBase.atoms``), so compiling the KB interns nothing again.
-``render_kb`` emits a canonical form (sorted, labels replaced by their
-numbers) that re-parses, by the declaration path, to an equal knowledge
-base; it, and ``render_world``, refuse a name that would not read back
-as the one token it is.
+On either path each distinct atom is built once per parse, by
+``tuple.__new__``, and shared, and the parse hands its atoms to the
+knowledge base as its atom table (``KnowledgeBase.atoms``), so
+compiling the KB interns nothing again.  ``render_kb`` emits a
+canonical form (sorted, labels replaced by their numbers) that
+re-parses, by the declaration path, to an equal knowledge base; it, and
+``render_world``, refuse a name that would not read back as the one
+token it is.
 """
 
 from __future__ import annotations
@@ -191,49 +196,6 @@ class _Label(Record):
         self.token = token
 
 
-class _Decl(Record):
-    """A parsed rule or case; ``token`` is its keyword, which names the kind.
-
-    ``path`` is a rule's class or a case's taxonomy path, and ``roles``
-    is None for a rule.  Tokens are indices into the parser's lists.
-    """
-
-    __slots__ = (
-        "token", "identifier", "path", "path_token", "roles", "context",
-        "antecedents", "consequent", "family", "sufficiency", "necessity",
-    )
-
-    def __init__(
-        self, token: int, identifier: str, path: tuple[str, ...], path_token: int,
-        roles: tuple[str, ...] | None, context: tuple[Atom, ...], antecedents: tuple[Atom, ...],
-        consequent: Atom, family: TNormFamily, sufficiency: float | _Label,
-        necessity: float | _Label,
-    ) -> None:
-        self.token = token
-        self.identifier = identifier
-        self.path = path
-        self.path_token = path_token
-        self.roles = roles
-        self.context = context
-        self.antecedents = antecedents
-        self.consequent = consequent
-        self.family = family
-        self.sufficiency = sufficiency
-        self.necessity = necessity
-
-
-class _LinkDecl(Record):
-    __slots__ = ("token", "predicate", "path", "family")
-
-    def __init__(
-        self, token: int, predicate: str, path: tuple[str, ...], family: TNormFamily
-    ) -> None:
-        self.token = token
-        self.predicate = predicate
-        self.path = path
-        self.family = family
-
-
 class _Parser:
     """Recursive descent over token indices: each ``parse_*`` method takes
     the index of its first token and returns its value with the index
@@ -304,7 +266,7 @@ class _Parser:
         key = texts[i] if j == i + 1 else tuple(texts[i:j])
         atom = self.atoms.get(key)
         if atom is None:
-            atom = self.atoms[key] = Atom(texts[i], tuple(texts[i + 1:j]))
+            atom = self.atoms[key] = tuple.__new__(Atom, (texts[i], tuple(texts[i + 1:j])))
         return atom, j + 1
 
     def parse_atoms(self, i: int, context: str) -> tuple[tuple[Atom, ...], int]:
@@ -374,9 +336,11 @@ class _KbParser(_Parser):
         super().__init__(tokens)
         self.lexicon: dict[str, float] = {}
         self.taxonomy: set[tuple[str, ...]] = set()
-        self.rules: list[_Decl] = []
-        self.cases: list[_Decl] = []
-        self.links: list[_LinkDecl] = []
+        # Each declaration read, after the index of its keyword.  A rule's
+        # or case's strengths may be labels, which pass two resolves.
+        self.rules: list[tuple[int, Rule]] = []
+        self.cases: list[tuple[int, CaseTemplate]] = []
+        self.links: list[tuple[int, PrecedentLink]] = []
         self.errors: list[ParseError] = []
 
     def parse_file(self) -> None:
@@ -427,9 +391,8 @@ class _KbParser(_Parser):
         keyword, kind = i, texts[i]
         i = self.expect_kind(i + 1, _IDENT, f"naming the {kind}")
         path: tuple[str, ...] = ()
-        path_token = keyword
         if kind == "case" or texts[i] == "path":
-            path_token = i = self.expect(i, "path", f"in the {kind} header")
+            i = self.expect(i, "path", f"in the {kind} header")
             path, i = self.parse_path(i)
         roles = None
         context, i = self.parse_context(i) if kind == "rule" else ((), i)
@@ -451,12 +414,18 @@ class _KbParser(_Parser):
         i = self.expect(i, "then", f"before the {kind} conclusion")
         consequent, i = self.parse_atom(i)
         i = self.expect(i, "}", f"to close the {kind} body")
-        (self.rules if roles is None else self.cases).append(
-            _Decl(
-                keyword, texts[keyword + 1], path, path_token, roles, context, antecedents,
-                consequent, family, sufficiency, necessity,
+        identifier = texts[keyword + 1]
+        if roles is None:
+            rule = Rule(
+                identifier, context, antecedents, consequent, sufficiency, necessity, family, path
             )
-        )
+            self.rules.append((keyword, rule))
+        else:
+            case = CaseTemplate(
+                identifier, path, roles, context, antecedents, consequent, sufficiency, necessity,
+                family,
+            )
+            self.cases.append((keyword, case))
         return i
 
     def parse_context(self, i: int) -> tuple[tuple[Atom, ...], int]:
@@ -472,7 +441,7 @@ class _KbParser(_Parser):
         i = self.expect(i, "tnorm", "in the precedent declaration")
         family, i = self.parse_family(i)
         i = self.expect(i, ";", "after the precedent declaration")
-        self.links.append(_LinkDecl(keyword, atom.predicate, path, family))
+        self.links.append((keyword, PrecedentLink(atom.predicate, path, family)))
         return i
 
     # -- pass two ----------------------------------------------------
@@ -491,43 +460,33 @@ class _KbParser(_Parser):
         library = kb.case_library
         library.paths = set(self.taxonomy)
         error = self.tokens.error
-        for decls, table in ((self.rules, kb.rules), (self.cases, library.templates)):
-            for decl in decls:
-                kind = self.texts[decl.token]
-                owner = f"{kind} {decl.identifier}"
+        for read, table in ((self.rules, kb.rules), (self.cases, library.templates)):
+            for keyword, item in read:
+                kind = self.texts[keyword]
+                owner = f"{kind} {item.identifier}"
                 try:
-                    sufficiency = self.resolve_strength(decl.sufficiency, owner)
-                    necessity = self.resolve_strength(decl.necessity, owner)
-                    if decl.roles is not None and not library.has_path(decl.path):
+                    sufficiency = self.resolve_strength(item.sufficiency, owner)
+                    necessity = self.resolve_strength(item.necessity, owner)
+                    if kind == "case" and not library.has_path(item.path):
                         raise error(
-                            f"case {decl.identifier!r} filed under undeclared path "
-                            f"{format_path(decl.path)}",
-                            decl.path_token,
+                            f"case {item.identifier!r} filed under undeclared path "
+                            f"{format_path(item.path)}",
+                            keyword + 3,  # the path, after ``case ID path``
                         )
-                    if decl.identifier in table:
-                        raise error(f"{kind} {decl.identifier!r} declared twice", decl.token)
+                    if item.identifier in table:
+                        raise error(f"{kind} {item.identifier!r} declared twice", keyword)
                 except ParseError as err:
                     self.errors.append(err)
                     continue
-                if decl.roles is None:
-                    table[decl.identifier] = Rule(
-                        decl.identifier, decl.context, decl.antecedents, decl.consequent,
-                        sufficiency, necessity, decl.family, rule_class=decl.path,
-                    )
-                else:
-                    table[decl.identifier] = CaseTemplate(
-                        decl.identifier, decl.path, decl.roles, decl.context, decl.antecedents,
-                        decl.consequent, sufficiency, necessity, decl.family,
-                    )
-        for decl in self.links:
-            if decl.predicate in kb.precedent_links:
-                self.errors.append(
-                    error(f"predicate {decl.predicate!r} already has a precedent link", decl.token)
-                )
+                table[item.identifier] = item._replace(sufficiency=sufficiency, necessity=necessity)
+        links = kb.precedent_links
+        for keyword, link in self.links:
+            if link.target_predicate in links:
+                self.errors.append(error(
+                    f"predicate {link.target_predicate!r} already has a precedent link", keyword
+                ))
                 continue
-            kb.precedent_links[decl.predicate] = PrecedentLink(
-                target_predicate=decl.predicate, path=decl.path, family=decl.family
-            )
+            links[link.target_predicate] = link
         built = self.atoms.values()
         kb.atoms = dict(zip(built, built))
         return kb
@@ -546,6 +505,7 @@ class _KbParser(_Parser):
 
 _PATH = rf"({_ID}(?:/{_ID})*)"
 _ATOM = r"\([^()]*\)"
+_BREAK = "\n     "  # between two premises: a line break, then the first one's indent
 _CONTEXT = rf"context ({_ATOM}(?: {_ATOM})*)"
 # ``rule ID [path P] [context A..] GRADING { if A.. then A }`` or
 # ``case ID path P GRADING { roles ?v.. [context A..] if A.. then A }``,
@@ -554,7 +514,7 @@ _RULE_OR_CASE = (
     rf"(rule|case) ({_ID})(?: path {_PATH})?(?: {_CONTEXT})?"
     rf" tnorm ({_ID}) suff ({_NUM}) nec ({_NUM}) \{{\n"
     rf"(?:  roles((?: {_VAR})*)\n(?:  {_CONTEXT}\n)?)?"
-    rf"  if ({_ATOM}(?:\n     {_ATOM})*)\n  then \(([^()]*)\)\n\}}\n\n?"
+    rf"  if ({_ATOM}(?:{_BREAK}{_ATOM})*)\n  then \(([^()]*)\)\n\}}\n\n?"
 )
 _TAXONOMY = rf"taxonomy {_PATH};\n\n?"
 _PRECEDENT = rf"precedent \(({_ID})\) from {_PATH} tnorm ({_ID});\n\n?"
@@ -565,38 +525,24 @@ class _Unvouched(Exception):
     """Text the declaration path leaves to the token parser."""
 
 
-def _unit(word: str) -> float:
-    value = float(word)
-    if not 0.0 <= value <= 1.0:
-        raise _Unvouched
-    return value
-
-
-def _family(label: str) -> TNormFamily:
-    try:
-        return TNormFamily.from_label(label)
-    except DomainError:
-        raise _Unvouched from None
-
-
 class _Atoms(dict):
     """One ``Atom`` per distinct atom of a parse, keyed by the text between
     its parentheses, shared as the token parser shares its atoms."""
 
     def __init__(self) -> None:
         self.body = re.compile(_ATOM_BODY, re.ASCII).fullmatch
-        self.inners = re.compile(r"\(([^()]*)\)").findall
 
     def __missing__(self, inner: str) -> Atom:
         if self.body(inner) is None:
             raise _Unvouched
         predicate, *arguments = inner.split(" ")
-        atom = self[inner] = Atom(predicate, tuple(arguments))
+        atom = self[inner] = tuple.__new__(Atom, (predicate, tuple(arguments)))
         return atom
 
-    def run(self, text: str) -> tuple[Atom, ...]:
-        """The atoms of a run of parenthesised atoms."""
-        return tuple([self[inner] for inner in self.inners(text)])
+    def run(self, text: str, gap: str = " ") -> tuple[Atom, ...]:
+        """The atoms of a run of parenthesised atoms, ``gap`` between each
+        two: no atom holds a parenthesis, so each ``)gap(`` is a join."""
+        return tuple(map(self.__getitem__, text[1:-1].split(f"){gap}(")))
 
 
 def _declared_kb(text: str) -> KnowledgeBase | None:
@@ -616,6 +562,8 @@ def _read_kb(text: str) -> KnowledgeBase:
         "r": rule_or_case, "c": rule_or_case, "t": re.compile(_TAXONOMY, re.ASCII).match,
         "p": re.compile(_PRECEDENT, re.ASCII).match,
     }
+    families = {family.label: family for family in TNormFamily}
+    new = tuple.__new__
     kb = KnowledgeBase()
     rules, library, links = kb.rules, kb.case_library, kb.precedent_links
     templates = library.templates
@@ -629,30 +577,39 @@ def _read_kb(text: str) -> KnowledgeBase:
             raise _Unvouched
         pos = m.end()
         if first == "r" or first == "c":
-            kind, ident, path, header, family, suff, nec, roles, body, antecedents, consequent = (
+            kind, ident, path, header, label, suff, nec, roles, body, antecedents, consequent = (
                 m.groups()
             )
+            # The pattern reads no sign, so a strength is at least 0.
+            sufficiency, necessity, family = float(suff), float(nec), families.get(label)
+            if sufficiency > 1.0 or necessity > 1.0 or family is None:
+                raise _Unvouched
             path = tuple(path.split("/")) if path else ()
             if kind == "rule":
                 if roles is not None or ident in rules:
                     raise _Unvouched
-                rules[ident] = Rule(
-                    ident, run(header) if header else (), run(antecedents), atoms[consequent],
-                    _unit(suff), _unit(nec), _family(family), path,
+                context = run(header) if header else ()
+                premises = run(antecedents, _BREAK)
+                head = atoms[consequent]
+                rules[ident] = new(
+                    Rule, (ident, context, premises, head, sufficiency, necessity, family, path)
                 )
             else:
                 if not path or header is not None or roles is None or ident in templates:
                     raise _Unvouched
-                templates[ident] = CaseTemplate(
-                    ident, path, tuple(roles.split()), run(body) if body else (),
-                    run(antecedents), atoms[consequent], _unit(suff), _unit(nec), _family(family),
-                )
+                context = run(body) if body else ()
+                premises = run(antecedents, _BREAK)
+                head = atoms[consequent]
+                templates[ident] = new(CaseTemplate, (
+                    ident, path, tuple(roles.split()), context, premises, head, sufficiency,
+                    necessity, family,
+                ))
         elif first == "t":
             library.paths.add(tuple(m[1].split("/")))
-        elif m[1] in links:
+        elif m[1] in links or m[3] not in families:
             raise _Unvouched
         else:
-            links[m[1]] = PrecedentLink(m[1], tuple(m[2].split("/")), _family(m[3]))
+            links[m[1]] = new(PrecedentLink, (m[1], tuple(m[2].split("/")), families[m[3]]))
     if not all(library.has_path(case.path) for case in templates.values()):
         raise _Unvouched
     built = atoms.values()

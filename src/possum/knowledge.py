@@ -12,6 +12,16 @@ and necessity grading and a list of the roles it generalises over; a
 precedent link marks a predicate as arguable from the templates under
 one path.
 
+Atoms, rules, case templates, precedent links and rule instances are
+tuple records (``typing.NamedTuple``; ``_records``): a parse builds one
+per atom and declaration, each in one C call, and the engine keys its
+tables by atom, hashed in C.  Each but a rule instance equals only a
+record of its own class.  The constructors of rules and case templates
+refuse one with no antecedents, which a KB built in code may hold;
+``dsl``'s declaration path builds records with ``tuple.__new__``
+straight from text its patterns vouch for.  Worlds, facts and the
+knowledge base itself are mutable slotted records.
+
 A knowledge base is compiled once, free of any world
 (``KnowledgeBase.compiled``): its rules and linked templates grouped by
 conclusion in reading order over the KB's atom table, which role
@@ -34,7 +44,7 @@ from itertools import chain, islice, repeat
 from operator import attrgetter, is_, itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
-from ._records import FrozenRecord, Record
+from ._records import Record, TupleRecord
 from .calculus import CertaintyInterval, ConflictPolicy, TNormFamily, TOTAL_IGNORANCE, consensus
 from .errors import DomainError, UnboundRoleError
 
@@ -133,7 +143,17 @@ class Fact(Record):
         return sorted(self.evidence)
 
 
-class Rule(FrozenRecord):
+Path = tuple[str, ...]
+
+
+_RuleFields = NamedTuple("_RuleFields", [
+    ("identifier", str), ("context", tuple[Atom, ...]), ("antecedents", tuple[Atom, ...]),
+    ("consequent", Atom), ("sufficiency", float), ("necessity", float), ("family", TNormFamily),
+    ("rule_class", Path),
+])
+
+
+class Rule(TupleRecord, _RuleFields):
     """A qualified implication.
 
     ``context`` gates whether the rule participates at all in a given
@@ -145,31 +165,19 @@ class Rule(FrozenRecord):
     ``rule_class`` is an optional taxonomy path used for bookkeeping.
     """
 
-    __slots__ = (
-        "identifier", "context", "antecedents", "consequent",
-        "sufficiency", "necessity", "family", "rule_class",
-    )
+    __slots__ = ()
 
-    def __init__(
-        self, identifier: str, context: tuple[Atom, ...], antecedents: tuple[Atom, ...],
+    def __new__(
+        cls, identifier: str, context: tuple[Atom, ...], antecedents: tuple[Atom, ...],
         consequent: Atom, sufficiency: float, necessity: float, family: TNormFamily,
-        rule_class: tuple[str, ...] = (),
-    ) -> None:
+        rule_class: Path = (),
+    ) -> Rule:
         if not antecedents:
             raise DomainError(f"rule {identifier} has no antecedents")
-        # ``_fill`` unrolled, since every rule a KB parses builds one.
-        set_id, set_ctx, set_ante, set_cons, set_suff, set_nec, set_fam, set_cls = self._setters
-        set_id(self, identifier)
-        set_ctx(self, context)
-        set_ante(self, antecedents)
-        set_cons(self, consequent)
-        set_suff(self, sufficiency)
-        set_nec(self, necessity)
-        set_fam(self, family)
-        set_cls(self, rule_class)
-
-
-Path = tuple[str, ...]
+        return super().__new__(
+            cls, identifier, context, antecedents, consequent, sufficiency, necessity, family,
+            rule_class,
+        )
 
 
 def parse_path(text: str) -> Path:
@@ -184,28 +192,37 @@ def format_path(path: Path) -> str:
     return "/".join(path) if path else "/"
 
 
-class CaseTemplate(FrozenRecord):
+_CaseFields = NamedTuple("_CaseFields", [
+    ("identifier", str), ("path", Path), ("roles", tuple[str, ...]),
+    ("context", tuple[Atom, ...]), ("antecedents", tuple[Atom, ...]), ("consequent", Atom),
+    ("sufficiency", float), ("necessity", float), ("family", TNormFamily),
+])
+
+
+class CaseTemplate(TupleRecord, _CaseFields):
     """A decided case, generalised over its role variables."""
 
-    __slots__ = (
-        "identifier", "path", "roles", "context", "antecedents",
-        "consequent", "sufficiency", "necessity", "family",
-    )
+    __slots__ = ()
 
-    def __init__(
-        self, identifier: str, path: Path, roles: tuple[str, ...], context: tuple[Atom, ...],
+    def __new__(
+        cls, identifier: str, path: Path, roles: tuple[str, ...], context: tuple[Atom, ...],
         antecedents: tuple[Atom, ...], consequent: Atom, sufficiency: float, necessity: float,
         family: TNormFamily,
-    ) -> None:
+    ) -> CaseTemplate:
         if not antecedents:
             raise DomainError(f"case {identifier} has no premises")
-        self._fill(
-            identifier, path, roles, context, antecedents, consequent, sufficiency, necessity,
-            family,
+        return super().__new__(
+            cls, identifier, path, roles, context, antecedents, consequent, sufficiency,
+            necessity, family,
         )
 
 
-class PrecedentLink(FrozenRecord):
+_LinkFields = NamedTuple(
+    "_LinkFields", [("target_predicate", str), ("path", Path), ("family", TNormFamily)]
+)
+
+
+class PrecedentLink(TupleRecord, _LinkFields):
     """Marks a predicate as arguable from precedent.
 
     The link instantiates the templates filed under ``path`` that
@@ -214,10 +231,7 @@ class PrecedentLink(FrozenRecord):
     with ``family``'s dual conorm.  At most one link per predicate.
     """
 
-    __slots__ = ("target_predicate", "path", "family")
-
-    def __init__(self, target_predicate: str, path: Path, family: TNormFamily) -> None:
-        self._fill(target_predicate, path, family)
+    __slots__ = ()
 
 
 class CaseLibrary(Record):
@@ -484,7 +498,7 @@ class CompiledKB:
     ``validate`` and the revision tracker to read.
 
     The KB keeps it until a rule, case template or precedent link is
-    added, replaced or removed.  All three are frozen records, so the
+    added, replaced or removed.  All three are immutable records, so the
     identity of each, in order, is the snapshot that tells.
 
     Building it walks ``kb.indexed_rules()`` once for what ``validate``

@@ -328,17 +328,22 @@ class TestSimilarity:
                 case_similarity(other, case)
 
     def test_dissimilarity_obeys_triangle_inequality(self):
+        # Cases fired from three templates of three premises each, under
+        # one link, in twelve seeded worlds: every triple mixes templates.
         rng = random.Random(7)
-        kb = _case_kb(_template("t", ("p",), ["a", "b", "c"], "q"))
+        kb = _case_kb(
+            _template("t1", ("p",), ["a", "b", "c"], "q"),
+            _template("t2", ("p",), ["c", "d", "e"], "q"),
+            _template("t3", ("p",), ["f", "a", "d"], "q"),
+        )
         cases = []
         for i in range(12):
             world = World(f"w{i}")
-            for name in ("a", "b", "c"):
+            for name in "abcdef":
                 lo = rng.uniform(0.0, 1.0)
-                hi = rng.uniform(lo, 1.0)
-                assert_evidence(world, Atom(name), CertaintyInterval(lo, hi), "s")
-            (case,) = _fired(kb, world)
-            cases.append(case)
+                assert_evidence(world, Atom(name), CertaintyInterval(lo, rng.uniform(lo, 1.0)), "s")
+            cases.extend(_fired(kb, world))
+        assert [case.provenance for case in cases] == ["t1", "t2", "t3"] * 12
         for x in cases:
             for y in cases:
                 for z in cases:
@@ -346,7 +351,6 @@ class TestSimilarity:
                     assert 1.0 - sxz <= (1.0 - sxy) + (1.0 - syz) + 1e-12
                     # The paper's form: similarity is T1-transitive.
                     assert sxz >= transitivity_bound(TNormFamily.T1, sxy, syz) - 1e-12
-
 
     def test_similarity_is_the_complement_of_the_mean_midpoint_gap(self):
         # ``similarity_from_distance`` on what the engine fired: two

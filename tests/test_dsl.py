@@ -869,6 +869,11 @@ class TestDeclarationPath:
                 id="case-without-path",
             ),
             pytest.param(_declaration(_CASE) + "taxonomy a;\n", id="case-without-roles"),
+            pytest.param(f"{_RULE} {{\n  if\n  then (b)\n}}\n", id="rule-without-antecedents"),
+            pytest.param(
+                f"taxonomy a;\n\n{_CASE} {{\n  roles\n  if\n  then (b)\n}}\n",
+                id="case-without-antecedents",
+            ),
             pytest.param("world w { }", id="world-in-a-kb"),
             pytest.param("taxonomy  a;\n", id="two-spaces"),
             pytest.param("taxonomy a;\r\n", id="carriage-return"),

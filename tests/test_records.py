@@ -3,7 +3,9 @@
 Every record compares field-wise, equals nothing of another type, and
 prints as ``Name(field=value, ...)``.  The frozen ones hash by their
 fields and refuse assignment and deletion; the mutable ones are
-unhashable.  Default containers are fresh for every instance.
+unhashable.  Default containers are fresh for every instance.  The tuple
+records equal no plain tuple, and both parse paths build them of their
+own classes.
 """
 
 import copy
@@ -12,6 +14,7 @@ import pickle
 import pytest
 
 from possum.calculus import CertaintyInterval, ConflictPolicy, TNormFamily
+from possum.dsl import _declared_kb, _token_kb, render_kb
 from possum.engine import ProofNode, QueryConfig, QueryResult
 from possum.errors import DomainError
 from possum.knowledge import (
@@ -119,6 +122,10 @@ MUTABLE = {
 }
 
 RECORDS = {**FROZEN, **MUTABLE}
+
+# The tuple records: how to make one.
+TUPLES = {"Atom": lambda: P}
+TUPLES.update((name, FROZEN[name][0]) for name in ("Rule", "CaseTemplate", "PrecedentLink"))
 
 
 @pytest.mark.parametrize("name", sorted(RECORDS))
@@ -243,3 +250,32 @@ def test_validation_messages(build, message):
     with pytest.raises(DomainError) as info:
         build()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("name", sorted(TUPLES))
+def test_tuple_records_equal_no_plain_tuple(name):
+    record = TUPLES[name]()
+    plain = tuple(record)
+    assert type(plain) is tuple and hash(plain) == hash(record)
+    assert not record == plain and not plain == record
+    assert record != plain and plain != record
+
+
+def test_both_parse_paths_build_records_of_their_own_classes():
+    kb = KnowledgeBase(
+        rules={"r1": Rule("r1", (Q,), (P,), Q, 0.9, 0.1, T2, ("class",))},
+        case_library=CaseLibrary(
+            {("d",)}, {"c1": CaseTemplate("c1", ("d",), ("?x",), (), (P,), Q, 0.9, 0.0, T2)}
+        ),
+        precedent_links={"q": PrecedentLink("q", ("d",), T2)},
+    )
+    text = render_kb(kb)
+    for parsed in (_declared_kb(text), _token_kb(text)):
+        assert parsed == kb
+        (rule,), (case,), (link,) = (
+            parsed.rules.values(), parsed.case_library.templates.values(),
+            parsed.precedent_links.values(),
+        )
+        assert (type(rule), type(case), type(link)) == (Rule, CaseTemplate, PrecedentLink)
+        atoms = {*rule.context, *rule.antecedents, rule.consequent, *parsed.atoms}
+        assert set(map(type, atoms)) == {Atom}
