@@ -3,7 +3,7 @@
 The package is layered bottom-up, and no module imports one above it:
 ``errors`` (the exception types), ``_records`` (the base of the record
 classes) and ``calculus`` (interval arithmetic); ``knowledge`` (atoms,
-rules, case templates and their library, worlds); ``dsl`` (the
+rules, cases, which are rules filed in the case library, worlds); ``dsl`` (the
 textual language) and ``engine`` (screening, backward and forward
 inference); ``cbr`` (case retrieval and case similarity) and
 ``revision`` (dependency-tracked belief updates); ``cli`` (the

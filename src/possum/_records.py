@@ -1,15 +1,15 @@
 """Record classes that compare, hash and print by their fields.
 
 The immutable records a parse builds one per atom or declaration
-(``knowledge.Atom``, ``Rule``, ``CaseTemplate`` and ``PrecedentLink``)
-are ``typing.NamedTuple`` classes, as is the compiled form's
-``RuleInstance``: a parser builds each in one C call, ``tuple.__new__``
-over its fields, where a slotted record sets each field through its own
-descriptor, and each hashes in C as the tuple of its fields.
-``TupleRecord``, put ahead of the named tuple among a rule's, case
-template's or link's bases, makes it equal only a record of its own
-class, never a plain tuple in either order (``Atom`` does the same in
-its own body).
+(``knowledge.Atom``, ``Rule``, which is also the record of a case, and
+``PrecedentLink``) are ``typing.NamedTuple`` classes, as is the compiled
+form's ``RuleInstance``: a parser builds each in one C call,
+``tuple.__new__`` over its fields, where a slotted record sets each
+field through its own descriptor, and each hashes in C as the tuple of
+its fields.  ``TupleRecord``, put ahead of the named tuple among a
+rule's or link's bases, makes it equal only a record of its own class,
+never a plain tuple in either order (``Atom`` does the same in its own
+body).
 
 The other records are slotted classes.  A subclass of ``Record`` lists
 its fields in ``__slots__`` (two or more) and writes its own

@@ -1,15 +1,15 @@
 """Case retrieval and case similarity.
 
-The case model lives in ``knowledge`` beside ``Rule``: a case template
-is a rule filed under a taxonomy path, with the same sufficiency and
-necessity grading, and the engine fires the templates a precedent link
-instantiates exactly as it fires rules.  This module holds what only
-cases have.  ``retrieve`` finds the templates under a taxonomy node
-that pass the engine's screening gate, and ``case_similarity`` compares
-two fired cases by the premise profiles their ``case-instance`` proof
-nodes keep.  ``CaseTemplate`` and ``PrecedentLink`` are re-exported
-from ``knowledge``, their home, for the benchmark's inputs, which
-import them from here.
+A case is a ``knowledge.Rule`` with ``roles`` set, filed under its
+taxonomy ``path`` in the case library, and the engine fires the cases a
+precedent link instantiates exactly as it fires rules.  This module
+holds what only cases have.  ``retrieve`` finds the cases under a
+taxonomy node that pass the engine's screening gate, and
+``case_similarity`` compares two fired cases by the premise profiles
+their ``case-instance`` proof nodes keep.  ``CaseTemplate``, the
+constructor of a case, and ``PrecedentLink`` are re-exported from
+``knowledge``, their home, for the benchmark's inputs, which import
+them from here.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .knowledge import (
     CaseTemplate,
     Path,
     PrecedentLink,
+    Rule,
     World,
     format_path,
     parse_path,
@@ -43,7 +44,7 @@ def retrieve(
     config: QueryConfig | None = None,
     *,
     diagnostics: list[str] | None = None,
-) -> list[CaseTemplate]:
+) -> list[Rule]:
     """Templates under a taxonomy node that pass context screening.
 
     Retrieval at an ancestor node sees a superset of what any of its

@@ -43,7 +43,7 @@ patterns are built from the token pieces and make the parser's keyword
 and kind checks.  Rules, cases, links and atoms are tuple records
 (``knowledge``), so each is built from its groups in one
 ``tuple.__new__``, past its constructor: the pattern reads at least one
-premise, which is all the rule and case constructors check, and the
+premise, which is all the ``Rule`` constructor checks, and the
 path checks each strength and family itself.  The declaration path
 accepts only what the token path accepts, and builds the same objects
 in the same orders, sharing the same atoms.  Where it gives up, the
@@ -81,7 +81,6 @@ from .calculus import CertaintyInterval, ConflictPolicy, TNormFamily
 from .errors import DomainError, ParseError, ParseFailure, UnboundRoleError
 from .knowledge import (
     Atom,
-    CaseTemplate,
     KnowledgeBase,
     PrecedentLink,
     Rule,
@@ -339,7 +338,7 @@ class _KbParser(_Parser):
         # Each declaration read, after the index of its keyword.  A rule's
         # or case's strengths may be labels, which pass two resolves.
         self.rules: list[tuple[int, Rule]] = []
-        self.cases: list[tuple[int, CaseTemplate]] = []
+        self.cases: list[tuple[int, Rule]] = []
         self.links: list[tuple[int, PrecedentLink]] = []
         self.errors: list[ParseError] = []
 
@@ -414,18 +413,11 @@ class _KbParser(_Parser):
         i = self.expect(i, "then", f"before the {kind} conclusion")
         consequent, i = self.parse_atom(i)
         i = self.expect(i, "}", f"to close the {kind} body")
-        identifier = texts[keyword + 1]
-        if roles is None:
-            rule = Rule(
-                identifier, context, antecedents, consequent, sufficiency, necessity, family, path
-            )
-            self.rules.append((keyword, rule))
-        else:
-            case = CaseTemplate(
-                identifier, path, roles, context, antecedents, consequent, sufficiency, necessity,
-                family,
-            )
-            self.cases.append((keyword, case))
+        rule = Rule(
+            texts[keyword + 1], context, antecedents, consequent, sufficiency, necessity, family,
+            path, roles,
+        )
+        (self.rules if roles is None else self.cases).append((keyword, rule))
         return i
 
     def parse_context(self, i: int) -> tuple[tuple[Atom, ...], int]:
@@ -588,22 +580,17 @@ def _read_kb(text: str) -> KnowledgeBase:
             if kind == "rule":
                 if roles is not None or ident in rules:
                     raise _Unvouched
-                context = run(header) if header else ()
-                premises = run(antecedents, _BREAK)
-                head = atoms[consequent]
-                rules[ident] = new(
-                    Rule, (ident, context, premises, head, sufficiency, necessity, family, path)
-                )
+                table = rules
             else:
                 if not path or header is not None or roles is None or ident in templates:
                     raise _Unvouched
-                context = run(body) if body else ()
-                premises = run(antecedents, _BREAK)
-                head = atoms[consequent]
-                templates[ident] = new(CaseTemplate, (
-                    ident, path, tuple(roles.split()), context, premises, head, sufficiency,
-                    necessity, family,
-                ))
+                table, header, roles = templates, body, tuple(roles.split())
+            context = run(header) if header else ()
+            premises = run(antecedents, _BREAK)
+            head = atoms[consequent]
+            table[ident] = new(
+                Rule, (ident, context, premises, head, sufficiency, necessity, family, path, roles)
+            )
         elif first == "t":
             library.paths.add(tuple(m[1].split("/")))
         elif m[1] in links or m[3] not in families:
@@ -798,18 +785,15 @@ def _refuse_unwritable(identifiers: set[str], variables: set[str]) -> None:
 
 
 def _kb_names(kb: KnowledgeBase) -> tuple[set[str], set[str]]:
-    """The identifiers and the role variables ``render_kb`` writes."""
-    rules, templates = kb.rules.values(), kb.case_library.templates.values()
-    items = [*rules, *templates]
+    """The identifiers and the role variables ``render_kb`` writes; each
+    distinct argument tuple is read once."""
+    items = [*kb.rules.values(), *kb.case_library.templates.values()]
     consequent, context, antecedents = _FIELDS
-    atoms = [
-        *map(consequent, items),
-        *chain.from_iterable(map(context, items)),
-        *chain.from_iterable(map(antecedents, items)),
-    ]
-    arguments = set(chain.from_iterable(map(itemgetter(1), atoms)))
+    atoms = [*map(consequent, items), *chain(*map(context, items), *map(antecedents, items))]
+    # Not a set of atoms: equal atoms built apart compare through ``Atom.__eq__``.
+    arguments = set(chain.from_iterable(set(map(itemgetter(1), atoms))))
     variables = {name for name in arguments if name[:1] == "?"}
-    variables.update(chain.from_iterable(map(attrgetter("roles"), templates)))
+    variables.update(chain.from_iterable(filter(None, map(attrgetter("roles"), items))))
     links = kb.precedent_links.values()
     identifiers = arguments - variables
     identifiers.update(
@@ -817,8 +801,7 @@ def _kb_names(kb: KnowledgeBase) -> tuple[set[str], set[str]]:
         map(attrgetter("identifier"), items),
         map(attrgetter("target_predicate"), links),
         chain.from_iterable(kb.case_library.paths),
-        chain.from_iterable(map(attrgetter("rule_class"), rules)),
-        chain.from_iterable(map(attrgetter("path"), templates)),
+        chain.from_iterable(map(attrgetter("path"), items)),
         chain.from_iterable(map(attrgetter("path"), links)),
     )
     return identifiers, variables
@@ -837,19 +820,17 @@ def _world_names(world: World) -> tuple[set[str], set[str]]:
     return identifiers, set(world.roles)
 
 
-def _render_rule_or_case(
-    item: Rule | CaseTemplate, path: tuple[str, ...], roles: tuple[str, ...] | None
-) -> str:
+def _render_rule_or_case(item: Rule) -> str:
     """A rule's context goes in its header; a case's roles and context open its body."""
-    head = ["case" if roles is not None else "rule", item.identifier]
-    if roles is not None or path:
-        head.append(f"path {format_path(path)}")
+    head = ["case" if item.roles is not None else "rule", item.identifier]
+    if item.roles is not None or item.path:
+        head.append(f"path {format_path(item.path)}")
     body = []
     context = ["context " + " ".join(str(a) for a in item.context)] if item.context else []
-    if roles is None:
+    if item.roles is None:
         head += context
     else:
-        body.append(("  roles " + " ".join(roles)).rstrip())
+        body.append(("  roles " + " ".join(item.roles)).rstrip())
         body += ["  " + line for line in context]
     head.append(f"tnorm {item.family.label}")
     head.append(f"suff {format_number(item.sufficiency)}")
@@ -876,12 +857,8 @@ def render_kb(kb: KnowledgeBase) -> str:
     taxonomy = sorted(kb.case_library.paths)
     if taxonomy:
         blocks.append("\n".join(f"taxonomy {format_path(p)};" for p in taxonomy))
-    for identifier in sorted(kb.rules):
-        rule = kb.rules[identifier]
-        blocks.append(_render_rule_or_case(rule, rule.rule_class, None))
-    for identifier in sorted(kb.case_library.templates):
-        case = kb.case_library.templates[identifier]
-        blocks.append(_render_rule_or_case(case, case.path, case.roles))
+    for table in (kb.rules, kb.case_library.templates):
+        blocks.extend(_render_rule_or_case(table[identifier]) for identifier in sorted(table))
     links = sorted(kb.precedent_links.values(), key=lambda l: l.target_predicate)
     if links:
         blocks.append(

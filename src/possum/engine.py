@@ -56,7 +56,6 @@ from .calculus import (
 from .errors import DerivationCycleError, DomainError, UnboundRoleError
 from .knowledge import (
     Atom,
-    CaseTemplate,
     KnowledgeBase,
     Rule,
     RuleInstance,
@@ -239,9 +238,9 @@ class RuleIndex:
     """The rules of one knowledge base, grounded in one world's roles.
 
     The rules are ``kb.indexed_rules()``: ``kb.rules`` followed by the
-    case templates each precedent link instantiates; a template is a
-    rule filed in the case library, and is indexed as one.  Roles are
-    bound per world and never unified, so a rule has at most
+    cases each precedent link instantiates: a case is a rule, with
+    ``roles`` set, filed in the case library, and is indexed as one.
+    Roles are bound per world and never unified, so a rule has at most
     one ground instance in a world: this is Rete's alpha memory with a
     trivial join (Forgy 1982), built from the KB's compiled form
     (``KnowledgeBase.compiled``) as Rete builds its network once for
@@ -520,7 +519,7 @@ class QuerySession:
         ]
 
         for rule, context, premises, error in rules:
-            is_case = isinstance(rule, CaseTemplate)
+            is_case = rule.roles is not None
             kind = "case-instance" if is_case else "rule-instance"
             path = None
             if was and was[-1].provenance == rule.identifier and was[-1].kind == kind:
@@ -613,8 +612,8 @@ class QuerySession:
             and atom not in self._asked
         )
 
-    def _inactive(self, rule: Rule | CaseTemplate, err: UnboundRoleError) -> None:
-        kind = "case" if isinstance(rule, CaseTemplate) else "rule"
+    def _inactive(self, rule: Rule, err: UnboundRoleError) -> None:
+        kind = "rule" if rule.roles is None else "case"
         self.notes.append(f"{kind} {rule.identifier} inactive: {err}")
 
 

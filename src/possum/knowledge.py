@@ -1,26 +1,26 @@
 """Knowledge model: atoms, rules, cases, worlds, and the knowledge base.
 
-A knowledge base is generic: rules and case templates mention role
-variables (``?raider``).  A world instantiates it: roles get bound to
-constants, facts carry per-source evidence intervals, and askable
-predicates mark what the user may be prompted for.  The same knowledge
-base can be run against many worlds.
+A knowledge base is generic: rules and cases mention role variables
+(``?raider``).  A world instantiates it: roles get bound to constants,
+facts carry per-source evidence intervals, and askable predicates mark
+what the user may be prompted for.  The same knowledge base can be run
+against many worlds.
 
-The case model sits beside the rules.  A case template is a rule filed
-under a taxonomy path in the case library, with the same sufficiency
-and necessity grading and a list of the roles it generalises over; a
-precedent link marks a predicate as arguable from the templates under
-one path.
+A case is a rule: one ``Rule`` record, with ``roles`` set to the role
+variables it generalises over, filed under its taxonomy ``path`` in the
+case library rather than among the rules (``CaseTemplate`` builds one).
+A precedent link marks a predicate as arguable from the cases under one
+path.
 
-Atoms, rules, case templates, precedent links and rule instances are
-tuple records (``typing.NamedTuple``; ``_records``): a parse builds one
-per atom and declaration, each in one C call, and the engine keys its
-tables by atom, hashed in C.  Each but a rule instance equals only a
-record of its own class.  The constructors of rules and case templates
-refuse one with no antecedents, which a KB built in code may hold;
-``dsl``'s declaration path builds records with ``tuple.__new__``
-straight from text its patterns vouch for.  Worlds, facts and the
-knowledge base itself are mutable slotted records.
+Atoms, rules, precedent links and rule instances are tuple records
+(``typing.NamedTuple``; ``_records``): a parse builds one per atom and
+declaration, each in one C call, and the engine keys its tables by atom,
+hashed in C.  Each but a rule instance equals only a record of its own
+class.  The ``Rule`` constructor refuses a rule or case with no
+antecedents, which a KB built in code may hold; ``dsl``'s declaration
+path builds records with ``tuple.__new__`` straight from text its
+patterns vouch for.  Worlds, facts and the knowledge base itself are
+mutable slotted records.
 
 A knowledge base is compiled once, free of any world
 (``KnowledgeBase.compiled``): its rules and linked templates grouped by
@@ -28,7 +28,7 @@ conclusion in reading order over the KB's atom table, which role
 variables each rule mentions, and the predicate dependencies and
 strength findings ``validate`` reports.  Every world's rule index,
 ``validate`` and the revision tracker read that one form, which the KB
-keeps until a rule, case template or precedent link changes.
+keeps until a rule, case or precedent link changes.
 
 Facts keep every source's interval separately and reconcile them into
 one effective interval by consensus at assertion time; inference later
@@ -149,12 +149,12 @@ Path = tuple[str, ...]
 _RuleFields = NamedTuple("_RuleFields", [
     ("identifier", str), ("context", tuple[Atom, ...]), ("antecedents", tuple[Atom, ...]),
     ("consequent", Atom), ("sufficiency", float), ("necessity", float), ("family", TNormFamily),
-    ("rule_class", Path),
+    ("path", Path), ("roles", tuple[str, ...] | None),
 ])
 
 
 class Rule(TupleRecord, _RuleFields):
-    """A qualified implication.
+    """A qualified implication, or a decided case.
 
     ``context`` gates whether the rule participates at all in a given
     world; ``antecedents`` are the premises evaluated once it does.
@@ -162,7 +162,9 @@ class Rule(TupleRecord, _RuleFields):
     conclusion, ``necessity`` how far a refuted premise refutes it (a
     hard logical rule is sufficiency 1, necessity 0).  ``family`` picks
     the conjunction used for both the premises and the detachment.
-    ``rule_class`` is an optional taxonomy path used for bookkeeping.
+    ``path`` is a taxonomy path: bookkeeping on a rule, where a case is
+    filed.  ``roles`` is None on a rule; a case (``CaseTemplate``) lists
+    the role variables it generalises over, possibly none.
     """
 
     __slots__ = ()
@@ -170,14 +172,27 @@ class Rule(TupleRecord, _RuleFields):
     def __new__(
         cls, identifier: str, context: tuple[Atom, ...], antecedents: tuple[Atom, ...],
         consequent: Atom, sufficiency: float, necessity: float, family: TNormFamily,
-        rule_class: Path = (),
+        path: Path = (), roles: tuple[str, ...] | None = None,
     ) -> Rule:
         if not antecedents:
-            raise DomainError(f"rule {identifier} has no antecedents")
+            if roles is None:
+                raise DomainError(f"rule {identifier} has no antecedents")
+            raise DomainError(f"case {identifier} has no premises")
         return super().__new__(
             cls, identifier, context, antecedents, consequent, sufficiency, necessity, family,
-            rule_class,
+            path, roles,
         )
+
+
+def CaseTemplate(
+    identifier: str, path: Path, roles: tuple[str, ...], context: tuple[Atom, ...],
+    antecedents: tuple[Atom, ...], consequent: Atom, sufficiency: float, necessity: float,
+    family: TNormFamily,
+) -> Rule:
+    """A decided case: the ``Rule`` with these ``roles``, filed under ``path``."""
+    return Rule(
+        identifier, context, antecedents, consequent, sufficiency, necessity, family, path, roles
+    )
 
 
 def parse_path(text: str) -> Path:
@@ -190,31 +205,6 @@ def parse_path(text: str) -> Path:
 
 def format_path(path: Path) -> str:
     return "/".join(path) if path else "/"
-
-
-_CaseFields = NamedTuple("_CaseFields", [
-    ("identifier", str), ("path", Path), ("roles", tuple[str, ...]),
-    ("context", tuple[Atom, ...]), ("antecedents", tuple[Atom, ...]), ("consequent", Atom),
-    ("sufficiency", float), ("necessity", float), ("family", TNormFamily),
-])
-
-
-class CaseTemplate(TupleRecord, _CaseFields):
-    """A decided case, generalised over its role variables."""
-
-    __slots__ = ()
-
-    def __new__(
-        cls, identifier: str, path: Path, roles: tuple[str, ...], context: tuple[Atom, ...],
-        antecedents: tuple[Atom, ...], consequent: Atom, sufficiency: float, necessity: float,
-        family: TNormFamily,
-    ) -> CaseTemplate:
-        if not antecedents:
-            raise DomainError(f"case {identifier} has no premises")
-        return super().__new__(
-            cls, identifier, path, roles, context, antecedents, consequent, sufficiency,
-            necessity, family,
-        )
 
 
 _LinkFields = NamedTuple(
@@ -235,12 +225,13 @@ class PrecedentLink(TupleRecord, _LinkFields):
 
 
 class CaseLibrary(Record):
-    """Case templates filed under declared taxonomy paths."""
+    """Cases filed under declared taxonomy paths: ``Rule`` records with
+    ``roles`` set, keyed by identifier in ``templates``."""
 
     __slots__ = ("paths", "templates")
 
     def __init__(
-        self, paths: set[Path] | None = None, templates: dict[str, CaseTemplate] | None = None
+        self, paths: set[Path] | None = None, templates: dict[str, Rule] | None = None
     ) -> None:
         self.paths = set() if paths is None else paths
         self.templates = {} if templates is None else templates
@@ -248,7 +239,7 @@ class CaseLibrary(Record):
     def declare_path(self, path: Path) -> None:
         self.paths.add(tuple(path))
 
-    def add(self, template: CaseTemplate) -> None:
+    def add(self, template: Rule) -> None:
         if template.identifier in self.templates:
             raise DomainError(f"duplicate case identifier {template.identifier}")
         self.templates[template.identifier] = template
@@ -259,7 +250,7 @@ class CaseLibrary(Record):
             return True
         return any(declared[: len(path)] == tuple(path) for declared in self.paths)
 
-    def templates_at(self, path: Path) -> list[CaseTemplate]:
+    def templates_at(self, path: Path) -> list[Rule]:
         """Templates filed at or below a node, ordered by (path, identifier)."""
         node = tuple(path)
         found = [t for t in self.templates.values() if t.path[: len(node)] == node]
@@ -440,7 +431,7 @@ class KnowledgeBase(Record):
         self.atoms: dict[Atom, Atom] = {}
         self._compiled: CompiledKB | None = None
 
-    def linked_templates(self, link: PrecedentLink) -> list[CaseTemplate]:
+    def linked_templates(self, link: PrecedentLink) -> list[Rule]:
         """The case templates ``link`` instantiates, in ``templates_at`` order:
         those filed under its path that conclude its predicate."""
         return [
@@ -449,7 +440,7 @@ class KnowledgeBase(Record):
             if template.consequent.predicate == link.target_predicate
         ]
 
-    def indexed_rules(self) -> Iterator[Rule | CaseTemplate]:
+    def indexed_rules(self) -> Iterator[Rule]:
         """The rules the engine reads, in its reading order: ``rules``, then
         the templates each precedent link instantiates, link by link."""
         linked = (self.linked_templates(link) for link in self.precedent_links.values())
@@ -465,8 +456,9 @@ class KnowledgeBase(Record):
 
 
 class RuleInstance(NamedTuple):
-    """One rule or linked case template, as the compiled form holds it or
-    as one world's roles ground it (``engine.RuleIndex``).
+    """One rule or linked case, as the compiled form holds it or as one
+    world's roles ground it (``engine.RuleIndex``); ``rule.roles`` is
+    set on a case.
 
     ``context`` is the context the gate screens, and ``premises`` are
     the antecedents: what a derivation reads, and no more.  ``error`` is
@@ -479,7 +471,7 @@ class RuleInstance(NamedTuple):
     rule is noted only past the gate.
     """
 
-    rule: Rule | CaseTemplate
+    rule: Rule
     context: tuple[Atom, ...]
     premises: tuple[Atom, ...]
     error: UnboundRoleError | None
@@ -541,9 +533,7 @@ class CompiledKB:
             for atom in antecedents:
                 reads[atom.predicate] = None
         self.dependencies = deps
-        self.range_errors = _range_errors("rule", self._snapshot[0]) + _range_errors(
-            "case", self._snapshot[1]
-        )
+        self.range_errors = _range_errors(self._snapshot[0] + self._snapshot[1])
         self._pending = (kb.atoms, rules, consequents, premises)
 
     def grouped(self) -> CompiledKB:
@@ -610,7 +600,7 @@ def _same(snapshot: tuple, table: dict) -> bool:
     return len(snapshot) == len(table) and all(map(is_, snapshot, table.values()))
 
 
-def _range_errors(kind: str, items: tuple[Rule | CaseTemplate, ...]) -> list[str]:
+def _range_errors(items: tuple[Rule, ...]) -> list[str]:
     """The strengths of ``items`` outside [0, 1], or not numbers at all."""
     values = [*map(_SUFFICIENCY, items), *map(_NECESSITY, items)]
     # The common case, checked in C: floats and ints only, none nan
@@ -621,6 +611,7 @@ def _range_errors(kind: str, items: tuple[Rule | CaseTemplate, ...]) -> list[str
             return []
     errors = []
     for item in items:
+        kind = "rule" if item.roles is None else "case"
         for name, value in (("sufficiency", item.sufficiency), ("necessity", item.necessity)):
             if not isinstance(value, (int, float)) or not 0.0 <= float(value) <= 1.0:
                 errors.append(f"{kind} {item.identifier}: {name} {value!r} outside [0, 1]")
@@ -714,21 +705,28 @@ def validate(kb: KnowledgeBase) -> ValidationReport:
 
     Reports derivation cycles (including those routed through precedent
     links), sufficiency/necessity values outside the unit interval,
-    case-template variables missing from the template's role list, and
-    taxonomy paths that were never declared.  The root holds no case or
-    link: ``render_kb`` would write it as ``/``, which no parser reads.
+    records filed in the wrong table (a case, with ``roles``, among the
+    rules, or a rule in the case library), case-template variables
+    missing from the template's role list, and taxonomy paths that were
+    never declared.  The root holds no case or link: ``render_kb`` would
+    write it as ``/``, which no parser reads.
     """
     form = kb.compiled()
     report = ValidationReport(range_errors=list(form.range_errors))
     library = kb.case_library
 
+    for rule in kb.rules.values():
+        if rule.roles is not None:
+            report.role_errors.append(f"case {rule.identifier}: has roles but is in the rules")
     for template in library.templates.values():
+        if template.roles is None:
+            owner = f"rule {template.identifier}"
+            report.role_errors.append(f"{owner}: has no roles but is in the case library")
+            continue
         owner = f"case {template.identifier}"
-        declared = set(template.roles)
-        used: set[str] = set()
-        for atom in template.context + template.antecedents + (template.consequent,):
-            used |= atom.variables()
-        for var in sorted(used - declared):
+        atoms = template.context + template.antecedents + (template.consequent,)
+        used = set().union(*map(Atom.variables, atoms))
+        for var in sorted(used.difference(template.roles)):
             report.role_errors.append(f"{owner}: role {var} is not declared")
         if not (template.path and library.has_path(template.path)):
             report.path_errors.append(

@@ -245,7 +245,7 @@ def dsl_kb(rng: random.Random) -> KnowledgeBase:
             _strength(rng),
             _strength(rng),
             rng.choice(FAMILIES),
-            rule_class=rng.choice([(), tuple(rng.choice(sorted(paths)))]) if paths else (),
+            path=rng.choice([(), tuple(rng.choice(sorted(paths)))]) if paths else (),
         )
     path_list = sorted(paths)
     for i in range(rng.randint(0, 4)):

@@ -398,10 +398,7 @@ class TestCasesAreRules:
             as_case = forward_saturate(kb, world.copy(), config)
             del kb.case_library.templates[case.identifier]
             del kb.precedent_links[predicate]
-            kb.rules[case.identifier] = Rule(
-                case.identifier, case.context, case.antecedents, case.consequent,
-                case.sufficiency, case.necessity, case.family,
-            )
+            kb.rules[case.identifier] = case._replace(roles=None)
             as_rule = forward_saturate(kb, world, config)
             assert as_rule.keys() == as_case.keys(), f"seed {seed}"
             for atom, interval in as_case.items():
@@ -440,17 +437,9 @@ CONFIG = QueryConfig(conflict_policy=ConflictPolicy.LENIENT)
 
 def _all_t3(kb):
     """Every rule, template and link of ``kb`` under T3."""
-    for ident, r in kb.rules.items():
-        kb.rules[ident] = Rule(
-            ident, r.context, r.antecedents, r.consequent, r.sufficiency, r.necessity, T3,
-            r.rule_class,
-        )
-    templates = kb.case_library.templates
-    for ident, t in templates.items():
-        templates[ident] = CaseTemplate(
-            ident, t.path, t.roles, t.context, t.antecedents, t.consequent, t.sufficiency,
-            t.necessity, T3,
-        )
+    for table in (kb.rules, kb.case_library.templates):
+        for ident, rule in table.items():
+            table[ident] = rule._replace(family=T3)
     for predicate, link in kb.precedent_links.items():
         kb.precedent_links[predicate] = PrecedentLink(predicate, link.path, T3)
 
@@ -463,10 +452,7 @@ def _moved_intervals(kb, world):
     as_case = forward_saturate(kb, world.copy(), CONFIG)
     for case in kb.linked_templates(link):
         del kb.case_library.templates[case.identifier]
-        kb.rules[case.identifier] = Rule(
-            case.identifier, case.context, case.antecedents, case.consequent,
-            case.sufficiency, case.necessity, case.family,
-        )
+        kb.rules[case.identifier] = case._replace(roles=None)
     del kb.precedent_links[predicate]
     as_rule = forward_saturate(kb, world, CONFIG)
     assert as_rule.keys() == as_case.keys()

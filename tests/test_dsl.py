@@ -148,7 +148,7 @@ class TestKbParsing:
         assert rule.sufficiency == 0.75
         assert rule.necessity == 0.1
         assert rule.family is TNormFamily.T2
-        assert rule.rule_class == ("deals", "big")
+        assert rule.path == ("deals", "big")
         assert rule.context == (Atom("gate", ("?x",)),)
         assert rule.antecedents == (Atom("a", ("?x",)), Atom("b"))
         assert rule.consequent == Atom("c", ("?x",))
@@ -409,10 +409,10 @@ class TestRenderer:
 
 
 
-def _one_rule_kb(identifier="r", antecedent=Atom("p", ("x",)), rule_class=()):
+def _one_rule_kb(identifier="r", antecedent=Atom("p", ("x",)), path=()):
     kb = KnowledgeBase()
     kb.rules[identifier] = Rule(
-        identifier, (), (antecedent,), Atom("q"), 0.9, 0.0, TNormFamily.T2, rule_class
+        identifier, (), (antecedent,), Atom("q"), 0.9, 0.0, TNormFamily.T2, path
     )
     return kb
 
@@ -451,7 +451,7 @@ _UNWRITABLE_KBS = [
     (lambda: _one_rule_kb(antecedent=Atom("p", ("",))), ""),
     (lambda: _one_rule_kb(antecedent=Atom("p", ("²x",))), "²x"),
     (lambda: _one_rule_kb(identifier="r 1"), "r 1"),
-    (lambda: _one_rule_kb(rule_class=("deals", "big/ones")), "big/ones"),
+    (lambda: _one_rule_kb(path=("deals", "big/ones")), "big/ones"),
     (lambda: _one_case_kb(roles=("x",)), "x"),
     (lambda: _with_rule(_one_case_kb(roles=("x",))), "x"),  # and an argument, where it is fine
     (lambda: _one_case_kb(path=("deals", "a b"), taxonomy=("deals", "a b")), "a b"),

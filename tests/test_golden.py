@@ -23,6 +23,8 @@ RUNS = {
     "demo_explain.txt": ["explain", DEMO_KB, DEMO_WORLD, GOAL],
     "demo_saturate.txt": ["saturate", DEMO_KB, DEMO_WORLD],
     "demo_saturate.json": ["saturate", DEMO_KB, DEMO_WORLD, "--format", "json"],
+    "demo_cases.txt": ["cases", DEMO_KB, "defense/anti-trust"],
+    "demo_cases_world.txt": ["cases", DEMO_KB, "defense/anti-trust", DEMO_WORLD],
 }
 
 

@@ -450,6 +450,26 @@ class TestKnowledgeBase:
             with pytest.raises(ParseError, match="to start a taxonomy path, found '/'"):
                 parse_kb(render_kb(kb))
 
+    def test_validate_flags_a_record_filed_in_the_wrong_table(self):
+        """A case among the rules would fire as precedent support no link
+        combines, and a rule in the library has no roles to check: each is
+        reported by name and table."""
+        case = CaseTemplate("c", ("lib",), (), (), (Atom("p"),), Atom("q"), 0.9, 0.0, T2)
+        case_among_rules = KnowledgeBase(rules={"c": case})
+        rule_in_library = KnowledgeBase()
+        rule = Rule("r", (), (Atom("p"),), Atom("q"), 0.9, 0.0, T2, ("lib",))
+        rule_in_library.case_library.templates["r"] = rule
+        for kb in (case_among_rules, rule_in_library):
+            kb.case_library.declare_path(("lib",))
+        cases = [
+            (case_among_rules, "case c: has roles but is in the rules"),
+            (rule_in_library, "rule r: has no roles but is in the case library"),
+        ]
+        for kb, message in cases:
+            report = validate(kb)
+            assert report.role_errors == [message]
+            assert not report.ok()
+
     def test_validate_flags_unbound_case_role(self):
         kb = KnowledgeBase()
         kb.case_library.declare_path(("lib",))

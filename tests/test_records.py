@@ -5,7 +5,7 @@ prints as ``Name(field=value, ...)``.  The frozen ones hash by their
 fields and refuse assignment and deletion; the mutable ones are
 unhashable.  Default containers are fresh for every instance.  The tuple
 records equal no plain tuple, and both parse paths build them of their
-own classes.
+own classes.  A case is a ``Rule`` with ``roles`` set.
 """
 
 import copy
@@ -55,14 +55,14 @@ FROZEN = {
         lambda: Rule("r1", (), (P,), Q, 0.9, 0.1, T2),
         lambda: Rule("r1", (), (P,), Q, 0.9, 0.1, T2, ("class",)),
         f"Rule(identifier='r1', context=(), antecedents=({P_REPR},), consequent={Q_REPR}, "
-        "sufficiency=0.9, necessity=0.1, family=<TNormFamily.T2: 2>, rule_class=())",
+        "sufficiency=0.9, necessity=0.1, family=<TNormFamily.T2: 2>, path=(), roles=None)",
     ),
     "CaseTemplate": (
         lambda: CaseTemplate("c1", ("d",), ("?x",), (), (P,), Q, 0.9, 0.0, T2),
         lambda: CaseTemplate("c1", ("d",), ("?x",), (), (P,), Q, 0.9, 0.0, TNormFamily.T3),
-        f"CaseTemplate(identifier='c1', path=('d',), roles=('?x',), context=(), "
-        f"antecedents=({P_REPR},), consequent={Q_REPR}, sufficiency=0.9, necessity=0.0, "
-        "family=<TNormFamily.T2: 2>)",
+        f"Rule(identifier='c1', context=(), antecedents=({P_REPR},), consequent={Q_REPR}, "
+        "sufficiency=0.9, necessity=0.0, family=<TNormFamily.T2: 2>, path=('d',), "
+        "roles=('?x',))",
     ),
     "PrecedentLink": (
         lambda: PrecedentLink("q", ("d",), T2),
@@ -264,18 +264,37 @@ def test_tuple_records_equal_no_plain_tuple(name):
 def test_both_parse_paths_build_records_of_their_own_classes():
     kb = KnowledgeBase(
         rules={"r1": Rule("r1", (Q,), (P,), Q, 0.9, 0.1, T2, ("class",))},
-        case_library=CaseLibrary(
-            {("d",)}, {"c1": CaseTemplate("c1", ("d",), ("?x",), (), (P,), Q, 0.9, 0.0, T2)}
-        ),
+        case_library=CaseLibrary({("d",)}, {
+            "c1": CaseTemplate("c1", ("d",), ("?x",), (), (P,), Q, 0.9, 0.0, T2),
+            "c2": CaseTemplate("c2", ("d",), (), (Q,), (Q,), P, 0.5, 0.5, T2),
+        }),
         precedent_links={"q": PrecedentLink("q", ("d",), T2)},
     )
     text = render_kb(kb)
     for parsed in (_declared_kb(text), _token_kb(text)):
         assert parsed == kb
-        (rule,), (case,), (link,) = (
+        (rule,), (case, bare), (link,) = (
             parsed.rules.values(), parsed.case_library.templates.values(),
             parsed.precedent_links.values(),
         )
-        assert (type(rule), type(case), type(link)) == (Rule, CaseTemplate, PrecedentLink)
+        assert (type(rule), type(case), type(bare), type(link)) == (Rule, Rule, Rule, PrecedentLink)
+        assert (rule.roles, case.roles, bare.roles) == (None, ("?x",), ())
         atoms = {*rule.context, *rule.antecedents, rule.consequent, *parsed.atoms}
         assert set(map(type, atoms)) == {Atom}
+
+
+def test_a_case_is_a_rule_with_roles():
+    case = CaseTemplate("c1", ("d",), ("?x",), (), (P,), Q, 0.9, 0.0, T2)
+    assert type(case) is Rule
+    assert case == Rule("c1", (), (P,), Q, 0.9, 0.0, T2, ("d",), ("?x",))
+    assert case == Rule("c1", (), (P,), Q, 0.9, 0.0, T2, path=("d",), roles=("?x",))
+    assert case != Rule("c1", (), (P,), Q, 0.9, 0.0, T2, ("d",))
+    for twin in (copy.copy(case), copy.deepcopy(case), pickle.loads(pickle.dumps(case))):
+        assert type(twin) is Rule and twin == case and twin.roles == ("?x",)
+    # Unfiled, it is the rule with the same fields; filed again, the case.
+    unfiled = case._replace(roles=None)
+    assert type(unfiled) is Rule and unfiled.roles is None and unfiled.path == ("d",)
+    assert unfiled._replace(roles=("?x",)) == case
+    # A case may generalise over no role at all.
+    assert CaseTemplate("c2", ("d",), (), (), (P,), Q, 0.9, 0.0, T2).roles == ()
+
